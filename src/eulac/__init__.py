@@ -4,62 +4,21 @@ Training minimises an estimator of the deployment-time risk built from
 labeled known-class data and unlabeled data drawn from the deployment
 distribution, so novel classes can be recognised without ever observing a
 labeled example of them.
+
+The package root holds the library quick start (see the README); every
+other name is imported from its submodule.
 """
 
 from .data import (
-    ClassConfiguration,
-    FiniteDistribution,
-    GaussianMixture,
     LabeledDataset,
     SyntheticSpec,
     UnlabeledDataset,
-    bayes_risk_oracle,
-    format_synthetic_spec,
-    kfold_split,
-    load_csv,
-    load_features_csv,
-    load_libsvm,
-    parse_class_configuration,
     parse_synthetic_spec,
-    random_class_configuration,
     sample_synthetic,
-    sample_test_set,
-    split_class_configuration,
-    write_features_csv,
-    write_libsvm,
 )
-from .evalbench import (
-    ConfusionMatrix,
-    ExperimentReport,
-    macro_f1,
-    ovr_reject_baseline,
-    run_excess_risk_check,
-    run_theta_sweep,
-    run_unlabeled_scaling,
-)
-from .kernel import KernelSpec, eval_kernel, gram, median_heuristic
-from .losses import check_lac_condition, loss_derivative, loss_value
-from .mixture import ThetaEstimate, estimate_theta, theta_override
-from .modelsel import CvReport, HyperGrid, cross_validate, fit_with_selection
-from .risk import (
-    TheoryParams,
-    empirical_lac_risk,
-    exact_lac_risk,
-    exact_nonconvex_lac_risk,
-    exact_ovr_risk,
-    generalization_bound,
-    zero_one_risk,
-)
-from .solver import (
-    DualModel,
-    FitOptions,
-    fit_first_order,
-    fit_square_closed_form,
-    objective,
-    objective_gradient,
-    predict_label,
-    predict_labels,
-    predict_scores,
-)
+from .kernel import KernelSpec, median_heuristic
+from .mixture import ThetaEstimate, estimate_theta
+from .modelsel import CvReport, HyperGrid, fit_with_selection
+from .solver import DualModel
 
 __version__ = "0.1.0"

@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 finished-with-solver-warning, 1 failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -16,6 +17,8 @@ import numpy as np
 
 from . import data as dt
 from .evalbench import (
+    DEFAULT_SCALING_SIZES,
+    DEFAULT_SWEEP_RATIOS,
     ConfusionMatrix,
     macro_f1,
     run_excess_risk_check,
@@ -32,9 +35,6 @@ from .solver import DualModel
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_WARNING = 2
-
-DEFAULT_SCALING_SIZES = (250, 500, 750, 1000, 1250, 1500)
-DEFAULT_SWEEP_RATIOS = (0.0, 0.2, 0.6, 0.8)
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -82,9 +82,7 @@ def _config_echo(args) -> dict:
 
 
 def cmd_gen(args) -> int:
-    spec = _read_spec(args.spec)
-    spec = dt.SyntheticSpec(spec.class_priors, spec.class_mixtures, spec.new_mixture,
-                            spec.theta, seed=args.seed)
+    spec = dataclasses.replace(_read_spec(args.spec), seed=args.seed)
     labeled, unlabeled, test = dt.sample_synthetic(
         spec, args.n_labeled, args.n_unlabeled, args.n_test
     )
@@ -251,8 +249,7 @@ def cmd_bench(args) -> int:
         raise ValueError("the excess-risk harness needs dimension <= 2")
     results = []
     for seed in seeds:
-        spec = dt.SyntheticSpec(source.class_priors, source.class_mixtures,
-                                source.new_mixture, source.theta, seed=seed)
+        spec = dataclasses.replace(source, seed=seed)
         labeled, unlabeled, _ = dt.sample_synthetic(
             spec, args.n_labeled, args.n_unlabeled, 10
         )

@@ -172,38 +172,6 @@ def load_libsvm(
     return LabeledDataset(X, y, K, label_map=table)
 
 
-def load_csv(path, label_column: int) -> LabeledDataset:
-    """Read a rectangular numeric CSV without header; one column holds labels."""
-    raw_labels: list[int] = []
-    feats: list[list[float]] = []
-    width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if width is None:
-                width = len(cells)
-                if not (0 <= label_column < width):
-                    raise ValueError(f"label column {label_column} out of range for width {width}")
-            elif len(cells) != width:
-                raise ValueError(f"{path}:{line_no}: ragged row ({len(cells)} cells, expected {width})")
-            try:
-                values = [float(c) for c in cells]
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: non-numeric cell") from exc
-            label_f = values[label_column]
-            if label_f != int(label_f):
-                raise ValueError(f"{path}:{line_no}: non-integer label {label_f}")
-            raw_labels.append(int(label_f))
-            feats.append([v for j, v in enumerate(values) if j != label_column])
-    if not feats:
-        raise ValueError(f"{path}: empty file")
-    y, K, table = _remap_labels(raw_labels, None)
-    return LabeledDataset(np.array(feats), y, K, label_map=table)
-
-
 def load_features_csv(path) -> UnlabeledDataset:
     """Read a features-only numeric CSV without header."""
     feats: list[list[float]] = []
@@ -381,6 +349,20 @@ def split_class_configuration(
     return labeled, unlabeled, test
 
 
+def stratified_folds(labels: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Fold id in 0..k-1 per row, dealt round-robin within each shuffled class."""
+    if k < 2:
+        raise ValueError("need k >= 2 folds")
+    fold_of = np.empty(len(labels), dtype=int)
+    for c in np.unique(labels):
+        idx = np.flatnonzero(labels == c)
+        if len(idx) < k:
+            raise ValueError(f"class {int(c)} has {len(idx)} samples, fewer than {k} folds")
+        idx = rng.permutation(idx)
+        fold_of[idx] = np.arange(len(idx)) % k
+    return fold_of
+
+
 def kfold_indices(
     labeled: LabeledDataset,
     unlabeled: UnlabeledDataset,
@@ -389,19 +371,11 @@ def kfold_indices(
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Index-level folds: (train_L, train_U, val_L, val_U) row indices per fold.
 
-    Labeled folds are stratified by class (round-robin within a shuffled
-    class); unlabeled folds are a plain random partition.
+    Labeled folds are stratified by class (``stratified_folds``); unlabeled
+    folds are a plain random partition.
     """
-    if k < 2:
-        raise ValueError("need k >= 2 folds")
     rng = np.random.default_rng(seed)
-    fold_of = np.empty(len(labeled), dtype=int)
-    for c in np.unique(labeled.y):
-        idx = np.flatnonzero(labeled.y == c)
-        if len(idx) < k:
-            raise ValueError(f"class {int(c)} has {len(idx)} samples, fewer than {k} folds")
-        idx = rng.permutation(idx)
-        fold_of[idx] = np.arange(len(idx)) % k
+    fold_of = stratified_folds(labeled.y, k, rng)
     u_perm = rng.permutation(len(unlabeled))
     u_folds = np.array_split(u_perm, k)
 
@@ -412,26 +386,6 @@ def kfold_indices(
         val_U = np.sort(u_folds[f])
         train_U = np.sort(np.concatenate([u_folds[g] for g in range(k) if g != f]))
         out.append((train_L, train_U, val_L, val_U))
-    return out
-
-
-def kfold_split(
-    labeled: LabeledDataset,
-    unlabeled: UnlabeledDataset,
-    k: int,
-    seed: int,
-) -> list[tuple[LabeledDataset, UnlabeledDataset, LabeledDataset, UnlabeledDataset]]:
-    """Stratified k-fold partition of the labeled set, plain folds of the unlabeled set."""
-    out = []
-    for train_L, train_U, val_L, val_U in kfold_indices(labeled, unlabeled, k, seed):
-        out.append((
-            LabeledDataset(labeled.X[train_L], labeled.y[train_L],
-                           labeled.num_known_classes, labeled.label_map),
-            UnlabeledDataset(unlabeled.X[train_U]),
-            LabeledDataset(labeled.X[val_L], labeled.y[val_L],
-                           labeled.num_known_classes, labeled.label_map),
-            UnlabeledDataset(unlabeled.X[val_U]),
-        ))
     return out
 
 
@@ -475,11 +429,6 @@ class GaussianMixture:
     @property
     def dimension(self) -> int:
         return self.means.shape[1]
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        comps = rng.choice(len(self.weights), size=size, p=self.weights)
-        eps = rng.standard_normal((size, self.dimension))
-        return self.means[comps] + np.einsum("nij,nj->ni", self._chols[comps], eps)
 
     def pdf(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -698,6 +647,11 @@ def posterior_grid(spec: SyntheticSpec, grid_resolution: int):
 def bayes_risk_oracle(spec: SyntheticSpec, grid_resolution: int = 400) -> float:
     """Minimal achievable 0-1 risk of the testing distribution by quadrature."""
     _, volume, joints = posterior_grid(spec, grid_resolution)
+    return bayes_risk_from_joints(volume, joints)
+
+
+def bayes_risk_from_joints(volume: float, joints: np.ndarray) -> float:
+    """0-1 risk of the Bayes rule from quadrature joints (one row per class)."""
     correct = volume * joints.max(axis=0).sum()
     return float(min(max(1.0 - correct, 0.0), 1.0))
 

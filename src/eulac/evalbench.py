@@ -15,17 +15,27 @@ from scipy.stats import spearmanr
 from .data import (
     LabeledDataset,
     SyntheticSpec,
+    bayes_risk_from_joints,
     posterior_grid,
     sample_synthetic,
     sample_test_set,
     split_class_configuration,
+    stratified_folds,
 )
 from .kernel import DEFAULT_SIGMA_MULTIPLIERS, KernelSpec, gram, median_heuristic
 from .losses import SQUARE, loss_value
-from .mixture import estimate_theta
 from .modelsel import HyperGrid, fit_with_selection
-from .risk import TheoryParams, empirical_lac_risk, generalization_bound, zero_one_risk
-from .solver import DualModel, predict_labels
+from .risk import (
+    TheoryParams,
+    empirical_lac_risk,
+    generalization_bound,
+    optimal_square_risk_from_joints,
+    zero_one_risk,
+)
+from .solver import DualModel, predict_labels, predict_scores
+
+DEFAULT_SCALING_SIZES = (250, 500, 750, 1000, 1250, 1500)
+DEFAULT_SWEEP_RATIOS = (0.0, 0.2, 0.6, 0.8)
 
 
 # ---------------------------------------------------------------------------
@@ -107,12 +117,10 @@ class RejectingOvrModel:
     support_points: np.ndarray
     alpha: np.ndarray
     kernel: KernelSpec
-    lam: float
     num_known_classes: int
 
     def scores(self, queries) -> np.ndarray:
-        q = np.atleast_2d(np.asarray(queries, dtype=float))
-        return gram(self.kernel, q, self.support_points) @ self.alpha
+        return predict_scores(self, queries)
 
     def predict(self, queries) -> np.ndarray:
         s = self.scores(queries)
@@ -134,7 +142,7 @@ def ovr_reject_baseline(
     # square loss (1 - y f)^2 / 4 plus lam ||f||^2 gives (G + 4 n lam I) a = y
     system = G + (4.0 * n * lam + 1e-10) * np.eye(n)
     alpha = cho_solve(cho_factor(system, lower=True), targets)
-    return RejectingOvrModel(labeled.X.copy(), alpha, kernel, lam, K)
+    return RejectingOvrModel(labeled.X.copy(), alpha, kernel, K)
 
 
 def select_baseline_bandwidth(
@@ -151,11 +159,7 @@ def select_baseline_bandwidth(
     data.
     """
     median = median_heuristic(labeled.X)
-    rng = np.random.default_rng(seed)
-    fold_of = np.empty(len(labeled), dtype=int)
-    for c in np.unique(labeled.y):
-        idx = rng.permutation(np.flatnonzero(labeled.y == c))
-        fold_of[idx] = np.arange(len(idx)) % folds
+    fold_of = stratified_folds(labeled.y, folds, np.random.default_rng(seed))
     best = None
     for mult in multipliers:
         kernel = KernelSpec(mult * median)
@@ -268,18 +272,17 @@ def _evaluate_run(model, labeled, unlabeled, test, theta, loss_kind) -> dict:
 
 def run_unlabeled_scaling(
     source,
-    sizes: tuple[int, ...] = (250, 500, 750, 1000, 1250, 1500),
+    sizes: tuple[int, ...] = DEFAULT_SCALING_SIZES,
     seeds: tuple[int, ...] = tuple(range(10)),
     n_labeled: int = 500,
     n_test: int = 1000,
     grid: HyperGrid | None = None,
     theta: float | None = None,
-    estimate: bool = False,
 ) -> ExperimentReport:
     """Refit with growing unlabeled sets and track held-out performance.
 
-    theta defaults to the task's true mixture fraction; pass estimate=True
-    to infer it from each run's data instead.
+    Every run fits with ``theta`` when it is given, and with the task's true
+    mixture fraction otherwise.
     """
     if list(sizes) != sorted(set(sizes)):
         raise ValueError("sizes must be strictly increasing")
@@ -292,7 +295,7 @@ def run_unlabeled_scaling(
             labeled, unlabeled, test, true_theta = _make_task(
                 source, n_labeled, size, n_test, seed
             )
-            run_theta = _resolve_theta(theta, estimate, labeled, unlabeled, true_theta)
+            run_theta = float(true_theta if theta is None else theta)
             model, _ = fit_with_selection(labeled, unlabeled, run_theta, grid, seed)
             entry = {"x": size, "seed": seed, "theta": run_theta}
             entry.update(_evaluate_run(model, labeled, unlabeled, test, run_theta, grid.loss_kind))
@@ -319,7 +322,7 @@ def run_unlabeled_scaling(
 
 def run_theta_sweep(
     source,
-    ratios: tuple[float, ...] = (0.0, 0.2, 0.6, 0.8),
+    ratios: tuple[float, ...] = DEFAULT_SWEEP_RATIOS,
     seeds: tuple[int, ...] = tuple(range(10)),
     n_labeled: int = 500,
     n_unlabeled: int = 1000,
@@ -355,15 +358,6 @@ def run_theta_sweep(
         "primary_metric": "macro_f1",
     }
     return ExperimentReport(config, tuple(runs))
-
-
-def _resolve_theta(theta, estimate, labeled, unlabeled, true_theta) -> float:
-    if theta is not None:
-        return float(theta)
-    if estimate:
-        kernel = KernelSpec(median_heuristic(np.vstack([labeled.X, unlabeled.X])))
-        return estimate_theta(labeled, unlabeled, kernel).theta_hat
-    return float(true_theta)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +407,7 @@ def run_excess_risk_check(
     K = spec.num_known_classes
     p_te = joints.sum(axis=0)
 
-    bayes = float(min(max(1.0 - volume * joints.max(axis=0).sum(), 0.0), 1.0))
+    bayes = bayes_risk_from_joints(volume, joints)
 
     scores = np.asarray(evaluate(points), dtype=float)
     if scores.shape != (points.shape[0], K + 1):
@@ -424,9 +418,7 @@ def run_excess_risk_check(
     marginal = loss_value(SQUARE, scores[:, K]) + loss_value(SQUARE, -scores[:, :K]).sum(axis=1)
     lac_risk = labeled_term + volume * float(np.sum(p_te * marginal))
 
-    with np.errstate(invalid="ignore", divide="ignore"):
-        eta = np.where(p_te > 0.0, joints / p_te, 0.0)
-    optimal = volume * float(np.sum(p_te * np.sum(eta * (1.0 - eta), axis=0)))
+    optimal = volume * optimal_square_risk_from_joints(joints)
 
     rhs = float(np.sqrt(2.0 * max(lac_risk - optimal, 0.0)))
 

@@ -28,18 +28,6 @@ def _as_points(x) -> np.ndarray:
     return pts
 
 
-def eval_kernel(spec: KernelSpec, x, y) -> float:
-    """Kernel value for a single pair of feature vectors."""
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape[0]} vs {y.shape[0]}")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ValueError("kernel inputs must be finite")
-    sq = float(np.sum((x - y) ** 2))
-    return float(np.exp(-sq / (2.0 * spec.sigma**2)))
-
-
 def gram(spec: KernelSpec, rows, cols) -> np.ndarray:
     """Gram matrix with entry (i, j) = k(rows[i], cols[j]).
 

@@ -110,10 +110,11 @@ def cross_validate(
     """Mean validation risk (no regulariser) for every grid cell.
 
     The bandwidth for each cell is multiplier x median pairwise distance of
-    the pooled data.  For every sigma the pooled Gram matrix is built once
-    and sliced per fold.
+    the pooled data.  For every sigma the pooled Gram matrix is built once;
+    each fold's sub-Grams are sliced from it in turn and shared by all
+    lambda candidates.
     """
-    n_l, n_u = len(labeled), len(unlabeled)
+    n_l = len(labeled)
     pooled = np.vstack([labeled.X, unlabeled.X])
     median = median_heuristic(pooled)
     folds = kfold_indices(labeled, unlabeled, grid.folds, seed)
@@ -123,39 +124,36 @@ def cross_validate(
     for mult in grid.sigma_multipliers:
         sigma = mult * median
         G = gram(KernelSpec(sigma), pooled, pooled)
-        fold_views = []
-        for train_L, train_U, val_L, val_U in folds:
+        risks = [[] for _ in grid.lambda_candidates]
+        for fold, (train_L, train_U, val_L, val_U) in enumerate(folds):
             sup = np.concatenate([train_L, n_l + train_U])
             val = np.concatenate([val_L, n_l + val_U])
-            fold_views.append((
-                G[np.ix_(sup, sup)],
-                G[np.ix_(val, sup)],
-                labeled.y[train_L],
-                labeled.y[val_L],
-                len(train_L), len(train_U), len(val_L),
-            ))
-        for lam in grid.lambda_candidates:
-            risks = []
-            for G_tt, G_vt, y_tr, y_val, f_nl, f_nu, n_valL in fold_views:
+            G_tt = G[np.ix_(sup, sup)]
+            G_vt = G[np.ix_(val, sup)]
+            y_tr = labeled.y[train_L]
+            for lam, lam_risks in zip(grid.lambda_candidates, risks):
                 try:
                     if grid.loss_kind == SQUARE:
-                        alpha = _square_loss_alpha(G_tt, y_tr, K, f_nl, f_nu, theta, lam)
+                        alpha = _square_loss_alpha(G_tt, y_tr, K, len(train_L), len(train_U),
+                                                   theta, lam)
                     else:
-                        opts = FitOptions(lam=lam, max_iterations=2000,
-                                          gradient_tolerance=1e-5, seed=seed)
-                        alpha, _ = _first_order_alpha(G_tt, y_tr, K, f_nl, f_nu,
+                        opts = FitOptions(lam=lam, max_iterations=2000, gradient_tolerance=1e-5)
+                        alpha, _ = _first_order_alpha(G_tt, y_tr, K, len(train_L), len(train_U),
                                                       theta, opts, grid.loss_kind)
                 except Exception as exc:
                     raise RuntimeError(
-                        f"fit failed at sigma_multiplier={mult}, lambda={lam}: {exc}"
+                        f"fit failed at sigma_multiplier={mult}, lambda={lam}, fold={fold}: "
+                        f"{type(exc).__name__}: {exc}"
                     ) from exc
                 scores_val = G_vt @ alpha
-                risks.append(lac_risk_from_scores(
-                    scores_val[:n_valL], y_val, scores_val[n_valL:], theta, grid.loss_kind
+                lam_risks.append(lac_risk_from_scores(
+                    scores_val[:len(val_L)], labeled.y[val_L], scores_val[len(val_L):],
+                    theta, grid.loss_kind
                 ))
-            risks_arr = np.array(risks)
+        for lam, lam_risks in zip(grid.lambda_candidates, risks):
+            risks_arr = np.array(lam_risks)
             stderr = float(risks_arr.std(ddof=1) / np.sqrt(len(risks_arr))) if len(risks_arr) > 1 else 0.0
-            cells.append(CvCell(mult, sigma, lam, float(risks_arr.mean()), stderr, tuple(risks)))
+            cells.append(CvCell(mult, sigma, lam, float(risks_arr.mean()), stderr, tuple(lam_risks)))
 
     return CvReport(tuple(cells), _select(cells), grid.folds, grid.loss_kind, median)
 
@@ -175,5 +173,5 @@ def fit_with_selection(
         model = fit_square_closed_form(labeled, unlabeled, kernel, theta, lam)
     else:
         model = fit_first_order(labeled, unlabeled, kernel, theta,
-                                FitOptions(lam=lam, seed=seed), grid.loss_kind)
+                                FitOptions(lam=lam), grid.loss_kind)
     return model, report

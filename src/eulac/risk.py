@@ -144,34 +144,25 @@ def exact_nonconvex_lac_risk(f, dist: FiniteDistribution, loss_kind: str) -> flo
 
 
 def optimal_square_lac_risk(dist: FiniteDistribution) -> float:
-    """Minimal LAC risk under the square loss, via the per-point minimiser.
+    """Minimal LAC risk under the square loss over a finite distribution."""
+    points, where = np.unique(dist.points, axis=0, return_inverse=True)
+    joints = np.zeros((dist.num_known_classes + 1, points.shape[0]))
+    np.add.at(joints, (dist.labels - 1, where.ravel()), dist.probabilities)
+    return optimal_square_risk_from_joints(joints)
 
-    At each distinct feature point the optimal one-versus-rest score is
-    2 eta_k - 1 with eta_k the conditional class probability, contributing
-    sum_k eta_k (1 - eta_k) times the point's marginal mass.
+
+def optimal_square_risk_from_joints(joints: np.ndarray) -> float:
+    """Minimal square-loss LAC risk from joint masses p(x, y).
+
+    joints is (K+1, m): one row per class 1..K+1, one column per point.  At
+    each point the optimal one-versus-rest score is 2 eta_k - 1 with eta_k
+    the conditional class probability, contributing sum_k eta_k (1 - eta_k)
+    times the point's marginal mass.
     """
-    keys: dict[bytes, int] = {}
-    groups: list[list[int]] = []
-    for i, row in enumerate(dist.points):
-        key = row.tobytes()
-        if key not in keys:
-            keys[key] = len(groups)
-            groups.append([])
-        groups[keys[key]].append(i)
-
-    K = dist.num_known_classes
-    total = 0.0
-    for idx in groups:
-        idx = np.array(idx)
-        mass = dist.probabilities[idx].sum()
-        if mass <= 0:
-            continue
-        eta = np.zeros(K + 1)
-        for i in idx:
-            eta[dist.labels[i] - 1] += dist.probabilities[i]
-        eta /= mass
-        total += mass * float(np.sum(eta * (1.0 - eta)))
-    return total
+    marginal = joints.sum(axis=0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        eta = np.where(marginal > 0.0, joints / marginal, 0.0)
+    return float(np.sum(marginal * np.sum(eta * (1.0 - eta), axis=0)))
 
 
 def zero_one_risk(predictions, truths) -> float:

@@ -31,7 +31,6 @@ class FitOptions:
     lam: float
     max_iterations: int = 5000
     gradient_tolerance: float = 1e-6
-    seed: int = 0
 
     def __post_init__(self):
         if self.lam <= 0:
@@ -116,10 +115,6 @@ class DualModel:
             num_known_classes=payload["num_known_classes"],
             record=record,
         )
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())
 
     @staticmethod
     def load(path) -> "DualModel":
@@ -358,16 +353,9 @@ def predict_scores(model: DualModel, queries) -> np.ndarray:
     return gram(model.kernel, q, model.support_points) @ model.alpha
 
 
-def predict_label(scores_row) -> int:
-    """Argmax label for one score row; ties go to the smallest class index,
-    with the novel class (last column) losing all ties."""
-    row = np.asarray(scores_row, dtype=float).ravel()
-    if not np.all(np.isfinite(row)):
-        raise ValueError("scores must be finite")
-    return int(np.argmax(row)) + 1
-
-
 def predict_labels(scores: np.ndarray) -> np.ndarray:
+    """Argmax label per score row; ties go to the smallest class index,
+    with the novel class (last column) losing all ties."""
     s = np.atleast_2d(np.asarray(scores, dtype=float))
     if not np.all(np.isfinite(s)):
         raise ValueError("scores must be finite")

@@ -4,8 +4,16 @@ import hashlib
 import numpy as np
 import pytest
 
+import eulac.modelsel
 from eulac.cli import main
-from eulac.data import bayes_risk_oracle, format_synthetic_spec, parse_synthetic_spec
+from eulac.data import (
+    bayes_risk_oracle,
+    format_synthetic_spec,
+    load_features_csv,
+    load_libsvm,
+    parse_synthetic_spec,
+)
+from eulac.modelsel import HyperGrid
 
 from conftest import two_cluster_spec
 
@@ -161,6 +169,31 @@ class TestThetaAndCv:
         assert rc == 0
         report = json.loads((tmp_path / "cv" / "cv_report.json").read_text())
         assert len(report["cells"]) == 1
+
+    def test_cv_solver_failure_names_cell_and_exits_one(self, spec_file, tmp_path,
+                                                        monkeypatch, capsys):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(eulac.modelsel, "_square_loss_alpha", singular)
+        data = _gen(spec_file, tmp_path / "data")
+        labeled = load_libsvm(data / "labeled.libsvm")
+        unlabeled = load_features_csv(data / "unlabeled.csv")
+        grid = HyperGrid(sigma_multipliers=(1.0,), lambda_candidates=(0.01,), folds=2)
+        with pytest.raises(RuntimeError) as info:
+            eulac.modelsel.cross_validate(labeled, unlabeled, 0.7, grid, seed=0)
+        message = str(info.value)
+        assert "sigma_multiplier=1.0, lambda=0.01, fold=0" in message
+        assert "LinAlgError: not positive definite" in message
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+        capsys.readouterr()
+        rc = main(["cv", "--labeled", str(data / "labeled.libsvm"),
+                   "--unlabeled", str(data / "unlabeled.csv"),
+                   "--out", str(tmp_path / "cv"), "--theta", "0.7"] + FAST_GRID)
+        assert rc == 1
+        assert "LinAlgError" in capsys.readouterr().err
+        assert not (tmp_path / "cv" / "cv_report.json").exists()
 
 
 class TestBench:

@@ -9,8 +9,7 @@ from eulac.data import (
     UnlabeledDataset,
     bayes_risk_oracle,
     format_synthetic_spec,
-    kfold_split,
-    load_csv,
+    kfold_indices,
     load_features_csv,
     load_libsvm,
     parse_class_configuration,
@@ -102,21 +101,21 @@ class TestLibsvmLoader:
 class TestCsvLoader:
     def test_basic(self, tmp_path):
         p = tmp_path / "d.csv"
-        p.write_text("1,0.5,0.0,2.0\n2,0.0,1.0,0.0\n1,1.0,1.0,1.0\n")
-        ds = load_csv(p, label_column=0)
+        p.write_text("0.5,0.0,2.0\n0.0,1.0,0.0\n\n1.0,1.0,1.0\n")
+        ds = load_features_csv(p)
         assert len(ds) == 3 and ds.dimension == 3
 
     def test_header_rejected_naming_row_one(self, tmp_path):
         p = tmp_path / "d.csv"
-        p.write_text("label,f1,f2\n1,0.5,0.25\n")
+        p.write_text("f1,f2\n0.5,0.25\n")
         with pytest.raises(ValueError, match=":1:"):
-            load_csv(p, label_column=0)
+            load_features_csv(p)
 
     def test_ragged_rejected(self, tmp_path):
         p = tmp_path / "d.csv"
-        p.write_text("1,0.5,0.25\n2,0.5\n")
-        with pytest.raises(ValueError, match="ragged"):
-            load_csv(p, label_column=0)
+        p.write_text("0.5,0.25\n0.5\n")
+        with pytest.raises(ValueError, match=":2: ragged"):
+            load_features_csv(p)
 
     def test_csv_equivalent_of_libsvm(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -125,11 +124,9 @@ class TestCsvLoader:
         lib = tmp_path / "d.libsvm"
         write_libsvm(lib, LabeledDataset(X, y, 2))
         csv = tmp_path / "d.csv"
-        lines = [",".join([str(int(y[i]))] + [repr(float(v)) for v in X[i]]) for i in range(20)]
-        csv.write_text("\n".join(lines) + "\n")
-        a, b = load_libsvm(lib), load_csv(csv, label_column=0)
+        csv.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in X))
+        a, b = load_libsvm(lib), load_features_csv(csv)
         np.testing.assert_array_equal(a.X, b.X)
-        np.testing.assert_array_equal(a.y, b.y)
 
     def test_features_csv(self, tmp_path):
         p = tmp_path / "u.csv"
@@ -335,21 +332,24 @@ class TestKfold:
 
     def test_fold_sizes(self):
         L, U = self._data()
-        folds = kfold_split(L, U, 5, seed=0)
+        folds = kfold_indices(L, U, 5, seed=0)
         assert all(len(vl) == 100 and len(vu) == 200 for _, _, vl, vu in folds)
 
     def test_partition_property(self):
         L, U = self._data(60, 90)
-        folds = kfold_split(L, U, 3, seed=1)
-        seen_l = np.concatenate([vl.X for _, _, vl, _ in folds])
-        seen_u = np.concatenate([vu.X for _, _, _, vu in folds])
-        assert seen_l.shape[0] == 60 and np.unique(seen_l, axis=0).shape[0] == 60
-        assert seen_u.shape[0] == 90 and np.unique(seen_u, axis=0).shape[0] == 90
+        folds = kfold_indices(L, U, 3, seed=1)
+        for tl, tu, vl, vu in folds:
+            np.testing.assert_array_equal(np.sort(np.concatenate([tl, vl])), np.arange(60))
+            np.testing.assert_array_equal(np.sort(np.concatenate([tu, vu])), np.arange(90))
+        seen_l = np.concatenate([vl for _, _, vl, _ in folds])
+        seen_u = np.concatenate([vu for _, _, _, vu in folds])
+        np.testing.assert_array_equal(np.sort(seen_l), np.arange(60))
+        np.testing.assert_array_equal(np.sort(seen_u), np.arange(90))
 
     def test_stratification_within_one(self):
         L, U = self._data(500, 100)
-        for _, _, val_l, _ in kfold_split(L, U, 5, seed=2):
-            counts = np.bincount(val_l.y, minlength=3)[1:]
+        for _, _, val_l, _ in kfold_indices(L, U, 5, seed=2):
+            counts = np.bincount(L.y[val_l], minlength=3)[1:]
             assert np.all(np.abs(counts - 50) <= 1)
 
     def test_small_class_rejected(self):
@@ -357,7 +357,7 @@ class TestKfold:
         L = LabeledDataset(rng.normal(size=(10, 1)), [1] * 7 + [2] * 3, 2)
         U = UnlabeledDataset(rng.normal(size=(10, 1)))
         with pytest.raises(ValueError, match="fewer than"):
-            kfold_split(L, U, 5, seed=0)
+            kfold_indices(L, U, 5, seed=0)
 
 
 class TestConfigFormats:

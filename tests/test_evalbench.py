@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from eulac.data import LabeledDataset, sample_synthetic
+from eulac.data import LabeledDataset, bayes_risk_oracle, sample_synthetic
 from eulac.evalbench import (
     ConfusionMatrix,
     ExperimentReport,
@@ -15,7 +15,7 @@ from eulac.evalbench import (
     run_unlabeled_scaling,
     select_baseline_bandwidth,
 )
-from eulac.kernel import KernelSpec
+from eulac.kernel import KernelSpec, median_heuristic
 from eulac.modelsel import HyperGrid, fit_with_selection
 
 from conftest import two_cluster_spec
@@ -93,7 +93,7 @@ class TestBaseline:
 
     def test_rejects_strictly_negative(self):
         model = RejectingOvrModel(np.zeros((1, 1)), np.array([[-1.0, -1.0]]),
-                                  KernelSpec(1.0), 0.1, 2)
+                                  KernelSpec(1.0), 2)
         assert model.predict(np.zeros((1, 1)))[0] == 3
 
     def test_novel_training_rows_rejected(self):
@@ -105,9 +105,21 @@ class TestBaseline:
         spec = two_cluster_spec(0.7, 3)
         L, _, _ = sample_synthetic(spec, 80, 10, 10)
         kernel = select_baseline_bandwidth(L, folds=4)
-        from eulac.kernel import median_heuristic
         med = median_heuristic(L.X)
         assert any(np.isclose(kernel.sigma, m * med) for m in (1e-2, 1e-1, 1.0, 10.0))
+
+    def test_bandwidth_selection_pinned_on_criterion_9_data(self):
+        # the multipliers the baseline selected before its folds were
+        # shared with kfold_indices; the folds for a seed must not move
+        expected = {0: 0.1, 1: 1.0, 2: 0.1, 3: 1.0, 4: 0.1}
+        for seed, mult in expected.items():
+            L, _, _ = sample_synthetic(two_cluster_spec(0.7, seed), 500, 1000, 1000)
+            assert select_baseline_bandwidth(L).sigma == mult * median_heuristic(L.X)
+
+    def test_bandwidth_selection_small_class_rejected(self):
+        L = LabeledDataset(np.arange(12.0)[:, None], [1] * 9 + [2] * 3, 2)
+        with pytest.raises(ValueError, match="fewer than 5 folds"):
+            select_baseline_bandwidth(L)
 
     def test_beats_baseline_on_class_shift(self):
         spec = two_cluster_spec(0.6, 4)
@@ -224,6 +236,7 @@ class TestExcessRiskCheck:
         zero = lambda X: np.zeros((np.atleast_2d(X).shape[0], 3))
         check = run_excess_risk_check(spec, zero, seed=2)
         assert check.passed and check.rhs > 0.5
+        assert check.bayes_risk == bayes_risk_oracle(spec, 300)
 
     def test_fitted_model_passes(self):
         spec = two_cluster_spec(0.7, 0)

@@ -1,40 +1,47 @@
 import numpy as np
 import pytest
 
-from eulac.kernel import KernelSpec, eval_kernel, gram, median_heuristic
+from eulac.kernel import KernelSpec, gram, median_heuristic
+
+
+def _pair(spec, x, y) -> float:
+    """Kernel value of one pair, as a 1x1 Gram matrix."""
+    G = gram(spec, x, y)
+    assert G.shape == (1, 1)
+    return G[0, 0]
 
 
 class TestEvalKernel:
     def test_zero_distance(self):
         spec = KernelSpec(2.0)
-        assert eval_kernel(spec, [1.0, 2.0], [1.0, 2.0]) == 1.0
+        assert _pair(spec, [1.0, 2.0], [1.0, 2.0]) == 1.0
 
     def test_unit_distance_value(self):
         spec = KernelSpec(1.0)
-        assert eval_kernel(spec, [0.0, 0.0], [1.0, 0.0]) == pytest.approx(
+        assert _pair(spec, [0.0, 0.0], [1.0, 0.0]) == pytest.approx(
             0.6065306597126334, abs=1e-12
         )
 
     def test_wide_bandwidth_limit(self):
         spec = KernelSpec(1e8)
-        assert eval_kernel(spec, [0.0], [3.0]) == pytest.approx(1.0, abs=1e-12)
+        assert _pair(spec, [0.0], [3.0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetry_and_range(self):
         rng = np.random.default_rng(0)
         spec = KernelSpec(0.7)
         for _ in range(50):
             x, y = rng.normal(size=3), rng.normal(size=3)
-            v = eval_kernel(spec, x, y)
-            assert v == eval_kernel(spec, y, x)
+            v = _pair(spec, x, y)
+            assert v == _pair(spec, y, x)
             assert 0.0 < v <= 1.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
-            eval_kernel(KernelSpec(1.0), [0.0], [0.0, 1.0])
+            _pair(KernelSpec(1.0), [0.0], [0.0, 1.0])
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
-            eval_kernel(KernelSpec(1.0), [np.nan], [0.0])
+            _pair(KernelSpec(1.0), [np.nan], [0.0])
 
     def test_bad_bandwidth(self):
         with pytest.raises(ValueError):

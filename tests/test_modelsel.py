@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eulac.data import sample_synthetic
+from eulac.data import LabeledDataset, UnlabeledDataset, kfold_indices, sample_synthetic
 from eulac.evalbench import ConfusionMatrix, macro_f1
 from eulac.kernel import KernelSpec, gram
 from eulac.modelsel import HyperGrid, cross_validate, fit_with_selection
@@ -69,15 +69,15 @@ class TestCrossValidate:
         grid = HyperGrid(sigma_multipliers=(1.0,), lambda_candidates=(0.1,), folds=2)
         report = cross_validate(L, U, THETA, grid, seed=7)
 
-        from eulac.data import kfold_split
-        folds = kfold_split(L, U, 2, seed=7)
         expected = []
-        for train_L, train_U, val_L, val_U in folds:
-            model = fit_square_closed_form(train_L, train_U,
-                                           KernelSpec(report.selected.sigma), THETA, 0.1)
-            sl = model.scores(val_L.X)
-            su = model.scores(val_U.X)
-            expected.append(lac_risk_from_scores(sl, val_L.y, su, THETA, "square"))
+        for train_L, train_U, val_L, val_U in kfold_indices(L, U, 2, seed=7):
+            model = fit_square_closed_form(
+                LabeledDataset(L.X[train_L], L.y[train_L], L.num_known_classes),
+                UnlabeledDataset(U.X[train_U]),
+                KernelSpec(report.selected.sigma), THETA, 0.1)
+            sl = model.scores(L.X[val_L])
+            su = model.scores(U.X[val_U])
+            expected.append(lac_risk_from_scores(sl, L.y[val_L], su, THETA, "square"))
         np.testing.assert_allclose(report.cells[0].fold_risks, expected, atol=1e-10)
 
     def test_report_serializes(self):
