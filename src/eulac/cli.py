@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -68,16 +69,22 @@ def _resolve_theta(args, labeled, unlabeled):
     return estimate_theta(labeled, unlabeled, kernel, slope_threshold=args.theta_threshold)
 
 
+def _file_sha256(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 def _config_echo(args) -> dict:
-    """Flags that determined this artifact, echoed for reproducibility."""
+    """Flags and input digests that determined this artifact, echoed for
+    reproducibility.  Inputs are named by content, not path, so the same
+    data fit from any directory gives the same bytes."""
     echo = {"command": args.command, "seed": args.seed}
-    for key in ("labeled", "unlabeled", "loss", "theta", "theta_threshold", "folds"):
-        if hasattr(args, key):
-            value = getattr(args, key)
-            echo[key] = str(value) if key in ("labeled", "unlabeled") else value
-    if hasattr(args, "lam"):
-        echo["lambda_candidates"] = list(args.lam)
-        echo["sigma_multipliers"] = list(args.sigma_mult)
+    for key in ("labeled", "unlabeled"):
+        echo[f"{key}_sha256"] = _file_sha256(getattr(args, key))
+    for key in ("loss", "theta", "theta_threshold", "folds"):
+        echo[key] = getattr(args, key)
+    echo["lambda_candidates"] = list(args.lam)
+    echo["sigma_multipliers"] = list(args.sigma_mult)
     return echo
 
 

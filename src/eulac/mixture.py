@@ -27,6 +27,10 @@ DEFAULT_SLOPE_THRESHOLD = 2.0
 CANDIDATE_GRID_SIZE = 64
 CANDIDATE_MAX = 20.0
 NU_SUPPORT_LIMIT = 512
+# active-set iterations allowed per QP over m coordinates:
+# QP_GUARD_PER_COORDINATE * m + QP_GUARD_SLACK
+QP_GUARD_PER_COORDINATE = 4
+QP_GUARD_SLACK = 50
 
 
 @dataclass(frozen=True)
@@ -36,6 +40,9 @@ class ThetaEstimate:
     theta_hat: float
     curve: tuple[tuple[float, float], ...]
     no_novelty_detected: bool = False
+    # QPs of the curve stopped by their iteration guard; a hit leaves a
+    # feasible but possibly suboptimal distance
+    qp_guard_hits: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.theta_hat <= 1.0:
@@ -49,12 +56,15 @@ def theta_override(value: float) -> ThetaEstimate:
     return ThetaEstimate(float(value), curve=())
 
 
-def _simplex_qp(P: np.ndarray, g: np.ndarray, w0: np.ndarray) -> np.ndarray:
+def _simplex_qp(P: np.ndarray, g: np.ndarray, w0: np.ndarray) -> tuple[np.ndarray, bool]:
     """Minimise 0.5 w'Pw + g'w over the probability simplex, exactly.
 
     Primal active-set method: clamped coordinates form the working set; the
     free block solves an equality-constrained KKT system.  P must be
     positive definite on the free subspace (callers add a small jitter).
+    Without a feasible warm start (``w0`` has no positive entry) the search
+    starts at the best vertex.  Returns the minimiser and whether the
+    iteration guard stopped the search first.
     """
     m = len(g)
     w = w0.copy()
@@ -62,13 +72,16 @@ def _simplex_qp(P: np.ndarray, g: np.ndarray, w0: np.ndarray) -> np.ndarray:
     w[clamped] = 0.0
     total = w.sum()
     if total <= 0:
-        w[:] = 1.0 / m
-        clamped[:] = False
+        # the objective at vertex e_i is 0.5 P_ii + g_i; the optimum is
+        # unique, so the start changes only how many solves reach it
+        best = int(np.argmin(0.5 * np.diag(P) + g))
+        w[best] = 1.0
+        clamped[best] = False
     else:
         w /= total
 
     ones = np.ones(m)
-    for _ in range(4 * m + 50):
+    for _ in range(QP_GUARD_PER_COORDINATE * m + QP_GUARD_SLACK):
         free = np.flatnonzero(~clamped)
         nf = len(free)
         kkt = np.empty((nf + 1, nf + 1))
@@ -91,7 +104,7 @@ def _simplex_qp(P: np.ndarray, g: np.ndarray, w0: np.ndarray) -> np.ndarray:
             lagrange = P @ w + g + mu * ones
             blocked = np.flatnonzero(clamped)
             if len(blocked) == 0 or lagrange[blocked].min() >= -1e-10:
-                return w
+                return w, False
             clamped[blocked[np.argmin(lagrange[blocked])]] = False
             continue
 
@@ -110,7 +123,7 @@ def _simplex_qp(P: np.ndarray, g: np.ndarray, w0: np.ndarray) -> np.ndarray:
         w[hit] = 0.0
         if w.sum() > 0:
             w /= w.sum()
-    return w  # iteration guard; current iterate is feasible and near-optimal
+    return w, True  # the current iterate is feasible but not proven optimal
 
 
 def _distance_curve(
@@ -121,12 +134,14 @@ def _distance_curve(
     a_ul: float,
     a_ll: float,
     candidates: np.ndarray,
-) -> np.ndarray:
-    """Exact embedding distance d(c) for every candidate, warm-starting along the grid."""
+) -> tuple[np.ndarray, int]:
+    """Exact embedding distance d(c) for every candidate, warm-starting along
+    the grid, plus the number of QPs stopped by the iteration guard."""
     m = K_nu.shape[0]
-    w = np.full(m, 1.0 / m)
+    w = np.zeros(m)
     P_base = 2.0 * (K_nu + 1e-10 * np.eye(m))
     out = np.empty(len(candidates))
+    guard_hits = 0
     for j, c in enumerate(candidates):
         frac = 1.0 / c
         beta = 1.0 - frac
@@ -135,10 +150,11 @@ def _distance_curve(
             out[j] = np.sqrt(max(const, 0.0))
             continue
         q = ku - frac * kl
-        w = _simplex_qp(beta * beta * P_base, -2.0 * beta * q, w)
+        w, guard_hit = _simplex_qp(beta * beta * P_base, -2.0 * beta * q, w)
+        guard_hits += guard_hit
         value = beta * beta * float(w @ K_nu @ w) - 2.0 * beta * float(q @ w) + const
         out[j] = np.sqrt(max(value, 0.0))
-    return out
+    return out, guard_hits
 
 
 def estimate_theta(
@@ -182,7 +198,7 @@ def estimate_theta(
     a_ul = float(G_ul.mean())
 
     candidates = np.geomspace(1.0, CANDIDATE_MAX, CANDIDATE_GRID_SIZE)
-    dists = _distance_curve(K_nu, ku, kl, a_uu, a_ul, a_ll, candidates)
+    dists, guard_hits = _distance_curve(K_nu, ku, kl, a_uu, a_ul, a_ll, candidates)
     curve = tuple((float(c), float(d)) for c, d in zip(candidates, dists))
 
     threshold = slope_threshold * (1.0 / np.sqrt(n_l) + 1.0 / np.sqrt(n_u))
@@ -201,4 +217,5 @@ def estimate_theta(
         no_novelty = False
 
     theta_hat = float(np.clip(theta_hat, THETA_FLOOR, 1.0))
-    return ThetaEstimate(theta_hat, curve, no_novelty_detected=no_novelty)
+    return ThetaEstimate(theta_hat, curve, no_novelty_detected=no_novelty,
+                         qp_guard_hits=guard_hits)

@@ -22,6 +22,7 @@ from .solver import (
     FitOptions,
     _first_order_alpha,
     _square_loss_alpha,
+    _square_loss_system,
     fit_first_order,
     fit_square_closed_form,
 )
@@ -111,8 +112,8 @@ def cross_validate(
 
     The bandwidth for each cell is multiplier x median pairwise distance of
     the pooled data.  For every sigma the pooled Gram matrix is built once;
-    each fold's sub-Grams are sliced from it in turn and shared by all
-    lambda candidates.
+    each fold's sub-Grams are sliced from it in turn, and the square-loss
+    system built from them is shared by all lambda candidates.
     """
     n_l = len(labeled)
     pooled = np.vstack([labeled.X, unlabeled.X])
@@ -131,11 +132,12 @@ def cross_validate(
             G_tt = G[np.ix_(sup, sup)]
             G_vt = G[np.ix_(val, sup)]
             y_tr = labeled.y[train_L]
+            if grid.loss_kind == SQUARE:
+                system = _square_loss_system(G_tt, y_tr, K, len(train_L), len(train_U), theta)
             for lam, lam_risks in zip(grid.lambda_candidates, risks):
                 try:
                     if grid.loss_kind == SQUARE:
-                        alpha = _square_loss_alpha(G_tt, y_tr, K, len(train_L), len(train_U),
-                                                   theta, lam)
+                        alpha = _square_loss_alpha(system, lam)
                     else:
                         opts = FitOptions(lam=lam, max_iterations=2000, gradient_tolerance=1e-5)
                         alpha, _ = _first_order_alpha(G_tt, y_tr, K, len(train_L), len(train_U),

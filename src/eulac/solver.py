@@ -20,6 +20,13 @@ from .losses import SQUARE, canonical_loss_kind, loss_derivative
 from .risk import lac_risk_from_scores
 
 GRAM_JITTER = 1e-10
+# Unlabeled Gram entries below this floor are zeroed before the square-loss
+# factorization, which otherwise runs on subnormal numbers at small
+# bandwidths and slows about tenfold.  Zeroing entries below delta moves
+# M = G_UU / (2 n_u) + (2 lambda + jitter) I by at most delta / 2 in
+# spectral norm, and M >= 2 lambda I, so the solution moves by at most
+# delta / (4 lambda) relative: about 2.5e-28 at lambda = 1e-3.
+KERNEL_FLOOR = 1e-30
 
 MODEL_FORMAT_VERSION = 1
 
@@ -189,16 +196,24 @@ def objective_gradient(
     return _gradient_arrays(a, gram_full, labeled.y, n_l, n_u, theta, lam, loss_kind)
 
 
-def _square_loss_alpha(
+@dataclass(frozen=True)
+class _SquareLossSystem:
+    """Lambda-invariant parts of the square-loss stationarity system."""
+
+    B: np.ndarray      # linear coefficients of the bracket, (n, K+1)
+    A: np.ndarray      # floored G_UU / (2 n_u)
+    G_UL: np.ndarray   # view of the unlabeled-by-labeled Gram block
+
+
+def _square_loss_system(
     gram_full: np.ndarray,
     labels: np.ndarray,
     num_known_classes: int,
     n_l: int,
     n_u: int,
     theta: float,
-    lam: float,
-) -> np.ndarray:
-    """Exact stationary point of the square-loss objective.
+) -> _SquareLossSystem:
+    """Build the part of the square-loss system shared by every lambda.
 
     The stationarity bracket decouples: labeled-support rows are solved in
     closed form, leaving one symmetric positive-definite system over the
@@ -206,7 +221,6 @@ def _square_loss_alpha(
     """
     n = n_l + n_u
     K = num_known_classes
-    # linear coefficients b of the stationarity bracket, per column
     B = np.zeros((n, K + 1))
     rows = np.arange(n_l)
     B[rows, labels - 1] = -theta / n_l
@@ -214,17 +228,27 @@ def _square_loss_alpha(
     B[rows, K] += theta / n_l
     B[n_l:, K] -= 1.0 / (2.0 * n_u)
 
-    alpha = np.empty((n, K + 1))
+    G_UU = gram_full[n_l:, n_l:]
+    A = G_UU / (2.0 * n_u)
+    A[G_UU < KERNEL_FLOOR] = 0.0
+    return _SquareLossSystem(B, A, gram_full[n_l:, :n_l])
+
+
+def _square_loss_alpha(system: _SquareLossSystem, lam: float) -> np.ndarray:
+    """Exact stationary point of the square-loss objective at weight lam."""
+    B = system.B
+    n_u, n_l = system.G_UL.shape
+    alpha = np.empty(B.shape)
     alpha[:n_l] = -B[:n_l] / (2.0 * lam)
 
-    G_UU = gram_full[n_l:, n_l:]
-    G_UL = gram_full[n_l:, :n_l]
-    M = G_UU / (2.0 * n_u) + (2.0 * lam + GRAM_JITTER) * np.eye(n_u)
-    rhs = -B[n_l:] - (G_UL @ alpha[:n_l]) / (2.0 * n_u)
+    shift = 2.0 * lam + GRAM_JITTER
+    M = system.A.copy()
+    M.flat[::n_u + 1] += shift
+    rhs = -B[n_l:] - (system.G_UL @ alpha[:n_l]) / (2.0 * n_u)
     try:
-        factor = cho_factor(M, lower=True)
+        factor = cho_factor(M, lower=True, overwrite_a=True)
     except np.linalg.LinAlgError as exc:
-        cond = np.linalg.cond(M)
+        cond = np.linalg.cond(system.A + shift * np.eye(n_u))
         raise np.linalg.LinAlgError(
             f"square-loss system not positive definite (condition estimate {cond:.3e})"
         ) from exc
@@ -245,8 +269,9 @@ def fit_square_closed_form(
     _check_train_inputs(labeled, unlabeled)
     support = np.vstack([labeled.X, unlabeled.X])
     G = gram(kernel, support, support)
-    alpha = _square_loss_alpha(G, labeled.y, labeled.num_known_classes,
-                               len(labeled), len(unlabeled), theta, lam)
+    system = _square_loss_system(G, labeled.y, labeled.num_known_classes,
+                                 len(labeled), len(unlabeled), theta)
+    alpha = _square_loss_alpha(system, lam)
     # the bracket is solved exactly, so the gradient G @ residual is ~0
     grad = objective_gradient(alpha, G, labeled, unlabeled, theta, lam, SQUARE)
     record = FitRecord(0, float(np.max(np.abs(grad))), True)

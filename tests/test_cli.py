@@ -95,6 +95,23 @@ class TestFit:
         for name in ("model.json", "cv_report.json", "theta.json"):
             assert _digest(tmp_path / "f1" / name) == _digest(tmp_path / "f2" / name)
 
+    def test_same_data_in_two_directories_byte_identical(self, spec_file, tmp_path):
+        data = _gen(spec_file, tmp_path / "data")
+        copy = tmp_path / "elsewhere" / "copy"
+        copy.mkdir(parents=True)
+        for name in ("labeled.libsvm", "unlabeled.csv"):
+            (copy / name).write_bytes((data / name).read_bytes())
+        for src, out in ((data, "f1"), (copy, "f2")):
+            assert main(["fit", "--labeled", str(src / "labeled.libsvm"),
+                         "--unlabeled", str(src / "unlabeled.csv"), "--seed", "2",
+                         "--out", str(tmp_path / out)] + FAST_GRID) == 0
+        for name in ("model.json", "cv_report.json", "theta.json"):
+            assert _digest(tmp_path / "f1" / name) == _digest(tmp_path / "f2" / name)
+        config = json.loads((tmp_path / "f1" / "theta.json").read_text())["config"]
+        assert config["labeled_sha256"] == _digest(data / "labeled.libsvm")
+        assert config["unlabeled_sha256"] == _digest(data / "unlabeled.csv")
+        assert "labeled" not in config and "unlabeled" not in config
+
     def test_double_hinge_warns_exit_two(self, spec_file, tmp_path):
         data = _gen(spec_file, tmp_path / "data", nl=40, nu=50)
         rc = main(["fit", "--labeled", str(data / "labeled.libsvm"),

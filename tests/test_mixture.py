@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+import eulac.mixture
 from eulac.data import sample_synthetic
 from eulac.kernel import KernelSpec, median_heuristic
-from eulac.mixture import ThetaEstimate, estimate_theta, theta_override
+from eulac.mixture import ThetaEstimate, _simplex_qp, estimate_theta, theta_override
 
 from conftest import two_cluster_spec
 
@@ -93,3 +94,74 @@ class TestEstimation:
         labeled, unlabeled, _ = sample_synthetic(spec, 50, 50, 10)
         with pytest.raises(ValueError, match="degenerate"):
             estimate_theta(labeled, unlabeled, KernelSpec(1e9))
+
+
+def _random_qp(seed, m=40):
+    rng = np.random.default_rng(seed)
+    Q = rng.normal(size=(m, m))
+    return Q @ Q.T / m + 1e-2 * np.eye(m), rng.normal(size=m)
+
+
+@pytest.fixture()
+def kkt_solves(monkeypatch):
+    """Counts the dense KKT solves, which _simplex_qp makes through np.linalg.solve."""
+    count = [0]
+    solve = np.linalg.solve
+
+    def counting(*args, **kwargs):
+        count[0] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    return count
+
+
+class TestSimplexQp:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_cold_and_uniform_starts_agree(self, seed):
+        P, g = _random_qp(seed)
+        cold, cold_guard = _simplex_qp(P, g, np.zeros(len(g)))
+        warm, warm_guard = _simplex_qp(P, g, np.full(len(g), 1.0 / len(g)))
+        assert not cold_guard and not warm_guard
+        np.testing.assert_allclose(cold, warm, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_kkt_conditions(self, seed):
+        P, g = _random_qp(seed)
+        w, _ = _simplex_qp(P, g, np.zeros(len(g)))
+        assert np.all(w >= 0.0)
+        assert w.sum() == pytest.approx(1.0, abs=1e-12)
+        # equal gradients on the support give the equality multiplier; the
+        # bound multipliers off the support must be nonnegative
+        grad = P @ w + g
+        support = w > 0
+        mu = -float(np.mean(grad[support]))
+        np.testing.assert_allclose(grad[support], -mu, rtol=0, atol=1e-10)
+        assert np.min(grad[~support] + mu) >= -1e-10
+
+    def test_cold_start_solves_scale_with_support(self, kkt_solves):
+        P, g = _random_qp(0)
+        g[:3] -= 5.0  # a few strongly preferred coordinates: small support
+        w, guard = _simplex_qp(P, g, np.zeros(len(g)))
+        support = int(np.count_nonzero(w))
+        assert not guard and support <= 5
+        assert kkt_solves[0] <= support + 5
+
+    def test_guard_hits_are_reported(self, monkeypatch):
+        monkeypatch.setattr(eulac.mixture, "QP_GUARD_PER_COORDINATE", 0)
+        monkeypatch.setattr(eulac.mixture, "QP_GUARD_SLACK", 1)
+        assert _estimate(0.5, seed=0, n=300).qp_guard_hits > 0
+        monkeypatch.undo()
+        assert _estimate(0.5, seed=0, n=300).qp_guard_hits == 0
+
+
+# KKT solves of estimate_theta on the criterion-8 data at seed 0, as
+# measured; a uniform cold start for the first QP adds 513 to each
+KKT_SOLVES_CRITERION_8_SEED_0 = {0.5: 957, 0.7: 1199, 0.9: 1206}
+
+
+@pytest.mark.parametrize("theta", sorted(KKT_SOLVES_CRITERION_8_SEED_0))
+def test_theta_kkt_solve_count(theta, kkt_solves):
+    est = _estimate(theta, seed=0)
+    assert est.qp_guard_hits == 0
+    assert kkt_solves[0] <= KKT_SOLVES_CRITERION_8_SEED_0[theta] + 50

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import eulac.solver
 from eulac.data import LabeledDataset, UnlabeledDataset, kfold_indices, sample_synthetic
 from eulac.evalbench import ConfusionMatrix, macro_f1
 from eulac.kernel import KernelSpec, gram
@@ -79,6 +80,21 @@ class TestCrossValidate:
             su = model.scores(U.X[val_U])
             expected.append(lac_risk_from_scores(sl, L.y[val_L], su, THETA, "square"))
         np.testing.assert_allclose(report.cells[0].fold_risks, expected, atol=1e-10)
+
+    def test_one_factorization_per_cell_and_fold(self, monkeypatch):
+        calls = [0]
+        factor = eulac.solver.cho_factor
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return factor(*args, **kwargs)
+
+        monkeypatch.setattr(eulac.solver, "cho_factor", counting)
+        L, U, _ = _data(seed=1)
+        grid = HyperGrid(sigma_multipliers=(0.1, 1.0), lambda_candidates=(1e-2, 0.1, 1.0),
+                         folds=3)
+        cross_validate(L, U, THETA, grid, seed=0)
+        assert calls[0] == 2 * 3 * 3  # sigmas x folds x lambdas
 
     def test_report_serializes(self):
         import json

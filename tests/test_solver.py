@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from eulac.data import LabeledDataset, UnlabeledDataset
 from eulac.kernel import KernelSpec, gram, median_heuristic
 from eulac.losses import LOSS_KINDS
 from eulac.risk import empirical_lac_risk
 from eulac.solver import (
+    GRAM_JITTER,
+    KERNEL_FLOOR,
     DualModel,
     FitOptions,
+    _square_loss_alpha,
+    _square_loss_system,
     fit_first_order,
     fit_square_closed_form,
     objective,
@@ -163,6 +168,62 @@ class TestClosedForm:
         U = UnlabeledDataset(np.zeros((3, 2)) + 0.5)
         with pytest.raises(ValueError, match="novel"):
             fit_square_closed_form(L, U, KernelSpec(1.0), THETA, LAM)
+
+
+def _unfloored_square_alpha(G, y, K, n_l, n_u, theta, lam):
+    """The square-loss stationary point from the unfloored Gram, written out."""
+    alpha = np.zeros((n_l + n_u, K + 1))
+    rows = np.arange(n_l)
+    alpha[rows, y - 1] = theta / (2.0 * lam * n_l)
+    alpha[rows, K] = -theta / (2.0 * lam * n_l)
+    b_u = np.zeros((n_u, K + 1))
+    b_u[:, :K] = 1.0 / (2.0 * n_u)
+    b_u[:, K] = -1.0 / (2.0 * n_u)
+    M = G[n_l:, n_l:] / (2.0 * n_u) + (2.0 * lam + GRAM_JITTER) * np.eye(n_u)
+    rhs = -b_u - G[n_l:, :n_l] @ alpha[:n_l] / (2.0 * n_u)
+    alpha[n_l:] = cho_solve(cho_factor(M, lower=True), rhs)
+    return alpha
+
+
+class TestSquareLossSystem:
+    @pytest.fixture(scope="class")
+    def narrow(self):
+        # sigma = 0.01 x median: most unlabeled Gram entries underflow, and
+        # some land on subnormal numbers
+        L, U = small_train_data(seed=3, n_l=60, n_u=200)
+        support = np.vstack([L.X, U.X])
+        G = gram(KernelSpec(0.01 * median_heuristic(support)), support, support)
+        return L, U, G
+
+    def test_floor_keeps_the_solution(self, narrow):
+        L, U, G = narrow
+        n_l, n_u = len(L), len(U)
+        block = G[n_l:, n_l:]
+        assert np.any((block > 0) & (block < KERNEL_FLOOR))
+        system = _square_loss_system(G, L.y, 2, n_l, n_u, THETA)
+        for lam in (1e-3, 1e-2, 1.0):
+            alpha = _square_loss_alpha(system, lam)
+            ref = _unfloored_square_alpha(G, L.y, 2, n_l, n_u, THETA, lam)
+            assert np.max(np.abs(alpha - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_floored_block_has_no_subnormals(self, narrow):
+        L, U, G = narrow
+        n_l, n_u = len(L), len(U)
+        tiny = np.finfo(float).tiny
+        raw = G[n_l:, n_l:] / (2.0 * n_u)
+        assert np.any((raw > 0) & (raw < tiny))
+        A = _square_loss_system(G, L.y, 2, n_l, n_u, THETA).A
+        assert not np.any((A != 0) & (np.abs(A) < tiny))
+
+    def test_shared_system_matches_fresh_systems(self, instance):
+        L, U, _, G = instance
+        n_l, n_u = len(L), len(U)
+        shared = _square_loss_system(G, L.y, 2, n_l, n_u, THETA)
+        lams = (1e-3, 1e-1, 10.0)
+        from_shared = [_square_loss_alpha(shared, lam) for lam in lams]
+        for lam, alpha in zip(lams, from_shared):
+            fresh = _square_loss_alpha(_square_loss_system(G, L.y, 2, n_l, n_u, THETA), lam)
+            assert np.array_equal(alpha, fresh)
 
 
 class TestFirstOrder:
