@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledDataset, UnlabeledDataset
-from .kernel import KernelSpec, gram
+from .kernel import GRAM_BLOCK_ROWS, KernelSpec, gram
 
 THETA_FLOOR = 1e-3
 # The curve's slope before the knee is sample-size independent while past
@@ -157,6 +157,17 @@ def _distance_curve(
     return out, guard_hits
 
 
+def _gram_mean(kernel: KernelSpec, rows: np.ndarray, cols: np.ndarray) -> float:
+    """Mean Gram entry, summed over GRAM_BLOCK_ROWS-row blocks.
+
+    With at most GRAM_BLOCK_ROWS rows this is the reduction of
+    ``gram(...).mean()``; memory stays one block whatever the row count.
+    """
+    total = sum(float(gram(kernel, rows[start:start + GRAM_BLOCK_ROWS], cols).sum())
+                for start in range(0, len(rows), GRAM_BLOCK_ROWS))
+    return total / (len(rows) * len(cols))
+
+
 def estimate_theta(
     labeled: LabeledDataset,
     unlabeled: UnlabeledDataset,
@@ -190,12 +201,9 @@ def estimate_theta(
     kl = K_nl.mean(axis=1)
     ku = K_nuU.mean(axis=1)
 
-    G_ll = gram(kernel, labeled.X, labeled.X)
-    G_uu = gram(kernel, unlabeled.X, unlabeled.X)
-    G_ul = gram(kernel, unlabeled.X, labeled.X)
-    a_ll = float(G_ll.mean())
-    a_uu = float(G_uu.mean())
-    a_ul = float(G_ul.mean())
+    a_ll = _gram_mean(kernel, labeled.X, labeled.X)
+    a_uu = _gram_mean(kernel, unlabeled.X, unlabeled.X)
+    a_ul = _gram_mean(kernel, unlabeled.X, labeled.X)
 
     candidates = np.geomspace(1.0, CANDIDATE_MAX, CANDIDATE_GRID_SIZE)
     dists, guard_hits = _distance_curve(K_nu, ku, kl, a_uu, a_ul, a_ll, candidates)

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .data import LabeledDataset, UnlabeledDataset
-from .kernel import KernelSpec, gram
+from .kernel import GRAM_BLOCK_ROWS, KernelSpec, gram
 from .losses import SQUARE, canonical_loss_kind, loss_derivative
 from .risk import lac_risk_from_scores
 
@@ -369,13 +369,23 @@ def fit_first_order(
 
 
 def predict_scores(model: DualModel, queries) -> np.ndarray:
-    """Kernel-expansion scores of the queries, one column per class."""
+    """Kernel-expansion scores of the queries, one column per class.
+
+    The cross-Gram is built GRAM_BLOCK_ROWS query rows at a time, so memory
+    does not grow with the number of queries.
+    """
     q = np.atleast_2d(np.asarray(queries, dtype=float))
     if q.shape[1] != model.support_points.shape[1]:
         raise ValueError(
             f"query dimension {q.shape[1]} does not match support {model.support_points.shape[1]}"
         )
-    return gram(model.kernel, q, model.support_points) @ model.alpha
+    if q.shape[0] == 0:
+        raise ValueError("prediction requires at least one query point")
+    scores = np.empty((q.shape[0], model.alpha.shape[1]))
+    for start in range(0, q.shape[0], GRAM_BLOCK_ROWS):
+        block = slice(start, start + GRAM_BLOCK_ROWS)
+        scores[block] = gram(model.kernel, q[block], model.support_points) @ model.alpha
+    return scores
 
 
 def predict_labels(scores: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from eulac.kernel import KernelSpec, gram, median_heuristic
 
@@ -71,6 +72,14 @@ class TestGram:
         X, Y = rng.normal(size=(7, 2)), rng.normal(size=(11, 2))
         np.testing.assert_array_equal(gram(KernelSpec(0.9), X, Y),
                                       gram(KernelSpec(0.9), Y, X).T)
+
+    def test_equals_exp_of_scaled_squared_distances(self):
+        # the in-place computation does the arithmetic of the textbook formula
+        rng = np.random.default_rng(8)
+        X, Y = rng.normal(size=(40, 3)), rng.normal(size=(25, 3))
+        sigma = 0.37
+        expected = np.exp(-cdist(X, Y, "sqeuclidean") / (2.0 * sigma**2))
+        np.testing.assert_array_equal(gram(KernelSpec(sigma), X, Y), expected)
 
     def test_positive_semidefinite(self):
         rng = np.random.default_rng(3)

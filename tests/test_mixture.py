@@ -4,8 +4,9 @@ from scipy.stats import spearmanr
 
 import eulac.mixture
 from eulac.data import sample_synthetic
-from eulac.kernel import KernelSpec, median_heuristic
-from eulac.mixture import ThetaEstimate, _simplex_qp, estimate_theta, theta_override
+from eulac.kernel import GRAM_BLOCK_ROWS, KernelSpec, gram, median_heuristic
+from eulac.mixture import (ThetaEstimate, _gram_mean, _simplex_qp, estimate_theta,
+                           theta_override)
 
 from conftest import two_cluster_spec
 
@@ -153,6 +154,21 @@ class TestSimplexQp:
         assert _estimate(0.5, seed=0, n=300).qp_guard_hits > 0
         monkeypatch.undo()
         assert _estimate(0.5, seed=0, n=300).qp_guard_hits == 0
+
+
+class TestGramMean:
+    def test_one_block_is_the_dense_mean(self):
+        rng = np.random.default_rng(11)
+        X, Y = rng.normal(size=(GRAM_BLOCK_ROWS, 2)), rng.normal(size=(300, 2))
+        kernel = KernelSpec(0.8)
+        assert _gram_mean(kernel, X, Y) == float(gram(kernel, X, Y).mean())
+
+    def test_several_blocks_match_the_dense_mean(self):
+        rng = np.random.default_rng(12)
+        X, Y = rng.normal(size=(2 * GRAM_BLOCK_ROWS + 7, 2)), rng.normal(size=(50, 2))
+        kernel = KernelSpec(0.8)
+        assert _gram_mean(kernel, X, Y) == pytest.approx(float(gram(kernel, X, Y).mean()),
+                                                         rel=1e-13)
 
 
 # KKT solves of estimate_theta on the criterion-8 data at seed 0, as

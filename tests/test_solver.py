@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from eulac.data import LabeledDataset, UnlabeledDataset
-from eulac.kernel import KernelSpec, gram, median_heuristic
+from eulac.kernel import GRAM_BLOCK_ROWS, KernelSpec, gram, median_heuristic
 from eulac.losses import LOSS_KINDS
 from eulac.risk import empirical_lac_risk
 from eulac.solver import (
@@ -308,6 +310,48 @@ class TestPrediction:
         model = fit_square_closed_form(L, U, kernel, THETA, LAM)
         with pytest.raises(ValueError, match="dimension"):
             predict_scores(model, np.zeros((2, 5)))
+
+
+class TestBlockedPrediction:
+    @pytest.fixture(scope="class")
+    def model(self, instance):
+        L, U, kernel, _ = instance
+        return fit_square_closed_form(L, U, kernel, THETA, LAM)
+
+    @pytest.mark.parametrize("m", [1, GRAM_BLOCK_ROWS - 1, GRAM_BLOCK_ROWS,
+                                   GRAM_BLOCK_ROWS + 1, 2 * GRAM_BLOCK_ROWS + 513])
+    def test_matches_one_shot_product(self, model, m):
+        queries = np.random.default_rng(m).normal(size=(m, 2))
+        reference = gram(model.kernel, queries, model.support_points) @ model.alpha
+        blocked = predict_scores(model, queries)
+        assert blocked.shape == reference.shape
+        np.testing.assert_allclose(blocked, reference, rtol=1e-12, atol=0.0)
+        np.testing.assert_array_equal(predict_labels(blocked), predict_labels(reference))
+
+    def test_zero_queries_rejected(self, model):
+        with pytest.raises(ValueError):
+            predict_scores(model, np.empty((0, 2)))
+
+    def test_nonfinite_query_in_second_block_rejected(self, model):
+        queries = np.zeros((GRAM_BLOCK_ROWS + 10, 2))
+        queries[GRAM_BLOCK_ROWS + 3, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            predict_scores(model, queries)
+
+    def test_memory_does_not_grow_with_queries(self):
+        # a one-shot 20000 x 1500 cross-Gram and its temporaries take ~720 MB
+        rng = np.random.default_rng(9)
+        support = rng.normal(size=(1500, 2))
+        model = DualModel(support, rng.normal(size=(1500, 3)), KernelSpec(1.0),
+                          "square", THETA, LAM, 2)
+        queries = rng.normal(size=(20000, 2))
+        tracemalloc.start()
+        try:
+            predict_scores(model, queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
 
 
 class TestLabelRule:
