@@ -111,32 +111,42 @@ def cross_validate(
     """Mean validation risk (no regulariser) for every grid cell.
 
     The bandwidth for each cell is multiplier x median pairwise distance of
-    the pooled data.  For every sigma the pooled Gram matrix is built once;
-    each fold's sub-Grams are sliced from it in turn, and the square-loss
-    system built from them is shared by all lambda candidates.
+    the pooled data.  For every sigma the pooled Gram matrix is built once
+    and each fold's sub-Grams are gathered from it in turn.  Square loss
+    gathers only the two blocks its system reads, and every factorization
+    runs in one shared Fortran-order buffer.
     """
     n_l = len(labeled)
     pooled = np.vstack([labeled.X, unlabeled.X])
     median = median_heuristic(pooled)
     folds = kfold_indices(labeled, unlabeled, grid.folds, seed)
     K = labeled.num_known_classes
+    square = grid.loss_kind == SQUARE
+    if square:
+        work = np.empty(max(len(train_U) for _, train_U, _, _ in folds) ** 2)
 
     cells: list[CvCell] = []
     for mult in grid.sigma_multipliers:
         sigma = mult * median
+        G = system = G_vt = None  # release the last bandwidth's arrays before its successor
         G = gram(KernelSpec(sigma), pooled, pooled)
         risks = [[] for _ in grid.lambda_candidates]
         for fold, (train_L, train_U, val_L, val_U) in enumerate(folds):
             sup = np.concatenate([train_L, n_l + train_U])
             val = np.concatenate([val_L, n_l + val_U])
-            G_tt = G[np.ix_(sup, sup)]
-            G_vt = G[np.ix_(val, sup)]
             y_tr = labeled.y[train_L]
-            if grid.loss_kind == SQUARE:
-                system = _square_loss_system(G_tt, y_tr, K, len(train_L), len(train_U), theta)
+            system = None  # release the previous fold's system before gathering
+            if square:
+                G_U = G.take(n_l + train_U, axis=0)
+                system = _square_loss_system(G_U.take(n_l + train_U, axis=1),
+                                             G_U.take(train_L, axis=1), y_tr, K, theta, work)
+                del G_U
+            else:
+                G_tt = G.take(sup, axis=0).take(sup, axis=1)
+            G_vt = G.take(val, axis=0).take(sup, axis=1)
             for lam, lam_risks in zip(grid.lambda_candidates, risks):
                 try:
-                    if grid.loss_kind == SQUARE:
+                    if square:
                         alpha = _square_loss_alpha(system, lam)
                     else:
                         opts = FitOptions(lam=lam, max_iterations=2000, gradient_tolerance=1e-5)

@@ -201,58 +201,87 @@ class _SquareLossSystem:
     """Lambda-invariant parts of the square-loss stationarity system."""
 
     B: np.ndarray      # linear coefficients of the bracket, (n, K+1)
-    A: np.ndarray      # floored G_UU / (2 n_u)
-    G_UL: np.ndarray   # view of the unlabeled-by-labeled Gram block
+    A: np.ndarray      # floored G_UU / (2 n_u), C-contiguous and symmetric
+    G_UL: np.ndarray   # unlabeled-by-labeled Gram block
+    work: np.ndarray   # flat buffer, >= n_u**2 entries, overwritten per lambda
 
 
 def _square_loss_system(
-    gram_full: np.ndarray,
+    G_UU: np.ndarray,
+    G_UL: np.ndarray,
     labels: np.ndarray,
     num_known_classes: int,
-    n_l: int,
-    n_u: int,
     theta: float,
+    work: np.ndarray | None = None,
 ) -> _SquareLossSystem:
     """Build the part of the square-loss system shared by every lambda.
 
     The stationarity bracket decouples: labeled-support rows are solved in
     closed form, leaving one symmetric positive-definite system over the
-    unlabeled-support rows shared by all K+1 columns.
+    unlabeled-support rows shared by all K+1 columns.  It reads only the
+    unlabeled block G_UU (n_u, n_u) of the training Gram and the
+    unlabeled-by-labeled block G_UL (n_u, n_l).
+
+    The caller gives G_UU up: it is scaled and floored in place and becomes
+    the system's A.  Pass it C-contiguous, so its transpose copies straight
+    into the Fortran-order factorization buffer.  ``work`` is a flat float
+    buffer of at least n_u**2 entries that every factorization overwrites,
+    so systems sharing it must be solved one at a time; by default the
+    system gets its own.
     """
-    n = n_l + n_u
+    if not 0.0 < theta <= 1.0:
+        raise ValueError(f"theta must lie in (0, 1], got {theta}")
+    n_u, n_l = G_UL.shape
+    if not (np.all(np.isfinite(G_UU)) and np.all(np.isfinite(G_UL))):
+        raise ValueError("square-loss Gram blocks must be finite")
+    if work is None:
+        work = np.empty(n_u * n_u)
     K = num_known_classes
-    B = np.zeros((n, K + 1))
+    B = np.zeros((n_l + n_u, K + 1))
     rows = np.arange(n_l)
     B[rows, labels - 1] = -theta / n_l
     B[n_l:, :K] += 1.0 / (2.0 * n_u)
     B[rows, K] += theta / n_l
     B[n_l:, K] -= 1.0 / (2.0 * n_u)
 
-    G_UU = gram_full[n_l:, n_l:]
-    A = G_UU / (2.0 * n_u)
-    A[G_UU < KERNEL_FLOOR] = 0.0
-    return _SquareLossSystem(B, A, gram_full[n_l:, :n_l])
+    tiny = G_UU < KERNEL_FLOOR
+    G_UU /= 2.0 * n_u
+    G_UU[tiny] = 0.0
+    return _SquareLossSystem(B, G_UU, G_UL, work)
 
 
 def _square_loss_alpha(system: _SquareLossSystem, lam: float) -> np.ndarray:
-    """Exact stationary point of the square-loss objective at weight lam."""
+    """Exact stationary point of the square-loss objective at weight lam.
+
+    A and G_UL were checked finite when the system was built, so the
+    factorization and the solve skip scipy's full-matrix finiteness scans;
+    only the shift and the n_u x (K+1) right-hand side are checked here.
+    """
     B = system.B
     n_u, n_l = system.G_UL.shape
+    shift = 2.0 * lam + GRAM_JITTER
+    if not np.isfinite(shift):
+        raise ValueError(f"regularization weight must be finite, got {lam}")
     alpha = np.empty(B.shape)
     alpha[:n_l] = -B[:n_l] / (2.0 * lam)
-
-    shift = 2.0 * lam + GRAM_JITTER
-    M = system.A.copy()
-    M.flat[::n_u + 1] += shift
     rhs = -B[n_l:] - (system.G_UL @ alpha[:n_l]) / (2.0 * n_u)
+    if not np.all(np.isfinite(rhs)):
+        raise ValueError("square-loss right-hand side is not finite")
+
+    # A is exactly symmetric (a Gram block), so copying its transpose fills
+    # the Fortran-order buffer that LAPACK factors in place with A itself;
+    # the diagonal sits every n_u + 1 entries of the flat buffer
+    M = system.work[:n_u * n_u].reshape((n_u, n_u), order="F")
+    np.copyto(M, system.A.T)
+    system.work[:n_u * n_u:n_u + 1] += shift
     try:
-        factor = cho_factor(M, lower=True, overwrite_a=True)
+        factor = cho_factor(M, lower=True, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         cond = np.linalg.cond(system.A + shift * np.eye(n_u))
         raise np.linalg.LinAlgError(
             f"square-loss system not positive definite (condition estimate {cond:.3e})"
         ) from exc
-    alpha[n_l:] = cho_solve(factor, rhs)
+    alpha[n_l:] = cho_solve(factor, rhs, check_finite=False)
     return alpha
 
 
@@ -269,8 +298,9 @@ def fit_square_closed_form(
     _check_train_inputs(labeled, unlabeled)
     support = np.vstack([labeled.X, unlabeled.X])
     G = gram(kernel, support, support)
-    system = _square_loss_system(G, labeled.y, labeled.num_known_classes,
-                                 len(labeled), len(unlabeled), theta)
+    n_l = len(labeled)
+    system = _square_loss_system(G[n_l:, n_l:].copy(), G[n_l:, :n_l], labeled.y,
+                                 labeled.num_known_classes, theta)
     alpha = _square_loss_alpha(system, lam)
     # the bracket is solved exactly, so the gradient G @ residual is ~0
     grad = objective_gradient(alpha, G, labeled, unlabeled, theta, lam, SQUARE)

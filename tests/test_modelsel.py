@@ -82,6 +82,27 @@ class TestCrossValidate:
         np.testing.assert_allclose(report.cells[0].fold_risks, expected, atol=1e-10)
 
     def test_one_factorization_per_cell_and_fold(self, monkeypatch):
+        # each factorization runs in place in the shared Fortran-order
+        # buffer: no copy by the caller, none by scipy's wrapper
+        calls = [0]
+        factor = eulac.solver.cho_factor
+
+        def in_place(a, **kwargs):
+            calls[0] += 1
+            assert a.flags.f_contiguous and kwargs["overwrite_a"] is True
+            result = factor(a, **kwargs)
+            assert np.shares_memory(result[0], a)
+            return result
+
+        monkeypatch.setattr(eulac.solver, "cho_factor", in_place)
+        L, U, _ = _data(seed=1)
+        grid = HyperGrid(sigma_multipliers=(0.1, 1.0), lambda_candidates=(1e-2, 0.1, 1.0),
+                         folds=3)
+        cross_validate(L, U, THETA, grid, seed=0)
+        assert calls[0] == 2 * 3 * 3  # sigmas x folds x lambdas
+
+    @pytest.mark.parametrize("theta", [1.5, -0.3, float("nan")])
+    def test_theta_out_of_range_rejected_before_factoring(self, monkeypatch, theta):
         calls = [0]
         factor = eulac.solver.cho_factor
 
@@ -91,10 +112,10 @@ class TestCrossValidate:
 
         monkeypatch.setattr(eulac.solver, "cho_factor", counting)
         L, U, _ = _data(seed=1)
-        grid = HyperGrid(sigma_multipliers=(0.1, 1.0), lambda_candidates=(1e-2, 0.1, 1.0),
-                         folds=3)
-        cross_validate(L, U, THETA, grid, seed=0)
-        assert calls[0] == 2 * 3 * 3  # sigmas x folds x lambdas
+        grid = HyperGrid(sigma_multipliers=(1.0,), lambda_candidates=(0.1,), folds=2)
+        with pytest.raises(ValueError, match=r"theta must lie in \(0, 1\]"):
+            cross_validate(L, U, theta, grid, seed=0)
+        assert calls[0] == 0
 
     def test_report_serializes(self):
         import json

@@ -5,8 +5,15 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from eulac.data import LabeledDataset, UnlabeledDataset
-from eulac.kernel import GRAM_BLOCK_ROWS, KernelSpec, gram, median_heuristic
+from eulac.kernel import (
+    DEFAULT_SIGMA_MULTIPLIERS,
+    GRAM_BLOCK_ROWS,
+    KernelSpec,
+    gram,
+    median_heuristic,
+)
 from eulac.losses import LOSS_KINDS
+from eulac.modelsel import DEFAULT_LAMBDAS
 from eulac.risk import empirical_lac_risk
 from eulac.solver import (
     GRAM_JITTER,
@@ -171,6 +178,12 @@ class TestClosedForm:
         with pytest.raises(ValueError, match="novel"):
             fit_square_closed_form(L, U, KernelSpec(1.0), THETA, LAM)
 
+    @pytest.mark.parametrize("theta", [1.5, -0.3, float("nan")])
+    def test_theta_out_of_range_rejected(self, instance, theta):
+        L, U, kernel, _ = instance
+        with pytest.raises(ValueError, match=r"theta must lie in \(0, 1\]"):
+            fit_square_closed_form(L, U, kernel, theta, LAM)
+
 
 def _unfloored_square_alpha(G, y, K, n_l, n_u, theta, lam):
     """The square-loss stationary point from the unfloored Gram, written out."""
@@ -183,6 +196,33 @@ def _unfloored_square_alpha(G, y, K, n_l, n_u, theta, lam):
     b_u[:, K] = -1.0 / (2.0 * n_u)
     M = G[n_l:, n_l:] / (2.0 * n_u) + (2.0 * lam + GRAM_JITTER) * np.eye(n_u)
     rhs = -b_u - G[n_l:, :n_l] @ alpha[:n_l] / (2.0 * n_u)
+    alpha[n_l:] = cho_solve(cho_factor(M, lower=True), rhs)
+    return alpha
+
+
+def _system(G, y, n_l, theta=THETA, work=None):
+    """The square-loss system of a full training Gram, as the refit builds it."""
+    return _square_loss_system(G[n_l:, n_l:].copy(), G[n_l:, :n_l], y, 2, theta, work)
+
+
+def _unbuffered_square_alpha(G, y, K, n_l, n_u, theta, lam):
+    """The square-loss solve as written before the shared Fortran-order buffer:
+    a C-order copy of the floored block and scipy's checked factorization."""
+    B = np.zeros((n_l + n_u, K + 1))
+    rows = np.arange(n_l)
+    B[rows, y - 1] = -theta / n_l
+    B[n_l:, :K] += 1.0 / (2.0 * n_u)
+    B[rows, K] += theta / n_l
+    B[n_l:, K] -= 1.0 / (2.0 * n_u)
+    G_UU = G[n_l:, n_l:]
+    A = G_UU / (2.0 * n_u)
+    A[G_UU < KERNEL_FLOOR] = 0.0
+
+    alpha = np.empty(B.shape)
+    alpha[:n_l] = -B[:n_l] / (2.0 * lam)
+    M = A.copy()
+    M.flat[::n_u + 1] += 2.0 * lam + GRAM_JITTER
+    rhs = -B[n_l:] - (G[n_l:, :n_l] @ alpha[:n_l]) / (2.0 * n_u)
     alpha[n_l:] = cho_solve(cho_factor(M, lower=True), rhs)
     return alpha
 
@@ -202,7 +242,7 @@ class TestSquareLossSystem:
         n_l, n_u = len(L), len(U)
         block = G[n_l:, n_l:]
         assert np.any((block > 0) & (block < KERNEL_FLOOR))
-        system = _square_loss_system(G, L.y, 2, n_l, n_u, THETA)
+        system = _system(G, L.y, n_l)
         for lam in (1e-3, 1e-2, 1.0):
             alpha = _square_loss_alpha(system, lam)
             ref = _unfloored_square_alpha(G, L.y, 2, n_l, n_u, THETA, lam)
@@ -214,18 +254,45 @@ class TestSquareLossSystem:
         tiny = np.finfo(float).tiny
         raw = G[n_l:, n_l:] / (2.0 * n_u)
         assert np.any((raw > 0) & (raw < tiny))
-        A = _square_loss_system(G, L.y, 2, n_l, n_u, THETA).A
+        A = _system(G, L.y, n_l).A
         assert not np.any((A != 0) & (np.abs(A) < tiny))
 
     def test_shared_system_matches_fresh_systems(self, instance):
         L, U, _, G = instance
-        n_l, n_u = len(L), len(U)
-        shared = _square_loss_system(G, L.y, 2, n_l, n_u, THETA)
+        n_l = len(L)
+        shared = _system(G, L.y, n_l)
         lams = (1e-3, 1e-1, 10.0)
         from_shared = [_square_loss_alpha(shared, lam) for lam in lams]
         for lam, alpha in zip(lams, from_shared):
-            fresh = _square_loss_alpha(_square_loss_system(G, L.y, 2, n_l, n_u, THETA), lam)
+            fresh = _square_loss_alpha(_system(G, L.y, n_l), lam)
             assert np.array_equal(alpha, fresh)
+
+    def test_bit_identical_to_unbuffered_solve(self):
+        # every default bandwidth and lambda, through one work buffer larger
+        # than the system, as cross-validation shares it across folds
+        L, U = small_train_data(seed=5, n_l=100, n_u=300)
+        n_l, n_u = len(L), len(U)
+        support = np.vstack([L.X, U.X])
+        median = median_heuristic(support)
+        work = np.full((n_u + 7) ** 2, np.nan)
+        for mult in DEFAULT_SIGMA_MULTIPLIERS:
+            kernel = KernelSpec(mult * median)
+            G = gram(kernel, support, support)
+            system = _system(G, L.y, n_l, work=work)
+            for lam in DEFAULT_LAMBDAS:
+                ref = _unbuffered_square_alpha(G, L.y, 2, n_l, n_u, THETA, lam)
+                assert np.array_equal(_square_loss_alpha(system, lam), ref)
+            refit = fit_square_closed_form(L, U, kernel, THETA, DEFAULT_LAMBDAS[0])
+            assert np.array_equal(
+                refit.alpha, _unbuffered_square_alpha(G, L.y, 2, n_l, n_u, THETA,
+                                                      DEFAULT_LAMBDAS[0]))
+
+    def test_indefinite_system_raises_with_condition_estimate(self, instance):
+        L, _, _, G = instance
+        system = _system(G, L.y, len(L))
+        with pytest.raises(np.linalg.LinAlgError, match="condition estimate") as info:
+            _square_loss_alpha(system, -1.0)
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
 class TestFirstOrder:
