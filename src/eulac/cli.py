@@ -62,11 +62,19 @@ def _grid_from_args(args) -> HyperGrid:
     )
 
 
-def _resolve_theta(args, labeled, unlabeled):
+def _pooled_median(labeled, unlabeled) -> float:
+    """Median pairwise distance of the pooled sample: the theta kernel's
+    bandwidth and the unit of the CV bandwidth grid."""
+    return median_heuristic(np.vstack([labeled.X, unlabeled.X]))
+
+
+def _resolve_theta(args, labeled, unlabeled, median: float | None = None):
     if args.theta is not None:
         return theta_override(args.theta)
-    kernel = KernelSpec(median_heuristic(np.vstack([labeled.X, unlabeled.X])))
-    return estimate_theta(labeled, unlabeled, kernel, slope_threshold=args.theta_threshold)
+    if median is None:
+        median = _pooled_median(labeled, unlabeled)
+    return estimate_theta(labeled, unlabeled, KernelSpec(median),
+                          slope_threshold=args.theta_threshold)
 
 
 def _file_sha256(path) -> str:
@@ -127,9 +135,11 @@ def _theta_payload(estimate) -> dict:
 def cmd_fit(args) -> int:
     labeled = dt.load_libsvm(args.labeled)
     unlabeled = dt.load_features_csv(args.unlabeled)
-    estimate = _resolve_theta(args, labeled, unlabeled)
+    median = _pooled_median(labeled, unlabeled)
+    estimate = _resolve_theta(args, labeled, unlabeled, median)
     grid = _grid_from_args(args)
-    model, report = fit_with_selection(labeled, unlabeled, estimate.theta_hat, grid, args.seed)
+    model, report = fit_with_selection(labeled, unlabeled, estimate.theta_hat, grid, args.seed,
+                                       median)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -147,7 +157,9 @@ def cmd_fit(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model = DualModel.load(args.model)
+    with open(args.model, "rb") as fh:
+        model_bytes = fh.read()
+    model = DualModel.from_json(model_bytes.decode("utf-8"))
     test = dt.load_libsvm(args.test, nc_label=dt.NC_FILE_LABEL,
                           num_known_classes=model.num_known_classes)
     if test.dimension != model.support_points.shape[1]:
@@ -158,10 +170,12 @@ def cmd_eval(args) -> int:
     pred = model.predict(test.X)
     cm = ConfusionMatrix.from_labels(test.y, pred, model.num_known_classes)
     class_names = [str(k) for k in range(1, model.num_known_classes + 1)] + [dt.NC_NAME]
+    # inputs are named by content, as in _config_echo, so the same files
+    # evaluated from any directory give the same bytes
     payload = {
         "command": "eval",
-        "model": str(args.model),
-        "test": str(args.test),
+        "model_sha256": hashlib.sha256(model_bytes).hexdigest(),
+        "test_sha256": _file_sha256(args.test),
         "n_test": cm.total,
         "accuracy": cm.accuracy,
         "macro_f1": macro_f1(cm),
@@ -195,9 +209,10 @@ def cmd_theta(args) -> int:
 def cmd_cv(args) -> int:
     labeled = dt.load_libsvm(args.labeled)
     unlabeled = dt.load_features_csv(args.unlabeled)
-    estimate = _resolve_theta(args, labeled, unlabeled)
+    median = _pooled_median(labeled, unlabeled)
+    estimate = _resolve_theta(args, labeled, unlabeled, median)
     report = cross_validate(labeled, unlabeled, estimate.theta_hat,
-                            _grid_from_args(args), args.seed)
+                            _grid_from_args(args), args.seed, median)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     echo = _config_echo(args)

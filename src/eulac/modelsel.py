@@ -21,7 +21,7 @@ from .solver import (
     DualModel,
     FitOptions,
     _first_order_alpha,
-    _square_loss_alpha,
+    _square_loss_alphas,
     _square_loss_system,
     fit_first_order,
     fit_square_closed_form,
@@ -101,36 +101,45 @@ def _select(cells: list[CvCell]) -> CvCell:
     return sorted(cells, key=lambda c: (c.mean_risk, -c.lam, -c.sigma))[0]
 
 
+def _fit_failure(mult: float, lams, fold: int, exc: Exception) -> RuntimeError:
+    """Name the failed cell; one square-loss run serves, and names, every lambda."""
+    lam_text = "/".join(str(lam) for lam in lams)
+    return RuntimeError(f"fit failed at sigma_multiplier={mult}, lambda={lam_text}, fold={fold}: "
+                        f"{type(exc).__name__}: {exc}")
+
+
 def cross_validate(
     labeled: LabeledDataset,
     unlabeled: UnlabeledDataset,
     theta: float,
     grid: HyperGrid,
     seed: int,
+    median: float | None = None,
 ) -> CvReport:
     """Mean validation risk (no regulariser) for every grid cell.
 
     The bandwidth for each cell is multiplier x median pairwise distance of
-    the pooled data.  For every sigma the pooled Gram matrix is built once
-    and each fold's sub-Grams are gathered from it in turn.  Square loss
-    gathers only the two blocks its system reads, and every factorization
-    runs in one shared Fortran-order buffer.
+    the pooled data; pass ``median`` when it is already known.  For every
+    sigma the pooled Gram matrix is built once and each fold's sub-Grams are
+    gathered from it in turn.  Square loss gathers only the two blocks its
+    system reads and solves every lambda of a fold from one shifted-Lanczos
+    run.
     """
     n_l = len(labeled)
     pooled = np.vstack([labeled.X, unlabeled.X])
-    median = median_heuristic(pooled)
+    if median is None:
+        median = median_heuristic(pooled)
     folds = kfold_indices(labeled, unlabeled, grid.folds, seed)
     K = labeled.num_known_classes
+    lams = grid.lambda_candidates
     square = grid.loss_kind == SQUARE
-    if square:
-        work = np.empty(max(len(train_U) for _, train_U, _, _ in folds) ** 2)
 
     cells: list[CvCell] = []
     for mult in grid.sigma_multipliers:
         sigma = mult * median
         G = system = G_vt = None  # release the last bandwidth's arrays before its successor
         G = gram(KernelSpec(sigma), pooled, pooled)
-        risks = [[] for _ in grid.lambda_candidates]
+        risks = [[] for _ in lams]
         for fold, (train_L, train_U, val_L, val_U) in enumerate(folds):
             sup = np.concatenate([train_L, n_l + train_U])
             val = np.concatenate([val_L, n_l + val_U])
@@ -139,30 +148,31 @@ def cross_validate(
             if square:
                 G_U = G.take(n_l + train_U, axis=0)
                 system = _square_loss_system(G_U.take(n_l + train_U, axis=1),
-                                             G_U.take(train_L, axis=1), y_tr, K, theta, work)
+                                             G_U.take(train_L, axis=1), y_tr, K, theta)
                 del G_U
+                try:
+                    alphas = _square_loss_alphas(system, lams)
+                except Exception as exc:
+                    raise _fit_failure(mult, lams, fold, exc) from exc
             else:
                 G_tt = G.take(sup, axis=0).take(sup, axis=1)
+                alphas = []
+                for lam in lams:
+                    opts = FitOptions(lam=lam, max_iterations=2000, gradient_tolerance=1e-5)
+                    try:
+                        alphas.append(_first_order_alpha(G_tt, y_tr, K, len(train_L),
+                                                         len(train_U), theta, opts,
+                                                         grid.loss_kind)[0])
+                    except Exception as exc:
+                        raise _fit_failure(mult, (lam,), fold, exc) from exc
             G_vt = G.take(val, axis=0).take(sup, axis=1)
-            for lam, lam_risks in zip(grid.lambda_candidates, risks):
-                try:
-                    if square:
-                        alpha = _square_loss_alpha(system, lam)
-                    else:
-                        opts = FitOptions(lam=lam, max_iterations=2000, gradient_tolerance=1e-5)
-                        alpha, _ = _first_order_alpha(G_tt, y_tr, K, len(train_L), len(train_U),
-                                                      theta, opts, grid.loss_kind)
-                except Exception as exc:
-                    raise RuntimeError(
-                        f"fit failed at sigma_multiplier={mult}, lambda={lam}, fold={fold}: "
-                        f"{type(exc).__name__}: {exc}"
-                    ) from exc
+            for alpha, lam_risks in zip(alphas, risks):
                 scores_val = G_vt @ alpha
                 lam_risks.append(lac_risk_from_scores(
                     scores_val[:len(val_L)], labeled.y[val_L], scores_val[len(val_L):],
                     theta, grid.loss_kind
                 ))
-        for lam, lam_risks in zip(grid.lambda_candidates, risks):
+        for lam, lam_risks in zip(lams, risks):
             risks_arr = np.array(lam_risks)
             stderr = float(risks_arr.std(ddof=1) / np.sqrt(len(risks_arr))) if len(risks_arr) > 1 else 0.0
             cells.append(CvCell(mult, sigma, lam, float(risks_arr.mean()), stderr, tuple(lam_risks)))
@@ -176,9 +186,10 @@ def fit_with_selection(
     theta: float,
     grid: HyperGrid,
     seed: int,
+    median: float | None = None,
 ) -> tuple[DualModel, CvReport]:
     """Cross-validate, then refit on all data at the selected cell."""
-    report = cross_validate(labeled, unlabeled, theta, grid, seed)
+    report = cross_validate(labeled, unlabeled, theta, grid, seed, median)
     kernel = KernelSpec(report.selected.sigma)
     lam = report.selected.lam
     if grid.loss_kind == SQUARE:

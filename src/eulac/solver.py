@@ -2,8 +2,10 @@
 
 Scorers are kernel expansions over the combined labeled + unlabeled support
 (one dual-coefficient column per known class plus one for the novel class).
-The square loss admits an exact linear-system solution; other losses run
-full-gradient descent with Armijo backtracking.
+The square loss admits an exact linear-system solution: one Cholesky
+factorization for a single weight, or one shifted-Lanczos run that serves
+every weight of a cross-validation grid.  Other losses run full-gradient
+descent with Armijo backtracking.
 """
 
 from __future__ import annotations
@@ -21,12 +23,19 @@ from .risk import lac_risk_from_scores
 
 GRAM_JITTER = 1e-10
 # Unlabeled Gram entries below this floor are zeroed before the square-loss
-# factorization, which otherwise runs on subnormal numbers at small
-# bandwidths and slows about tenfold.  Zeroing entries below delta moves
-# M = G_UU / (2 n_u) + (2 lambda + jitter) I by at most delta / 2 in
-# spectral norm, and M >= 2 lambda I, so the solution moves by at most
-# delta / (4 lambda) relative: about 2.5e-28 at lambda = 1e-3.
+# solves, which otherwise run on subnormal numbers at small bandwidths: the
+# factorization slows five- to tenfold and the Lanczos products twofold.
+# Zeroing entries below delta moves M = G_UU / (2 n_u) + (2 lambda + jitter) I
+# by at most delta / 2 in spectral norm, and M >= 2 lambda I, so the
+# solution moves by at most delta / (4 lambda) relative: about 2.5e-28 at
+# lambda = 1e-3.
 KERNEL_FLOOR = 1e-30
+# The shifted-Lanczos solve stops once every shift's residual is at most
+# this fraction of its right-hand side's norm.  The unlabeled block has
+# spectral norm <= 1/2 and every shift is >= 2 lambda, so the solution's
+# relative error is at most about tolerance x (1 + 1 / (4 lambda)): 2.5e-11
+# at lambda = 1e-3.
+KRYLOV_TOLERANCE = 1e-13
 
 MODEL_FORMAT_VERSION = 1
 
@@ -201,9 +210,8 @@ class _SquareLossSystem:
     """Lambda-invariant parts of the square-loss stationarity system."""
 
     B: np.ndarray      # linear coefficients of the bracket, (n, K+1)
-    A: np.ndarray      # floored G_UU / (2 n_u), C-contiguous and symmetric
+    A: np.ndarray      # floored G_UU / (2 n_u), exactly symmetric
     G_UL: np.ndarray   # unlabeled-by-labeled Gram block
-    work: np.ndarray   # flat buffer, >= n_u**2 entries, overwritten per lambda
 
 
 def _square_loss_system(
@@ -212,7 +220,6 @@ def _square_loss_system(
     labels: np.ndarray,
     num_known_classes: int,
     theta: float,
-    work: np.ndarray | None = None,
 ) -> _SquareLossSystem:
     """Build the part of the square-loss system shared by every lambda.
 
@@ -223,19 +230,13 @@ def _square_loss_system(
     unlabeled-by-labeled block G_UL (n_u, n_l).
 
     The caller gives G_UU up: it is scaled and floored in place and becomes
-    the system's A.  Pass it C-contiguous, so its transpose copies straight
-    into the Fortran-order factorization buffer.  ``work`` is a flat float
-    buffer of at least n_u**2 entries that every factorization overwrites,
-    so systems sharing it must be solved one at a time; by default the
-    system gets its own.
+    the system's A.
     """
     if not 0.0 < theta <= 1.0:
         raise ValueError(f"theta must lie in (0, 1], got {theta}")
     n_u, n_l = G_UL.shape
     if not (np.all(np.isfinite(G_UU)) and np.all(np.isfinite(G_UL))):
         raise ValueError("square-loss Gram blocks must be finite")
-    if work is None:
-        work = np.empty(n_u * n_u)
     K = num_known_classes
     B = np.zeros((n_l + n_u, K + 1))
     rows = np.arange(n_l)
@@ -247,7 +248,7 @@ def _square_loss_system(
     tiny = G_UU < KERNEL_FLOOR
     G_UU /= 2.0 * n_u
     G_UU[tiny] = 0.0
-    return _SquareLossSystem(B, G_UU, G_UL, work)
+    return _SquareLossSystem(B, G_UU, G_UL)
 
 
 def _square_loss_alpha(system: _SquareLossSystem, lam: float) -> np.ndarray:
@@ -268,14 +269,12 @@ def _square_loss_alpha(system: _SquareLossSystem, lam: float) -> np.ndarray:
     if not np.all(np.isfinite(rhs)):
         raise ValueError("square-loss right-hand side is not finite")
 
-    # A is exactly symmetric (a Gram block), so copying its transpose fills
-    # the Fortran-order buffer that LAPACK factors in place with A itself;
-    # the diagonal sits every n_u + 1 entries of the flat buffer
-    M = system.work[:n_u * n_u].reshape((n_u, n_u), order="F")
-    np.copyto(M, system.A.T)
-    system.work[:n_u * n_u:n_u + 1] += shift
+    M = system.A.copy()
+    M.flat[::n_u + 1] += shift
     try:
-        factor = cho_factor(M, lower=True, overwrite_a=True, check_finite=False)
+        # M is exactly symmetric, so its transpose is M itself in the
+        # Fortran order LAPACK factors in place
+        factor = cho_factor(M.T, lower=True, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         cond = np.linalg.cond(system.A + shift * np.eye(n_u))
         raise np.linalg.LinAlgError(
@@ -283,6 +282,103 @@ def _square_loss_alpha(system: _SquareLossSystem, lam: float) -> np.ndarray:
         ) from exc
     alpha[n_l:] = cho_solve(factor, rhs, check_finite=False)
     return alpha
+
+
+def _shifted_lanczos(A: np.ndarray, starts: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Solutions of (A + s I) x = b for every start vector b and shift s.
+
+    ``starts`` holds one right-hand side per row, (p, n); the result is
+    (p, n, len(shifts)).  Each start vector runs its own Lanczos recurrence
+    with full reorthogonalization; the p recurrences advance in lockstep, so
+    a step costs one (p, n) x (n, n) product.  After m steps the solution
+    for shift s is ||b|| Q_m (T_m + s I)^{-1} e_1, whose residual norm is
+    ||b|| beta_m |e_m^T (T_m + s I)^{-1} e_1|.  T_m + s I is factored as
+    L D L^T one step at a time, so that last entry costs O(p x shifts) per
+    step, and the run stops once it is at most KRYLOV_TOLERANCE for every
+    start vector and shift.
+    """
+    p, n = starts.shape
+    norms = np.linalg.norm(starts, axis=1)
+    safe = np.where(norms > 0.0, norms, 1.0)  # a zero start vector has solution 0
+    # the basis grows on demand: most runs stop within a few dozen steps
+    Q = np.empty((p, min(n, 32), n))
+    Q[:, 0] = starts / safe[:, None]
+    pivots, firsts, betas = [], [], []
+    beta = np.zeros(p)
+    for m in range(n):
+        v = Q[:, m]
+        w = v @ A  # A is symmetric: the rows of (A @ v.T).T
+        a = np.einsum("pn,pn->p", v, w)
+        w -= a[:, None] * v
+        if m:
+            w -= beta[:, None] * Q[:, m - 1]
+        basis = Q[:, :m + 1]
+        w -= np.matmul(np.matmul(basis, w[:, :, None]).transpose(0, 2, 1), basis)[:, 0]
+        d = a[:, None] + shifts
+        if m:
+            d -= (beta ** 2)[:, None] / pivots[-1]
+            first = -(beta[:, None] / pivots[-1]) * firsts[-1]
+        else:
+            first = np.ones_like(d)
+        if not np.all(d > 0.0):
+            raise np.linalg.LinAlgError(
+                f"square-loss system not positive definite (Lanczos pivot {np.min(d):.3e} "
+                f"at step {m + 1})")
+        beta = np.linalg.norm(w, axis=1)
+        pivots.append(d)
+        firsts.append(first)
+        betas.append(beta)
+        residual = float(np.max(beta[:, None] * np.abs(first / d)))
+        if residual <= KRYLOV_TOLERANCE:
+            break
+        if m + 1 == n:
+            raise np.linalg.LinAlgError(
+                f"shifted Lanczos stopped at its cap of {n} steps with relative "
+                f"residual {residual:.3e} above {KRYLOV_TOLERANCE:.1e}")
+        if m + 1 == Q.shape[1]:
+            grown = np.empty((p, min(n, 2 * Q.shape[1]), n))
+            grown[:, :m + 1] = Q
+            Q = grown
+        Q[:, m + 1] = w / np.where(beta > 0.0, beta, 1.0)[:, None]
+
+    # back substitution through L^T gives (T_m + s I)^{-1} e_1 for every
+    # start vector and shift at once
+    y = np.array(firsts) / np.array(pivots)
+    for k in range(len(pivots) - 2, -1, -1):
+        y[k] -= (betas[k][:, None] / pivots[k]) * y[k + 1]
+    basis = Q[:, :len(pivots)]
+    return np.matmul(basis.transpose(0, 2, 1), y.transpose(1, 0, 2)) * norms[:, None, None]
+
+
+def _square_loss_alphas(system: _SquareLossSystem, lams) -> list[np.ndarray]:
+    """Stationary points of the square-loss objective at every weight in lams.
+
+    The unlabeled rows solve (A + s I) x = r0 + r1 / lam with
+    s = 2 lam + GRAM_JITTER, where r0 = -B_U is +-1 / (2 n_u) times the ones
+    vector in every column and r1 = G_UL B_L / (4 n_u).  A Krylov space does
+    not change when its matrix is shifted, so one shifted-Lanczos run from
+    the ones vector and the K+1 columns of r1 serves every weight, with no
+    factorization.
+    """
+    B = system.B
+    n_u, n_l = system.G_UL.shape
+    lams = np.asarray(lams, dtype=float)
+    shifts = 2.0 * lams + GRAM_JITTER
+    if not np.all(np.isfinite(shifts)):
+        raise ValueError(f"regularization weights must be finite, got {lams.tolist()}")
+    starts = np.empty((B.shape[1] + 1, n_u))
+    starts[0] = 1.0
+    starts[1:] = (system.G_UL @ B[:n_l]).T / (4.0 * n_u)
+    x = _shifted_lanczos(system.A, starts, shifts)
+    alphas = []
+    for i, lam in enumerate(lams):
+        alpha = np.empty(B.shape)
+        alpha[:n_l] = -B[:n_l] / (2.0 * lam)
+        alpha[n_l:] = np.outer(x[0, :, i], -B[n_l]) + x[1:, :, i].T / lam
+        if not np.all(np.isfinite(alpha)):
+            raise ValueError(f"square-loss solution is not finite at lambda={lam}")
+        alphas.append(alpha)
+    return alphas
 
 
 def fit_square_closed_form(

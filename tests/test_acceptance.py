@@ -1,6 +1,6 @@
 """Acceptance suite: one test per release criterion, each printing a
-pass/fail line with its runtime.  The full module takes on the order of
-ten minutes; the scaling study (criterion 7) dominates.
+pass/fail line with its runtime.  The full module takes about a minute
+on 2 vCPUs; the scaling study (criterion 7) dominates.
 
 Run it alone with:  pytest tests/test_acceptance.py -v -s
 """

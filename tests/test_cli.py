@@ -4,6 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import eulac.cli
 import eulac.modelsel
 from eulac.cli import main
 from eulac.data import (
@@ -112,6 +113,21 @@ class TestFit:
         assert config["unlabeled_sha256"] == _digest(data / "unlabeled.csv")
         assert "labeled" not in config and "unlabeled" not in config
 
+    @pytest.mark.parametrize("command", ["fit", "cv"])
+    def test_median_heuristic_runs_once(self, spec_file, tmp_path, monkeypatch, command):
+        # theta estimation and cross-validation share one median distance
+        calls = []
+        for module in (eulac.cli, eulac.modelsel):
+            def counting(points, _median=module.median_heuristic):
+                calls.append(len(points))
+                return _median(points)
+            monkeypatch.setattr(module, "median_heuristic", counting)
+        data = _gen(spec_file, tmp_path / "data")
+        assert main([command, "--labeled", str(data / "labeled.libsvm"),
+                     "--unlabeled", str(data / "unlabeled.csv"),
+                     "--out", str(tmp_path / command)] + FAST_GRID) == 0
+        assert calls == [100 + 150]
+
     def test_double_hinge_warns_exit_two(self, spec_file, tmp_path):
         data = _gen(spec_file, tmp_path / "data", nl=40, nu=50)
         rc = main(["fit", "--labeled", str(data / "labeled.libsvm"),
@@ -166,6 +182,22 @@ class TestEval:
                    "--out", str(target)])
         assert rc == 0 and json.loads(target.read_text())["n_test"] == 120
 
+    def test_same_files_in_two_directories_byte_identical(self, fitted, tmp_path):
+        data, model = fitted
+        copy = tmp_path / "elsewhere"
+        copy.mkdir()
+        (copy / "m.json").write_bytes(model.read_bytes())
+        (copy / "t.libsvm").write_bytes((data / "test.libsvm").read_bytes())
+        for m, t, out in ((model, data / "test.libsvm", "e1.json"),
+                          (copy / "m.json", copy / "t.libsvm", "e2.json")):
+            assert main(["eval", "--model", str(m), "--test", str(t),
+                         "--out", str(tmp_path / out)]) == 0
+        assert (tmp_path / "e1.json").read_bytes() == (tmp_path / "e2.json").read_bytes()
+        payload = json.loads((tmp_path / "e1.json").read_text())
+        assert payload["model_sha256"] == _digest(model)
+        assert payload["test_sha256"] == _digest(data / "test.libsvm")
+        assert "model" not in payload and "test" not in payload
+
 
 class TestThetaAndCv:
     def test_theta_command(self, spec_file, tmp_path, capsys):
@@ -192,7 +224,7 @@ class TestThetaAndCv:
         def singular(*args, **kwargs):
             raise np.linalg.LinAlgError("not positive definite")
 
-        monkeypatch.setattr(eulac.modelsel, "_square_loss_alpha", singular)
+        monkeypatch.setattr(eulac.modelsel, "_square_loss_alphas", singular)
         data = _gen(spec_file, tmp_path / "data")
         labeled = load_libsvm(data / "labeled.libsvm")
         unlabeled = load_features_csv(data / "unlabeled.csv")

@@ -81,25 +81,35 @@ class TestCrossValidate:
             expected.append(lac_risk_from_scores(sl, L.y[val_L], su, THETA, "square"))
         np.testing.assert_allclose(report.cells[0].fold_risks, expected, atol=1e-10)
 
-    def test_one_factorization_per_cell_and_fold(self, monkeypatch):
-        # each factorization runs in place in the shared Fortran-order
-        # buffer: no copy by the caller, none by scipy's wrapper
-        calls = [0]
+    def test_one_krylov_run_per_bandwidth_and_fold(self, monkeypatch):
+        # cross-validation factors nothing: one shifted-Lanczos run per
+        # (sigma, fold) serves every lambda; only the refit factors
+        factors, runs = [0], []
         factor = eulac.solver.cho_factor
+        solve = eulac.modelsel._square_loss_alphas
 
-        def in_place(a, **kwargs):
-            calls[0] += 1
+        def counting_factor(a, **kwargs):
+            # the refit factors its own copy in place: no copy by scipy's wrapper
+            factors[0] += 1
             assert a.flags.f_contiguous and kwargs["overwrite_a"] is True
             result = factor(a, **kwargs)
             assert np.shares_memory(result[0], a)
             return result
 
-        monkeypatch.setattr(eulac.solver, "cho_factor", in_place)
+        def counting_solve(system, lams):
+            runs.append(tuple(lams))
+            return solve(system, lams)
+
+        monkeypatch.setattr(eulac.solver, "cho_factor", counting_factor)
+        monkeypatch.setattr(eulac.modelsel, "_square_loss_alphas", counting_solve)
         L, U, _ = _data(seed=1)
         grid = HyperGrid(sigma_multipliers=(0.1, 1.0), lambda_candidates=(1e-2, 0.1, 1.0),
                          folds=3)
         cross_validate(L, U, THETA, grid, seed=0)
-        assert calls[0] == 2 * 3 * 3  # sigmas x folds x lambdas
+        assert factors[0] == 0
+        assert runs == [(1e-2, 0.1, 1.0)] * (2 * 3)  # sigmas x folds
+        fit_with_selection(L, U, THETA, grid, seed=0)
+        assert factors[0] == 1
 
     @pytest.mark.parametrize("theta", [1.5, -0.3, float("nan")])
     def test_theta_out_of_range_rejected_before_factoring(self, monkeypatch, theta):

@@ -15,12 +15,14 @@ from eulac.kernel import (
 from eulac.losses import LOSS_KINDS
 from eulac.modelsel import DEFAULT_LAMBDAS
 from eulac.risk import empirical_lac_risk
+import eulac.solver
 from eulac.solver import (
     GRAM_JITTER,
     KERNEL_FLOOR,
     DualModel,
     FitOptions,
     _square_loss_alpha,
+    _square_loss_alphas,
     _square_loss_system,
     fit_first_order,
     fit_square_closed_form,
@@ -200,9 +202,9 @@ def _unfloored_square_alpha(G, y, K, n_l, n_u, theta, lam):
     return alpha
 
 
-def _system(G, y, n_l, theta=THETA, work=None):
+def _system(G, y, n_l, theta=THETA):
     """The square-loss system of a full training Gram, as the refit builds it."""
-    return _square_loss_system(G[n_l:, n_l:].copy(), G[n_l:, :n_l], y, 2, theta, work)
+    return _square_loss_system(G[n_l:, n_l:].copy(), G[n_l:, :n_l], y, 2, theta)
 
 
 def _unbuffered_square_alpha(G, y, K, n_l, n_u, theta, lam):
@@ -268,17 +270,15 @@ class TestSquareLossSystem:
             assert np.array_equal(alpha, fresh)
 
     def test_bit_identical_to_unbuffered_solve(self):
-        # every default bandwidth and lambda, through one work buffer larger
-        # than the system, as cross-validation shares it across folds
+        # every default bandwidth and lambda, each system solved once per lambda
         L, U = small_train_data(seed=5, n_l=100, n_u=300)
         n_l, n_u = len(L), len(U)
         support = np.vstack([L.X, U.X])
         median = median_heuristic(support)
-        work = np.full((n_u + 7) ** 2, np.nan)
         for mult in DEFAULT_SIGMA_MULTIPLIERS:
             kernel = KernelSpec(mult * median)
             G = gram(kernel, support, support)
-            system = _system(G, L.y, n_l, work=work)
+            system = _system(G, L.y, n_l)
             for lam in DEFAULT_LAMBDAS:
                 ref = _unbuffered_square_alpha(G, L.y, 2, n_l, n_u, THETA, lam)
                 assert np.array_equal(_square_loss_alpha(system, lam), ref)
@@ -286,6 +286,50 @@ class TestSquareLossSystem:
             assert np.array_equal(
                 refit.alpha, _unbuffered_square_alpha(G, L.y, 2, n_l, n_u, THETA,
                                                       DEFAULT_LAMBDAS[0]))
+
+    def test_lanczos_matches_dense_solve(self, narrow):
+        # the cross-validation solve of every default lambda against the
+        # dense per-lambda reference, at every default bandwidth and on the
+        # narrow fixture whose Gram holds subnormal entries
+        L, U = small_train_data(seed=5, n_l=100, n_u=300)
+        support = np.vstack([L.X, U.X])
+        median = median_heuristic(support)
+        cases = [(L, U, gram(KernelSpec(mult * median), support, support))
+                 for mult in DEFAULT_SIGMA_MULTIPLIERS]
+        for L, U, G in cases + [narrow]:
+            n_l, n_u = len(L), len(U)
+            alphas = _square_loss_alphas(_system(G, L.y, n_l), DEFAULT_LAMBDAS)
+            assert len(alphas) == len(DEFAULT_LAMBDAS)
+            for lam, alpha in zip(DEFAULT_LAMBDAS, alphas):
+                ref = _unbuffered_square_alpha(G, L.y, 2, n_l, n_u, THETA, lam)
+                assert np.max(np.abs(alpha - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_lanczos_with_an_absent_class(self, instance):
+        # a training fold can lack a class: its start vector is zero
+        L, _, _, G = instance
+        y = np.ones_like(L.y)
+        n_l, n_u = len(L), G.shape[0] - len(L)
+        for lam, alpha in zip((1e-2, 1.0), _square_loss_alphas(_system(G, y, n_l), (1e-2, 1.0))):
+            ref = _unbuffered_square_alpha(G, y, 2, n_l, n_u, THETA, lam)
+            assert np.max(np.abs(alpha - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_lanczos_ill_conditioned_system_converges(self):
+        # at lambda = 1e-8 the system's condition number is about 2.5e7 and
+        # the run needs nearly n_u steps; without full reorthogonalization
+        # it stalls at the step cap
+        L, U = small_train_data(seed=5, n_l=100, n_u=300)
+        support = np.vstack([L.X, U.X])
+        G = gram(KernelSpec(median_heuristic(support)), support, support)
+        alpha, = _square_loss_alphas(_system(G, L.y, len(L)), (1e-8,))
+        ref = _unbuffered_square_alpha(G, L.y, 2, len(L), len(U), THETA, 1e-8)
+        assert np.max(np.abs(alpha - ref)) <= 1e-6 * np.max(np.abs(ref))
+
+    def test_lanczos_unreachable_tolerance_raises(self, instance, monkeypatch):
+        L, U, _, G = instance
+        monkeypatch.setattr(eulac.solver, "KRYLOV_TOLERANCE", -1.0)
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=rf"cap of {len(U)} steps with relative residual \d"):
+            _square_loss_alphas(_system(G, L.y, len(L)), (1e-2, 1.0))
 
     def test_indefinite_system_raises_with_condition_estimate(self, instance):
         L, _, _, G = instance
