@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.stats import spearmanr
 
 from .data import (
     LabeledDataset,
@@ -183,6 +182,18 @@ def select_baseline_bandwidth(
 # ---------------------------------------------------------------------------
 
 
+def _average_ranks(values) -> np.ndarray:
+    """1-based ranks; tied values share the mean of the positions they span."""
+    v = np.asarray(values, dtype=float)
+    order = np.argsort(v, kind="stable")
+    ordered = v[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(v)]
+    ranks = np.empty(len(v))
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 @dataclass(frozen=True)
 class ExperimentReport:
     """Per-run metrics plus aggregates recomputable from them."""
@@ -207,9 +218,10 @@ class ExperimentReport:
         rows = self.aggregate(metric)
         if len(rows) < 2:
             return None
-        xs = [r["x"] for r in rows]
-        means = [r["mean"] for r in rows]
-        return float(spearmanr(xs, means).statistic)
+        ranks = np.column_stack([_average_ranks([r["x"] for r in rows]),
+                                 _average_ranks([r["mean"] for r in rows])])
+        with np.errstate(divide="ignore", invalid="ignore"):  # constant input gives NaN
+            return float(np.corrcoef(ranks, rowvar=False)[1, 0])
 
     def to_json(self) -> str:
         metric = self.config.get("primary_metric", "macro_f1")

@@ -4,8 +4,9 @@ Scorers are kernel expansions over the combined labeled + unlabeled support
 (one dual-coefficient column per known class plus one for the novel class).
 The square loss admits an exact linear-system solution: one Cholesky
 factorization for a single weight, or one shifted-Lanczos run that serves
-every weight of a cross-validation grid.  Other losses run full-gradient
-descent with Armijo backtracking.
+every weight of a cross-validation grid.  Other losses run scipy's
+limited-memory quasi-Newton method (L-BFGS-B) on the exact objective and
+gradient.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.optimize import minimize
 
 from .data import LabeledDataset, UnlabeledDataset
 from .kernel import GRAM_BLOCK_ROWS, KernelSpec, gram
@@ -59,8 +61,11 @@ class FitOptions:
 
 @dataclass(frozen=True)
 class FitRecord:
-    iterations: int
-    final_gradient_norm: float
+    """How a solve ended.  A model loaded from JSON keeps only ``converged``;
+    its iteration count and gradient norm were not saved and are None."""
+
+    iterations: int | None
+    final_gradient_norm: float | None
     converged: bool
     objective_history: tuple[float, ...] = ()
 
@@ -120,7 +125,7 @@ class DualModel:
         payload = json.loads(text)
         if payload.get("format_version") != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported model format {payload.get('format_version')!r}")
-        record = None if payload.get("converged", True) else FitRecord(0, np.inf, False)
+        record = FitRecord(None, None, bool(payload.get("converged", True)))
         return DualModel(
             support_points=np.array(payload["support_points"], dtype=float),
             alpha=np.array(payload["alpha"], dtype=float),
@@ -415,57 +420,33 @@ def _first_order_alpha(
     options: FitOptions,
     loss_kind: str,
 ) -> tuple[np.ndarray, FitRecord]:
-    """Gradient descent with Armijo backtracking on a precomputed Gram."""
+    """L-BFGS-B from the zero model on a precomputed Gram.
+
+    ftol=0 leaves the max-abs gradient tolerance as the only success test;
+    the record's gradient norm and converged flag are read from the
+    gradient at the returned point, not from scipy's status.
+    """
     lam = options.lam
+    shape = (n_l + n_u, num_known_classes + 1)
 
-    def value(a):
-        return _objective_arrays(a, G, y, n_l, n_u, theta, lam, loss_kind)
+    def value_and_gradient(x):
+        a = x.reshape(shape)
+        return (_objective_arrays(a, G, y, n_l, n_u, theta, lam, loss_kind),
+                _gradient_arrays(a, G, y, n_l, n_u, theta, lam, loss_kind).ravel())
 
-    alpha = np.zeros((n_l + n_u, num_known_classes + 1))
-    f = value(alpha)
-    history = [f]
-    grad_norm = np.inf
-    iterations = 0
-    converged = False
-    prev_alpha = None
-    prev_grad = None
-    step = 1.0
-    for iterations in range(1, options.max_iterations + 1):
-        grad = _gradient_arrays(alpha, G, y, n_l, n_u, theta, lam, loss_kind)
-        grad_norm = float(np.max(np.abs(grad)))
-        if grad_norm <= options.gradient_tolerance:
-            converged = True
-            iterations -= 1
-            break
-        # trial step from the Barzilai-Borwein spectral rule; a constant unit
-        # trial step crawls on ill-conditioned Gram objectives.  Armijo
-        # halving below still guards every accepted move.
-        if prev_grad is not None:
-            s = alpha - prev_alpha
-            dg = grad - prev_grad
-            denom = float(np.sum(s * dg))
-            step = float(np.sum(s * s)) / denom if denom > 0 else min(step * 2.0, 1e12)
-            step = float(np.clip(step, 1e-12, 1e12))
-        prev_alpha, prev_grad = alpha, grad
-        sq = float(np.sum(grad * grad))
-        accepted = False
-        for _ in range(80):
-            trial = alpha - step * grad
-            f_trial = value(trial)
-            if f_trial <= f - 1e-4 * step * sq:
-                alpha, f = trial, f_trial
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break  # no descent step representable; treat as stalled
-        history.append(f)
-    else:
-        grad = _gradient_arrays(alpha, G, y, n_l, n_u, theta, lam, loss_kind)
-        grad_norm = float(np.max(np.abs(grad)))
-        converged = grad_norm <= options.gradient_tolerance
-
-    return alpha, FitRecord(iterations, grad_norm, converged, tuple(history))
+    zero = np.zeros(shape)
+    history = [_objective_arrays(zero, G, y, n_l, n_u, theta, lam, loss_kind)]
+    # scipy hands the per-iteration result only to a parameter of this name
+    result = minimize(
+        value_and_gradient, zero.ravel(), jac=True, method="L-BFGS-B",
+        callback=lambda intermediate_result: history.append(float(intermediate_result.fun)),
+        options={"maxiter": options.max_iterations, "gtol": options.gradient_tolerance,
+                 "ftol": 0.0},
+    )
+    grad_norm = float(np.max(np.abs(result.jac)))
+    record = FitRecord(int(result.nit), grad_norm, grad_norm <= options.gradient_tolerance,
+                       tuple(history))
+    return result.x.reshape(shape), record
 
 
 def fit_first_order(
@@ -476,11 +457,12 @@ def fit_first_order(
     options: FitOptions,
     loss_kind: str,
 ) -> DualModel:
-    """Full-gradient descent with Armijo backtracking from the zero model.
+    """L-BFGS-B from the zero model on the full training Gram.
 
-    Accepted steps never increase the objective; if the gradient tolerance
-    is not reached within the iteration budget the model is returned with a
-    non-converged record rather than failing silently.
+    Every iteration passes a sufficient-decrease line search, so the
+    objective never increases; if the gradient tolerance is not reached
+    within the iteration budget the model is returned with a non-converged
+    record rather than failing silently.
     """
     loss_kind = canonical_loss_kind(loss_kind)
     _check_train_inputs(labeled, unlabeled)

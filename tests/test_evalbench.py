@@ -154,6 +154,25 @@ class TestReports:
         report = ExperimentReport({}, runs)
         assert report.spearman("macro_f1") is None
 
+    def test_spearman_matches_scipy(self):
+        from scipy.stats import spearmanr
+        rng = np.random.default_rng(5)
+        for trial in range(300):
+            k = int(rng.integers(2, 10))
+            xs = np.sort(rng.choice(100, size=k, replace=False))
+            # every third draw has ties; the others are almost surely untied
+            vals = rng.integers(0, 3, size=k) / 2.0 if trial % 3 == 0 else rng.normal(size=k)
+            if np.ptp(vals) == 0.0:
+                continue  # constant input: see test_spearman_nan_for_constant_metric
+            runs = tuple({"x": int(x), "seed": 0, "macro_f1": float(v)}
+                         for x, v in zip(xs, vals))
+            assert (ExperimentReport({}, runs).spearman("macro_f1")
+                    == spearmanr(xs, vals).statistic)
+
+    def test_spearman_nan_for_constant_metric(self):
+        runs = tuple({"x": x, "seed": 0, "macro_f1": 0.5} for x in range(4))
+        assert np.isnan(ExperimentReport({}, runs).spearman("macro_f1"))
+
     def test_csv_format(self):
         text = self._report().to_csv("macro_f1")
         lines = text.strip().split("\n")

@@ -1,10 +1,11 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
-from eulac.data import LabeledDataset, UnlabeledDataset
+from eulac.data import LabeledDataset, UnlabeledDataset, parse_synthetic_spec, sample_synthetic
 from eulac.kernel import (
     DEFAULT_SIGMA_MULTIPLIERS,
     GRAM_BLOCK_ROWS,
@@ -36,6 +37,7 @@ from conftest import small_train_data
 
 THETA = 0.7
 LAM = 0.1
+BUNDLED_SPEC = Path(__file__).resolve().parents[1] / "specs" / "two_known_one_new_2d.txt"
 
 
 @pytest.fixture(scope="module")
@@ -351,6 +353,36 @@ class TestFirstOrder:
         assert model.record.final_gradient_norm <= 1e-6
         assert model.record.iterations <= 5000
 
+    def test_logistic_converges_at_benchmark_size(self):
+        # the bundled spec at 150/300: Armijo-guarded gradient descent stopped
+        # at its 5000-iteration cap here, unconverged, at this objective
+        unconverged_objective = 1.1078601815175193
+        spec = parse_synthetic_spec(BUNDLED_SPEC.read_text())
+        L, U, _ = sample_synthetic(spec, 150, 300, 1)
+        support = np.vstack([L.X, U.X])
+        kernel = KernelSpec(median_heuristic(support))
+        model = fit_first_order(L, U, kernel, spec.theta, FitOptions(lam=0.01), "logistic")
+        assert model.record.converged
+        assert model.record.final_gradient_norm <= 1e-6
+        G = gram(kernel, support, support)
+        assert (objective(model.alpha, G, L, U, spec.theta, 0.01, "logistic")
+                <= unconverged_objective)
+
+    def test_record_reads_the_returned_point(self):
+        L, U = small_train_data(seed=7, n_l=20, n_u=20)
+        kernel = KernelSpec(1.0)
+        G = gram(kernel, np.vstack([L.X, U.X]), np.vstack([L.X, U.X]))
+        model = fit_first_order(L, U, kernel, THETA, FitOptions(lam=0.01, max_iterations=7),
+                                "logistic")
+        record = model.record
+        assert record.iterations == 7 and len(record.objective_history) == 8
+        assert record.objective_history[0] == objective(
+            np.zeros_like(model.alpha), G, L, U, THETA, 0.01, "logistic")
+        assert record.objective_history[-1] == pytest.approx(
+            objective(model.alpha, G, L, U, THETA, 0.01, "logistic"), rel=1e-12)
+        grad = objective_gradient(model.alpha, G, L, U, THETA, 0.01, "logistic")
+        assert record.final_gradient_norm == pytest.approx(np.max(np.abs(grad)), rel=1e-12)
+
     def test_objective_history_non_increasing(self):
         L, U = small_train_data(seed=13, n_l=20, n_u=20)
         kernel = KernelSpec(1.0)
@@ -521,6 +553,18 @@ class TestSerialization:
         rng = np.random.default_rng(9)
         q = rng.normal(size=(20, 2))
         np.testing.assert_array_equal(model.scores(q), back.scores(q))
+
+    def test_nonconverged_roundtrip_invents_nothing(self, instance):
+        L, U, kernel, _ = instance
+        model = fit_first_order(L, U, kernel, THETA,
+                                FitOptions(lam=LAM, max_iterations=2), "logistic")
+        assert not model.record.converged
+        text = model.to_json()
+        back = DualModel.from_json(text)
+        assert back.record.converged is False
+        assert back.record.iterations is None and back.record.final_gradient_norm is None
+        assert back.record.objective_history == ()
+        assert back.to_json() == text
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError, match="format"):
