@@ -132,6 +132,17 @@ def _theta_payload(estimate) -> dict:
     }
 
 
+def _warn_unconverged_cv(report) -> None:
+    """Name every grid cell whose cross-validation solves stopped short of
+    their gradient tolerance; the exit code does not change."""
+    cells = [f"sigma_multiplier={c.sigma_multiplier} lambda={c.lam} "
+             f"({c.nonconverged_folds} of {report.folds} folds)"
+             for c in report.cells if c.nonconverged_folds]
+    if cells:
+        print("warning: cross-validation solves did not reach their gradient tolerance at "
+              + ", ".join(cells), file=sys.stderr)
+
+
 def cmd_fit(args) -> int:
     labeled = dt.load_libsvm(args.labeled)
     unlabeled = dt.load_features_csv(args.unlabeled)
@@ -150,6 +161,7 @@ def cmd_fit(args) -> int:
     converged = model.record is None or model.record.converged
     print(f"selected sigma={report.selected.sigma!r} lambda={report.selected.lam!r} "
           f"theta={estimate.theta_hat!r}; model written to {out / 'model.json'}")
+    _warn_unconverged_cv(report)
     if not converged:
         print("warning: solver did not reach its gradient tolerance", file=sys.stderr)
         return EXIT_WARNING
@@ -219,6 +231,7 @@ def cmd_cv(args) -> int:
     _dump_json(out / "cv_report.json", {"config": echo, **json.loads(report.to_json())})
     _dump_json(out / "theta.json", {"config": echo, **_theta_payload(estimate)})
     print(f"selected sigma={report.selected.sigma!r} lambda={report.selected.lam!r}")
+    _warn_unconverged_cv(report)
     return EXIT_OK
 
 

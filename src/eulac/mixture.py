@@ -56,15 +56,17 @@ def theta_override(value: float) -> ThetaEstimate:
     return ThetaEstimate(float(value), curve=())
 
 
-def _simplex_qp(P: np.ndarray, g: np.ndarray, w0: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Minimise 0.5 w'Pw + g'w over the probability simplex, exactly.
+def _simplex_qp(P: np.ndarray, scale: float, g: np.ndarray,
+                w0: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Minimise 0.5 scale w'Pw + g'w over the probability simplex, exactly.
 
     Primal active-set method: clamped coordinates form the working set; the
     free block solves an equality-constrained KKT system.  P must be
-    positive definite on the free subspace (callers add a small jitter).
-    Without a feasible warm start (``w0`` has no positive entry) the search
-    starts at the best vertex.  Returns the minimiser and whether the
-    iteration guard stopped the search first.
+    positive definite on the free subspace (callers add a small jitter) and
+    scale positive; P is read, never scaled as a whole, so one P serves
+    every scale.  Without a feasible warm start (``w0`` has no positive
+    entry) the search starts at the best vertex.  Returns the minimiser and
+    whether the iteration guard stopped the search first.
     """
     m = len(g)
     w = w0.copy()
@@ -72,20 +74,20 @@ def _simplex_qp(P: np.ndarray, g: np.ndarray, w0: np.ndarray) -> tuple[np.ndarra
     w[clamped] = 0.0
     total = w.sum()
     if total <= 0:
-        # the objective at vertex e_i is 0.5 P_ii + g_i; the optimum is
-        # unique, so the start changes only how many solves reach it
-        best = int(np.argmin(0.5 * np.diag(P) + g))
+        # the objective at vertex e_i is 0.5 scale P_ii + g_i; the optimum
+        # is unique, so the start changes only how many solves reach it
+        best = int(np.argmin(0.5 * (scale * np.diag(P)) + g))
         w[best] = 1.0
         clamped[best] = False
     else:
         w /= total
 
-    ones = np.ones(m)
     for _ in range(QP_GUARD_PER_COORDINATE * m + QP_GUARD_SLACK):
         free = np.flatnonzero(~clamped)
         nf = len(free)
+        P_F = P[free]  # the free rows, gathered once per iteration
         kkt = np.empty((nf + 1, nf + 1))
-        kkt[:nf, :nf] = P[np.ix_(free, free)]
+        kkt[:nf, :nf] = scale * P_F[:, free]
         kkt[:nf, nf] = 1.0
         kkt[nf, :nf] = 1.0
         kkt[nf, nf] = 0.0
@@ -99,9 +101,11 @@ def _simplex_qp(P: np.ndarray, g: np.ndarray, w0: np.ndarray) -> tuple[np.ndarra
         if np.all(target >= -1e-12):
             w = np.zeros(m)
             w[free] = np.maximum(target, 0.0)
-            # stationarity on the free block gives (Pw + g)_F = -mu, so the
-            # bound multiplier of a clamped coordinate is (Pw + g)_i + mu
-            lagrange = P @ w + g + mu * ones
+            # stationarity on the free block gives (scale Pw + g)_F = -mu, so
+            # the bound multiplier of a clamped coordinate is
+            # (scale Pw + g)_i + mu; w vanishes off the free block and P is
+            # symmetric, so Pw is w_F P_F
+            lagrange = scale * (w[free] @ P_F) + g + mu
             blocked = np.flatnonzero(clamped)
             if len(blocked) == 0 or lagrange[blocked].min() >= -1e-10:
                 return w, False
@@ -136,7 +140,8 @@ def _distance_curve(
     candidates: np.ndarray,
 ) -> tuple[np.ndarray, int]:
     """Exact embedding distance d(c) for every candidate, warm-starting along
-    the grid, plus the number of QPs stopped by the iteration guard."""
+    the grid, plus the number of QPs stopped by the iteration guard.  Every
+    candidate's QP shares the Hessian P_base and scales it by beta^2."""
     m = K_nu.shape[0]
     w = np.zeros(m)
     P_base = 2.0 * (K_nu + 1e-10 * np.eye(m))
@@ -150,8 +155,10 @@ def _distance_curve(
             out[j] = np.sqrt(max(const, 0.0))
             continue
         q = ku - frac * kl
-        w, guard_hit = _simplex_qp(beta * beta * P_base, -2.0 * beta * q, w)
+        w, guard_hit = _simplex_qp(P_base, beta * beta, -2.0 * beta * q, w)
         guard_hits += guard_hit
+        # the dense quadratic form: its terms nearly cancel, so a sum over
+        # the free block alone moves the value in its last digits
         value = beta * beta * float(w @ K_nu @ w) - 2.0 * beta * float(q @ w) + const
         out[j] = np.sqrt(max(value, 0.0))
     return out, guard_hits

@@ -21,8 +21,7 @@ from .solver import (
     DualModel,
     FitOptions,
     _first_order_alpha,
-    _square_loss_alphas,
-    _square_loss_system,
+    _square_loss_fold_alphas,
     fit_first_order,
     fit_square_closed_form,
 )
@@ -59,6 +58,9 @@ class CvCell:
     mean_risk: float
     stderr: float
     fold_risks: tuple[float, ...]
+    # folds whose first-order solve stopped short of its gradient
+    # tolerance; kept out of to_json so the report's keys stay fixed
+    nonconverged_folds: int = 0
 
 
 @dataclass(frozen=True)
@@ -120,10 +122,12 @@ def cross_validate(
 
     The bandwidth for each cell is multiplier x median pairwise distance of
     the pooled data; pass ``median`` when it is already known.  For every
-    sigma the pooled Gram matrix is built once and each fold's sub-Grams are
-    gathered from it in turn.  Square loss gathers only the two blocks its
-    system reads and solves every lambda of a fold from one shifted-Lanczos
-    run.
+    sigma the pooled Gram matrix is built once.  Square loss solves every
+    fold and lambda of a sigma from one shifted-Lanczos run on the pooled
+    Gram's unlabeled block, gathering no fold block; other losses solve
+    each (fold, lambda) on the fold's gathered training Gram.  Validation
+    scores multiply the validation rows of the pooled Gram by dual
+    coefficients that are zero outside the fold's training rows.
     """
     n_l = len(labeled)
     pooled = np.vstack([labeled.X, unlabeled.X])
@@ -137,45 +141,50 @@ def cross_validate(
     cells: list[CvCell] = []
     for mult in grid.sigma_multipliers:
         sigma = mult * median
-        G = system = G_vt = None  # release the last bandwidth's arrays before its successor
+        G = fold_alphas = None  # release the last bandwidth's arrays before its successor
         G = gram(KernelSpec(sigma), pooled, pooled)
+        if square:
+            try:
+                fold_alphas = _square_loss_fold_alphas(
+                    G, n_l, labeled.y, K, theta,
+                    [(train_L, train_U) for train_L, train_U, _, _ in folds], lams)
+            except np.linalg.LinAlgError as exc:
+                raise _fit_failure(mult, lams, exc.fold, exc) from exc
         risks = [[] for _ in lams]
+        nonconverged = [0 for _ in lams]
         for fold, (train_L, train_U, val_L, val_U) in enumerate(folds):
-            sup = np.concatenate([train_L, n_l + train_U])
-            val = np.concatenate([val_L, n_l + val_U])
-            y_tr = labeled.y[train_L]
-            system = None  # release the previous fold's system before gathering
             if square:
-                G_U = G.take(n_l + train_U, axis=0)
-                system = _square_loss_system(G_U.take(n_l + train_U, axis=1),
-                                             G_U.take(train_L, axis=1), y_tr, K, theta)
-                del G_U
-                try:
-                    alphas = _square_loss_alphas(system, lams)
-                except Exception as exc:
-                    raise _fit_failure(mult, lams, fold, exc) from exc
+                alphas = fold_alphas[fold]
             else:
+                sup = np.concatenate([train_L, n_l + train_U])
                 G_tt = G.take(sup, axis=0).take(sup, axis=1)
                 alphas = []
-                for lam in lams:
+                for i, lam in enumerate(lams):
                     opts = FitOptions(lam=lam, max_iterations=2000, gradient_tolerance=1e-5)
                     try:
-                        alphas.append(_first_order_alpha(G_tt, y_tr, K, len(train_L),
-                                                         len(train_U), theta, opts,
-                                                         grid.loss_kind)[0])
+                        alpha_sup, record = _first_order_alpha(
+                            G_tt, labeled.y[train_L], K, len(train_L), len(train_U), theta,
+                            opts, grid.loss_kind)
                     except Exception as exc:
                         raise _fit_failure(mult, (lam,), fold, exc) from exc
-            G_vt = G.take(val, axis=0).take(sup, axis=1)
-            for alpha, lam_risks in zip(alphas, risks):
-                scores_val = G_vt @ alpha
+                    nonconverged[i] += not record.converged
+                    alpha = np.zeros((len(pooled), K + 1))
+                    alpha[sup] = alpha_sup
+                    alphas.append(alpha)
+                del G_tt
+            # one product scores every lambda: the validation rows are read once
+            scores = G.take(np.concatenate([val_L, n_l + val_U]), axis=0) @ np.hstack(alphas)
+            for i, lam_risks in enumerate(risks):
+                scores_val = scores[:, i * (K + 1):(i + 1) * (K + 1)]
                 lam_risks.append(lac_risk_from_scores(
                     scores_val[:len(val_L)], labeled.y[val_L], scores_val[len(val_L):],
                     theta, grid.loss_kind
                 ))
-        for lam, lam_risks in zip(lams, risks):
+        for lam, lam_risks, missed in zip(lams, risks, nonconverged):
             risks_arr = np.array(lam_risks)
             stderr = float(risks_arr.std(ddof=1) / np.sqrt(len(risks_arr))) if len(risks_arr) > 1 else 0.0
-            cells.append(CvCell(mult, sigma, lam, float(risks_arr.mean()), stderr, tuple(lam_risks)))
+            cells.append(CvCell(mult, sigma, lam, float(risks_arr.mean()), stderr,
+                                tuple(lam_risks), missed))
 
     return CvReport(tuple(cells), _select(cells), grid.folds, grid.loss_kind, median)
 

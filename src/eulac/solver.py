@@ -3,8 +3,9 @@
 Scorers are kernel expansions over the combined labeled + unlabeled support
 (one dual-coefficient column per known class plus one for the novel class).
 The square loss admits an exact linear-system solution: one Cholesky
-factorization for a single weight, or one shifted-Lanczos run that serves
-every weight of a cross-validation grid.  Other losses run scipy's
+factorization for a single weight, or one shifted-Lanczos run on the
+pooled Gram's unlabeled block that serves every fold and weight of a
+cross-validation bandwidth.  Other losses run scipy's
 limited-memory quasi-Newton method (L-BFGS-B) on the exact objective and
 gradient.
 """
@@ -210,6 +211,11 @@ def objective_gradient(
     return _gradient_arrays(a, gram_full, labeled.y, n_l, n_u, theta, lam, loss_kind)
 
 
+def _check_theta(theta: float) -> None:
+    if not 0.0 < theta <= 1.0:
+        raise ValueError(f"theta must lie in (0, 1], got {theta}")
+
+
 @dataclass(frozen=True)
 class _SquareLossSystem:
     """Lambda-invariant parts of the square-loss stationarity system."""
@@ -237,8 +243,7 @@ def _square_loss_system(
     The caller gives G_UU up: it is scaled and floored in place and becomes
     the system's A.
     """
-    if not 0.0 < theta <= 1.0:
-        raise ValueError(f"theta must lie in (0, 1], got {theta}")
+    _check_theta(theta)
     n_u, n_l = G_UL.shape
     if not (np.all(np.isfinite(G_UU)) and np.all(np.isfinite(G_UL))):
         raise ValueError("square-loss Gram blocks must be finite")
@@ -289,30 +294,55 @@ def _square_loss_alpha(system: _SquareLossSystem, lam: float) -> np.ndarray:
     return alpha
 
 
-def _shifted_lanczos(A: np.ndarray, starts: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Solutions of (A + s I) x = b for every start vector b and shift s.
+def _located(exc: np.linalg.LinAlgError, **where) -> np.linalg.LinAlgError:
+    """Attach where a solve failed (``row=`` start vector, ``fold=``) to its error."""
+    for key, value in where.items():
+        setattr(exc, key, value)
+    return exc
 
-    ``starts`` holds one right-hand side per row, (p, n); the result is
-    (p, n, len(shifts)).  Each start vector runs its own Lanczos recurrence
-    with full reorthogonalization; the p recurrences advance in lockstep, so
-    a step costs one (p, n) x (n, n) product.  After m steps the solution
-    for shift s is ||b|| Q_m (T_m + s I)^{-1} e_1, whose residual norm is
+
+def _shifted_lanczos(
+    A: np.ndarray,
+    starts: np.ndarray,
+    shifts: np.ndarray,
+    masks: np.ndarray,
+    scales: np.ndarray,
+) -> np.ndarray:
+    """Solutions of (A_r + s I) x = b for every start vector b and shift s.
+
+    ``starts`` holds one right-hand side per row, (p, n); row r's operator
+    is A_r = scales[r] diag(masks[r]) A diag(masks[r]) for a symmetric A and
+    a 0/1 mask that covers its start vector, so several systems can share
+    one A.  The result is (p, n, len(shifts)) and is zero outside each
+    row's mask.  Each start vector runs its own Lanczos recurrence with full
+    reorthogonalization; the p recurrences advance in lockstep, so a step
+    costs one (p, n) x (n, n) product.  After m steps the solution for shift
+    s is ||b|| Q_m (T_m + s I)^{-1} e_1, whose residual norm is
     ||b|| beta_m |e_m^T (T_m + s I)^{-1} e_1|.  T_m + s I is factored as
     L D L^T one step at a time, so that last entry costs O(p x shifts) per
-    step, and the run stops once it is at most KRYLOV_TOLERANCE for every
-    start vector and shift.
+    step.  A recurrence stops once it is at most KRYLOV_TOLERANCE for every
+    shift, and the run ends when every recurrence has stopped.  A row may
+    take at most as many steps as its mask has ones.  A failure raises
+    LinAlgError whose ``row`` names the start vector whose recurrence
+    failed.
     """
     p, n = starts.shape
+    weights = masks * scales[:, None]
+    caps = np.count_nonzero(masks, axis=1)
     norms = np.linalg.norm(starts, axis=1)
     safe = np.where(norms > 0.0, norms, 1.0)  # a zero start vector has solution 0
-    # the basis grows on demand: most runs stop within a few dozen steps
-    Q = np.empty((p, min(n, 32), n))
+    # the basis grows on demand.  Every default-grid run measured at
+    # n_u = 800-2000 stopped within 36 steps, so 64 steps rarely grow, and a
+    # growth (a copy while both bases are held) is what sets the peak memory
+    max_steps = int(caps.max())
+    Q = np.empty((p, min(max_steps, 64), n))
     Q[:, 0] = starts / safe[:, None]
     pivots, firsts, betas = [], [], []
     beta = np.zeros(p)
-    for m in range(n):
+    for m in range(max_steps):
         v = Q[:, m]
         w = v @ A  # A is symmetric: the rows of (A @ v.T).T
+        w *= weights
         a = np.einsum("pn,pn->p", v, w)
         w -= a[:, None] * v
         if m:
@@ -325,23 +355,33 @@ def _shifted_lanczos(A: np.ndarray, starts: np.ndarray, shifts: np.ndarray) -> n
             first = -(beta[:, None] / pivots[-1]) * firsts[-1]
         else:
             first = np.ones_like(d)
-        if not np.all(d > 0.0):
-            raise np.linalg.LinAlgError(
-                f"square-loss system not positive definite (Lanczos pivot {np.min(d):.3e} "
-                f"at step {m + 1})")
+        failed = np.flatnonzero(~np.all(d > 0.0, axis=1))
+        if len(failed):
+            row = int(failed[0])
+            raise _located(np.linalg.LinAlgError(
+                f"square-loss system not positive definite (Lanczos pivot {np.min(d[row]):.3e} "
+                f"at step {m + 1})"), row=row)
         beta = np.linalg.norm(w, axis=1)
+        residuals = np.max(beta[:, None] * np.abs(first / d), axis=1)
+        open_rows = residuals > KRYLOV_TOLERANCE
+        # a converged recurrence stops here: with no coupling and a zero next
+        # vector its solution stays this step's, and it does not go on to
+        # normalize rounding noise into vectors that lose orthogonality
+        beta[~open_rows] = 0.0
+        w[~open_rows] = 0.0
         pivots.append(d)
         firsts.append(first)
         betas.append(beta)
-        residual = float(np.max(beta[:, None] * np.abs(first / d)))
-        if residual <= KRYLOV_TOLERANCE:
+        if not open_rows.any():
             break
-        if m + 1 == n:
-            raise np.linalg.LinAlgError(
-                f"shifted Lanczos stopped at its cap of {n} steps with relative "
-                f"residual {residual:.3e} above {KRYLOV_TOLERANCE:.1e}")
+        capped = np.flatnonzero(open_rows & (caps <= m + 1))
+        if len(capped):
+            row = int(capped[0])
+            raise _located(np.linalg.LinAlgError(
+                f"shifted Lanczos stopped at its cap of {caps[row]} steps with relative "
+                f"residual {residuals[row]:.3e} above {KRYLOV_TOLERANCE:.1e}"), row=row)
         if m + 1 == Q.shape[1]:
-            grown = np.empty((p, min(n, 2 * Q.shape[1]), n))
+            grown = np.empty((p, min(max_steps, 2 * Q.shape[1]), n))
             grown[:, :m + 1] = Q
             Q = grown
         Q[:, m + 1] = w / np.where(beta > 0.0, beta, 1.0)[:, None]
@@ -355,34 +395,95 @@ def _shifted_lanczos(A: np.ndarray, starts: np.ndarray, shifts: np.ndarray) -> n
     return np.matmul(basis.transpose(0, 2, 1), y.transpose(1, 0, 2)) * norms[:, None, None]
 
 
-def _square_loss_alphas(system: _SquareLossSystem, lams) -> list[np.ndarray]:
-    """Stationary points of the square-loss objective at every weight in lams.
+def _square_loss_fold_alphas(
+    G: np.ndarray,
+    n_l: int,
+    labels: np.ndarray,
+    num_known_classes: int,
+    theta: float,
+    folds,
+    lams,
+) -> list[list[np.ndarray]]:
+    """Square-loss stationary points of every training fold at every weight.
 
-    The unlabeled rows solve (A + s I) x = r0 + r1 / lam with
-    s = 2 lam + GRAM_JITTER, where r0 = -B_U is +-1 / (2 n_u) times the ones
-    vector in every column and r1 = G_UL B_L / (4 n_u).  A Krylov space does
-    not change when its matrix is shifted, so one shifted-Lanczos run from
-    the ones vector and the K+1 columns of r1 serves every weight, with no
-    factorization.
+    G is the pooled Gram matrix, n_l labeled rows first; ``folds`` holds
+    (train_L, train_U) row indices, train_U counted within the unlabeled
+    block.  Let m_f be the 0/1 mask of fold f's training-unlabeled rows,
+    n_u,f and n_l,f its training counts, and B_L,f the labeled bracket
+    coefficients, zero outside the fold's training labels.  The fold's
+    unlabeled rows solve (A_f + s I) x = r0 + r1 / lam, with
+    s = 2 lam + GRAM_JITTER, A_f = diag(m_f) G_UU diag(m_f) / (2 n_u,f),
+    r0 = +-m_f / (2 n_u,f) in every column and
+    r1 = m_f * G_UL B_L,f / (4 n_u,f).  A Krylov space does not change when
+    its matrix is shifted, so one shifted-Lanczos run on the shared G_UU,
+    started from every fold's m_f and the K+1 columns of its r1, serves
+    every fold and weight, with no factorization and no gathered block.
+
+    G_UU is floored in place for the run and restored afterwards, so G is
+    unchanged on return.  alphas[f][i] is (n, K+1) over the pooled support,
+    zero outside fold f's training rows.  A failed solve raises LinAlgError
+    whose ``fold`` names the fold.
     """
-    B = system.B
-    n_u, n_l = system.G_UL.shape
+    _check_theta(theta)
+    n_u = G.shape[0] - n_l
+    K = num_known_classes
     lams = np.asarray(lams, dtype=float)
     shifts = 2.0 * lams + GRAM_JITTER
     if not np.all(np.isfinite(shifts)):
         raise ValueError(f"regularization weights must be finite, got {lams.tolist()}")
-    starts = np.empty((B.shape[1] + 1, n_u))
-    starts[0] = 1.0
-    starts[1:] = (system.G_UL @ B[:n_l]).T / (4.0 * n_u)
-    x = _shifted_lanczos(system.A, starts, shifts)
+    if not np.all(np.isfinite(G[n_l:])):
+        raise ValueError("square-loss Gram blocks must be finite")
+    if not G.flags.c_contiguous:
+        raise ValueError("the pooled Gram must be C-contiguous: its block is floored in place")
+
+    width = K + 2  # start vectors per fold: m_f, then the K+1 columns of r1
+    masks = np.zeros((len(folds) * width, n_u))
+    scales = np.empty(len(folds) * width)
+    B_L = np.zeros((len(folds), n_l, K + 1))
+    for f, (train_L, train_U) in enumerate(folds):
+        masks[f * width:(f + 1) * width, train_U] = 1.0
+        scales[f * width:(f + 1) * width] = 1.0 / (2.0 * len(train_U))
+        B_L[f, train_L, labels[train_L] - 1] = -theta / len(train_L)
+        B_L[f, train_L, K] = theta / len(train_L)
+    # G_UL B_L,f of every fold from one product, one row per column
+    r1 = (G[n_l:, :n_l] @ np.hstack(B_L)).T
+    starts = masks.copy()
+    for f, (_, train_U) in enumerate(folds):
+        starts[f * width + 1:(f + 1) * width] *= (r1[f * (K + 1):(f + 1) * (K + 1)]
+                                                  / (4.0 * len(train_U)))
+
+    # entries already zero need no restoring; the others are addressed by
+    # their flat offsets in G, about three times faster than a boolean mask
+    # over the strided block
+    U = G[n_l:, n_l:]
+    offsets = np.flatnonzero((U < KERNEL_FLOOR) & (U > 0.0))  # r n_u + c in U
+    offsets += (offsets // n_u + 1) * n_l + n_l * G.shape[1]  # (n_l + r) n + n_l + c in G
+    flat = G.reshape(-1)
+    floored = flat[offsets]
+    flat[offsets] = 0.0
+    try:
+        x = _shifted_lanczos(U, starts, shifts, masks, scales)
+    except np.linalg.LinAlgError as exc:
+        exc.fold = exc.row // width
+        raise
+    finally:
+        flat[offsets] = floored
+
     alphas = []
-    for i, lam in enumerate(lams):
-        alpha = np.empty(B.shape)
-        alpha[:n_l] = -B[:n_l] / (2.0 * lam)
-        alpha[n_l:] = np.outer(x[0, :, i], -B[n_l]) + x[1:, :, i].T / lam
-        if not np.all(np.isfinite(alpha)):
-            raise ValueError(f"square-loss solution is not finite at lambda={lam}")
-        alphas.append(alpha)
+    for f, (_, train_U) in enumerate(folds):
+        b_U = np.full(K + 1, -1.0 / (2.0 * len(train_U)))  # -B_U, one row
+        b_U[K] = 1.0 / (2.0 * len(train_U))
+        x0, xr = x[f * width], x[f * width + 1:(f + 1) * width]
+        fold_alphas = []
+        for i, lam in enumerate(lams):
+            alpha = np.empty((n_l + n_u, K + 1))
+            alpha[:n_l] = -B_L[f] / (2.0 * lam)
+            alpha[n_l:] = np.outer(x0[:, i], b_U) + xr[:, :, i].T / lam
+            if not np.all(np.isfinite(alpha)):
+                raise _located(np.linalg.LinAlgError(
+                    f"square-loss solution is not finite at lambda={lam}"), fold=f)
+            fold_alphas.append(alpha)
+        alphas.append(fold_alphas)
     return alphas
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import hashlib
 import subprocess
@@ -232,9 +233,11 @@ class TestThetaAndCv:
     def test_cv_solver_failure_names_cell_and_exits_one(self, spec_file, tmp_path,
                                                         monkeypatch, capsys):
         def singular(*args, **kwargs):
-            raise np.linalg.LinAlgError("not positive definite")
+            exc = np.linalg.LinAlgError("not positive definite")
+            exc.fold = 0  # the solver names the fold whose recurrence failed
+            raise exc
 
-        monkeypatch.setattr(eulac.modelsel, "_square_loss_alphas", singular)
+        monkeypatch.setattr(eulac.modelsel, "_square_loss_fold_alphas", singular)
         data = _gen(spec_file, tmp_path / "data")
         labeled = load_libsvm(data / "labeled.libsvm")
         unlabeled = load_features_csv(data / "unlabeled.csv")
@@ -253,6 +256,29 @@ class TestThetaAndCv:
         assert rc == 1
         assert "LinAlgError" in capsys.readouterr().err
         assert not (tmp_path / "cv" / "cv_report.json").exists()
+
+    @pytest.mark.parametrize("command", ["fit", "cv"])
+    def test_unconverged_cv_solves_warn(self, spec_file, tmp_path, monkeypatch, capsys,
+                                        command):
+        solve = eulac.modelsel._first_order_alpha
+
+        def short_of_tolerance(*args):
+            alpha, record = solve(*args)
+            return alpha, dataclasses.replace(record, converged=False)
+
+        monkeypatch.setattr(eulac.modelsel, "_first_order_alpha", short_of_tolerance)
+        data = _gen(spec_file, tmp_path / "data", nl=40, nu=60)
+        capsys.readouterr()
+        rc = main([command, "--labeled", str(data / "labeled.libsvm"),
+                   "--unlabeled", str(data / "unlabeled.csv"), "--out", str(tmp_path / command),
+                   "--theta", "0.7", "--loss", "logistic", "--sigma-mult", "1.0",
+                   "--lambda", "0.01", "0.1", "--folds", "2"])
+        assert rc == 0  # the refit converged; CV solves alone do not change the exit code
+        err = capsys.readouterr().err
+        assert ("did not reach their gradient tolerance at sigma_multiplier=1.0 lambda=0.01 "
+                "(2 of 2 folds), sigma_multiplier=1.0 lambda=0.1 (2 of 2 folds)") in err
+        report = json.loads((tmp_path / command / "cv_report.json").read_text())
+        assert all("nonconverged_folds" not in cell for cell in report["cells"])
 
 
 class TestBench:

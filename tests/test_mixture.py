@@ -121,15 +121,15 @@ class TestSimplexQp:
     @pytest.mark.parametrize("seed", range(5))
     def test_cold_and_uniform_starts_agree(self, seed):
         P, g = _random_qp(seed)
-        cold, cold_guard = _simplex_qp(P, g, np.zeros(len(g)))
-        warm, warm_guard = _simplex_qp(P, g, np.full(len(g), 1.0 / len(g)))
+        cold, cold_guard = _simplex_qp(P, 1.0, g, np.zeros(len(g)))
+        warm, warm_guard = _simplex_qp(P, 1.0, g, np.full(len(g), 1.0 / len(g)))
         assert not cold_guard and not warm_guard
         np.testing.assert_allclose(cold, warm, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_kkt_conditions(self, seed):
         P, g = _random_qp(seed)
-        w, _ = _simplex_qp(P, g, np.zeros(len(g)))
+        w, _ = _simplex_qp(P, 1.0, g, np.zeros(len(g)))
         assert np.all(w >= 0.0)
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
         # equal gradients on the support give the equality multiplier; the
@@ -143,7 +143,7 @@ class TestSimplexQp:
     def test_cold_start_solves_scale_with_support(self, kkt_solves):
         P, g = _random_qp(0)
         g[:3] -= 5.0  # a few strongly preferred coordinates: small support
-        w, guard = _simplex_qp(P, g, np.zeros(len(g)))
+        w, guard = _simplex_qp(P, 1.0, g, np.zeros(len(g)))
         support = int(np.count_nonzero(w))
         assert not guard and support <= 5
         assert kkt_solves[0] <= support + 5
@@ -181,3 +181,69 @@ def test_theta_kkt_solve_count(theta, kkt_solves):
     est = _estimate(theta, seed=0)
     assert est.qp_guard_hits == 0
     assert kkt_solves[0] <= KKT_SOLVES_CRITERION_8_SEED_0[theta] + 50
+
+
+def _dense_simplex_qp(P, g, w0):
+    """_simplex_qp as it was before it took the Hessian's scale apart: the
+    caller scales P, every KKT block is gathered with np.ix_ and the bound
+    multipliers come from the dense product P @ w."""
+    m = len(g)
+    w = w0.copy()
+    clamped = w <= 0.0
+    w[clamped] = 0.0
+    total = w.sum()
+    if total <= 0:
+        best = int(np.argmin(0.5 * np.diag(P) + g))
+        w[best] = 1.0
+        clamped[best] = False
+    else:
+        w /= total
+    ones = np.ones(m)
+    for _ in range(eulac.mixture.QP_GUARD_PER_COORDINATE * m + eulac.mixture.QP_GUARD_SLACK):
+        free = np.flatnonzero(~clamped)
+        nf = len(free)
+        kkt = np.empty((nf + 1, nf + 1))
+        kkt[:nf, :nf] = P[np.ix_(free, free)]
+        kkt[:nf, nf] = 1.0
+        kkt[nf, :nf] = 1.0
+        kkt[nf, nf] = 0.0
+        rhs = np.empty(nf + 1)
+        rhs[:nf] = -g[free]
+        rhs[nf] = 1.0
+        sol = np.linalg.solve(kkt, rhs)
+        target = sol[:nf]
+        mu = sol[nf]
+        if np.all(target >= -1e-12):
+            w = np.zeros(m)
+            w[free] = np.maximum(target, 0.0)
+            lagrange = P @ w + g + mu * ones
+            blocked = np.flatnonzero(clamped)
+            if len(blocked) == 0 or lagrange[blocked].min() >= -1e-10:
+                return w, False
+            clamped[blocked[np.argmin(lagrange[blocked])]] = False
+            continue
+        cur = w[free]
+        delta = target - cur
+        shrinking = delta < 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(shrinking, cur / np.maximum(-delta, 1e-300), np.inf)
+        t = min(1.0, float(ratios.min()))
+        w_new = np.zeros(m)
+        w_new[free] = np.maximum(cur + t * delta, 0.0)
+        w = w_new / w_new.sum()
+        hit = free[np.argmin(ratios)]
+        clamped[hit] = True
+        w[hit] = 0.0
+        if w.sum() > 0:
+            w /= w.sum()
+    return w, True
+
+
+@pytest.mark.parametrize("theta", [0.5, 0.7, 0.9])
+def test_curve_bit_identical_to_dense_qp(theta, monkeypatch):
+    # the free-row KKT blocks and multipliers leave the criterion-8 curve
+    # unchanged to the last bit
+    curve = np.array(_estimate(theta, seed=0).curve)
+    monkeypatch.setattr(eulac.mixture, "_simplex_qp",
+                        lambda P, scale, g, w0: _dense_simplex_qp(scale * P, g, w0))
+    assert np.array_equal(curve, np.array(_estimate(theta, seed=0).curve))

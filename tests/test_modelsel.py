@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -81,12 +83,14 @@ class TestCrossValidate:
             expected.append(lac_risk_from_scores(sl, L.y[val_L], su, THETA, "square"))
         np.testing.assert_allclose(report.cells[0].fold_risks, expected, atol=1e-10)
 
-    def test_one_krylov_run_per_bandwidth_and_fold(self, monkeypatch):
-        # cross-validation factors nothing: one shifted-Lanczos run per
-        # (sigma, fold) serves every lambda; only the refit factors
-        factors, runs = [0], []
+    def test_one_krylov_run_per_bandwidth(self, monkeypatch):
+        # cross-validation factors nothing and gathers no fold block: one
+        # shifted-Lanczos run on the pooled Gram's unlabeled block serves
+        # every fold and lambda of a bandwidth; only the refit factors
+        factors, runs, grams = [0], [], []
         factor = eulac.solver.cho_factor
-        solve = eulac.modelsel._square_loss_alphas
+        lanczos = eulac.solver._shifted_lanczos
+        build = eulac.modelsel.gram
 
         def counting_factor(a, **kwargs):
             # the refit factors its own copy in place: no copy by scipy's wrapper
@@ -96,20 +100,42 @@ class TestCrossValidate:
             assert np.shares_memory(result[0], a)
             return result
 
-        def counting_solve(system, lams):
-            runs.append(tuple(lams))
-            return solve(system, lams)
+        def recording_gram(*args):
+            grams.append(build(*args))
+            return grams[-1]
+
+        def counting_lanczos(A, starts, shifts, masks, scales):
+            assert np.shares_memory(A, grams[-1])
+            runs.append((starts.shape[0], len(shifts)))
+            return lanczos(A, starts, shifts, masks, scales)
 
         monkeypatch.setattr(eulac.solver, "cho_factor", counting_factor)
-        monkeypatch.setattr(eulac.modelsel, "_square_loss_alphas", counting_solve)
+        monkeypatch.setattr(eulac.solver, "_shifted_lanczos", counting_lanczos)
+        monkeypatch.setattr(eulac.modelsel, "gram", recording_gram)
         L, U, _ = _data(seed=1)
         grid = HyperGrid(sigma_multipliers=(0.1, 1.0), lambda_candidates=(1e-2, 0.1, 1.0),
                          folds=3)
         cross_validate(L, U, THETA, grid, seed=0)
         assert factors[0] == 0
-        assert runs == [(1e-2, 0.1, 1.0)] * (2 * 3)  # sigmas x folds
+        # per sigma: 3 folds x (K + 2) start vectors, 3 lambdas
+        assert runs == [(3 * (L.num_known_classes + 2), 3)] * 2
         fit_with_selection(L, U, THETA, grid, seed=0)
         assert factors[0] == 1
+
+    def test_unconverged_first_order_solves_are_counted(self, monkeypatch):
+        solve = eulac.modelsel._first_order_alpha
+
+        def short_of_tolerance(G, y, K, n_l, n_u, theta, options, loss_kind):
+            alpha, record = solve(G, y, K, n_l, n_u, theta, options, loss_kind)
+            return alpha, dataclasses.replace(record, converged=options.lam != 0.1)
+
+        monkeypatch.setattr(eulac.modelsel, "_first_order_alpha", short_of_tolerance)
+        L, U, _ = _data(seed=6, n_l=24, n_u=30)
+        grid = HyperGrid(sigma_multipliers=(1.0,), lambda_candidates=(0.1, 1.0),
+                         loss_kind="logistic", folds=2)
+        report = cross_validate(L, U, THETA, grid, seed=0)
+        assert [c.nonconverged_folds for c in report.cells] == [2, 0]
+        assert "nonconverged" not in report.to_json()
 
     @pytest.mark.parametrize("theta", [1.5, -0.3, float("nan")])
     def test_theta_out_of_range_rejected_before_factoring(self, monkeypatch, theta):

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
-from eulac.data import LabeledDataset, UnlabeledDataset, parse_synthetic_spec, sample_synthetic
+from eulac.data import (
+    LabeledDataset,
+    UnlabeledDataset,
+    kfold_indices,
+    parse_synthetic_spec,
+    sample_synthetic,
+)
 from eulac.kernel import (
     DEFAULT_SIGMA_MULTIPLIERS,
     GRAM_BLOCK_ROWS,
@@ -23,7 +29,7 @@ from eulac.solver import (
     DualModel,
     FitOptions,
     _square_loss_alpha,
-    _square_loss_alphas,
+    _square_loss_fold_alphas,
     _square_loss_system,
     fit_first_order,
     fit_square_closed_form,
@@ -209,6 +215,12 @@ def _system(G, y, n_l, theta=THETA):
     return _square_loss_system(G[n_l:, n_l:].copy(), G[n_l:, :n_l], y, 2, theta)
 
 
+def _lanczos_alphas(G, y, n_l, lams, theta=THETA):
+    """The cross-validation solve with one fold that trains on every row."""
+    folds = [(np.arange(n_l), np.arange(G.shape[0] - n_l))]
+    return _square_loss_fold_alphas(G, n_l, y, 2, theta, folds, lams)[0]
+
+
 def _unbuffered_square_alpha(G, y, K, n_l, n_u, theta, lam):
     """The square-loss solve as written before the shared Fortran-order buffer:
     a C-order copy of the floored block and scipy's checked factorization."""
@@ -300,7 +312,7 @@ class TestSquareLossSystem:
                  for mult in DEFAULT_SIGMA_MULTIPLIERS]
         for L, U, G in cases + [narrow]:
             n_l, n_u = len(L), len(U)
-            alphas = _square_loss_alphas(_system(G, L.y, n_l), DEFAULT_LAMBDAS)
+            alphas = _lanczos_alphas(G, L.y, n_l, DEFAULT_LAMBDAS)
             assert len(alphas) == len(DEFAULT_LAMBDAS)
             for lam, alpha in zip(DEFAULT_LAMBDAS, alphas):
                 ref = _unbuffered_square_alpha(G, L.y, 2, n_l, n_u, THETA, lam)
@@ -311,7 +323,7 @@ class TestSquareLossSystem:
         L, _, _, G = instance
         y = np.ones_like(L.y)
         n_l, n_u = len(L), G.shape[0] - len(L)
-        for lam, alpha in zip((1e-2, 1.0), _square_loss_alphas(_system(G, y, n_l), (1e-2, 1.0))):
+        for lam, alpha in zip((1e-2, 1.0), _lanczos_alphas(G, y, n_l, (1e-2, 1.0))):
             ref = _unbuffered_square_alpha(G, y, 2, n_l, n_u, THETA, lam)
             assert np.max(np.abs(alpha - ref)) <= 1e-10 * np.max(np.abs(ref))
 
@@ -322,7 +334,7 @@ class TestSquareLossSystem:
         L, U = small_train_data(seed=5, n_l=100, n_u=300)
         support = np.vstack([L.X, U.X])
         G = gram(KernelSpec(median_heuristic(support)), support, support)
-        alpha, = _square_loss_alphas(_system(G, L.y, len(L)), (1e-8,))
+        alpha, = _lanczos_alphas(G, L.y, len(L), (1e-8,))
         ref = _unbuffered_square_alpha(G, L.y, 2, len(L), len(U), THETA, 1e-8)
         assert np.max(np.abs(alpha - ref)) <= 1e-6 * np.max(np.abs(ref))
 
@@ -331,7 +343,7 @@ class TestSquareLossSystem:
         monkeypatch.setattr(eulac.solver, "KRYLOV_TOLERANCE", -1.0)
         with pytest.raises(np.linalg.LinAlgError,
                            match=rf"cap of {len(U)} steps with relative residual \d"):
-            _square_loss_alphas(_system(G, L.y, len(L)), (1e-2, 1.0))
+            _lanczos_alphas(G, L.y, len(L), (1e-2, 1.0))
 
     def test_indefinite_system_raises_with_condition_estimate(self, instance):
         L, _, _, G = instance
@@ -339,6 +351,55 @@ class TestSquareLossSystem:
         with pytest.raises(np.linalg.LinAlgError, match="condition estimate") as info:
             _square_loss_alpha(system, -1.0)
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
+class TestFoldLanczos:
+    """One shifted-Lanczos run on the pooled Gram solves every fold's system."""
+
+    @pytest.fixture(scope="class")
+    def pooled(self):
+        # 203 unlabeled rows in 5 folds: training blocks of 162 and 163 rows
+        L, U = small_train_data(seed=9, n_l=80, n_u=203)
+        support = np.vstack([L.X, U.X])
+        folds = [(train_L, train_U) for train_L, train_U, _, _ in kfold_indices(L, U, 5, seed=2)]
+        # fold 1 trains without class 2: its start vector for that column is zero
+        train_L, train_U = folds[1]
+        folds[1] = (train_L[L.y[train_L] == 1], train_U)
+        return L, support, median_heuristic(support), folds
+
+    def test_matches_per_fold_factorizations(self, pooled):
+        L, support, median, folds = pooled
+        n_l = len(L)
+        assert len({len(train_U) for _, train_U in folds}) == 2
+        for mult in DEFAULT_SIGMA_MULTIPLIERS:
+            G = gram(KernelSpec(mult * median), support, support)
+            before = G.copy()
+            fold_alphas = _square_loss_fold_alphas(G, n_l, L.y, 2, THETA, folds, DEFAULT_LAMBDAS)
+            assert np.array_equal(G, before)  # the floor was undone
+            for (train_L, train_U), alphas in zip(folds, fold_alphas):
+                sup = np.concatenate([train_L, n_l + train_U])
+                G_f = G[np.ix_(sup, sup)]
+                m = len(train_L)
+                system = _square_loss_system(G_f[m:, m:].copy(), G_f[m:, :m], L.y[train_L],
+                                             2, THETA)
+                off_support = np.ones(len(G), dtype=bool)
+                off_support[sup] = False
+                for lam, alpha in zip(DEFAULT_LAMBDAS, alphas):
+                    ref = _square_loss_alpha(system, lam)
+                    assert np.max(np.abs(alpha[sup] - ref)) <= 1e-10 * np.max(np.abs(ref))
+                    assert not np.any(alpha[off_support])
+
+    def test_failure_names_the_fold(self, pooled, monkeypatch):
+        L, support, median, folds = pooled
+        # fold 3 keeps one training-unlabeled row, so its recurrences reach
+        # their one-step cap first
+        folds = list(folds)
+        folds[3] = (folds[3][0], folds[3][1][:1])
+        G = gram(KernelSpec(median), support, support)
+        monkeypatch.setattr(eulac.solver, "KRYLOV_TOLERANCE", -1.0)
+        with pytest.raises(np.linalg.LinAlgError, match=r"cap of 1 steps") as info:
+            _square_loss_fold_alphas(G, len(L), L.y, 2, THETA, folds, (1e-2,))
+        assert info.value.fold == 3
 
 
 class TestFirstOrder:
