@@ -22,12 +22,13 @@ from .data import (
     stratified_folds,
 )
 from .kernel import DEFAULT_SIGMA_MULTIPLIERS, KernelSpec, gram, median_heuristic
-from .losses import SQUARE, loss_value
+from .losses import SQUARE
 from .modelsel import HyperGrid, fit_with_selection
 from .risk import (
     TheoryParams,
     empirical_lac_risk,
     generalization_bound,
+    marginal_row_loss,
     optimal_square_risk_from_joints,
     zero_one_risk,
 )
@@ -427,8 +428,7 @@ def run_excess_risk_check(
 
     gaps = scores[:, K][None, :] - scores[:, :K].T            # (K, m)
     labeled_term = volume * float(np.sum(joints[:K] * gaps))
-    marginal = loss_value(SQUARE, scores[:, K]) + loss_value(SQUARE, -scores[:, :K]).sum(axis=1)
-    lac_risk = labeled_term + volume * float(np.sum(p_te * marginal))
+    lac_risk = labeled_term + volume * float(np.sum(p_te * marginal_row_loss(scores, SQUARE)))
 
     optimal = volume * optimal_square_risk_from_joints(joints)
 

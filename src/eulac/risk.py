@@ -30,6 +30,13 @@ def tabulate_scores(f, points: np.ndarray, num_known_classes: int) -> np.ndarray
     return scores
 
 
+def marginal_row_loss(scores: np.ndarray, loss_kind: str) -> np.ndarray:
+    """psi(f_nc(x)) + sum_k psi(-f_k(x)) for each score row: the risk's term
+    over the testing marginal, which the unlabeled set samples."""
+    K = scores.shape[1] - 1
+    return loss_value(loss_kind, scores[:, K]) + loss_value(loss_kind, -scores[:, :K]).sum(axis=1)
+
+
 def lac_risk_from_scores(
     scores_labeled: np.ndarray,
     labels: np.ndarray,
@@ -59,9 +66,7 @@ def lac_risk_from_scores(
 
     rows = np.arange(sl.shape[0])
     labeled_term = float(np.mean(sl[:, K] - sl[rows, y - 1]))
-    unlabeled_term = float(
-        np.mean(loss_value(loss_kind, su[:, K]) + loss_value(loss_kind, -su[:, :K]).sum(axis=1))
-    )
+    unlabeled_term = float(np.mean(marginal_row_loss(su, loss_kind)))
     return theta * labeled_term + unlabeled_term
 
 
@@ -108,13 +113,7 @@ def exact_lac_risk(f, dist: FiniteDistribution, loss_kind: str) -> float:
     rows = np.flatnonzero(known)
     gap = scores[rows, K] - scores[rows, dist.labels[rows] - 1]
     labeled_term = float(np.sum(dist.probabilities[rows] * gap))
-    marginal_term = float(
-        np.sum(
-            dist.probabilities
-            * (loss_value(loss_kind, scores[:, K])
-               + loss_value(loss_kind, -scores[:, :K]).sum(axis=1))
-        )
-    )
+    marginal_term = float(np.sum(dist.probabilities * marginal_row_loss(scores, loss_kind)))
     return labeled_term + marginal_term
 
 
@@ -133,13 +132,7 @@ def exact_nonconvex_lac_risk(f, dist: FiniteDistribution, loss_kind: str) -> flo
         - loss_value(loss_kind, nc)
     )
     labeled_term = float(np.sum(dist.probabilities[rows] * diff))
-    marginal_term = float(
-        np.sum(
-            dist.probabilities
-            * (loss_value(loss_kind, scores[:, K])
-               + loss_value(loss_kind, -scores[:, :K]).sum(axis=1))
-        )
-    )
+    marginal_term = float(np.sum(dist.probabilities * marginal_row_loss(scores, loss_kind)))
     return labeled_term + marginal_term
 
 

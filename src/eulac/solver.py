@@ -5,7 +5,9 @@ Scorers are kernel expansions over the combined labeled + unlabeled support
 The square loss admits an exact linear-system solution: one Cholesky
 factorization for a single weight, or one shifted-Lanczos run on the
 pooled Gram's unlabeled block that serves every fold and weight of a
-cross-validation bandwidth.  Other losses run scipy's
+cross-validation bandwidth.  Both floor the pooled Gram in place and read
+the labeled bracket: the labeled risk term is linear in the scores, so its
+gradient is one constant for every loss.  Other losses run scipy's
 limited-memory quasi-Newton method (L-BFGS-B) on the exact objective and
 gradient.
 """
@@ -25,13 +27,14 @@ from .losses import SQUARE, canonical_loss_kind, loss_derivative
 from .risk import lac_risk_from_scores
 
 GRAM_JITTER = 1e-10
-# Unlabeled Gram entries below this floor are zeroed before the square-loss
-# solves, which otherwise run on subnormal numbers at small bandwidths: the
-# factorization slows five- to tenfold and the Lanczos products twofold.
+# Every square-loss solve zeroes the entries of its pooled Gram below this
+# floor first; otherwise it runs on subnormal numbers at small bandwidths:
+# the factorization slows five- to tenfold and the Lanczos products twofold.
 # Zeroing entries below delta moves M = G_UU / (2 n_u) + (2 lambda + jitter) I
 # by at most delta / 2 in spectral norm, and M >= 2 lambda I, so the
 # solution moves by at most delta / (4 lambda) relative: about 2.5e-28 at
-# lambda = 1e-3.
+# lambda = 1e-3.  The G_UL alpha_L part of the right-hand side moves by at
+# most delta theta / (2 lambda) relative to its 1 / (2 n_u) constant part.
 KERNEL_FLOOR = 1e-30
 # The shifted-Lanczos solve stops once every shift's residual is at most
 # this fraction of its right-hand side's norm.  The unlabeled block has
@@ -151,8 +154,8 @@ def _check_train_inputs(labeled: LabeledDataset, unlabeled: UnlabeledDataset):
         raise ValueError("labeled and unlabeled dimensions differ")
 
 
-def _objective_arrays(a, G, y, n_l, n_u, theta, lam, loss_kind) -> float:
-    scores = G @ a
+def _objective_arrays(a, scores, y, n_l, n_u, theta, lam, loss_kind) -> float:
+    """The objective at dual coefficients a whose scores G @ a are given."""
     risk = lac_risk_from_scores(scores[:n_l], y, scores[n_l:], theta, loss_kind)
     return risk + lam * float(np.sum(a * scores))
 
@@ -171,7 +174,27 @@ def objective(
     a = np.asarray(alpha, dtype=float)
     if gram_full.shape != (n_l + n_u, n_l + n_u) or a.shape[0] != n_l + n_u:
         raise ValueError("gram matrix must cover the combined support")
-    return _objective_arrays(a, gram_full, labeled.y, n_l, n_u, theta, lam, loss_kind)
+    return _objective_arrays(a, gram_full @ a, labeled.y, n_l, n_u, theta, lam, loss_kind)
+
+
+def _labeled_bracket(labels: np.ndarray, num_known_classes: int, theta: float) -> np.ndarray:
+    """Derivative of the risk's labeled term in the labeled rows' scores.
+
+    The term is linear, so this (n, K+1) matrix is the same for every loss:
+    -theta / n at each row's true class, +theta / n at the novel column.
+    """
+    n = len(labels)
+    B = np.zeros((n, num_known_classes + 1))
+    B[np.arange(n), labels - 1] = -theta / n
+    B[:, num_known_classes] = theta / n
+    return B
+
+
+def _unlabeled_bracket(n_u: int, num_known_classes: int) -> np.ndarray:
+    """The square loss's constant unlabeled bracket row: +-1 / (2 n_u)."""
+    row = np.full(num_known_classes + 1, 1.0 / (2.0 * n_u))
+    row[num_known_classes] = -row[num_known_classes]
+    return row
 
 
 def _risk_score_gradient(
@@ -180,17 +203,15 @@ def _risk_score_gradient(
     """Derivative of the empirical risk with respect to the score matrix."""
     K = scores.shape[1] - 1
     W = np.zeros_like(scores)
-    rows = np.arange(n_l)
-    W[rows, labels - 1] -= theta / n_l
-    W[rows, K] += theta / n_l
+    W[:n_l] = _labeled_bracket(labels, K, theta)
     su = scores[n_l:]
     W[n_l:, :K] -= loss_derivative(loss_kind, -su[:, :K]) / n_u
     W[n_l:, K] += loss_derivative(loss_kind, su[:, K]) / n_u
     return W
 
 
-def _gradient_arrays(a, G, y, n_l, n_u, theta, lam, loss_kind) -> np.ndarray:
-    scores = G @ a
+def _gradient_arrays(a, scores, G, y, n_l, n_u, theta, lam, loss_kind) -> np.ndarray:
+    """The objective's gradient at dual coefficients a whose scores G @ a are given."""
     W = _risk_score_gradient(scores, y, n_l, n_u, theta, loss_kind)
     return G @ (W + 2.0 * lam * a)
 
@@ -208,7 +229,8 @@ def objective_gradient(
     loss_kind = canonical_loss_kind(loss_kind)
     n_l, n_u = len(labeled), len(unlabeled)
     a = np.asarray(alpha, dtype=float)
-    return _gradient_arrays(a, gram_full, labeled.y, n_l, n_u, theta, lam, loss_kind)
+    return _gradient_arrays(a, gram_full @ a, gram_full, labeled.y, n_l, n_u, theta, lam,
+                            loss_kind)
 
 
 def _check_theta(theta: float) -> None:
@@ -216,77 +238,51 @@ def _check_theta(theta: float) -> None:
         raise ValueError(f"theta must lie in (0, 1], got {theta}")
 
 
-@dataclass(frozen=True)
-class _SquareLossSystem:
-    """Lambda-invariant parts of the square-loss stationarity system."""
-
-    B: np.ndarray      # linear coefficients of the bracket, (n, K+1)
-    A: np.ndarray      # floored G_UU / (2 n_u), exactly symmetric
-    G_UL: np.ndarray   # unlabeled-by-labeled Gram block
+def _floor_gram(G: np.ndarray) -> None:
+    """Zero the entries of G below KERNEL_FLOOR, in place."""
+    np.copyto(G, 0.0, where=G < KERNEL_FLOOR)
 
 
-def _square_loss_system(
-    G_UU: np.ndarray,
-    G_UL: np.ndarray,
+def _square_loss_alpha(
+    G: np.ndarray,
+    n_l: int,
     labels: np.ndarray,
     num_known_classes: int,
     theta: float,
-) -> _SquareLossSystem:
-    """Build the part of the square-loss system shared by every lambda.
-
-    The stationarity bracket decouples: labeled-support rows are solved in
-    closed form, leaving one symmetric positive-definite system over the
-    unlabeled-support rows shared by all K+1 columns.  It reads only the
-    unlabeled block G_UU (n_u, n_u) of the training Gram and the
-    unlabeled-by-labeled block G_UL (n_u, n_l).
-
-    The caller gives G_UU up: it is scaled and floored in place and becomes
-    the system's A.
-    """
-    _check_theta(theta)
-    n_u, n_l = G_UL.shape
-    if not (np.all(np.isfinite(G_UU)) and np.all(np.isfinite(G_UL))):
-        raise ValueError("square-loss Gram blocks must be finite")
-    K = num_known_classes
-    B = np.zeros((n_l + n_u, K + 1))
-    rows = np.arange(n_l)
-    B[rows, labels - 1] = -theta / n_l
-    B[n_l:, :K] += 1.0 / (2.0 * n_u)
-    B[rows, K] += theta / n_l
-    B[n_l:, K] -= 1.0 / (2.0 * n_u)
-
-    tiny = G_UU < KERNEL_FLOOR
-    G_UU /= 2.0 * n_u
-    G_UU[tiny] = 0.0
-    return _SquareLossSystem(B, G_UU, G_UL)
-
-
-def _square_loss_alpha(system: _SquareLossSystem, lam: float) -> np.ndarray:
+    lam: float,
+) -> np.ndarray:
     """Exact stationary point of the square-loss objective at weight lam.
 
-    A and G_UL were checked finite when the system was built, so the
-    factorization and the solve skip scipy's full-matrix finiteness scans;
-    only the shift and the n_u x (K+1) right-hand side are checked here.
+    G is the training Gram matrix, n_l labeled rows first; G is floored in
+    place.  The labeled rows of alpha are the bracket's closed form
+    -B_L / (2 lam); the unlabeled rows solve (G_UU / (2 n_u) + s I) x =
+    -B_U - G_UL alpha_L / (2 n_u) with s = 2 lam + GRAM_JITTER, by one
+    Cholesky factorization.  G was checked finite here, so the
+    factorization and the solve skip scipy's full-matrix finiteness scans.
     """
-    B = system.B
-    n_u, n_l = system.G_UL.shape
+    _check_theta(theta)
+    n_u = G.shape[0] - n_l
     shift = 2.0 * lam + GRAM_JITTER
     if not np.isfinite(shift):
         raise ValueError(f"regularization weight must be finite, got {lam}")
-    alpha = np.empty(B.shape)
-    alpha[:n_l] = -B[:n_l] / (2.0 * lam)
-    rhs = -B[n_l:] - (system.G_UL @ alpha[:n_l]) / (2.0 * n_u)
+    if not np.all(np.isfinite(G[n_l:])):
+        raise ValueError("square-loss Gram blocks must be finite")
+    _floor_gram(G)
+    K = num_known_classes
+    alpha = np.empty((n_l + n_u, K + 1))
+    alpha[:n_l] = -_labeled_bracket(labels, K, theta) / (2.0 * lam)
+    rhs = -_unlabeled_bracket(n_u, K) - (G[n_l:, :n_l] @ alpha[:n_l]) / (2.0 * n_u)
     if not np.all(np.isfinite(rhs)):
         raise ValueError("square-loss right-hand side is not finite")
 
-    M = system.A.copy()
+    M = G[n_l:, n_l:] / (2.0 * n_u)
     M.flat[::n_u + 1] += shift
     try:
         # M is exactly symmetric, so its transpose is M itself in the
         # Fortran order LAPACK factors in place
         factor = cho_factor(M.T, lower=True, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
-        cond = np.linalg.cond(system.A + shift * np.eye(n_u))
+        cond = np.linalg.cond(G[n_l:, n_l:] / (2.0 * n_u) + shift * np.eye(n_u))
         raise np.linalg.LinAlgError(
             f"square-loss system not positive definite (condition estimate {cond:.3e})"
         ) from exc
@@ -409,8 +405,8 @@ def _square_loss_fold_alphas(
     G is the pooled Gram matrix, n_l labeled rows first; ``folds`` holds
     (train_L, train_U) row indices, train_U counted within the unlabeled
     block.  Let m_f be the 0/1 mask of fold f's training-unlabeled rows,
-    n_u,f and n_l,f its training counts, and B_L,f the labeled bracket
-    coefficients, zero outside the fold's training labels.  The fold's
+    n_u,f and n_l,f its training counts, and B_L,f the labeled bracket of
+    its training labels, zero outside them.  The fold's
     unlabeled rows solve (A_f + s I) x = r0 + r1 / lam, with
     s = 2 lam + GRAM_JITTER, A_f = diag(m_f) G_UU diag(m_f) / (2 n_u,f),
     r0 = +-m_f / (2 n_u,f) in every column and
@@ -419,10 +415,9 @@ def _square_loss_fold_alphas(
     started from every fold's m_f and the K+1 columns of its r1, serves
     every fold and weight, with no factorization and no gathered block.
 
-    G_UU is floored in place for the run and restored afterwards, so G is
-    unchanged on return.  alphas[f][i] is (n, K+1) over the pooled support,
-    zero outside fold f's training rows.  A failed solve raises LinAlgError
-    whose ``fold`` names the fold.
+    G is floored in place.  alphas[f][i] is (n, K+1) over the pooled
+    support, zero outside fold f's training rows.  A failed solve raises
+    LinAlgError whose ``fold`` names the fold.
     """
     _check_theta(theta)
     n_u = G.shape[0] - n_l
@@ -433,8 +428,7 @@ def _square_loss_fold_alphas(
         raise ValueError(f"regularization weights must be finite, got {lams.tolist()}")
     if not np.all(np.isfinite(G[n_l:])):
         raise ValueError("square-loss Gram blocks must be finite")
-    if not G.flags.c_contiguous:
-        raise ValueError("the pooled Gram must be C-contiguous: its block is floored in place")
+    _floor_gram(G)
 
     width = K + 2  # start vectors per fold: m_f, then the K+1 columns of r1
     masks = np.zeros((len(folds) * width, n_u))
@@ -443,36 +437,22 @@ def _square_loss_fold_alphas(
     for f, (train_L, train_U) in enumerate(folds):
         masks[f * width:(f + 1) * width, train_U] = 1.0
         scales[f * width:(f + 1) * width] = 1.0 / (2.0 * len(train_U))
-        B_L[f, train_L, labels[train_L] - 1] = -theta / len(train_L)
-        B_L[f, train_L, K] = theta / len(train_L)
+        B_L[f, train_L] = _labeled_bracket(labels[train_L], K, theta)
     # G_UL B_L,f of every fold from one product, one row per column
     r1 = (G[n_l:, :n_l] @ np.hstack(B_L)).T
     starts = masks.copy()
     for f, (_, train_U) in enumerate(folds):
         starts[f * width + 1:(f + 1) * width] *= (r1[f * (K + 1):(f + 1) * (K + 1)]
                                                   / (4.0 * len(train_U)))
-
-    # entries already zero need no restoring; the others are addressed by
-    # their flat offsets in G, about three times faster than a boolean mask
-    # over the strided block
-    U = G[n_l:, n_l:]
-    offsets = np.flatnonzero((U < KERNEL_FLOOR) & (U > 0.0))  # r n_u + c in U
-    offsets += (offsets // n_u + 1) * n_l + n_l * G.shape[1]  # (n_l + r) n + n_l + c in G
-    flat = G.reshape(-1)
-    floored = flat[offsets]
-    flat[offsets] = 0.0
     try:
-        x = _shifted_lanczos(U, starts, shifts, masks, scales)
+        x = _shifted_lanczos(G[n_l:, n_l:], starts, shifts, masks, scales)
     except np.linalg.LinAlgError as exc:
         exc.fold = exc.row // width
         raise
-    finally:
-        flat[offsets] = floored
 
     alphas = []
     for f, (_, train_U) in enumerate(folds):
-        b_U = np.full(K + 1, -1.0 / (2.0 * len(train_U)))  # -B_U, one row
-        b_U[K] = 1.0 / (2.0 * len(train_U))
+        b_U = -_unlabeled_bracket(len(train_U), K)
         x0, xr = x[f * width], x[f * width + 1:(f + 1) * width]
         fold_alphas = []
         for i, lam in enumerate(lams):
@@ -500,10 +480,8 @@ def fit_square_closed_form(
     _check_train_inputs(labeled, unlabeled)
     support = np.vstack([labeled.X, unlabeled.X])
     G = gram(kernel, support, support)
-    n_l = len(labeled)
-    system = _square_loss_system(G[n_l:, n_l:].copy(), G[n_l:, :n_l], labeled.y,
-                                 labeled.num_known_classes, theta)
-    alpha = _square_loss_alpha(system, lam)
+    alpha = _square_loss_alpha(G, len(labeled), labeled.y, labeled.num_known_classes,
+                               theta, lam)
     # the bracket is solved exactly, so the gradient G @ residual is ~0
     grad = objective_gradient(alpha, G, labeled, unlabeled, theta, lam, SQUARE)
     record = FitRecord(0, float(np.max(np.abs(grad))), True)
@@ -532,11 +510,12 @@ def _first_order_alpha(
 
     def value_and_gradient(x):
         a = x.reshape(shape)
-        return (_objective_arrays(a, G, y, n_l, n_u, theta, lam, loss_kind),
-                _gradient_arrays(a, G, y, n_l, n_u, theta, lam, loss_kind).ravel())
+        scores = G @ a  # shared by the objective and its gradient
+        return (_objective_arrays(a, scores, y, n_l, n_u, theta, lam, loss_kind),
+                _gradient_arrays(a, scores, G, y, n_l, n_u, theta, lam, loss_kind).ravel())
 
     zero = np.zeros(shape)
-    history = [_objective_arrays(zero, G, y, n_l, n_u, theta, lam, loss_kind)]
+    history = [_objective_arrays(zero, G @ zero, y, n_l, n_u, theta, lam, loss_kind)]
     # scipy hands the per-iteration result only to a parameter of this name
     result = minimize(
         value_and_gradient, zero.ravel(), jac=True, method="L-BFGS-B",

@@ -30,7 +30,6 @@ from eulac.solver import (
     FitOptions,
     _square_loss_alpha,
     _square_loss_fold_alphas,
-    _square_loss_system,
     fit_first_order,
     fit_square_closed_form,
     objective,
@@ -210,15 +209,16 @@ def _unfloored_square_alpha(G, y, K, n_l, n_u, theta, lam):
     return alpha
 
 
-def _system(G, y, n_l, theta=THETA):
-    """The square-loss system of a full training Gram, as the refit builds it."""
-    return _square_loss_system(G[n_l:, n_l:].copy(), G[n_l:, :n_l], y, 2, theta)
+def _refit_alpha(G, y, n_l, lam, theta=THETA):
+    """The refit's solve on a copy of a full training Gram."""
+    return _square_loss_alpha(G.copy(), n_l, y, 2, theta, lam)
 
 
 def _lanczos_alphas(G, y, n_l, lams, theta=THETA):
-    """The cross-validation solve with one fold that trains on every row."""
+    """The cross-validation solve, on a copy of G, with one fold that trains
+    on every row."""
     folds = [(np.arange(n_l), np.arange(G.shape[0] - n_l))]
-    return _square_loss_fold_alphas(G, n_l, y, 2, theta, folds, lams)[0]
+    return _square_loss_fold_alphas(G.copy(), n_l, y, 2, theta, folds, lams)[0]
 
 
 def _unbuffered_square_alpha(G, y, K, n_l, n_u, theta, lam):
@@ -258,9 +258,8 @@ class TestSquareLossSystem:
         n_l, n_u = len(L), len(U)
         block = G[n_l:, n_l:]
         assert np.any((block > 0) & (block < KERNEL_FLOOR))
-        system = _system(G, L.y, n_l)
         for lam in (1e-3, 1e-2, 1.0):
-            alpha = _square_loss_alpha(system, lam)
+            alpha = _refit_alpha(G, L.y, n_l, lam)
             ref = _unfloored_square_alpha(G, L.y, 2, n_l, n_u, THETA, lam)
             assert np.max(np.abs(alpha - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -270,18 +269,27 @@ class TestSquareLossSystem:
         tiny = np.finfo(float).tiny
         raw = G[n_l:, n_l:] / (2.0 * n_u)
         assert np.any((raw > 0) & (raw < tiny))
-        A = _system(G, L.y, n_l).A
+        floored = G.copy()
+        _square_loss_alpha(floored, n_l, L.y, 2, THETA, 1e-2)  # floors its Gram in place
+        A = floored[n_l:, n_l:] / (2.0 * n_u)
         assert not np.any((A != 0) & (np.abs(A) < tiny))
 
-    def test_shared_system_matches_fresh_systems(self, instance):
-        L, U, _, G = instance
-        n_l = len(L)
-        shared = _system(G, L.y, n_l)
-        lams = (1e-3, 1e-1, 10.0)
-        from_shared = [_square_loss_alpha(shared, lam) for lam in lams]
-        for lam, alpha in zip(lams, from_shared):
-            fresh = _square_loss_alpha(_system(G, L.y, n_l), lam)
-            assert np.array_equal(alpha, fresh)
+    def test_lanczos_start_vectors_have_no_subnormals(self, narrow, monkeypatch):
+        # the start vectors read G_UL: unfloored, its subnormal entries carry
+        # into them and every Lanczos product runs on subnormal numbers
+        L, _, G = narrow
+        starts = []
+        lanczos = eulac.solver._shifted_lanczos
+
+        def recording_lanczos(A, start_vectors, *args):
+            starts.append(start_vectors.copy())
+            return lanczos(A, start_vectors, *args)
+
+        monkeypatch.setattr(eulac.solver, "_shifted_lanczos", recording_lanczos)
+        _lanczos_alphas(G, L.y, len(L), DEFAULT_LAMBDAS)
+        start_vectors, = starts
+        tiny = np.finfo(float).tiny
+        assert not np.any((start_vectors != 0) & (np.abs(start_vectors) < tiny))
 
     def test_bit_identical_to_unbuffered_solve(self):
         # every default bandwidth and lambda, each system solved once per lambda
@@ -292,10 +300,9 @@ class TestSquareLossSystem:
         for mult in DEFAULT_SIGMA_MULTIPLIERS:
             kernel = KernelSpec(mult * median)
             G = gram(kernel, support, support)
-            system = _system(G, L.y, n_l)
             for lam in DEFAULT_LAMBDAS:
                 ref = _unbuffered_square_alpha(G, L.y, 2, n_l, n_u, THETA, lam)
-                assert np.array_equal(_square_loss_alpha(system, lam), ref)
+                assert np.array_equal(_refit_alpha(G, L.y, n_l, lam), ref)
             refit = fit_square_closed_form(L, U, kernel, THETA, DEFAULT_LAMBDAS[0])
             assert np.array_equal(
                 refit.alpha, _unbuffered_square_alpha(G, L.y, 2, n_l, n_u, THETA,
@@ -347,9 +354,8 @@ class TestSquareLossSystem:
 
     def test_indefinite_system_raises_with_condition_estimate(self, instance):
         L, _, _, G = instance
-        system = _system(G, L.y, len(L))
         with pytest.raises(np.linalg.LinAlgError, match="condition estimate") as info:
-            _square_loss_alpha(system, -1.0)
+            _refit_alpha(G, L.y, len(L), -1.0)
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
@@ -375,17 +381,16 @@ class TestFoldLanczos:
             G = gram(KernelSpec(mult * median), support, support)
             before = G.copy()
             fold_alphas = _square_loss_fold_alphas(G, n_l, L.y, 2, THETA, folds, DEFAULT_LAMBDAS)
-            assert np.array_equal(G, before)  # the floor was undone
+            # the Gram was floored in place and nothing else changed
+            assert np.array_equal(G, np.where(before < KERNEL_FLOOR, 0.0, before))
             for (train_L, train_U), alphas in zip(folds, fold_alphas):
                 sup = np.concatenate([train_L, n_l + train_U])
-                G_f = G[np.ix_(sup, sup)]
-                m = len(train_L)
-                system = _square_loss_system(G_f[m:, m:].copy(), G_f[m:, :m], L.y[train_L],
-                                             2, THETA)
+                G_f = before[np.ix_(sup, sup)]
                 off_support = np.ones(len(G), dtype=bool)
                 off_support[sup] = False
                 for lam, alpha in zip(DEFAULT_LAMBDAS, alphas):
-                    ref = _square_loss_alpha(system, lam)
+                    ref = _square_loss_alpha(G_f.copy(), len(train_L), L.y[train_L], 2, THETA,
+                                             lam)
                     assert np.max(np.abs(alpha[sup] - ref)) <= 1e-10 * np.max(np.abs(ref))
                     assert not np.any(alpha[off_support])
 
