@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import json
 import sys
 from pathlib import Path
 
@@ -22,7 +21,7 @@ from .evalbench import (
     DEFAULT_SWEEP_RATIOS,
     ConfusionMatrix,
     macro_f1,
-    run_excess_risk_check,
+    run_excess_risk_seeds,
     run_theta_sweep,
     run_unlabeled_scaling,
 )
@@ -44,13 +43,16 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def _dump_json(path: Path, payload: dict) -> None:
-    _write_text(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
+def _dump_json(path: str | Path | None, payload: dict) -> None:
+    """Write the payload's artifact text to ``path``, or to stdout without one."""
+    if path:
+        _write_text(Path(path), dt.json_text(payload))
+    else:
+        sys.stdout.write(dt.json_text(payload))
 
 
 def _read_spec(path: str) -> dt.SyntheticSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return dt.parse_synthetic_spec(fh.read())
+    return dt.parse_synthetic_spec(Path(path).read_text(encoding="utf-8"))
 
 
 def _grid_from_args(args) -> HyperGrid:
@@ -69,17 +71,21 @@ def _pooled_median(labeled, unlabeled) -> float:
 
 
 def _resolve_theta(args, labeled, unlabeled, median: float | None = None):
+    """The --theta value, or the estimate, warning of curve QPs its guard stopped."""
     if args.theta is not None:
         return theta_override(args.theta)
     if median is None:
         median = _pooled_median(labeled, unlabeled)
-    return estimate_theta(labeled, unlabeled, KernelSpec(median),
-                          slope_threshold=args.theta_threshold)
+    estimate = estimate_theta(labeled, unlabeled, KernelSpec(median),
+                              slope_threshold=args.theta_threshold)
+    if estimate.qp_guard_hits:
+        print(f"warning: {estimate.qp_guard_hits} of the theta curve's QPs stopped at their "
+              "iteration guard; their distances may be suboptimal", file=sys.stderr)
+    return estimate
 
 
 def _file_sha256(path) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _config_echo(args) -> dict:
@@ -132,6 +138,13 @@ def _theta_payload(estimate) -> dict:
     }
 
 
+def _write_cv_and_theta(out: Path, args, report, estimate) -> None:
+    """cv_report.json and theta.json, each headed by the config echo."""
+    echo = _config_echo(args)
+    _dump_json(out / "cv_report.json", {"config": echo, **report.payload()})
+    _dump_json(out / "theta.json", {"config": echo, **_theta_payload(estimate)})
+
+
 def _warn_unconverged_cv(report) -> None:
     """Name every grid cell whose cross-validation solves stopped short of
     their gradient tolerance; the exit code does not change."""
@@ -153,24 +166,19 @@ def cmd_fit(args) -> int:
                                        median)
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    echo = _config_echo(args)
     _write_text(out / "model.json", model.to_json())
-    _dump_json(out / "cv_report.json", {"config": echo, **json.loads(report.to_json())})
-    _dump_json(out / "theta.json", {"config": echo, **_theta_payload(estimate)})
-    converged = model.record is None or model.record.converged
+    _write_cv_and_theta(out, args, report, estimate)
     print(f"selected sigma={report.selected.sigma!r} lambda={report.selected.lam!r} "
           f"theta={estimate.theta_hat!r}; model written to {out / 'model.json'}")
     _warn_unconverged_cv(report)
-    if not converged:
+    if not model.record.converged:
         print("warning: solver did not reach its gradient tolerance", file=sys.stderr)
         return EXIT_WARNING
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    with open(args.model, "rb") as fh:
-        model_bytes = fh.read()
+    model_bytes = Path(args.model).read_bytes()
     model = DualModel.from_json(model_bytes.decode("utf-8"))
     test = dt.load_libsvm(args.test, nc_label=dt.NC_FILE_LABEL,
                           num_known_classes=model.num_known_classes)
@@ -197,11 +205,7 @@ def cmd_eval(args) -> int:
             "counts": cm.counts.tolist(),
         },
     }
-    text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
-    if args.out:
-        _write_text(Path(args.out), text)
-    else:
-        sys.stdout.write(text)
+    _dump_json(args.out, payload)
     return EXIT_OK
 
 
@@ -209,12 +213,7 @@ def cmd_theta(args) -> int:
     labeled = dt.load_libsvm(args.labeled)
     unlabeled = dt.load_features_csv(args.unlabeled)
     estimate = _resolve_theta(args, labeled, unlabeled)
-    payload = {"config": _config_echo(args), **_theta_payload(estimate)}
-    text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
-    if args.out:
-        _write_text(Path(args.out), text)
-    else:
-        sys.stdout.write(text)
+    _dump_json(args.out, {"config": _config_echo(args), **_theta_payload(estimate)})
     return EXIT_OK
 
 
@@ -225,11 +224,7 @@ def cmd_cv(args) -> int:
     estimate = _resolve_theta(args, labeled, unlabeled, median)
     report = cross_validate(labeled, unlabeled, estimate.theta_hat,
                             _grid_from_args(args), args.seed, median)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    echo = _config_echo(args)
-    _dump_json(out / "cv_report.json", {"config": echo, **json.loads(report.to_json())})
-    _dump_json(out / "theta.json", {"config": echo, **_theta_payload(estimate)})
+    _write_cv_and_theta(Path(args.out), args, report, estimate)
     print(f"selected sigma={report.selected.sigma!r} lambda={report.selected.lam!r}")
     _warn_unconverged_cv(report)
     return EXIT_OK
@@ -240,16 +235,21 @@ def _bench_source(args):
         return _read_spec(args.spec)
     if args.data and args.config:
         full = dt.load_libsvm(args.data)
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config = dt.parse_class_configuration(fh.read())
-        return (full, config)
+        config = dt.parse_class_configuration(Path(args.config).read_text(encoding="utf-8"))
+        # the configuration names the file's own ids, which the loader keeps
+        # in label_map
+        ids = full.label_map
+        absent = sorted((config.known_labels | config.new_labels) - ids.keys())
+        if absent:
+            raise ValueError(f"class configuration names ids absent from {args.data}: {absent}")
+        return (full, dt.ClassConfiguration({ids[c] for c in config.known_labels},
+                                            {ids[c] for c in config.new_labels}, config.seed))
     raise ValueError("bench needs either --spec or both --data and --config")
 
 
 def cmd_bench(args) -> int:
     source = _bench_source(args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     seeds = tuple(args.seed + i for i in range(args.repeats))
     grid = _grid_from_args(args)
 
@@ -283,23 +283,10 @@ def cmd_bench(args) -> int:
     if source.dimension > 2:
         raise ValueError("the excess-risk harness needs dimension <= 2")
     results = []
-    for seed in seeds:
-        spec = dataclasses.replace(source, seed=seed)
-        labeled, unlabeled, _ = dt.sample_synthetic(
-            spec, args.n_labeled, args.n_unlabeled, 10
-        )
-        theta = args.theta if args.theta is not None else spec.theta
-        model, _ = fit_with_selection(labeled, unlabeled, theta, grid, seed)
-        check = run_excess_risk_check(spec, model, seed=seed)
-        results.append({
-            "seed": seed,
-            "lhs": check.lhs,
-            "rhs": check.rhs,
-            "monte_carlo_se": check.monte_carlo_se,
-            "bayes_risk": check.bayes_risk,
-            "test_risk": check.test_risk,
-            "passed": check.passed,
-        })
+    for seed, check in run_excess_risk_seeds(source, seeds, args.n_labeled,
+                                             args.n_unlabeled, grid, args.theta):
+        results.append({"seed": seed, **{key: getattr(check, key) for key in (
+            "lhs", "rhs", "monte_carlo_se", "bayes_risk", "test_risk", "passed")}})
         print(f"seed {seed}: lhs={check.lhs:.6f} <= rhs={check.rhs:.6f} "
               f"+ 3se={3 * check.monte_carlo_se:.6f} -> "
               f"{'PASS' if check.passed else 'FAIL'}")

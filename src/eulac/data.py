@@ -11,6 +11,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,11 @@ from scipy.linalg import cholesky, solve_triangular
 
 NC_NAME = "nc"
 NC_FILE_LABEL = 0  # label used for the novel class in LIBSVM files
+
+
+def json_text(payload) -> str:
+    """Every JSON artifact's text: sorted keys, one-space indent, final newline."""
+    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
 
 def _validate_features(X: np.ndarray) -> np.ndarray:
@@ -94,13 +100,12 @@ class UnlabeledDataset:
 
 
 def _remap_labels(raw: list[int], nc_label: int | None) -> tuple[np.ndarray, int, dict[int, int]]:
-    known_ids = sorted({r for r in raw if nc_label is None or r != nc_label})
+    known_ids = sorted({r for r in raw if r != nc_label})
     if not known_ids:
         raise ValueError("file contains no known-class labels")
     table = {orig: i + 1 for i, orig in enumerate(known_ids)}
     K = len(known_ids)
-    y = np.array([table[r] if (nc_label is None or r != nc_label) else K + 1 for r in raw],
-                 dtype=np.int64)
+    y = np.array([table.get(r, K + 1) for r in raw], dtype=np.int64)  # nc_label is not in table
     return y, K, table
 
 
@@ -113,8 +118,9 @@ def load_libsvm(
 
     Rows whose label equals ``nc_label`` (if given) become the novel class;
     all other labels are remapped to 1..K preserving sorted order.  When
-    ``num_known_classes`` is given no remapping happens: labels must
-    already lie in 1..K (useful for files that pair with a fitted model).
+    ``num_known_classes`` is given no remapping happens: every other label
+    must already lie in 1..K (useful for files that pair with a fitted
+    model).
     """
     raw_labels: list[int] = []
     rows: list[dict[int, float]] = []
@@ -162,11 +168,10 @@ def load_libsvm(
             X[i, idx - 1] = val
     if num_known_classes is not None:
         K = int(num_known_classes)
-        y = np.array([K + 1 if (nc_label is not None and r == nc_label) else r
-                      for r in raw_labels], dtype=np.int64)
-        bad = sorted({int(v) for v in y if not 1 <= v <= K + 1})
+        bad = sorted({r for r in raw_labels if r != nc_label and not 1 <= r <= K})
         if bad:
             raise ValueError(f"{path}: labels {bad} outside the expected range 1..{K}")
+        y = np.array([K + 1 if r == nc_label else r for r in raw_labels], dtype=np.int64)
         return LabeledDataset(X, y, K)
     y, K, table = _remap_labels(raw_labels, nc_label)
     return LabeledDataset(X, y, K, label_map=table)
@@ -195,8 +200,8 @@ def load_features_csv(path) -> UnlabeledDataset:
     return UnlabeledDataset(np.array(feats))
 
 
-def write_libsvm(path, dataset: LabeledDataset, nc_as: int = NC_FILE_LABEL) -> None:
-    """Write a dataset in LIBSVM text form; novel rows get label ``nc_as``.
+def write_libsvm(path, dataset: LabeledDataset) -> None:
+    """Write a dataset in LIBSVM text form; novel rows get ``NC_FILE_LABEL``.
 
     All feature positions are written (including zeros) so that a reload
     recovers the exact dimension.
@@ -205,7 +210,7 @@ def write_libsvm(path, dataset: LabeledDataset, nc_as: int = NC_FILE_LABEL) -> N
         for i in range(len(dataset)):
             label = int(dataset.y[i])
             if label == dataset.novel_label:
-                label = nc_as
+                label = NC_FILE_LABEL
             cells = " ".join(f"{j + 1}:{float(v)!r}" for j, v in enumerate(dataset.X[i]))
             fh.write(f"{label} {cells}\n")
 
@@ -374,6 +379,8 @@ def kfold_indices(
     Labeled folds are stratified by class (``stratified_folds``); unlabeled
     folds are a plain random partition.
     """
+    if len(unlabeled) < k:
+        raise ValueError(f"unlabeled set has {len(unlabeled)} samples, fewer than {k} folds")
     rng = np.random.default_rng(seed)
     fold_of = stratified_folds(labeled.y, k, rng)
     u_perm = rng.permutation(len(unlabeled))

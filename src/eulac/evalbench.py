@@ -5,7 +5,6 @@ excess-risk transfer check for the square loss)."""
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +14,7 @@ from .data import (
     LabeledDataset,
     SyntheticSpec,
     bayes_risk_from_joints,
+    json_text,
     posterior_grid,
     sample_synthetic,
     sample_test_set,
@@ -30,12 +30,15 @@ from .risk import (
     generalization_bound,
     marginal_row_loss,
     optimal_square_risk_from_joints,
+    tabulate_scores,
     zero_one_risk,
 )
 from .solver import DualModel, predict_labels, predict_scores
 
 DEFAULT_SCALING_SIZES = (250, 500, 750, 1000, 1250, 1500)
 DEFAULT_SWEEP_RATIOS = (0.0, 0.2, 0.6, 0.8)
+EXCESS_RISK_GRID_RESOLUTION = 300  # quadrature points per axis of the surrogate risks
+EXCESS_RISK_TEST_SIZE = 20000  # Monte-Carlo sample of the 0-1 risk
 
 
 # ---------------------------------------------------------------------------
@@ -202,11 +205,11 @@ class ExperimentReport:
     config: dict
     runs: tuple[dict, ...]
 
-    def aggregate(self, metric: str, by: str = "x") -> list[dict]:
-        keys = sorted({run[by] for run in self.runs})
+    def aggregate(self, metric: str) -> list[dict]:
+        keys = sorted({run["x"] for run in self.runs})
         rows = []
         for key in keys:
-            vals = np.array([run[metric] for run in self.runs if run[by] == key])
+            vals = np.array([run[metric] for run in self.runs if run["x"] == key])
             rows.append({
                 "x": key,
                 "mean": float(vals.mean()),
@@ -233,7 +236,7 @@ class ExperimentReport:
         }
         if self.config.get("command") == "scaling":
             payload["spearman"] = self.spearman(metric)
-        return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+        return json_text(payload)
 
     def to_csv(self, metric: str) -> str:
         lines = ["x,mean,std,n"]
@@ -250,13 +253,9 @@ class ExperimentReport:
 def _make_task(source, n_labeled, n_unlabeled, n_test, seed, novel_ratio=None):
     """Concrete (labeled, unlabeled, test, true theta) for one run."""
     if isinstance(source, SyntheticSpec):
-        spec = source
-        if novel_ratio is not None:
-            theta = 1.0 - novel_ratio
-            if theta <= 0.0:
-                raise ValueError("novel ratio must be below 1")
-            spec = dataclasses.replace(spec, theta=theta)
-        spec = dataclasses.replace(spec, seed=seed)
+        spec = dataclasses.replace(source, seed=seed)
+        if novel_ratio is not None:  # SyntheticSpec rejects a ratio of 1
+            spec = dataclasses.replace(spec, theta=1.0 - novel_ratio)
         labeled, unlabeled, test = sample_synthetic(spec, n_labeled, n_unlabeled, n_test)
         return labeled, unlabeled, test, spec.theta
     full, config = source
@@ -272,14 +271,16 @@ def _make_task(source, n_labeled, n_unlabeled, n_test, seed, novel_ratio=None):
     return labeled, unlabeled, test, theta
 
 
-def _evaluate_run(model, labeled, unlabeled, test, theta, loss_kind) -> dict:
+def _fit_and_evaluate(labeled, unlabeled, test, theta, grid, seed) -> dict:
+    """Fit with selection at the given theta and score the test set."""
+    model, _ = fit_with_selection(labeled, unlabeled, theta, grid, seed)
     pred = model.predict(test.X)
     cm = ConfusionMatrix.from_labels(test.y, pred, test.num_known_classes)
     return {
         "accuracy": cm.accuracy,
         "macro_f1": macro_f1(cm),
         "zero_one_risk": zero_one_risk(pred, test.y),
-        "lac_risk": empirical_lac_risk(model.scores, labeled, unlabeled, theta, loss_kind),
+        "lac_risk": empirical_lac_risk(model.scores, labeled, unlabeled, theta, grid.loss_kind),
     }
 
 
@@ -309,9 +310,8 @@ def run_unlabeled_scaling(
                 source, n_labeled, size, n_test, seed
             )
             run_theta = float(true_theta if theta is None else theta)
-            model, _ = fit_with_selection(labeled, unlabeled, run_theta, grid, seed)
             entry = {"x": size, "seed": seed, "theta": run_theta}
-            entry.update(_evaluate_run(model, labeled, unlabeled, test, run_theta, grid.loss_kind))
+            entry.update(_fit_and_evaluate(labeled, unlabeled, test, run_theta, grid, seed))
             # uniform deviation bound at unit norm/kernel/loss constants,
             # recording how the guaranteed estimation gap shrinks with size
             entry["deviation_bound"] = generalization_bound(TheoryParams(
@@ -356,9 +356,8 @@ def run_theta_sweep(
             labeled, unlabeled, test, theta = _make_task(
                 source, n_labeled, n_unlabeled, n_test, seed, novel_ratio=ratio
             )
-            model, _ = fit_with_selection(labeled, unlabeled, theta, grid, seed)
             entry = {"x": ratio, "seed": seed, "theta": theta}
-            entry.update(_evaluate_run(model, labeled, unlabeled, test, theta, grid.loss_kind))
+            entry.update(_fit_and_evaluate(labeled, unlabeled, test, theta, grid, seed))
             runs.append(entry)
     config = {
         "command": "theta-sweep",
@@ -395,37 +394,26 @@ class ExcessRiskCheck:
         return self.lhs <= self.rhs + 3.0 * self.monte_carlo_se
 
 
-def run_excess_risk_check(
-    spec: SyntheticSpec,
-    score_fn,
-    grid_resolution: int = 300,
-    n_test: int = 20000,
-    seed: int = 0,
-) -> ExcessRiskCheck:
+def run_excess_risk_check(spec: SyntheticSpec, score_fn, seed: int = 0) -> ExcessRiskCheck:
     """Check that the square-loss surrogate excess bounds the 0-1 excess.
 
-    score_fn is a fitted model or any callable mapping points to (m, K+1)
-    scores.  Both surrogate risks are computed by quadrature; the 0-1 risk
-    comes from a Monte-Carlo test sample, so the comparison allows three
-    standard errors of slack.
+    score_fn is a fitted model or any score function set (see
+    ``risk.tabulate_scores``).  Both surrogate risks are computed by
+    quadrature; the 0-1 risk comes from a Monte-Carlo test sample, so the
+    comparison allows three standard errors of slack.
     """
     if isinstance(score_fn, DualModel):
         if score_fn.loss_kind != SQUARE:
             raise ValueError("the transfer inequality is established for the square loss")
-        evaluate = score_fn.scores
-    else:
-        evaluate = score_fn
+        score_fn = score_fn.scores
 
-    points, volume, joints = posterior_grid(spec, grid_resolution)
+    points, volume, joints = posterior_grid(spec, EXCESS_RISK_GRID_RESOLUTION)
     K = spec.num_known_classes
     p_te = joints.sum(axis=0)
 
     bayes = bayes_risk_from_joints(volume, joints)
 
-    scores = np.asarray(evaluate(points), dtype=float)
-    if scores.shape != (points.shape[0], K + 1):
-        raise ValueError(f"score function must return shape ({points.shape[0]}, {K + 1})")
-
+    scores = tabulate_scores(score_fn, points, K)
     gaps = scores[:, K][None, :] - scores[:, :K].T            # (K, m)
     labeled_term = volume * float(np.sum(joints[:K] * gaps))
     lac_risk = labeled_term + volume * float(np.sum(p_te * marginal_row_loss(scores, SQUARE)))
@@ -434,10 +422,22 @@ def run_excess_risk_check(
 
     rhs = float(np.sqrt(2.0 * max(lac_risk - optimal, 0.0)))
 
-    test = sample_test_set(spec, n_test, seed)
-    pred = predict_labels(np.asarray(evaluate(test.X), dtype=float))
+    test = sample_test_set(spec, EXCESS_RISK_TEST_SIZE, seed)
+    pred = predict_labels(tabulate_scores(score_fn, test.X, K))
     test_risk = zero_one_risk(pred, test.y)
-    se = float(np.sqrt(test_risk * (1.0 - test_risk) / n_test))
+    se = float(np.sqrt(test_risk * (1.0 - test_risk) / EXCESS_RISK_TEST_SIZE))
     lhs = test_risk - bayes
 
     return ExcessRiskCheck(lhs, rhs, se, bayes, test_risk, lac_risk, optimal)
+
+
+def run_excess_risk_seeds(spec: SyntheticSpec, seeds, n_labeled: int, n_unlabeled: int,
+                          grid: HyperGrid, theta: float | None):
+    """Yield (seed, check) for one model per seed, fit on the spec's draws
+    with ``theta`` when it is given and the spec's fraction otherwise."""
+    for seed in seeds:
+        # the task's test draw goes unused: the check samples its own
+        labeled, unlabeled, _, spec_theta = _make_task(spec, n_labeled, n_unlabeled, 1, seed)
+        model, _ = fit_with_selection(labeled, unlabeled,
+                                      spec_theta if theta is None else theta, grid, seed)
+        yield seed, run_excess_risk_check(spec, model, seed=seed)

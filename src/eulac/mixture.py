@@ -200,13 +200,15 @@ def estimate_theta(
     support_idx = np.unique(np.round(np.linspace(0, n - 1, m)).astype(int))
     support = pooled[support_idx]
 
-    K_nu = gram(kernel, support, support)
-    K_nl = gram(kernel, support, labeled.X)
-    K_nuU = gram(kernel, support, unlabeled.X)
+    # support rows are pooled rows: one Gram holds the block and both means;
+    # take keeps the block C-ordered (K[:, idx] is not, and moves the curve)
+    K = gram(kernel, support, pooled)
+    K_nu = K.take(support_idx, axis=1)
+    kl = K[:, :n_l].mean(axis=1)
+    ku = K[:, n_l:].mean(axis=1)
+    del K
     if float(K_nu.min()) > 1.0 - 1e-12:
         raise ValueError("kernel is degenerate on this data (all Gram entries ~ 1)")
-    kl = K_nl.mean(axis=1)
-    ku = K_nuU.mean(axis=1)
 
     a_ll = _gram_mean(kernel, labeled.X, labeled.X)
     a_uu = _gram_mean(kernel, unlabeled.X, unlabeled.X)

@@ -8,12 +8,11 @@ Both the labeled and the unlabeled sets are folded.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledDataset, UnlabeledDataset, kfold_indices
+from .data import LabeledDataset, UnlabeledDataset, json_text, kfold_indices
 from .kernel import DEFAULT_SIGMA_MULTIPLIERS, KernelSpec, gram, median_heuristic
 from .losses import SQUARE, canonical_loss_kind
 from .risk import lac_risk_from_scores
@@ -59,7 +58,7 @@ class CvCell:
     stderr: float
     fold_risks: tuple[float, ...]
     # folds whose first-order solve stopped short of its gradient
-    # tolerance; kept out of to_json so the report's keys stay fixed
+    # tolerance; kept out of the payload so the report's keys stay fixed
     nonconverged_folds: int = 0
 
 
@@ -71,8 +70,8 @@ class CvReport:
     loss_kind: str
     median_distance: float
 
-    def to_json(self) -> str:
-        payload = {
+    def payload(self) -> dict:
+        return {
             "folds": self.folds,
             "loss": self.loss_kind,
             "median_distance": self.median_distance,
@@ -94,7 +93,9 @@ class CvReport:
                 for c in self.cells
             ],
         }
-        return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+
+    def to_json(self) -> str:
+        return json_text(self.payload())
 
 
 def _select(cells: list[CvCell]) -> CvCell:
@@ -157,7 +158,7 @@ def cross_validate(
                 alphas = fold_alphas[fold]
             else:
                 sup = np.concatenate([train_L, n_l + train_U])
-                G_tt = G.take(sup, axis=0).take(sup, axis=1)
+                G_tt = G[np.ix_(sup, sup)]
                 alphas = []
                 for i, lam in enumerate(lams):
                     opts = FitOptions(lam=lam, max_iterations=2000, gradient_tolerance=1e-5)

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
 
-from .data import LabeledDataset, UnlabeledDataset
+from .data import LabeledDataset, UnlabeledDataset, json_text
 from .kernel import GRAM_BLOCK_ROWS, KernelSpec, gram
 from .losses import SQUARE, canonical_loss_kind, loss_derivative
 from .risk import lac_risk_from_scores
@@ -122,7 +122,7 @@ class DualModel:
             "alpha": self.alpha.tolist(),
             "converged": bool(self.record.converged) if self.record else True,
         }
-        return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+        return json_text(payload)
 
     @staticmethod
     def from_json(text: str) -> "DualModel":

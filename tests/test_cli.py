@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import eulac.cli
+import eulac.mixture
 import eulac.modelsel
-from eulac.cli import main
+from eulac.cli import build_parser, main
 from eulac.data import (
     bayes_risk_oracle,
     format_synthetic_spec,
@@ -17,6 +18,7 @@ from eulac.data import (
     load_libsvm,
     parse_synthetic_spec,
 )
+from eulac.evalbench import _make_task
 from eulac.modelsel import HyperGrid
 
 from conftest import two_cluster_spec
@@ -139,6 +141,19 @@ class TestFit:
                      "--out", str(tmp_path / command)] + FAST_GRID) == 0
         assert calls == [100 + 150]
 
+    @pytest.mark.parametrize("command", ["fit", "cv"])
+    def test_unlabeled_set_smaller_than_folds_exits_one(self, spec_file, tmp_path, capsys,
+                                                        command):
+        data = _gen(spec_file, tmp_path / "data")
+        one_row = tmp_path / "one.csv"
+        one_row.write_text((data / "unlabeled.csv").read_text().splitlines()[0] + "\n")
+        capsys.readouterr()
+        rc = main([command, "--labeled", str(data / "labeled.libsvm"),
+                   "--unlabeled", str(one_row), "--out", str(tmp_path / command),
+                   "--theta", "0.7"] + FAST_GRID)
+        assert rc == 1
+        assert "unlabeled set has 1 samples, fewer than 2 folds" in capsys.readouterr().err
+
     def test_double_hinge_warns_exit_two(self, spec_file, tmp_path):
         data = _gen(spec_file, tmp_path / "data", nl=40, nu=50)
         rc = main(["fit", "--labeled", str(data / "labeled.libsvm"),
@@ -185,6 +200,15 @@ class TestEval:
         rc = main(["eval", "--model", str(model), "--test", str(bad)])
         assert rc == 1
         assert "outside" in capsys.readouterr().err
+
+    def test_sentinel_label_in_file_exits_one(self, fitted, tmp_path, capsys):
+        # files mark novel rows with 0; a raw K+1 is not read as novel
+        data, model = fitted
+        bad = tmp_path / "bad.libsvm"
+        bad.write_text("1 1:0.0 2:0.0\n3 1:1.0 2:1.0\n0 1:2.0 2:2.0\n")
+        rc = main(["eval", "--model", str(model), "--test", str(bad)])
+        assert rc == 1
+        assert "labels [3] outside the expected range 1..2" in capsys.readouterr().err
 
     def test_out_file(self, fitted, tmp_path):
         data, model = fitted
@@ -257,6 +281,20 @@ class TestThetaAndCv:
         assert "LinAlgError" in capsys.readouterr().err
         assert not (tmp_path / "cv" / "cv_report.json").exists()
 
+    @pytest.mark.parametrize("command", ["fit", "cv", "theta"])
+    def test_theta_guard_hits_warn(self, spec_file, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.setattr(eulac.mixture, "QP_GUARD_PER_COORDINATE", 0)
+        monkeypatch.setattr(eulac.mixture, "QP_GUARD_SLACK", 1)
+        data = _gen(spec_file, tmp_path / "data")
+        capsys.readouterr()
+        rc = main([command, "--labeled", str(data / "labeled.libsvm"),
+                   "--unlabeled", str(data / "unlabeled.csv"),
+                   "--out", str(tmp_path / command)] + FAST_GRID)
+        assert rc == 0  # the warning does not change the exit code
+        err = capsys.readouterr().err
+        assert "of the theta curve's QPs stopped at their iteration guard" in err
+        assert err.count("warning:") == 1
+
     @pytest.mark.parametrize("command", ["fit", "cv"])
     def test_unconverged_cv_solves_warn(self, spec_file, tmp_path, monkeypatch, capsys,
                                         command):
@@ -317,3 +355,41 @@ class TestBench:
         rc = main(["bench", "scaling", "--out", str(tmp_path / "b")])
         assert rc == 1
         assert "--spec" in capsys.readouterr().err
+
+
+class TestBenchData:
+    @pytest.fixture()
+    def data_file(self, tmp_path):
+        # file class ids 0..3; the first feature is the id plus small noise,
+        # so every row names the file class it came from
+        rng = np.random.default_rng(0)
+        ids = np.repeat([0, 1, 2, 3], 60).tolist()
+        path = tmp_path / "full.libsvm"
+        path.write_text("".join(f"{c} 1:{c + 0.1 * rng.uniform()!r} 2:{float(rng.normal())!r}\n"
+                                for c in ids))
+        return path
+
+    def test_configuration_names_file_ids(self, data_file, tmp_path):
+        config = tmp_path / "config.txt"
+        config.write_text("known_labels = 1 2\nnew_labels = 3\n")
+        source = eulac.cli._bench_source(build_parser().parse_args(
+            ["bench", "scaling", "--data", str(data_file), "--config", str(config)]))
+        labeled, unlabeled, test, theta = _make_task(source, 40, 60, 60, seed=0)
+
+        def file_ids(X):
+            return set(np.floor(X[:, 0]).astype(int).tolist())
+
+        assert file_ids(labeled.X) == {1, 2}
+        assert file_ids(unlabeled.X) == {1, 2, 3}
+        for label, ids in ((1, {1}), (2, {2}), (3, {3})):  # 3 = K+1, the novel class
+            assert file_ids(test.X[test.y == label]) == ids
+        assert theta == pytest.approx(2.0 / 3.0)
+
+    def test_absent_configured_id_exits_one(self, data_file, tmp_path, capsys):
+        config = tmp_path / "config.txt"
+        config.write_text("known_labels = 1 2\nnew_labels = 7\n")
+        rc = main(["bench", "scaling", "--data", str(data_file), "--config", str(config),
+                   "--out", str(tmp_path / "b")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "class configuration names ids absent from" in err and err.endswith(": [7]\n")

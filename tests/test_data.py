@@ -89,6 +89,14 @@ class TestLibsvmLoader:
         p.write_text("5 1:1.0\n6 1:2.0\n")
         with pytest.raises(ValueError, match="outside"):
             load_libsvm(p, nc_label=0, num_known_classes=2)
+        # K+1 is the novel sentinel inside the package only; files mark
+        # novel rows with nc_label
+        p.write_text("1 1:1.0\n3 1:2.0\n0 1:3.0\n")
+        with pytest.raises(ValueError, match=r"labels \[3\] outside the expected range 1..2"):
+            load_libsvm(p, nc_label=0, num_known_classes=2)
+        p.write_text("1 1:1.0\n2 1:2.0\n0 1:3.0\n")
+        np.testing.assert_array_equal(load_libsvm(p, nc_label=0, num_known_classes=2).y,
+                                      [1, 2, 3])
 
     def test_loader_is_pure(self, tmp_path):
         p = tmp_path / "d.libsvm"
@@ -358,6 +366,13 @@ class TestKfold:
         U = UnlabeledDataset(rng.normal(size=(10, 1)))
         with pytest.raises(ValueError, match="fewer than"):
             kfold_indices(L, U, 5, seed=0)
+
+    @pytest.mark.parametrize("n_u, k", [(1, 2), (3, 5)])
+    def test_small_unlabeled_set_rejected(self, n_u, k):
+        L, _ = self._data(50, 10)
+        U = UnlabeledDataset(np.zeros((n_u, 2)))
+        with pytest.raises(ValueError, match=f"unlabeled set has {n_u} samples, fewer than {k} folds"):
+            kfold_indices(L, U, k, seed=0)
 
 
 class TestConfigFormats:

@@ -1,16 +1,21 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
 import eulac.mixture
-from eulac.data import sample_synthetic
+from eulac.data import parse_synthetic_spec, sample_synthetic
 from eulac.kernel import GRAM_BLOCK_ROWS, KernelSpec, gram, median_heuristic
-from eulac.mixture import (ThetaEstimate, _gram_mean, _simplex_qp, estimate_theta,
-                           theta_override)
+from eulac.mixture import (CANDIDATE_GRID_SIZE, CANDIDATE_MAX, NU_SUPPORT_LIMIT,
+                           ThetaEstimate, _distance_curve, _gram_mean, _simplex_qp,
+                           estimate_theta, theta_override)
 
 from conftest import two_cluster_spec
 
 FAR_NOVEL = (8.0, 8.0)
+BUNDLED_SPEC = Path(__file__).resolve().parents[1] / "specs" / "two_known_one_new_2d.txt"
 
 
 def _estimate(theta, seed, n=1000):
@@ -247,3 +252,55 @@ def test_curve_bit_identical_to_dense_qp(theta, monkeypatch):
     monkeypatch.setattr(eulac.mixture, "_simplex_qp",
                         lambda P, scale, g, w0: _dense_simplex_qp(scale * P, g, w0))
     assert np.array_equal(curve, np.array(_estimate(theta, seed=0).curve))
+
+
+def _bundled_task(seed, n_l, n_u):
+    spec = dataclasses.replace(parse_synthetic_spec(BUNDLED_SPEC.read_text()), seed=seed)
+    labeled, unlabeled, _ = sample_synthetic(spec, n_l, n_u, 10)
+    return labeled, unlabeled, KernelSpec(median_heuristic(np.vstack([labeled.X, unlabeled.X])))
+
+
+class TestSupportGram:
+    @pytest.mark.parametrize("n_l, n_u", [(120, 200), (500, 1000)])
+    def test_one_gram_matches_three(self, n_l, n_u, monkeypatch):
+        # at 120/200 the support is the whole pool (m == n), where a
+        # fancy-indexed column gather of the pooled Gram moves the curve
+        labeled, unlabeled, kernel = _bundled_task(1, n_l, n_u)
+        calls = []
+
+        def counting(*args):
+            calls.append(len(args[1]))
+            return gram(*args)
+
+        monkeypatch.setattr(eulac.mixture, "gram", counting)
+        est = estimate_theta(labeled, unlabeled, kernel)
+        # one support Gram plus one block per embedding mean; the three
+        # Grams below made two more
+        assert len(calls) == 4
+
+        pooled = np.vstack([labeled.X, unlabeled.X])
+        n = len(pooled)
+        m = min(n, NU_SUPPORT_LIMIT)
+        support = pooled[np.unique(np.round(np.linspace(0, n - 1, m)).astype(int))]
+        candidates = np.geomspace(1.0, CANDIDATE_MAX, CANDIDATE_GRID_SIZE)
+        dists, _ = _distance_curve(
+            gram(kernel, support, support),
+            gram(kernel, support, unlabeled.X).mean(axis=1),
+            gram(kernel, support, labeled.X).mean(axis=1),
+            _gram_mean(kernel, unlabeled.X, unlabeled.X),
+            _gram_mean(kernel, unlabeled.X, labeled.X),
+            _gram_mean(kernel, labeled.X, labeled.X),
+            candidates)
+        assert np.array_equal(np.array(est.curve), np.column_stack([candidates, dists]))
+
+    @pytest.mark.parametrize("seed", [1, 6, 9])
+    def test_gram_block_height_keeps_the_estimate(self, seed, monkeypatch):
+        # the block sums of the embedding means move with the block height,
+        # and d(c)^2 is a sum of nearly cancelling terms; over 39 datasets
+        # 256-row blocks moved the curve by at most 4.1e-11 and never theta
+        labeled, unlabeled, kernel = _bundled_task(seed, 500, 1000)
+        ref = estimate_theta(labeled, unlabeled, kernel)
+        monkeypatch.setattr(eulac.mixture, "GRAM_BLOCK_ROWS", 256)
+        est = estimate_theta(labeled, unlabeled, kernel)
+        assert est.theta_hat == ref.theta_hat
+        np.testing.assert_allclose(np.array(est.curve), np.array(ref.curve), rtol=0, atol=1e-9)
