@@ -147,12 +147,12 @@ def _write_cv_and_theta(out: Path, args, report, estimate) -> None:
 
 def _warn_unconverged_cv(report) -> None:
     """Name every grid cell whose cross-validation solves stopped short of
-    their gradient tolerance; the exit code does not change."""
+    their convergence tolerance; the exit code does not change."""
     cells = [f"sigma_multiplier={c.sigma_multiplier} lambda={c.lam} "
              f"({c.nonconverged_folds} of {report.folds} folds)"
              for c in report.cells if c.nonconverged_folds]
     if cells:
-        print("warning: cross-validation solves did not reach their gradient tolerance at "
+        print("warning: cross-validation solves did not reach their convergence tolerance at "
               + ", ".join(cells), file=sys.stderr)
 
 
@@ -172,7 +172,7 @@ def cmd_fit(args) -> int:
           f"theta={estimate.theta_hat!r}; model written to {out / 'model.json'}")
     _warn_unconverged_cv(report)
     if not model.record.converged:
-        print("warning: solver did not reach its gradient tolerance", file=sys.stderr)
+        print("warning: solver did not reach its convergence tolerance", file=sys.stderr)
         return EXIT_WARNING
     return EXIT_OK
 
@@ -182,11 +182,6 @@ def cmd_eval(args) -> int:
     model = DualModel.from_json(model_bytes.decode("utf-8"))
     test = dt.load_libsvm(args.test, nc_label=dt.NC_FILE_LABEL,
                           num_known_classes=model.num_known_classes)
-    if test.dimension != model.support_points.shape[1]:
-        raise ValueError(
-            f"test dimension {test.dimension} does not match model "
-            f"{model.support_points.shape[1]}"
-        )
     pred = model.predict(test.X)
     cm = ConfusionMatrix.from_labels(test.y, pred, model.num_known_classes)
     class_names = [str(k) for k in range(1, model.num_known_classes + 1)] + [dt.NC_NAME]

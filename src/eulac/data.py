@@ -245,19 +245,6 @@ class ClassConfiguration:
         object.__setattr__(self, "new_labels", new)
 
 
-def random_class_configuration(class_ids, seed: int, num_new: int | None = None) -> ClassConfiguration:
-    """Choose novel classes at random; by default half of all classes."""
-    ids = sorted(int(c) for c in class_ids)
-    if num_new is None:
-        num_new = len(ids) // 2
-    if num_new >= len(ids):
-        raise ValueError("at least one class must stay known")
-    rng = np.random.default_rng(seed)
-    new = rng.choice(ids, size=num_new, replace=False) if num_new else np.array([], dtype=int)
-    new_set = frozenset(int(c) for c in new)
-    return ClassConfiguration(frozenset(ids) - new_set, new_set, seed=seed)
-
-
 def _largest_remainder_counts(proportions: np.ndarray, total: int) -> np.ndarray:
     ideal = proportions * total
     counts = np.floor(ideal).astype(int)

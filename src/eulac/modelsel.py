@@ -57,7 +57,7 @@ class CvCell:
     mean_risk: float
     stderr: float
     fold_risks: tuple[float, ...]
-    # folds whose first-order solve stopped short of its gradient
+    # folds whose first-order solve stopped short of its convergence
     # tolerance; kept out of the payload so the report's keys stay fixed
     nonconverged_folds: int = 0
 
@@ -126,9 +126,11 @@ def cross_validate(
     sigma the pooled Gram matrix is built once.  Square loss solves every
     fold and lambda of a sigma from one shifted-Lanczos run on the pooled
     Gram's unlabeled block, gathering no fold block; other losses solve
-    each (fold, lambda) on the fold's gathered training Gram.  Validation
-    scores multiply the validation rows of the pooled Gram by dual
-    coefficients that are zero outside the fold's training rows.
+    each (fold, lambda) on the fold's gathered training Gram with the
+    refit's default ``FitOptions``, one L-BFGS-B run per score column, and
+    count the folds that end unconverged in ``CvCell.nonconverged_folds``.
+    Validation scores multiply the validation rows of the pooled Gram by
+    dual coefficients that are zero outside the fold's training rows.
     """
     n_l = len(labeled)
     pooled = np.vstack([labeled.X, unlabeled.X])
@@ -161,11 +163,10 @@ def cross_validate(
                 G_tt = G[np.ix_(sup, sup)]
                 alphas = []
                 for i, lam in enumerate(lams):
-                    opts = FitOptions(lam=lam, max_iterations=2000, gradient_tolerance=1e-5)
                     try:
                         alpha_sup, record = _first_order_alpha(
                             G_tt, labeled.y[train_L], K, len(train_L), len(train_U), theta,
-                            opts, grid.loss_kind)
+                            FitOptions(lam=lam), grid.loss_kind)
                     except Exception as exc:
                         raise _fit_failure(mult, (lam,), fold, exc) from exc
                     nonconverged[i] += not record.converged

@@ -10,6 +10,7 @@ import pytest
 import eulac.cli
 import eulac.mixture
 import eulac.modelsel
+import eulac.solver
 from eulac.cli import build_parser, main
 from eulac.data import (
     bayes_risk_oracle,
@@ -154,13 +155,24 @@ class TestFit:
         assert rc == 1
         assert "unlabeled set has 1 samples, fewer than 2 folds" in capsys.readouterr().err
 
-    def test_double_hinge_warns_exit_two(self, spec_file, tmp_path):
+    def test_double_hinge_warns_exit_two(self, spec_file, tmp_path, monkeypatch, capsys):
         data = _gen(spec_file, tmp_path / "data", nl=40, nu=50)
-        rc = main(["fit", "--labeled", str(data / "labeled.libsvm"),
-                   "--unlabeled", str(data / "unlabeled.csv"),
-                   "--out", str(tmp_path / "fit"), "--theta", "0.7",
-                   "--loss", "double-hinge"] + FAST_GRID)
-        assert rc == 2  # the loss has kinks, so no gradient method can certify its tolerance
+        argv = ["fit", "--labeled", str(data / "labeled.libsvm"),
+                "--unlabeled", str(data / "unlabeled.csv"),
+                "--out", str(tmp_path / "fit"), "--theta", "0.7",
+                "--loss", "double-hinge"] + FAST_GRID
+        assert main(argv) == 0  # every score column's duality gap is certified
+        solve = eulac.solver._first_order_alpha
+
+        def short_of_tolerance(*args):
+            alpha, record = solve(*args)
+            return alpha, dataclasses.replace(record, converged=False)
+
+        # the refit reads this name; cross-validation reads its own import
+        monkeypatch.setattr(eulac.solver, "_first_order_alpha", short_of_tolerance)
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert "solver did not reach its convergence tolerance" in capsys.readouterr().err
 
 
 class TestEval:
@@ -200,6 +212,14 @@ class TestEval:
         rc = main(["eval", "--model", str(model), "--test", str(bad)])
         assert rc == 1
         assert "outside" in capsys.readouterr().err
+
+    def test_test_file_of_another_width_exits_one(self, fitted, tmp_path, capsys):
+        data, model = fitted
+        wide = tmp_path / "wide.libsvm"
+        wide.write_text("1 1:0.0 2:0.0 3:1.0\n0 1:1.0 2:1.0 3:0.0\n")
+        rc = main(["eval", "--model", str(model), "--test", str(wide)])
+        assert rc == 1
+        assert "query dimension 3 does not match support 2" in capsys.readouterr().err
 
     def test_sentinel_label_in_file_exits_one(self, fitted, tmp_path, capsys):
         # files mark novel rows with 0; a raw K+1 is not read as novel
@@ -313,7 +333,7 @@ class TestThetaAndCv:
                    "--lambda", "0.01", "0.1", "--folds", "2"])
         assert rc == 0  # the refit converged; CV solves alone do not change the exit code
         err = capsys.readouterr().err
-        assert ("did not reach their gradient tolerance at sigma_multiplier=1.0 lambda=0.01 "
+        assert ("did not reach their convergence tolerance at sigma_multiplier=1.0 lambda=0.01 "
                 "(2 of 2 folds), sigma_multiplier=1.0 lambda=0.1 (2 of 2 folds)") in err
         report = json.loads((tmp_path / command / "cv_report.json").read_text())
         assert all("nonconverged_folds" not in cell for cell in report["cells"])

@@ -14,7 +14,6 @@ from eulac.data import (
     load_libsvm,
     parse_class_configuration,
     parse_synthetic_spec,
-    random_class_configuration,
     sample_synthetic,
     sample_test_set,
     split_class_configuration,
@@ -166,19 +165,15 @@ class TestSplitConfiguration:
         y = np.repeat(np.arange(1, classes + 1), per_class)
         return LabeledDataset(X, y, classes)
 
-    def test_default_half_new(self):
-        config = random_class_configuration(range(1, 7), seed=0)
-        assert len(config.new_labels) == 3 and len(config.known_labels) == 3
-
     def test_sizes_exact(self):
         full = self._dataset()
-        config = random_class_configuration(range(1, 7), seed=1)
+        config = ClassConfiguration(frozenset({1, 3, 5}), frozenset({2, 4, 6}), seed=1)
         L, U, T = split_class_configuration(full, config, 500, 1000, 700, seed=2)
         assert len(L) == 500 and len(U) == 1000 and len(T) == 700
 
     def test_no_novel_leak_into_labeled(self):
         full = self._dataset()
-        config = random_class_configuration(range(1, 7), seed=3)
+        config = ClassConfiguration(frozenset({2, 4, 6}), frozenset({1, 3, 5}), seed=3)
         L, _, T = split_class_configuration(full, config, 400, 400, 400, seed=4)
         assert not L.contains_novel
         assert L.num_known_classes == 3

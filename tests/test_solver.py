@@ -28,6 +28,7 @@ from eulac.solver import (
     KERNEL_FLOOR,
     DualModel,
     FitOptions,
+    _labeled_bracket,
     _square_loss_alpha,
     _square_loss_fold_alphas,
     fit_first_order,
@@ -434,6 +435,27 @@ class TestFirstOrder:
         assert (objective(model.alpha, G, L, U, spec.theta, 0.01, "logistic")
                 <= unconverged_objective)
 
+    def test_double_hinge_converges_at_benchmark_size(self):
+        # the bundled spec at 150/300: one L-BFGS-B run on the whole support
+        # stopped here, unconverged, at this objective
+        unconverged_objective = 0.42670080507410435
+        spec = parse_synthetic_spec(BUNDLED_SPEC.read_text())
+        L, U, _ = sample_synthetic(spec, 150, 300, 1)
+        support = np.vstack([L.X, U.X])
+        kernel = KernelSpec(median_heuristic(support))
+        model = fit_first_order(L, U, kernel, spec.theta, FitOptions(lam=0.01), "double-hinge")
+        assert model.record.converged
+        G = gram(kernel, support, support)
+        assert (objective(model.alpha, G, L, U, spec.theta, 0.01, "double-hinge")
+                <= unconverged_objective)
+
+    @pytest.mark.parametrize("kind", ["logistic", "double-hinge"])
+    def test_labeled_rows_are_closed_form(self, instance, kind):
+        L, U, kernel, _ = instance
+        model = fit_first_order(L, U, kernel, THETA, FitOptions(lam=LAM), kind)
+        expected = -_labeled_bracket(L.y, L.num_known_classes, THETA) / (2.0 * LAM)
+        assert np.array_equal(model.alpha[:len(L)], expected)
+
     def test_record_reads_the_returned_point(self):
         L, U = small_train_data(seed=7, n_l=20, n_u=20)
         kernel = KernelSpec(1.0)
@@ -441,7 +463,8 @@ class TestFirstOrder:
         model = fit_first_order(L, U, kernel, THETA, FitOptions(lam=0.01, max_iterations=7),
                                 "logistic")
         record = model.record
-        assert record.iterations == 7 and len(record.objective_history) == 8
+        # every one of the three score columns stops at the cap
+        assert record.iterations == 3 * 7 and len(record.objective_history) == 2
         assert record.objective_history[0] == objective(
             np.zeros_like(model.alpha), G, L, U, THETA, 0.01, "logistic")
         assert record.objective_history[-1] == pytest.approx(
