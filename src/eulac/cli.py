@@ -281,7 +281,8 @@ def cmd_bench(args) -> int:
     for seed, check in run_excess_risk_seeds(source, seeds, args.n_labeled,
                                              args.n_unlabeled, grid, args.theta):
         results.append({"seed": seed, **{key: getattr(check, key) for key in (
-            "lhs", "rhs", "monte_carlo_se", "bayes_risk", "test_risk", "passed")}})
+            "lhs", "rhs", "monte_carlo_se", "bayes_risk", "test_risk", "lac_risk",
+            "optimal_lac_risk", "passed")}})
         print(f"seed {seed}: lhs={check.lhs:.6f} <= rhs={check.rhs:.6f} "
               f"+ 3se={3 * check.monte_carlo_se:.6f} -> "
               f"{'PASS' if check.passed else 'FAIL'}")

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import compress
+from operator import length_hint
 
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular
@@ -109,6 +111,37 @@ def _remap_labels(raw: list[int], nc_label: int | None) -> tuple[np.ndarray, int
     return y, K, table
 
 
+def _converted(kind, strings: list, dtype) -> tuple[np.ndarray, int]:
+    """``kind`` mapped over ``strings`` in one pass, as a ``dtype`` array.
+
+    Also returns how many strings come before the first one that ``kind``
+    rejects, or that does not fit ``dtype``; the array holds only those.
+    """
+    it = iter(strings)
+    try:
+        return np.fromiter(map(kind, it), dtype, len(strings)), len(strings)
+    except (ValueError, OverflowError):
+        # the iterator stopped just past the rejected string
+        good = len(strings) - length_hint(it) - 1
+        return np.fromiter(map(kind, strings[:good]), dtype, good), good
+
+
+def _one_colon_prefix(joined: str, n: int) -> int:
+    """How many of the ``n`` space-joined tokens in ``joined`` come before
+    the first that does not hold exactly one ':' (``n`` if none)."""
+    # no token holds a space, and UTF-8 encodes non-ASCII characters
+    # without the bytes of ':' and ' '
+    b = np.frombuffer(joined.encode(), dtype=np.uint8)
+    marks = b[(b == ord(":")) | (b == ord(" "))]
+    # well-formed tokens give ':' then their ' ' separator, token after token
+    expected = np.empty_like(marks)
+    expected[0::2], expected[1::2] = ord(":"), ord(" ")
+    wrong = np.flatnonzero(marks != expected)
+    if not wrong.size and len(marks) == 2 * n - 1:
+        return n
+    return int(np.count_nonzero(marks[:wrong[0] if wrong.size else len(marks)] == ord(" ")))
+
+
 def load_libsvm(
     path,
     nc_label: int | None = None,
@@ -121,59 +154,90 @@ def load_libsvm(
     ``num_known_classes`` is given no remapping happens: every other label
     must already lie in 1..K (useful for files that pair with a fitted
     model).
+
+    Tokens are whitespace-separated and blank lines are skipped.  The file
+    is parsed in bulk: each line is split once, labels go through
+    ``float`` and then ``int``, and the feature tokens are joined and split
+    on ':' once, their indices going through ``int`` and their values
+    through ``float``.  A malformed file raises ValueError naming
+    ``path:line`` of its first bad line and the problem there, in the order
+    a line is read: the label, then each token in turn (its ':', then its
+    index and value, then whether its index is 1-based and greater than the
+    one before).  Non-finite feature values are reported the same way.
     """
-    raw_labels: list[int] = []
-    rows: list[dict[int, float]] = []
-    max_index = 0
+    # every token, line after line, and the token count of each line; no
+    # per-line lists are kept, which would raise the peak RSS of a load
+    flat, lens = [], []
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            try:
-                label_f = float(parts[0])
-                label = int(label_f)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: invalid label {parts[0]!r}") from exc
-            if label != label_f:
-                raise ValueError(f"{path}:{line_no}: non-integer label {parts[0]!r}")
-            feats: dict[int, float] = {}
-            prev = 0
-            for tok in parts[1:]:
-                if ":" not in tok:
-                    raise ValueError(f"{path}:{line_no}: invalid token {tok!r}")
-                idx_s, val_s = tok.split(":", 1)
-                try:
-                    idx = int(idx_s)
-                    val = float(val_s)
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{line_no}: invalid token {tok!r}") from exc
-                if idx <= prev:
-                    raise ValueError(
-                        f"{path}:{line_no}: indices must be 1-based and strictly increasing"
-                    )
-                prev = idx
-                feats[idx] = val
-            max_index = max(max_index, prev)
-            raw_labels.append(label)
-            rows.append(feats)
-    if not rows:
+        for parts in map(str.split, fh):
+            lens.append(len(parts))
+            flat += parts
+    counts = np.array(lens, dtype=np.intp)
+    line_nos = np.flatnonzero(counts) + 1  # nonblank lines
+    counts = counts[counts > 0]
+    is_label = np.zeros(len(flat), dtype=bool)
+    is_label[np.cumsum(counts) - counts] = True
+    labels = list(compress(flat, is_label))
+    joined = " ".join(compress(flat, ~is_label))  # every feature token, row after row
+    del flat, is_label
+    counts -= 1  # feature tokens per row
+    n_tokens = int(counts.sum())
+    token_row = np.repeat(np.arange(len(counts)), counts)
+    row_start = np.cumsum(counts) - counts  # each row's first feature token
+
+    # tokens [0, end) passed every check made so far
+    end = _one_colon_prefix(joined, n_tokens)
+    pieces = joined.replace(":", " ").split(" ")[:2 * end]
+    idx, good_idx = _converted(int, pieces[0::2], np.intp)
+    values, good_values = _converted(float, pieces[1::2], float)
+    del pieces
+    end = min(end, good_idx, good_values)
+    checked = idx[:end]
+    prev = np.zeros_like(checked)  # 0 before each row's first token
+    prev[1:] = checked[:-1]
+    prev[row_start[row_start < end]] = 0
+    unordered = np.flatnonzero(checked <= prev)
+    order_problem = unordered.size > 0
+    if order_problem:
+        end = int(unordered[0])
+
+    label_values, good_labels = _converted(float, labels, float)
+    # int() rejects nan and inf; a finite label must be a whole number
+    bad_labels = np.flatnonzero(~np.isfinite(label_values)
+                                | (label_values != np.trunc(label_values)))
+    label_row = min(good_labels, int(bad_labels[0]) if bad_labels.size else len(labels))
+    if label_row < len(labels) and (end == n_tokens or label_row <= token_row[end]):
+        tok = labels[label_row]
+        whole = label_row < good_labels and np.isfinite(label_values[label_row])
+        kind = "non-integer" if whole else "invalid"
+        raise ValueError(f"{path}:{line_nos[label_row]}: {kind} label {tok!r}")
+    if end < n_tokens:
+        problem = ("indices must be 1-based and strictly increasing" if order_problem
+                   else f"invalid token {joined.split(' ')[end]!r}")
+        raise ValueError(f"{path}:{line_nos[token_row[end]]}: {problem}")
+    del joined
+
+    if not labels:
         raise ValueError(f"{path}: empty file")
-    if max_index == 0:
+    if not n_tokens:
         raise ValueError(f"{path}: no features found")
-    X = np.zeros((len(rows), max_index))
-    for i, feats in enumerate(rows):
-        for idx, val in feats.items():
-            X[i, idx - 1] = val
+    del labels
+    X = np.zeros((len(counts), int(idx.max())))
+    X[token_row, idx - 1] = values
     if num_known_classes is not None:
         K = int(num_known_classes)
-        bad = sorted({r for r in raw_labels if r != nc_label and not 1 <= r <= K})
-        if bad:
+        novel = label_values == nc_label
+        outside = ~novel & ((label_values < 1) | (label_values > K))
+        if outside.any():
+            bad = sorted(set(map(int, label_values[outside].tolist())))
             raise ValueError(f"{path}: labels {bad} outside the expected range 1..{K}")
-        y = np.array([K + 1 if r == nc_label else r for r in raw_labels], dtype=np.int64)
-        return LabeledDataset(X, y, K)
-    y, K, table = _remap_labels(raw_labels, nc_label)
+        y = np.where(novel, K + 1, label_values).astype(np.int64)
+        table = None
+    else:
+        y, K, table = _remap_labels(list(map(int, label_values.tolist())), nc_label)
+    nonfinite = np.flatnonzero(~np.isfinite(values))
+    if nonfinite.size:
+        raise ValueError(f"{path}:{line_nos[token_row[nonfinite[0]]]}: features must be finite")
     return LabeledDataset(X, y, K, label_map=table)
 
 

@@ -222,8 +222,14 @@ class ExperimentReport:
         rows = self.aggregate(metric)
         if len(rows) < 2:
             return None
-        ranks = np.column_stack([_average_ranks([r["x"] for r in rows]),
-                                 _average_ranks([r["mean"] for r in rows])])
+        x_ranks = _average_ranks([r["x"] for r in rows])
+        mean_ranks = _average_ranks([r["mean"] for r in rows])
+        # corrcoef can land one ulp inside +-1 (at 2 or 5 sizes, say)
+        if np.array_equal(mean_ranks, x_ranks):
+            return 1.0
+        if np.array_equal(mean_ranks, len(rows) + 1 - x_ranks):
+            return -1.0
+        ranks = np.column_stack([x_ranks, mean_ranks])
         with np.errstate(divide="ignore", invalid="ignore"):  # constant input gives NaN
             return float(np.corrcoef(ranks, rowvar=False)[1, 0])
 

@@ -13,6 +13,16 @@ from scipy.spatial.distance import cdist, pdist
 # scores by up to 3.6e-13 (another BLAS kernel for the smaller product);
 # 1024-row blocks matched the one-shot product bit for bit.
 GRAM_BLOCK_ROWS = 1024
+# Every square-loss solve runs on a pooled Gram whose entries below this
+# floor are zeroed as it is built (floored_gram); otherwise it runs on
+# subnormal numbers at small bandwidths: the factorization slows five- to
+# tenfold and the Lanczos products twofold.
+# Zeroing entries below delta moves M = G_UU / (2 n_u) + (2 lambda + jitter) I
+# by at most delta / 2 in spectral norm, and M >= 2 lambda I, so the
+# solution moves by at most delta / (4 lambda) relative: about 2.5e-28 at
+# lambda = 1e-3.  The G_UL alpha_L part of the right-hand side moves by at
+# most delta theta / (2 lambda) relative to its 1 / (2 n_u) constant part.
+KERNEL_FLOOR = 1e-30
 
 
 @dataclass(frozen=True)
@@ -35,14 +45,8 @@ def _as_points(x) -> np.ndarray:
     return pts
 
 
-def gram(spec: KernelSpec, rows, cols) -> np.ndarray:
-    """Gram matrix with entry (i, j) = k(rows[i], cols[j]).
-
-    cdist keeps the accumulation order fixed, so the result is identical
-    across runs and thread counts.  The kernel is computed in place in the
-    cdist output, so the call makes one n x m allocation; the arithmetic is
-    that of ``np.exp(-sq / (2 sigma^2))``.
-    """
+def _exponents(spec: KernelSpec, rows, cols) -> np.ndarray:
+    """The n x m array -||rows[i] - cols[j]||^2 / (2 sigma^2)."""
     r = _as_points(rows)
     c = _as_points(cols)
     if r.shape[0] == 0 or c.shape[0] == 0:
@@ -50,9 +54,39 @@ def gram(spec: KernelSpec, rows, cols) -> np.ndarray:
     if r.shape[1] != c.shape[1]:
         raise ValueError(f"dimension mismatch: {r.shape[1]} vs {c.shape[1]}")
     out = cdist(r, c, metric="sqeuclidean")
-    np.negative(out, out=out)
-    out /= 2.0 * spec.sigma**2
+    # one pass: IEEE division is sign-symmetric, so this equals negating
+    # and then dividing by 2 sigma^2 bit for bit
+    out /= -2.0 * spec.sigma**2
+    return out
+
+
+def gram(spec: KernelSpec, rows, cols) -> np.ndarray:
+    """Gram matrix with entry (i, j) = k(rows[i], cols[j]).
+
+    cdist keeps the accumulation order fixed, so the result is identical
+    across runs and thread counts.  The kernel is computed in place in the
+    cdist output, one scaling pass and one exp pass, so the call makes one
+    n x m allocation; the arithmetic is that of
+    ``np.exp(-sq / (2 sigma^2))``.
+    """
+    out = _exponents(spec, rows, cols)
     return np.exp(out, out=out)
+
+
+def floored_gram(spec: KernelSpec, rows, cols) -> np.ndarray:
+    """``gram(spec, rows, cols)`` with its entries below KERNEL_FLOOR zeroed.
+
+    The exponents are clamped at log(KERNEL_FLOOR) - 1 before the exp, which
+    keeps numpy's exp off its slow subnormal path (about 70x slower at
+    exp(-720) than at exp(-80)).  A clamped entry lies below KERNEL_FLOOR / e,
+    so it is zeroed either way, and the result equals ``gram`` followed by
+    zeroing bit for bit.
+    """
+    out = _exponents(spec, rows, cols)
+    np.maximum(out, np.log(KERNEL_FLOOR) - 1.0, out=out)
+    np.exp(out, out=out)
+    out *= out >= KERNEL_FLOOR
+    return out
 
 
 def median_heuristic(points) -> float:

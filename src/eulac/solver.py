@@ -5,9 +5,9 @@ Scorers are kernel expansions over the combined labeled + unlabeled support
 The square loss admits an exact linear-system solution: one Cholesky
 factorization for a single weight, or one shifted-Lanczos run on the
 pooled Gram's unlabeled block that serves every fold and weight of a
-cross-validation bandwidth.  Both floor the pooled Gram in place and read
-the labeled bracket: the labeled risk term is linear in the scores, so its
-gradient is one constant for every loss.  Hence for every loss the labeled
+cross-validation bandwidth.  Both run on a pooled Gram built floored and
+read the labeled bracket: the labeled risk term is linear in the scores, so
+its gradient is one constant for every loss.  Hence for every loss the labeled
 rows of alpha are the closed form -bracket / (2 lambda), and the K+1 score
 columns decouple into problems over the unlabeled rows.  Other losses solve
 each column with scipy's limited-memory quasi-Newton method (L-BFGS-B):
@@ -25,20 +25,11 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
 
 from .data import LabeledDataset, UnlabeledDataset, json_text
-from .kernel import GRAM_BLOCK_ROWS, KernelSpec, gram
+from .kernel import GRAM_BLOCK_ROWS, KernelSpec, floored_gram, gram
 from .losses import DOUBLE_HINGE, SQUARE, canonical_loss_kind, loss_derivative, loss_value
 from .risk import lac_risk_from_scores
 
 GRAM_JITTER = 1e-10
-# Every square-loss solve zeroes the entries of its pooled Gram below this
-# floor first; otherwise it runs on subnormal numbers at small bandwidths:
-# the factorization slows five- to tenfold and the Lanczos products twofold.
-# Zeroing entries below delta moves M = G_UU / (2 n_u) + (2 lambda + jitter) I
-# by at most delta / 2 in spectral norm, and M >= 2 lambda I, so the
-# solution moves by at most delta / (4 lambda) relative: about 2.5e-28 at
-# lambda = 1e-3.  The G_UL alpha_L part of the right-hand side moves by at
-# most delta theta / (2 lambda) relative to its 1 / (2 n_u) constant part.
-KERNEL_FLOOR = 1e-30
 # The shifted-Lanczos solve stops once every shift's residual is at most
 # this fraction of its right-hand side's norm.  The unlabeled block has
 # spectral norm <= 1/2 and every shift is >= 2 lambda, so the solution's
@@ -252,11 +243,6 @@ def _check_theta(theta: float) -> None:
         raise ValueError(f"theta must lie in (0, 1], got {theta}")
 
 
-def _floor_gram(G: np.ndarray) -> None:
-    """Zero the entries of G below KERNEL_FLOOR, in place."""
-    np.copyto(G, 0.0, where=G < KERNEL_FLOOR)
-
-
 def _square_loss_alpha(
     G: np.ndarray,
     n_l: int,
@@ -267,12 +253,13 @@ def _square_loss_alpha(
 ) -> np.ndarray:
     """Exact stationary point of the square-loss objective at weight lam.
 
-    G is the training Gram matrix, n_l labeled rows first; G is floored in
-    place.  The labeled rows of alpha are the bracket's closed form
-    -B_L / (2 lam); the unlabeled rows solve (G_UU / (2 n_u) + s I) x =
-    -B_U - G_UL alpha_L / (2 n_u) with s = 2 lam + GRAM_JITTER, by one
-    Cholesky factorization.  G was checked finite here, so the
-    factorization and the solve skip scipy's full-matrix finiteness scans.
+    G is the training Gram matrix, n_l labeled rows first, built by
+    ``floored_gram``.  The labeled rows of alpha are the bracket's closed
+    form -B_L / (2 lam); the unlabeled rows solve
+    (G_UU / (2 n_u) + s I) x = -B_U - G_UL alpha_L / (2 n_u) with
+    s = 2 lam + GRAM_JITTER, by one Cholesky factorization.  G was checked
+    finite here, so the factorization and the solve skip scipy's
+    full-matrix finiteness scans.
     """
     _check_theta(theta)
     n_u = G.shape[0] - n_l
@@ -281,7 +268,6 @@ def _square_loss_alpha(
         raise ValueError(f"regularization weight must be finite, got {lam}")
     if not np.all(np.isfinite(G[n_l:])):
         raise ValueError("square-loss Gram blocks must be finite")
-    _floor_gram(G)
     K = num_known_classes
     alpha = np.empty((n_l + n_u, K + 1))
     alpha[:n_l] = -_labeled_bracket(labels, K, theta) / (2.0 * lam)
@@ -429,9 +415,9 @@ def _square_loss_fold_alphas(
     started from every fold's m_f and the K+1 columns of its r1, serves
     every fold and weight, with no factorization and no gathered block.
 
-    G is floored in place.  alphas[f][i] is (n, K+1) over the pooled
-    support, zero outside fold f's training rows.  A failed solve raises
-    LinAlgError whose ``fold`` names the fold.
+    G is built by ``floored_gram``.  alphas[f][i] is (n, K+1) over the
+    pooled support, zero outside fold f's training rows.  A failed solve
+    raises LinAlgError whose ``fold`` names the fold.
     """
     _check_theta(theta)
     n_u = G.shape[0] - n_l
@@ -442,7 +428,6 @@ def _square_loss_fold_alphas(
         raise ValueError(f"regularization weights must be finite, got {lams.tolist()}")
     if not np.all(np.isfinite(G[n_l:])):
         raise ValueError("square-loss Gram blocks must be finite")
-    _floor_gram(G)
 
     width = K + 2  # start vectors per fold: m_f, then the K+1 columns of r1
     masks = np.zeros((len(folds) * width, n_u))
@@ -493,7 +478,7 @@ def fit_square_closed_form(
         raise ValueError("regularization weight must be positive")
     _check_train_inputs(labeled, unlabeled)
     support = np.vstack([labeled.X, unlabeled.X])
-    G = gram(kernel, support, support)
+    G = floored_gram(kernel, support, support)
     alpha = _square_loss_alpha(G, len(labeled), labeled.y, labeled.num_known_classes,
                                theta, lam)
     # the bracket is solved exactly, so the gradient G @ residual is ~0

@@ -230,6 +230,24 @@ class TestEval:
         assert rc == 1
         assert "labels [3] outside the expected range 1..2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("label", ["inf", "-inf", "nan"])
+    def test_nonfinite_label_exits_one(self, fitted, tmp_path, capsys, label):
+        # int(float("inf")) raises OverflowError, which main() does not catch
+        data, model = fitted
+        bad = tmp_path / "bad.libsvm"
+        bad.write_text(f"1 1:0.0 2:0.0\n{label} 1:1.0 2:1.0\n")
+        rc = main(["eval", "--model", str(model), "--test", str(bad)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {bad}:2: invalid label '{label}'\n"
+
+    def test_nonfinite_feature_names_its_line(self, fitted, tmp_path, capsys):
+        data, model = fitted
+        bad = tmp_path / "bad.libsvm"
+        bad.write_text("1 1:0.0 2:0.0\n\n1 1:0.5 2:nan\n0 1:inf 2:0.0\n")
+        rc = main(["eval", "--model", str(model), "--test", str(bad)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {bad}:3: features must be finite\n"
+
     def test_out_file(self, fitted, tmp_path):
         data, model = fitted
         target = tmp_path / "metrics.json"
@@ -370,6 +388,20 @@ class TestBench:
         assert "PASS" in out and "lhs=" in out and "rhs=" in out
         payload = json.loads((tmp_path / "b" / "excess_risk.json").read_text())
         assert payload["runs"][0]["passed"]
+
+    def test_excess_risk_rows_carry_surrogate_risks(self, spec_file, tmp_path):
+        # rhs = sqrt(2 x surrogate excess) is recomputable from the artifact
+        rc = main(["bench", "excess-risk", "--spec", str(spec_file),
+                   "--out", str(tmp_path / "b"), "--repeats", "2",
+                   "--n-labeled", "60", "--n-unlabeled", "90", "--theta", "0.7",
+                   ] + FAST_GRID)
+        assert rc in (0, 1)
+        runs = json.loads((tmp_path / "b" / "excess_risk.json").read_text())["runs"]
+        assert len(runs) == 2
+        for run in runs:
+            assert run["lac_risk"] >= run["optimal_lac_risk"] > 0.0
+            assert run["rhs"] == np.sqrt(2.0 * max(run["lac_risk"] - run["optimal_lac_risk"],
+                                                   0.0))
 
     def test_source_required(self, tmp_path, capsys):
         rc = main(["bench", "scaling", "--out", str(tmp_path / "b")])

@@ -105,6 +105,124 @@ class TestLibsvmLoader:
         np.testing.assert_array_equal(a.y, b.y)
 
 
+def _reference_libsvm(path, nc_label=None):
+    """(X, y, label_map) read one line and one token at a time."""
+    labels, rows = [], []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            parts = line.split()
+            if parts:
+                labels.append(int(float(parts[0])))
+                rows.append({int(t.split(":")[0]): float(t.split(":")[1]) for t in parts[1:]})
+    X = np.zeros((len(rows), max(max(r, default=0) for r in rows)))
+    for i, row in enumerate(rows):
+        for idx, val in row.items():
+            X[i, idx - 1] = val
+    known = sorted({r for r in labels if r != nc_label})
+    table = {orig: i + 1 for i, orig in enumerate(known)}
+    return X, np.array([table.get(r, len(known) + 1) for r in labels]), table
+
+
+def _ragged_libsvm(rng) -> str:
+    """LIBSVM text with blank lines, mixed line endings and separators,
+    skipped indices, repeated labels and signed numbers."""
+    lines = []
+    for _ in range(int(rng.integers(1, 40))):
+        if rng.random() < 0.15:
+            lines.append(str(rng.choice(["", " ", "\t", " \t "])))
+        label = str(rng.choice(["0", "1", "+1", "1.0", "3", "-2", "7", "7e0"]))
+        idx = np.flatnonzero(rng.random(6) < 0.5) + 1
+        tokens = [label]
+        for i in idx:
+            v = float(rng.normal() * 10.0 ** rng.integers(-3, 4))
+            text = str(rng.choice([repr(v), f"{v:+.3e}", f"{v:.2f}", str(int(v))]))
+            tokens.append(f"{str(rng.choice(['', '+', '0']))}{i}:{text}")
+        seps = rng.choice(["", " ", "  ", "\t", " \t"], size=len(tokens) + 1)
+        seps[1:-1][seps[1:-1] == ""] = " "  # tokens need a separator between them
+        lines.append("".join(s + t for s, t in zip(seps, tokens + [""])))
+    # one row with every index, so every file has features
+    lines.append("1 " + " ".join(f"{i}:{i / 4}" for i in range(1, 7)))
+    rng.shuffle(lines)
+    return "".join(line + str(rng.choice(["\n", "\r\n"])) for line in lines)
+
+
+class TestLibsvmParity:
+    """The bulk loader against a per-line reference parse."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_ragged_text(self, tmp_path, seed):
+        p = tmp_path / "r.libsvm"
+        p.write_bytes(_ragged_libsvm(np.random.default_rng(seed)).encode())
+        for nc_label in (None, 0):
+            ds = load_libsvm(p, nc_label=nc_label)
+            X, y, table = _reference_libsvm(p, nc_label)
+            np.testing.assert_array_equal(ds.X, X)
+            np.testing.assert_array_equal(ds.y, y)
+            assert ds.label_map == table and ds.num_known_classes == len(table)
+
+    def test_known_class_mode(self, tmp_path):
+        p = tmp_path / "k.libsvm"
+        p.write_text("0 2:1.5\n\n+2 1:-1 3:2e-1\r\n1.0 1:+0.25\n")
+        ds = load_libsvm(p, nc_label=0, num_known_classes=2)
+        np.testing.assert_array_equal(ds.X, [[0.0, 1.5, 0.0], [-1.0, 0.0, 0.2], [0.25, 0, 0]])
+        np.testing.assert_array_equal(ds.y, [3, 2, 1])
+        assert ds.label_map is None
+
+    @pytest.mark.parametrize("text, line, problem", [
+        ("1 1:1\n\n1x 1:1\n", 3, "invalid label '1x'"),
+        ("1 1:1\n2.5 1:1\n", 2, "non-integer label '2.5'"),
+        ("1 1:1\n2 1:1 5\n", 2, "invalid token '5'"),
+        ("1 1:1 2:1:1\n", 1, "invalid token '2:1:1'"),
+        ("1 1:1\n2 1.5:1\n", 2, "invalid token '1.5:1'"),
+        ("1 1:1\n2 1:abc\n", 2, "invalid token '1:abc'"),
+        ("1 1:1 3:1 3:2\n", 1, "indices must be 1-based and strictly increasing"),
+        ("1 1:1\n2 0:1\n", 2, "indices must be 1-based and strictly increasing"),
+        # the first bad line wins, whatever its problem
+        ("1 2:1 1:1\nx 1:1\n3 1:y\n", 1, "indices must be 1-based and strictly increasing"),
+        ("1 1:1\n2 1:y\nx 1:1\n", 2, "invalid token '1:y'"),
+        ("1 1:1 1:1\n2 1\n", 1, "indices must be 1-based and strictly increasing"),
+        ("1 5 1:2:3\n", 1, "invalid token '5'"),
+        # within a line, the label first, then each token in turn
+        ("x 1:1 2\n", 1, "invalid label 'x'"),
+        ("1 2:1 1:y\n", 1, "invalid token '1:y'"),
+        ("1 2:1 1:1 3:y\n", 1, "indices must be 1-based and strictly increasing"),
+        ("1 1:1 2:2 3\n", 1, "invalid token '3'"),
+    ])
+    def test_error_names_first_bad_line(self, tmp_path, text, line, problem):
+        p = tmp_path / "bad.libsvm"
+        p.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_libsvm(p)
+        assert str(info.value) == f"{p}:{line}: {problem}"
+
+    @pytest.mark.parametrize("text, problem", [
+        ("", "empty file"),
+        ("\n \n\t\n", "empty file"),
+        ("1\n2\n", "no features found"),
+    ])
+    def test_file_level_errors(self, tmp_path, text, problem):
+        p = tmp_path / "bad.libsvm"
+        p.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_libsvm(p)
+        assert str(info.value) == f"{p}: {problem}"
+
+    @pytest.mark.parametrize("label", ["inf", "-inf", "nan", "1e400"])
+    def test_nonfinite_label_names_its_line(self, tmp_path, label):
+        p = tmp_path / "bad.libsvm"
+        p.write_text(f"1 1:1\n{label} 1:1\n")
+        with pytest.raises(ValueError) as info:
+            load_libsvm(p)
+        assert str(info.value) == f"{p}:2: invalid label '{label}'"
+
+    def test_nonfinite_feature_names_its_line(self, tmp_path):
+        p = tmp_path / "bad.libsvm"
+        p.write_text("1 1:0.5\n\n1 1:0.5 2:nan\n2 1:inf\n")
+        with pytest.raises(ValueError) as info:
+            load_libsvm(p)
+        assert str(info.value) == f"{p}:3: features must be finite"
+
+
 class TestCsvLoader:
     def test_basic(self, tmp_path):
         p = tmp_path / "d.csv"

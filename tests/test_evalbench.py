@@ -155,7 +155,7 @@ class TestReports:
         assert report.spearman("macro_f1") is None
 
     def test_spearman_matches_scipy(self):
-        from scipy.stats import spearmanr
+        from scipy.stats import rankdata, spearmanr
         rng = np.random.default_rng(5)
         for trial in range(300):
             k = int(rng.integers(2, 10))
@@ -166,8 +166,24 @@ class TestReports:
                 continue  # constant input: see test_spearman_nan_for_constant_metric
             runs = tuple({"x": int(x), "seed": 0, "macro_f1": float(v)}
                          for x, v in zip(xs, vals))
-            assert (ExperimentReport({}, runs).spearman("macro_f1")
-                    == spearmanr(xs, vals).statistic)
+            expected = spearmanr(xs, vals).statistic
+            ranks = rankdata(vals)
+            # scipy can land one ulp inside +-1 there (k = 2 or 5, say)
+            if np.array_equal(ranks, np.arange(1, k + 1)):
+                expected = 1.0
+            elif np.array_equal(ranks, np.arange(k, 0, -1)):
+                expected = -1.0
+            assert ExperimentReport({}, runs).spearman("macro_f1") == expected
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_spearman_exact_for_identical_and_opposite_ranks(self, k):
+        # corrcoef of the ranks gives -0.9999999999999999 here
+        up = tuple({"x": 10 * (i + 1), "seed": 0, "macro_f1": 0.1 * i} for i in range(k))
+        down = tuple(dict(run, macro_f1=-run["macro_f1"]) for run in up)
+        assert ExperimentReport({}, up).spearman("macro_f1") == 1.0
+        assert ExperimentReport({}, down).spearman("macro_f1") == -1.0
+        report = ExperimentReport({"command": "scaling"}, down)
+        assert '"spearman": -1.0' in report.to_json()
 
     def test_spearman_nan_for_constant_metric(self):
         runs = tuple({"x": x, "seed": 0, "macro_f1": 0.5} for x in range(4))

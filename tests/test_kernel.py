@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from eulac.kernel import KernelSpec, gram, median_heuristic
+from eulac.kernel import (
+    DEFAULT_SIGMA_MULTIPLIERS,
+    KERNEL_FLOOR,
+    KernelSpec,
+    floored_gram,
+    gram,
+    median_heuristic,
+)
+
+from conftest import small_train_data
 
 
 def _pair(spec, x, y) -> float:
@@ -80,6 +89,23 @@ class TestGram:
         sigma = 0.37
         expected = np.exp(-cdist(X, Y, "sqeuclidean") / (2.0 * sigma**2))
         np.testing.assert_array_equal(gram(KernelSpec(sigma), X, Y), expected)
+
+    @pytest.mark.parametrize("mult", DEFAULT_SIGMA_MULTIPLIERS)
+    def test_floored_build_equals_gram_then_floor(self, mult):
+        # the square-loss Gram, clamped before its exp, has the bits of
+        # gram() with its entries below the floor zeroed afterwards
+        L, U = small_train_data(seed=3, n_l=60, n_u=200)
+        X = np.vstack([L.X, U.X])
+        spec = KernelSpec(mult * median_heuristic(X))
+        expected = gram(spec, X, X)
+        if mult == min(DEFAULT_SIGMA_MULTIPLIERS):
+            # the clamp is exercised: some entries are subnormal
+            assert np.any((expected > 0) & (expected < np.finfo(float).tiny))
+        np.copyto(expected, 0.0, where=expected < KERNEL_FLOOR)
+        floored = floored_gram(spec, X, X)
+        np.testing.assert_array_equal(floored, expected)
+        assert not np.any(np.signbit(floored))
+        np.testing.assert_array_equal(floored_gram(spec, X[:50], X), expected[:50])
 
     def test_positive_semidefinite(self):
         rng = np.random.default_rng(3)

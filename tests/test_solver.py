@@ -15,17 +15,18 @@ from eulac.data import (
 from eulac.kernel import (
     DEFAULT_SIGMA_MULTIPLIERS,
     GRAM_BLOCK_ROWS,
+    KERNEL_FLOOR,
     KernelSpec,
+    floored_gram,
     gram,
     median_heuristic,
 )
 from eulac.losses import LOSS_KINDS
-from eulac.modelsel import DEFAULT_LAMBDAS
+from eulac.modelsel import DEFAULT_LAMBDAS, HyperGrid, cross_validate
 from eulac.risk import empirical_lac_risk
 import eulac.solver
 from eulac.solver import (
     GRAM_JITTER,
-    KERNEL_FLOOR,
     DualModel,
     FitOptions,
     _labeled_bracket,
@@ -210,16 +211,28 @@ def _unfloored_square_alpha(G, y, K, n_l, n_u, theta, lam):
     return alpha
 
 
+def _floored(G):
+    """A copy of G with its entries below KERNEL_FLOOR zeroed, as the
+    square-loss solves expect."""
+    G = G.copy()
+    np.copyto(G, 0.0, where=G < KERNEL_FLOOR)
+    return G
+
+
 def _refit_alpha(G, y, n_l, lam, theta=THETA):
-    """The refit's solve on a copy of a full training Gram."""
-    return _square_loss_alpha(G.copy(), n_l, y, 2, theta, lam)
+    """The refit's solve on a floored copy of a full training Gram."""
+    return _square_loss_alpha(_floored(G), n_l, y, 2, theta, lam)
 
 
 def _lanczos_alphas(G, y, n_l, lams, theta=THETA):
-    """The cross-validation solve, on a copy of G, with one fold that trains
-    on every row."""
+    """The cross-validation solve, on a floored copy of G, with one fold
+    that trains on every row."""
     folds = [(np.arange(n_l), np.arange(G.shape[0] - n_l))]
-    return _square_loss_fold_alphas(G.copy(), n_l, y, 2, theta, folds, lams)[0]
+    return _square_loss_fold_alphas(_floored(G), n_l, y, 2, theta, folds, lams)[0]
+
+
+def _narrow_kernel(L, U):
+    return KernelSpec(0.01 * median_heuristic(np.vstack([L.X, U.X])))
 
 
 def _unbuffered_square_alpha(G, y, K, n_l, n_u, theta, lam):
@@ -251,7 +264,7 @@ class TestSquareLossSystem:
         # some land on subnormal numbers
         L, U = small_train_data(seed=3, n_l=60, n_u=200)
         support = np.vstack([L.X, U.X])
-        G = gram(KernelSpec(0.01 * median_heuristic(support)), support, support)
+        G = gram(_narrow_kernel(L, U), support, support)
         return L, U, G
 
     def test_floor_keeps_the_solution(self, narrow):
@@ -264,21 +277,29 @@ class TestSquareLossSystem:
             ref = _unfloored_square_alpha(G, L.y, 2, n_l, n_u, THETA, lam)
             assert np.max(np.abs(alpha - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    def test_floored_block_has_no_subnormals(self, narrow):
+    def test_floored_block_has_no_subnormals(self, narrow, monkeypatch):
         L, U, G = narrow
         n_l, n_u = len(L), len(U)
         tiny = np.finfo(float).tiny
         raw = G[n_l:, n_l:] / (2.0 * n_u)
         assert np.any((raw > 0) & (raw < tiny))
-        floored = G.copy()
-        _square_loss_alpha(floored, n_l, L.y, 2, THETA, 1e-2)  # floors its Gram in place
-        A = floored[n_l:, n_l:] / (2.0 * n_u)
+        solved = []
+        solve = eulac.solver._square_loss_alpha
+
+        def recording_solve(G, *args):
+            solved.append(G.copy())
+            return solve(G, *args)
+
+        monkeypatch.setattr(eulac.solver, "_square_loss_alpha", recording_solve)
+        fit_square_closed_form(L, U, _narrow_kernel(L, U), THETA, 1e-2)
+        refit_gram, = solved
+        A = refit_gram[n_l:, n_l:] / (2.0 * n_u)
         assert not np.any((A != 0) & (np.abs(A) < tiny))
 
     def test_lanczos_start_vectors_have_no_subnormals(self, narrow, monkeypatch):
         # the start vectors read G_UL: unfloored, its subnormal entries carry
         # into them and every Lanczos product runs on subnormal numbers
-        L, _, G = narrow
+        L, U, _ = narrow
         starts = []
         lanczos = eulac.solver._shifted_lanczos
 
@@ -287,7 +308,8 @@ class TestSquareLossSystem:
             return lanczos(A, start_vectors, *args)
 
         monkeypatch.setattr(eulac.solver, "_shifted_lanczos", recording_lanczos)
-        _lanczos_alphas(G, L.y, len(L), DEFAULT_LAMBDAS)
+        grid = HyperGrid(sigma_multipliers=(0.01,), lambda_candidates=DEFAULT_LAMBDAS, folds=2)
+        cross_validate(L, U, THETA, grid, seed=0)
         start_vectors, = starts
         tiny = np.finfo(float).tiny
         assert not np.any((start_vectors != 0) & (np.abs(start_vectors) < tiny))
@@ -379,11 +401,11 @@ class TestFoldLanczos:
         n_l = len(L)
         assert len({len(train_U) for _, train_U in folds}) == 2
         for mult in DEFAULT_SIGMA_MULTIPLIERS:
-            G = gram(KernelSpec(mult * median), support, support)
+            G = floored_gram(KernelSpec(mult * median), support, support)
             before = G.copy()
             fold_alphas = _square_loss_fold_alphas(G, n_l, L.y, 2, THETA, folds, DEFAULT_LAMBDAS)
-            # the Gram was floored in place and nothing else changed
-            assert np.array_equal(G, np.where(before < KERNEL_FLOOR, 0.0, before))
+            # the solve reads the floored Gram and changes none of it
+            assert np.array_equal(G, before)
             for (train_L, train_U), alphas in zip(folds, fold_alphas):
                 sup = np.concatenate([train_L, n_l + train_U])
                 G_f = before[np.ix_(sup, sup)]
