@@ -370,7 +370,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, np.linalg.LinAlgError, RuntimeError) as exc:
+    # numpy's MemoryError names the array it could not allocate, such as a
+    # dense Gram too large for the machine
+    except (ValueError, OSError, np.linalg.LinAlgError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

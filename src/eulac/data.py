@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, repeat
 from operator import length_hint
 
 import numpy as np
@@ -242,26 +242,42 @@ def load_libsvm(
 
 
 def load_features_csv(path) -> UnlabeledDataset:
-    """Read a features-only numeric CSV without header."""
-    feats: list[list[float]] = []
-    width = None
+    """Read a features-only numeric CSV without header.
+
+    Blank lines are skipped, and a cell is anything ``float`` accepts,
+    spaces around it included.  The file is parsed in bulk: the stripped
+    nonblank lines are joined and split on ',' once, and every cell goes
+    through ``float`` in one pass.  A malformed file raises ValueError
+    naming ``path:line`` of its first bad line: a ragged row (its cell
+    count differs from the first row's) before a non-numeric cell.
+    Non-finite values are reported the same way, once every cell parsed.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if width is None:
-                width = len(cells)
-            elif len(cells) != width:
-                raise ValueError(f"{path}:{line_no}: ragged row ({len(cells)} cells, expected {width})")
-            try:
-                feats.append([float(c) for c in cells])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: non-numeric cell") from exc
-    if not feats:
+        lines = list(map(str.strip, fh))
+    lengths = np.fromiter(map(len, lines), np.intp, len(lines))
+    line_nos = np.flatnonzero(lengths) + 1  # nonblank lines
+    rows = list(compress(lines, lengths))
+    del lines
+    if not rows:
         raise ValueError(f"{path}: empty file")
-    return UnlabeledDataset(np.array(feats))
+    counts = np.fromiter(map(str.count, rows, repeat(",")), np.intp, len(rows)) + 1
+    cells = ",".join(rows).split(",")
+    del rows
+    values, good = _converted(float, cells, float)
+    width = int(counts[0])
+    ragged = np.flatnonzero(counts != width)
+    ragged_row = int(ragged[0]) if ragged.size else len(counts)
+    # the row of the first cell that float rejected
+    bad_row = int(np.searchsorted(np.cumsum(counts), good, side="right"))
+    if ragged_row < len(counts) and ragged_row <= bad_row:
+        raise ValueError(f"{path}:{line_nos[ragged_row]}: ragged row "
+                         f"({counts[ragged_row]} cells, expected {width})")
+    if bad_row < len(counts):
+        raise ValueError(f"{path}:{line_nos[bad_row]}: non-numeric cell")
+    nonfinite = np.flatnonzero(~np.isfinite(values))
+    if nonfinite.size:
+        raise ValueError(f"{path}:{line_nos[nonfinite[0] // width]}: features must be finite")
+    return UnlabeledDataset(values.reshape(len(counts), width))
 
 
 def write_libsvm(path, dataset: LabeledDataset) -> None:

@@ -39,35 +39,39 @@ def _check_finite(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _value(kind: str, z: np.ndarray) -> np.ndarray:
+    """psi(z) for a canonical kind and a finite float array, unchecked."""
+    if kind == SQUARE:
+        return 0.25 * (1.0 - z) ** 2
+    if kind == LOGISTIC:
+        # log(1 + exp(-z)) without overflow for large |z|
+        return np.logaddexp(0.0, -z)
+    return np.maximum(-z, np.maximum(0.0, 0.5 - 0.5 * z))
+
+
+def _derivative(kind: str, z: np.ndarray) -> np.ndarray:
+    """psi'(z) for a canonical kind and a finite float array, unchecked."""
+    if kind == SQUARE:
+        return 0.5 * (z - 1.0)
+    if kind == LOGISTIC:
+        # -sigmoid(-z), evaluated stably on both tails
+        return -1.0 / (1.0 + np.exp(np.minimum(z, 500.0)))
+    # pieces: -1 below z=-1, -1/2 inside (-1, 1), 0 above z=1;
+    # kinks take the midpoint subgradient so the value is deterministic
+    out = np.where(z < -1.0, -1.0, np.where(z < 1.0, -0.5, 0.0))
+    out = np.where(z == -1.0, -0.75, out)
+    return np.where(z == 1.0, -0.25, out)
+
+
 def loss_value(kind: str, z) -> np.ndarray | float:
     """Evaluate psi(z) elementwise.  Accepts scalars or arrays."""
-    kind = canonical_loss_kind(kind)
-    z = _check_finite(z)
-    if kind == SQUARE:
-        out = 0.25 * (1.0 - z) ** 2
-    elif kind == LOGISTIC:
-        # log(1 + exp(-z)) without overflow for large |z|
-        out = np.logaddexp(0.0, -z)
-    else:
-        out = np.maximum(-z, np.maximum(0.0, 0.5 - 0.5 * z))
+    out = _value(canonical_loss_kind(kind), _check_finite(z))
     return out if out.ndim else float(out)
 
 
 def loss_derivative(kind: str, z) -> np.ndarray | float:
     """Derivative (or a fixed subgradient at kinks) of psi."""
-    kind = canonical_loss_kind(kind)
-    z = _check_finite(z)
-    if kind == SQUARE:
-        out = 0.5 * (z - 1.0)
-    elif kind == LOGISTIC:
-        # -sigmoid(-z), evaluated stably on both tails
-        out = -1.0 / (1.0 + np.exp(np.minimum(z, 500.0)))
-    else:
-        # pieces: -1 below z=-1, -1/2 inside (-1, 1), 0 above z=1;
-        # kinks take the midpoint subgradient so the value is deterministic
-        out = np.where(z < -1.0, -1.0, np.where(z < 1.0, -0.5, 0.0))
-        out = np.where(z == -1.0, -0.75, out)
-        out = np.where(z == 1.0, -0.25, out)
+    out = _derivative(canonical_loss_kind(kind), _check_finite(z))
     return out if out.ndim else float(out)
 
 

@@ -22,11 +22,18 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.optimize import minimize
 
 from .data import LabeledDataset, UnlabeledDataset, json_text
 from .kernel import GRAM_BLOCK_ROWS, KernelSpec, floored_gram, gram
-from .losses import DOUBLE_HINGE, SQUARE, canonical_loss_kind, loss_derivative, loss_value
+from .losses import (
+    DOUBLE_HINGE,
+    SQUARE,
+    _check_finite,
+    _derivative,
+    _value,
+    canonical_loss_kind,
+    loss_derivative,
+)
 from .risk import lac_risk_from_scores
 
 GRAM_JITTER = 1e-10
@@ -71,12 +78,19 @@ class FitOptions:
 @dataclass(frozen=True)
 class FitRecord:
     """How a solve ended.  A model loaded from JSON keeps only ``converged``;
-    its iteration count and gradient norm were not saved and are None."""
+    its iteration count and gradient norm were not saved and are None.
+
+    For double-hinge the gradient norm is taken at the midpoint subgradient
+    and certifies nothing; ``duality_gap`` is what decided ``converged``:
+    the largest over the score columns of the box dual's gap relative to
+    the column objective.  It is None for every other loss.
+    """
 
     iterations: int | None
     final_gradient_norm: float | None
     converged: bool
     objective_history: tuple[float, ...] = ()
+    duality_gap: float | None = None
 
 
 @dataclass(frozen=True)
@@ -495,8 +509,9 @@ def _column_coefficients(
     sign: float,
     options: FitOptions,
     loss_kind: str,
-) -> tuple[np.ndarray, int, bool]:
-    """One score column's unlabeled coefficients u, its iterations and verdict.
+) -> tuple[np.ndarray, int, bool, float]:
+    """One score column's unlabeled coefficients u, its iterations, verdict
+    and certificate.
 
     G_XU is the Gram's unlabeled columns, n_l labeled rows first, and c =
     ``offsets`` the column's scores from the labeled rows.  u minimises
@@ -507,8 +522,14 @@ def _column_coefficients(
     L-BFGS-B maximises its box dual over b, g in [0, 1]^n, v = b + g,
     (1/2n) sum(b - g) - (sign/2n) c'v - v' G_UU v / (16 lam n^2), whose
     primal is u = sign v / (4 lam n), until the duality gap is within
-    DUAL_GAP_TOLERANCE of the column objective.
+    DUAL_GAP_TOLERANCE of the column objective.  The certificate is what
+    the verdict read at the returned point: the largest gradient entry, or
+    the gap relative to the column objective.  loss_kind is canonical.
     """
+    # scipy.optimize costs about 11 MB of RSS and 0.1 s to import, and only
+    # these first-order solves use it, so square-loss runs never load it
+    from scipy.optimize import minimize
+
     lam, n = options.lam, len(offsets)
     G_UU = G_XU[n_l:]
     z0 = sign * offsets  # z at u = 0
@@ -518,25 +539,29 @@ def _column_coefficients(
             b, g = x[:n], x[n:]
             v = b + g
             w = (G_UU @ v) / (4.0 * lam * n)  # sign G_UU u
-            z = z0 + w
+            z = _check_finite(z0 + w)
             negated_dual = (v @ (z0 + 0.5 * w) + g.sum() - b.sum()) / (2.0 * n)
-            primal = float(np.mean(loss_value(loss_kind, z))) + (v @ w) / (4.0 * n)
-            done = primal + negated_dual <= DUAL_GAP_TOLERANCE * abs(primal)
-            return negated_dual, np.concatenate([z - 1.0, z + 1.0]) / (2.0 * n), done
+            primal = float(np.mean(_value(DOUBLE_HINGE, z))) + (v @ w) / (4.0 * n)
+            gap = primal + negated_dual
+            done = gap <= DUAL_GAP_TOLERANCE * abs(primal)
+            certificate = gap / abs(primal) if primal else (0.0 if gap <= 0.0 else np.inf)
+            return (negated_dual, np.concatenate([z - 1.0, z + 1.0]) / (2.0 * n), done,
+                    float(certificate))
     else:
         def evaluate(u):
             q = G_UU @ u
-            z = z0 + sign * q
-            r = sign * loss_derivative(loss_kind, z) / n + 2.0 * lam * u
+            z = _check_finite(z0 + sign * q)
+            r = sign * _derivative(loss_kind, z) / n + 2.0 * lam * u
             full = G_XU @ r
-            value = float(np.mean(loss_value(loss_kind, z))) + lam * (u @ q)
-            return value, full[n_l:], np.max(np.abs(full)) <= options.gradient_tolerance
+            value = float(np.mean(_value(loss_kind, z))) + lam * (u @ q)
+            largest = float(np.max(np.abs(full)))
+            return value, full[n_l:], largest <= options.gradient_tolerance, largest
 
     done = False
 
     def value_and_gradient(x):
         nonlocal done
-        value, grad, done = evaluate(x)
+        value, grad, done, _ = evaluate(x)
         return value, grad
 
     def stop(intermediate_result):  # scipy passes the iterate only to this name
@@ -551,7 +576,8 @@ def _column_coefficients(
                                               "gtol": 0.0, "ftol": 0.0})
     x = result.x
     u = sign * (x[:n] + x[n:]) / (4.0 * lam * n) if dual else x
-    return u, int(result.nit), bool(evaluate(x)[2])
+    _, _, verdict, certificate = evaluate(x)
+    return u, int(result.nit), bool(verdict), certificate
 
 
 def _first_order_alpha(
@@ -573,7 +599,8 @@ def _first_order_alpha(
     with sign -1 for a known class and +1 for the novel one.  The record
     sums the columns' iterations, converges when every column does, and
     reads the objective at zero and at the returned point and the gradient
-    at the returned point.
+    at the returned point.  For double-hinge it also keeps the columns'
+    largest relative duality gap.
     """
     lam, K = options.lam, num_known_classes
     alpha = np.zeros((n_l + n_u, K + 1))
@@ -581,16 +608,19 @@ def _first_order_alpha(
     history = [_objective_arrays(alpha, alpha, y, n_l, n_u, theta, lam, loss_kind)]
     alpha[:n_l] = -_labeled_bracket(y, K, theta) / (2.0 * lam)
     offsets = G[n_l:, :n_l] @ alpha[:n_l]
-    iterations, converged = 0, True
+    iterations, converged, certificates = 0, True, []
     for k in range(K + 1):
-        alpha[n_l:, k], nit, done = _column_coefficients(
+        alpha[n_l:, k], nit, done, certificate = _column_coefficients(
             G[:, n_l:], n_l, offsets[:, k], 1.0 if k == K else -1.0, options, loss_kind)
         iterations += nit
         converged &= done
+        certificates.append(certificate)
+    gap = max(certificates) if loss_kind == DOUBLE_HINGE else None
     scores = G @ alpha
     history.append(_objective_arrays(alpha, scores, y, n_l, n_u, theta, lam, loss_kind))
     grad = _gradient_arrays(alpha, scores, G, y, n_l, n_u, theta, lam, loss_kind)
-    return alpha, FitRecord(iterations, float(np.max(np.abs(grad))), converged, tuple(history))
+    return alpha, FitRecord(iterations, float(np.max(np.abs(grad))), converged, tuple(history),
+                            gap)
 
 
 def fit_first_order(

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import eulac.cli
+import eulac.kernel
 import eulac.mixture
 import eulac.modelsel
 import eulac.solver
@@ -45,12 +46,44 @@ def _gen(spec_file, out, seed=3, nl=100, nu=150, nt=120):
     return out
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats alone took about half of a fresh `import eulac.cli`
-    code = "import sys, eulac.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True)
-    assert out.stdout.strip() == "False"
+# runs each command in one fresh interpreter and prints, after the import
+# and after each command, its exit code and which of scipy.stats and
+# scipy.optimize are loaded
+MODULE_PROBE = """
+import json, sys
+import eulac.cli
+spec, d = sys.argv[1:]
+data = ["--labeled", d + "/labeled.libsvm", "--unlabeled", d + "/unlabeled.csv"]
+grid = ["--sigma-mult", "1.0", "--lambda", "0.01", "--folds", "2"]
+runs = [
+    ("gen", ["gen", "--spec", spec, "--out", d, "--n-labeled", "40", "--n-unlabeled", "50",
+             "--n-test", "30", "--grid-resolution", "50"]),
+    ("fit", ["fit", *data, "--out", d + "/fit", *grid]),
+    ("eval", ["eval", "--model", d + "/fit/model.json", "--test", d + "/test.libsvm",
+              "--out", d + "/eval.json"]),
+    ("theta", ["theta", *data, "--out", d + "/theta.json"]),
+    ("cv", ["cv", *data, "--out", d + "/cv", "--theta", "0.7", *grid]),
+    ("logistic fit", ["fit", *data, "--out", d + "/logistic", "--theta", "0.7",
+                      "--loss", "logistic", *grid]),
+]
+seen = {"import": [0, sorted(m for m in ("scipy.stats", "scipy.optimize") if m in sys.modules)]}
+for name, argv in runs:
+    rc = eulac.cli.main(argv)
+    seen[name] = [rc, sorted(m for m in ("scipy.stats", "scipy.optimize") if m in sys.modules)]
+print(json.dumps(seen))
+"""
+
+
+def test_square_loss_leaves_scipy_stats_and_optimize_unloaded(spec_file, tmp_path):
+    # scipy.stats alone took about half of a fresh `import eulac.cli`;
+    # scipy.optimize adds about 11 MB of RSS and 0.1 s, and only the
+    # first-order losses use it
+    out = subprocess.run([sys.executable, "-c", MODULE_PROBE, str(spec_file), str(tmp_path)],
+                         capture_output=True, text=True, check=True)
+    seen = json.loads(out.stdout.splitlines()[-1])
+    square = ["import", "gen", "fit", "eval", "theta", "cv"]
+    assert seen == {**{name: [0, []] for name in square},
+                    "logistic fit": [0, ["scipy.optimize"]]}
 
 
 class TestGen:
@@ -99,6 +132,23 @@ class TestFit:
                    "--out", str(tmp_path / "fit")])
         assert rc == 1
         assert "nope.csv" in capsys.readouterr().err
+
+    def test_out_of_memory_exits_one(self, spec_file, tmp_path, monkeypatch, capsys):
+        data = _gen(spec_file, tmp_path / "data")
+        refusal = ("Unable to allocate 74.5 GiB for an array with shape (5000000000,) "
+                   "and data type float64")
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError(refusal)
+
+        # the median heuristic's pairwise distances are the first n^2 build
+        monkeypatch.setattr(eulac.kernel, "pdist", out_of_memory)
+        rc = main(["fit", "--labeled", str(data / "labeled.libsvm"),
+                   "--unlabeled", str(data / "unlabeled.csv"),
+                   "--out", str(tmp_path / "fit")] + FAST_GRID)
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {refusal}\n"
+        assert not (tmp_path / "fit").exists()
 
     def test_reruns_byte_identical(self, spec_file, tmp_path):
         data = _gen(spec_file, tmp_path / "data")

@@ -223,6 +223,75 @@ class TestLibsvmParity:
         assert str(info.value) == f"{p}:3: features must be finite"
 
 
+def _reference_csv(path) -> np.ndarray:
+    """The feature matrix read one line and one cell at a time."""
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if line.strip():
+                rows.append([float(c) for c in line.strip().split(",")])
+    return np.array(rows)
+
+
+def _ragged_csv(rng) -> str:
+    """CSV text with blank lines, mixed line endings, spaces around cells
+    and signed, exponent and integer numbers."""
+    width = int(rng.integers(1, 5))
+    lines = []
+    for _ in range(int(rng.integers(1, 40))):
+        if rng.random() < 0.15:
+            lines.append(str(rng.choice(["", " ", "\t", " \t "])))
+        cells = []
+        for _ in range(width):
+            v = float(rng.normal() * 10.0 ** rng.integers(-3, 4))
+            text = str(rng.choice([repr(v), f"{v:+.3e}", f"{v:.2f}", str(int(v)), "0"]))
+            pad = rng.choice(["", " ", "\t", "  "], size=2)
+            cells.append(f"{pad[0]}{text}{pad[1]}")
+        lines.append(",".join(cells))
+    return "".join(line + str(rng.choice(["\n", "\r\n"])) for line in lines)
+
+
+class TestCsvParity:
+    """The bulk loader against a per-line reference parse."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_ragged_text(self, tmp_path, seed):
+        p = tmp_path / "r.csv"
+        p.write_bytes(_ragged_csv(np.random.default_rng(seed)).encode())
+        np.testing.assert_array_equal(load_features_csv(p).X, _reference_csv(p))
+
+    @pytest.mark.parametrize("text, line, problem", [
+        ("1,2\n\n3\n", 3, "ragged row (1 cells, expected 2)"),
+        ("1,2\n3,4,5\n", 2, "ragged row (3 cells, expected 2)"),
+        ("f1,f2\n0.5,0.25\n", 1, "non-numeric cell"),
+        ("1,2\n3,\n", 2, "non-numeric cell"),
+        ("1,2\r\n\r\n3,4x\r\n", 3, "non-numeric cell"),
+        # the first bad line wins, whatever its problem
+        ("1,2\n3,x\n4\n", 2, "non-numeric cell"),
+        ("1,2\n3\n4,x\n", 2, "ragged row (1 cells, expected 2)"),
+        # within a line, its cell count first
+        ("1,2\nx,y,z\n", 2, "ragged row (3 cells, expected 2)"),
+        # non-finite values come after every parse check
+        ("1,2\nnan,1.0\n", 2, "features must be finite"),
+        ("1,2\n\n3,-inf\n4,inf\n", 3, "features must be finite"),
+        ("1,nan\n2,1e400\n3\n", 3, "ragged row (1 cells, expected 2)"),
+    ])
+    def test_error_names_first_bad_line(self, tmp_path, text, line, problem):
+        p = tmp_path / "bad.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_features_csv(p)
+        assert str(info.value) == f"{p}:{line}: {problem}"
+
+    @pytest.mark.parametrize("text", ["", "\n \n\t\n"])
+    def test_empty_file(self, tmp_path, text):
+        p = tmp_path / "bad.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_features_csv(p)
+        assert str(info.value) == f"{p}: empty file"
+
+
 class TestCsvLoader:
     def test_basic(self, tmp_path):
         p = tmp_path / "d.csv"

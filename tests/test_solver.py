@@ -26,9 +26,11 @@ from eulac.modelsel import DEFAULT_LAMBDAS, HyperGrid, cross_validate
 from eulac.risk import empirical_lac_risk
 import eulac.solver
 from eulac.solver import (
+    DUAL_GAP_TOLERANCE,
     GRAM_JITTER,
     DualModel,
     FitOptions,
+    _column_coefficients,
     _labeled_bracket,
     _square_loss_alpha,
     _square_loss_fold_alphas,
@@ -453,6 +455,7 @@ class TestFirstOrder:
         model = fit_first_order(L, U, kernel, spec.theta, FitOptions(lam=0.01), "logistic")
         assert model.record.converged
         assert model.record.final_gradient_norm <= 1e-6
+        assert model.record.duality_gap is None
         G = gram(kernel, support, support)
         assert (objective(model.alpha, G, L, U, spec.theta, 0.01, "logistic")
                 <= unconverged_objective)
@@ -467,6 +470,8 @@ class TestFirstOrder:
         kernel = KernelSpec(median_heuristic(support))
         model = fit_first_order(L, U, kernel, spec.theta, FitOptions(lam=0.01), "double-hinge")
         assert model.record.converged
+        # the gap decided the verdict; the gradient norm is a subgradient's
+        assert 0.0 <= model.record.duality_gap <= DUAL_GAP_TOLERANCE
         G = gram(kernel, support, support)
         assert (objective(model.alpha, G, L, U, spec.theta, 0.01, "double-hinge")
                 <= unconverged_objective)
@@ -504,6 +509,15 @@ class TestFirstOrder:
             )
             hist = np.array(model.record.objective_history)
             assert np.all(np.diff(hist) <= 1e-12)
+
+    @pytest.mark.parametrize("kind", ["logistic", "double-hinge"])
+    def test_nonfinite_column_input_raises(self, instance, kind):
+        L, U, kernel, G = instance
+        offsets = np.zeros(len(U))
+        offsets[3] = np.nan
+        with pytest.raises(ValueError, match="loss input must be finite"):
+            _column_coefficients(G[:, len(L):], len(L), offsets, -1.0, FitOptions(lam=LAM),
+                                 kind)
 
     def test_nonconvergence_is_flagged(self):
         L, U = small_train_data(seed=7, n_l=20, n_u=20)
