@@ -90,15 +90,19 @@ def _file_sha256(path) -> str:
 
 def _config_echo(args) -> dict:
     """Flags and input digests that determined this artifact, echoed for
-    reproducibility.  Inputs are named by content, not path, so the same
-    data fit from any directory gives the same bytes."""
-    echo = {"command": args.command, "seed": args.seed}
+    reproducibility; a command echoes only the flags it has.  Inputs are
+    named by content, not path, so the same data fit from any directory
+    gives the same bytes."""
+    flags = vars(args)
+    echo = {"command": args.command}
     for key in ("labeled", "unlabeled"):
-        echo[f"{key}_sha256"] = _file_sha256(getattr(args, key))
-    for key in ("loss", "theta", "theta_threshold", "folds"):
-        echo[key] = getattr(args, key)
-    echo["lambda_candidates"] = list(args.lam)
-    echo["sigma_multipliers"] = list(args.sigma_mult)
+        echo[f"{key}_sha256"] = _file_sha256(flags[key])
+    for key in ("seed", "loss", "theta", "theta_threshold", "folds"):
+        if key in flags:
+            echo[key] = flags[key]
+    if "lam" in flags:  # the grid flags come together
+        echo["lambda_candidates"] = list(args.lam)
+        echo["sigma_multipliers"] = list(args.sigma_mult)
     return echo
 
 
@@ -243,6 +247,8 @@ def _bench_source(args):
 
 
 def cmd_bench(args) -> int:
+    if args.repeats < 1:
+        raise ValueError(f"--repeats must be at least 1, got {args.repeats}")
     source = _bench_source(args)
     out = Path(args.out)
     seeds = tuple(args.seed + i for i in range(args.repeats))
@@ -290,21 +296,27 @@ def cmd_bench(args) -> int:
     return EXIT_OK if all(r["passed"] for r in results) else EXIT_ERROR
 
 
-def _add_common(p: argparse.ArgumentParser, grid: bool = False) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="base random seed (default 0)")
     p.add_argument("--out", default="out", help="output directory or file")
-    if grid:
-        p.add_argument("--loss", choices=LOSS_KINDS, default=SQUARE)
-        p.add_argument("--theta", type=float, default=None,
-                       help="known mixture fraction; omit to estimate it")
+
+
+def _add_theta(p: argparse.ArgumentParser, threshold: bool = True) -> None:
+    p.add_argument("--theta", type=float, default=None,
+                   help="known mixture fraction; omit to estimate it")
+    if threshold:
         p.add_argument("--theta-threshold", type=float, default=DEFAULT_SLOPE_THRESHOLD,
                        help="slope threshold for the mixture estimator")
-        p.add_argument("--lambda", dest="lam", type=float, nargs="+",
-                       default=list(DEFAULT_LAMBDAS), help="regularization candidates")
-        p.add_argument("--sigma-mult", type=float, nargs="+",
-                       default=list(DEFAULT_SIGMA_MULTIPLIERS),
-                       help="bandwidth multipliers of the median distance")
-        p.add_argument("--folds", type=int, default=5)
+
+
+def _add_grid(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--loss", choices=LOSS_KINDS, default=SQUARE)
+    p.add_argument("--lambda", dest="lam", type=float, nargs="+",
+                   default=list(DEFAULT_LAMBDAS), help="regularization candidates")
+    p.add_argument("--sigma-mult", type=float, nargs="+",
+                   default=list(DEFAULT_SIGMA_MULTIPLIERS),
+                   help="bandwidth multipliers of the median distance")
+    p.add_argument("--folds", type=int, default=5)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -327,7 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="estimate theta, cross-validate, fit and save a model")
     p.add_argument("--labeled", required=True, help="labeled data (LIBSVM)")
     p.add_argument("--unlabeled", required=True, help="unlabeled features (CSV)")
-    _add_common(p, grid=True)
+    _add_common(p)
+    _add_theta(p)
+    _add_grid(p)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("eval", help="evaluate a saved model on a test file")
@@ -339,13 +353,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("theta", help="estimate the known-class mixture fraction")
     p.add_argument("--labeled", required=True)
     p.add_argument("--unlabeled", required=True)
-    _add_common(p, grid=True)
-    p.set_defaults(func=cmd_theta, out=None)  # default to stdout for this command
+    p.add_argument("--out", default=None, help="theta JSON path (default: stdout)")
+    _add_theta(p)
+    p.set_defaults(func=cmd_theta)
 
     p = sub.add_parser("cv", help="cross-validate without refitting")
     p.add_argument("--labeled", required=True)
     p.add_argument("--unlabeled", required=True)
-    _add_common(p, grid=True)
+    _add_common(p)
+    _add_theta(p)
+    _add_grid(p)
     p.set_defaults(func=cmd_cv)
 
     p = sub.add_parser("bench", help="run a benchmark harness")
@@ -359,7 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-labeled", type=int, default=500)
     p.add_argument("--n-unlabeled", type=int, default=1000)
     p.add_argument("--n-test", type=int, default=1000)
-    _add_common(p, grid=True)
+    _add_common(p)
+    _add_theta(p, threshold=False)
+    _add_grid(p)
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -8,7 +8,8 @@ import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
 # Row-block height for kernel products whose row count grows with the input
-# (prediction, Gram means): memory stays 8 * GRAM_BLOCK_ROWS * n_cols bytes.
+# (prediction and the theta estimate's pass over the pooled Gram): memory
+# stays 8 * GRAM_BLOCK_ROWS * n_cols bytes.
 # With numpy's bundled OpenBLAS on x86-64, 256- and 512-row blocks changed
 # scores by up to 3.6e-13 (another BLAS kernel for the smaller product);
 # 1024-row blocks matched the one-shot product bit for bit.
@@ -34,6 +35,12 @@ class KernelSpec:
     def __post_init__(self):
         if not (np.isfinite(self.sigma) and self.sigma > 0):
             raise ValueError(f"bandwidth must be a positive finite real, got {self.sigma}")
+        # the kernel divides by 2 sigma^2: a square that overflows, or that
+        # underflows to 0 or a subnormal, makes no usable kernel
+        square = float(self.sigma) * float(self.sigma)
+        if not np.finfo(float).tiny <= square < np.inf:
+            raise ValueError(f"bandwidth {self.sigma} has a square outside the normal "
+                             "floating-point range")
 
 
 def _as_points(x) -> np.ndarray:

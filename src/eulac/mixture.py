@@ -12,6 +12,7 @@ flat.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,19 +85,16 @@ def _simplex_qp(P: np.ndarray, scale: float, g: np.ndarray,
 
     for _ in range(QP_GUARD_PER_COORDINATE * m + QP_GUARD_SLACK):
         free = np.flatnonzero(~clamped)
-        nf = len(free)
         P_F = P[free]  # the free rows, gathered once per iteration
-        kkt = np.empty((nf + 1, nf + 1))
-        kkt[:nf, :nf] = scale * P_F[:, free]
-        kkt[:nf, nf] = 1.0
-        kkt[nf, :nf] = 1.0
-        kkt[nf, nf] = 0.0
-        rhs = np.empty(nf + 1)
-        rhs[:nf] = -g[free]
-        rhs[nf] = 1.0
-        sol = np.linalg.solve(kkt, rhs)
-        target = sol[:nf]
-        mu = sol[nf]
+        # the free block's KKT system scale P_FF w_F + mu 1 = -g_F, 1'w_F = 1:
+        # w_F = x - mu y with scale P_FF [x y] = [-g_F 1], and the simplex
+        # sum fixes mu
+        rhs = np.ones((len(free), 2))
+        rhs[:, 0] = -g[free]
+        sol = np.linalg.solve(scale * P_F[:, free], rhs)
+        sum_x, sum_y = sol.sum(axis=0)
+        mu = (sum_x - 1.0) / sum_y
+        target = sol[:, 0] - mu * sol[:, 1]
 
         if np.all(target >= -1e-12):
             w = np.zeros(m)
@@ -164,17 +162,6 @@ def _distance_curve(
     return out, guard_hits
 
 
-def _gram_mean(kernel: KernelSpec, rows: np.ndarray, cols: np.ndarray) -> float:
-    """Mean Gram entry, summed over GRAM_BLOCK_ROWS-row blocks.
-
-    With at most GRAM_BLOCK_ROWS rows this is the reduction of
-    ``gram(...).mean()``; memory stays one block whatever the row count.
-    """
-    total = sum(float(gram(kernel, rows[start:start + GRAM_BLOCK_ROWS], cols).sum())
-                for start in range(0, len(rows), GRAM_BLOCK_ROWS))
-    return total / (len(rows) * len(cols))
-
-
 def estimate_theta(
     labeled: LabeledDataset,
     unlabeled: UnlabeledDataset,
@@ -198,21 +185,27 @@ def estimate_theta(
     # the embeddings themselves use every point
     m = min(n, NU_SUPPORT_LIMIT)
     support_idx = np.unique(np.round(np.linspace(0, n - 1, m)).astype(int))
-    support = pooled[support_idx]
 
-    # support rows are pooled rows: one Gram holds the block and both means;
-    # take keeps the block C-ordered (K[:, idx] is not, and moves the curve)
-    K = gram(kernel, support, pooled)
-    K_nu = K.take(support_idx, axis=1)
-    kl = K[:, :n_l].mean(axis=1)
-    ku = K[:, n_l:].mean(axis=1)
-    del K
+    # one pass over row blocks of the pooled Gram keeps each row's sums over
+    # the labeled and the unlabeled columns, and the support rows' support
+    # columns; every entry and row sum is that of the dense Gram, so nothing
+    # depends on the block height
+    row_l, row_u = np.empty(n), np.empty(n)
+    K_nu = np.empty((len(support_idx), len(support_idx)))
+    for start in range(0, n, GRAM_BLOCK_ROWS):
+        block = gram(kernel, pooled[start:start + GRAM_BLOCK_ROWS], pooled)
+        stop = start + len(block)
+        row_l[start:stop] = block[:, :n_l].sum(axis=1)
+        row_u[start:stop] = block[:, n_l:].sum(axis=1)
+        rows = (support_idx >= start) & (support_idx < stop)
+        K_nu[rows] = block[np.ix_(support_idx[rows] - start, support_idx)]
     if float(K_nu.min()) > 1.0 - 1e-12:
         raise ValueError("kernel is degenerate on this data (all Gram entries ~ 1)")
-
-    a_ll = _gram_mean(kernel, labeled.X, labeled.X)
-    a_uu = _gram_mean(kernel, unlabeled.X, unlabeled.X)
-    a_ul = _gram_mean(kernel, unlabeled.X, labeled.X)
+    kl = row_l[support_idx] / n_l
+    ku = row_u[support_idx] / n_u
+    a_ll = math.fsum(row_l[:n_l]) / (n_l * n_l)
+    a_ul = math.fsum(row_l[n_l:]) / (n_u * n_l)
+    a_uu = math.fsum(row_u[n_l:]) / (n_u * n_u)
 
     candidates = np.geomspace(1.0, CANDIDATE_MAX, CANDIDATE_GRID_SIZE)
     dists, guard_hits = _distance_curve(K_nu, ku, kl, a_uu, a_ul, a_ll, candidates)

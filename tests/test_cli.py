@@ -3,6 +3,7 @@ import json
 import hashlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -332,6 +333,39 @@ class TestThetaAndCv:
         payload = json.loads(capsys.readouterr().out)
         assert 0.0 < payload["theta_hat"] <= 1.0
         assert len(payload["curve"]) > 0
+        # the estimate reads no seed or grid flag, so none is echoed
+        assert payload["config"] == {
+            "command": "theta", "labeled_sha256": _digest(data / "labeled.libsvm"),
+            "unlabeled_sha256": _digest(data / "unlabeled.csv"), "theta": None,
+            "theta_threshold": eulac.mixture.DEFAULT_SLOPE_THRESHOLD}
+
+    @pytest.mark.parametrize("flag", [["--loss", "logistic"], ["--seed", "1"],
+                                      ["--lambda", "0.1"], ["--sigma-mult", "1.0"],
+                                      ["--folds", "3"]], ids=lambda flag: flag[0])
+    def test_theta_rejects_flags_it_does_not_read(self, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as info:
+            main(["theta", "--labeled", str(tmp_path / "l"), "--unlabeled",
+                  str(tmp_path / "u")] + flag)
+        assert info.value.code == 2  # an argparse usage error
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mult", ["1e200", "1e-200"])
+    def test_bandwidth_without_a_normal_square_exits_one(self, spec_file, tmp_path, capsys,
+                                                          mult):
+        # 1e200 squared overflowed to a traceback; 1e-200 squared made the
+        # Gram diagonal 0/0 and warned twice before a non-finite Gram error
+        data = _gen(spec_file, tmp_path / "data")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["cv", "--labeled", str(data / "labeled.libsvm"),
+                       "--unlabeled", str(data / "unlabeled.csv"), "--out", str(tmp_path / "cv"),
+                       "--sigma-mult", mult, "--lambda", "0.01", "--folds", "2"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bandwidth ") and err.count("\n") == 1
+        assert "outside the normal floating-point range" in err
+        assert not (tmp_path / "cv").exists()
 
     def test_cv_command(self, spec_file, tmp_path):
         data = _gen(spec_file, tmp_path / "data")
@@ -377,7 +411,7 @@ class TestThetaAndCv:
         capsys.readouterr()
         rc = main([command, "--labeled", str(data / "labeled.libsvm"),
                    "--unlabeled", str(data / "unlabeled.csv"),
-                   "--out", str(tmp_path / command)] + FAST_GRID)
+                   "--out", str(tmp_path / command)] + ([] if command == "theta" else FAST_GRID))
         assert rc == 0  # the warning does not change the exit code
         err = capsys.readouterr().err
         assert "of the theta curve's QPs stopped at their iteration guard" in err
@@ -452,6 +486,17 @@ class TestBench:
             assert run["lac_risk"] >= run["optimal_lac_risk"] > 0.0
             assert run["rhs"] == np.sqrt(2.0 * max(run["lac_risk"] - run["optimal_lac_risk"],
                                                    0.0))
+
+    @pytest.mark.parametrize("harness", ["scaling", "theta-sweep", "excess-risk"])
+    @pytest.mark.parametrize("repeats", ["0", "-1"])
+    def test_repeats_below_one_exits_one(self, spec_file, tmp_path, capsys, harness, repeats):
+        # excess-risk wrote {"runs": []} and theta-sweep header-only CSVs,
+        # both with exit 0
+        rc = main(["bench", harness, "--spec", str(spec_file), "--out", str(tmp_path / "b"),
+                   "--repeats", repeats, "--theta", "0.7"] + FAST_GRID)
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: --repeats must be at least 1, got {repeats}\n"
+        assert not (tmp_path / "b").exists()
 
     def test_source_required(self, tmp_path, capsys):
         rc = main(["bench", "scaling", "--out", str(tmp_path / "b")])

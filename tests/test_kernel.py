@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
@@ -58,6 +60,16 @@ class TestEvalKernel:
             KernelSpec(0.0)
         with pytest.raises(ValueError):
             KernelSpec(-1.0)
+        # 1e200**2 overflows (a Python OverflowError in the Gram); the
+        # squares of 1e-200 and 1e-154 are 0 and subnormal
+        for sigma in (1e200, 1e-200, 1e-154):
+            with pytest.raises(ValueError,
+                               match=re.escape(f"bandwidth {sigma} has a square outside")):
+                KernelSpec(sigma)
+
+    def test_extreme_normal_squares_accepted(self):
+        assert KernelSpec(1e154).sigma == 1e154
+        assert KernelSpec(1e-153).sigma == 1e-153
 
 
 class TestGram:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,8 @@ import eulac.mixture
 from eulac.data import parse_synthetic_spec, sample_synthetic
 from eulac.kernel import GRAM_BLOCK_ROWS, KernelSpec, gram, median_heuristic
 from eulac.mixture import (CANDIDATE_GRID_SIZE, CANDIDATE_MAX, NU_SUPPORT_LIMIT,
-                           ThetaEstimate, _distance_curve, _gram_mean, _simplex_qp,
-                           estimate_theta, theta_override)
+                           ThetaEstimate, _distance_curve, _simplex_qp, estimate_theta,
+                           theta_override)
 
 from conftest import two_cluster_spec
 
@@ -161,21 +162,6 @@ class TestSimplexQp:
         assert _estimate(0.5, seed=0, n=300).qp_guard_hits == 0
 
 
-class TestGramMean:
-    def test_one_block_is_the_dense_mean(self):
-        rng = np.random.default_rng(11)
-        X, Y = rng.normal(size=(GRAM_BLOCK_ROWS, 2)), rng.normal(size=(300, 2))
-        kernel = KernelSpec(0.8)
-        assert _gram_mean(kernel, X, Y) == float(gram(kernel, X, Y).mean())
-
-    def test_several_blocks_match_the_dense_mean(self):
-        rng = np.random.default_rng(12)
-        X, Y = rng.normal(size=(2 * GRAM_BLOCK_ROWS + 7, 2)), rng.normal(size=(50, 2))
-        kernel = KernelSpec(0.8)
-        assert _gram_mean(kernel, X, Y) == pytest.approx(float(gram(kernel, X, Y).mean()),
-                                                         rel=1e-13)
-
-
 # KKT solves of estimate_theta on the criterion-8 data at seed 0, as
 # measured; a uniform cold start for the first QP adds 513 to each
 KKT_SOLVES_CRITERION_8_SEED_0 = {0.5: 957, 0.7: 1199, 0.9: 1206}
@@ -190,7 +176,7 @@ def test_theta_kkt_solve_count(theta, kkt_solves):
 
 def _dense_simplex_qp(P, g, w0):
     """_simplex_qp as it was before it took the Hessian's scale apart: the
-    caller scales P, every KKT block is gathered with np.ix_ and the bound
+    caller scales P, every free block is gathered with np.ix_ and the bound
     multipliers come from the dense product P @ w."""
     m = len(g)
     w = w0.copy()
@@ -206,18 +192,12 @@ def _dense_simplex_qp(P, g, w0):
     ones = np.ones(m)
     for _ in range(eulac.mixture.QP_GUARD_PER_COORDINATE * m + eulac.mixture.QP_GUARD_SLACK):
         free = np.flatnonzero(~clamped)
-        nf = len(free)
-        kkt = np.empty((nf + 1, nf + 1))
-        kkt[:nf, :nf] = P[np.ix_(free, free)]
-        kkt[:nf, nf] = 1.0
-        kkt[nf, :nf] = 1.0
-        kkt[nf, nf] = 0.0
-        rhs = np.empty(nf + 1)
-        rhs[:nf] = -g[free]
-        rhs[nf] = 1.0
-        sol = np.linalg.solve(kkt, rhs)
-        target = sol[:nf]
-        mu = sol[nf]
+        rhs = np.ones((len(free), 2))
+        rhs[:, 0] = -g[free]
+        sol = np.linalg.solve(P[np.ix_(free, free)], rhs)
+        sum_x, sum_y = sol.sum(axis=0)
+        mu = (sum_x - 1.0) / sum_y
+        target = sol[:, 0] - mu * sol[:, 1]
         if np.all(target >= -1e-12):
             w = np.zeros(m)
             w[free] = np.maximum(target, 0.0)
@@ -246,7 +226,7 @@ def _dense_simplex_qp(P, g, w0):
 
 @pytest.mark.parametrize("theta", [0.5, 0.7, 0.9])
 def test_curve_bit_identical_to_dense_qp(theta, monkeypatch):
-    # the free-row KKT blocks and multipliers leave the criterion-8 curve
+    # the free-row blocks and multipliers leave the criterion-8 curve
     # unchanged to the last bit
     curve = np.array(_estimate(theta, seed=0).curve)
     monkeypatch.setattr(eulac.mixture, "_simplex_qp",
@@ -258,6 +238,37 @@ def _bundled_task(seed, n_l, n_u):
     spec = dataclasses.replace(parse_synthetic_spec(BUNDLED_SPEC.read_text()), seed=seed)
     labeled, unlabeled, _ = sample_synthetic(spec, n_l, n_u, 10)
     return labeled, unlabeled, KernelSpec(median_heuristic(np.vstack([labeled.X, unlabeled.X])))
+
+
+def _fsum_mean(kernel, X, Y):
+    """Mean Gram entry through an exact sum of the dense Gram's row sums."""
+    return math.fsum(gram(kernel, X, Y).sum(axis=1)) / (len(X) * len(Y))
+
+
+class TestGramMean:
+    """The three embedding means passed to _distance_curve are exact sums of
+    the dense Gram's row sums, bit for bit, at one and at two row blocks."""
+
+    @staticmethod
+    def _check(n_l, n_u, monkeypatch):
+        labeled, unlabeled, kernel = _bundled_task(1, n_l, n_u)
+        seen = []
+
+        def capturing(K_nu, ku, kl, a_uu, a_ul, a_ll, candidates):
+            seen.append((a_uu, a_ul, a_ll))
+            return _distance_curve(K_nu, ku, kl, a_uu, a_ul, a_ll, candidates)
+
+        monkeypatch.setattr(eulac.mixture, "_distance_curve", capturing)
+        estimate_theta(labeled, unlabeled, kernel)
+        assert seen == [(_fsum_mean(kernel, unlabeled.X, unlabeled.X),
+                         _fsum_mean(kernel, unlabeled.X, labeled.X),
+                         _fsum_mean(kernel, labeled.X, labeled.X))]
+
+    def test_one_block_is_the_dense_mean(self, monkeypatch):
+        self._check(120, 200, monkeypatch)
+
+    def test_several_blocks_match_the_dense_mean(self, monkeypatch):
+        self._check(500, 1000, monkeypatch)
 
 
 class TestSupportGram:
@@ -274,12 +285,11 @@ class TestSupportGram:
 
         monkeypatch.setattr(eulac.mixture, "gram", counting)
         est = estimate_theta(labeled, unlabeled, kernel)
-        # one support Gram plus one block per embedding mean; the three
-        # Grams below made two more
-        assert len(calls) == 4
+        # one pass over the pooled Gram, one call per block of rows
+        n = n_l + n_u
+        assert len(calls) == math.ceil(n / GRAM_BLOCK_ROWS)
 
         pooled = np.vstack([labeled.X, unlabeled.X])
-        n = len(pooled)
         m = min(n, NU_SUPPORT_LIMIT)
         support = pooled[np.unique(np.round(np.linspace(0, n - 1, m)).astype(int))]
         candidates = np.geomspace(1.0, CANDIDATE_MAX, CANDIDATE_GRID_SIZE)
@@ -287,20 +297,20 @@ class TestSupportGram:
             gram(kernel, support, support),
             gram(kernel, support, unlabeled.X).mean(axis=1),
             gram(kernel, support, labeled.X).mean(axis=1),
-            _gram_mean(kernel, unlabeled.X, unlabeled.X),
-            _gram_mean(kernel, unlabeled.X, labeled.X),
-            _gram_mean(kernel, labeled.X, labeled.X),
+            _fsum_mean(kernel, unlabeled.X, unlabeled.X),
+            _fsum_mean(kernel, unlabeled.X, labeled.X),
+            _fsum_mean(kernel, labeled.X, labeled.X),
             candidates)
         assert np.array_equal(np.array(est.curve), np.column_stack([candidates, dists]))
 
     @pytest.mark.parametrize("seed", [1, 6, 9])
     def test_gram_block_height_keeps_the_estimate(self, seed, monkeypatch):
-        # the block sums of the embedding means move with the block height,
-        # and d(c)^2 is a sum of nearly cancelling terms; over 39 datasets
-        # 256-row blocks moved the curve by at most 4.1e-11 and never theta
+        # every Gram entry and row sum is the dense one and the means add
+        # the row sums exactly, so no block height moves the curve
         labeled, unlabeled, kernel = _bundled_task(seed, 500, 1000)
         ref = estimate_theta(labeled, unlabeled, kernel)
-        monkeypatch.setattr(eulac.mixture, "GRAM_BLOCK_ROWS", 256)
-        est = estimate_theta(labeled, unlabeled, kernel)
-        assert est.theta_hat == ref.theta_hat
-        np.testing.assert_allclose(np.array(est.curve), np.array(ref.curve), rtol=0, atol=1e-9)
+        for rows in (256, 1000, 1024):
+            monkeypatch.setattr(eulac.mixture, "GRAM_BLOCK_ROWS", rows)
+            est = estimate_theta(labeled, unlabeled, kernel)
+            assert est.theta_hat == ref.theta_hat
+            assert np.array_equal(np.array(est.curve), np.array(ref.curve))
