@@ -27,7 +27,8 @@ from .evalbench import (
 )
 from .kernel import DEFAULT_SIGMA_MULTIPLIERS, KernelSpec, median_heuristic
 from .losses import LOSS_KINDS, SQUARE
-from .mixture import DEFAULT_SLOPE_THRESHOLD, estimate_theta, theta_override
+from .mixture import (DEFAULT_SLOPE_THRESHOLD, ThetaEstimate, check_slope_threshold,
+                      estimate_theta)
 from .modelsel import DEFAULT_LAMBDAS, HyperGrid, cross_validate, fit_with_selection
 from .risk import zero_one_risk
 from .solver import DualModel
@@ -70,10 +71,17 @@ def _pooled_median(labeled, unlabeled) -> float:
     return median_heuristic(np.vstack([labeled.X, unlabeled.X]))
 
 
+def _load_training(args):
+    """The labeled and unlabeled files, read only once --theta-threshold is
+    known to be usable: it is echoed even when --theta skips the estimate."""
+    check_slope_threshold(args.theta_threshold)
+    return dt.load_libsvm(args.labeled), dt.load_features_csv(args.unlabeled)
+
+
 def _resolve_theta(args, labeled, unlabeled, median: float | None = None):
     """The --theta value, or the estimate, warning of curve QPs its guard stopped."""
     if args.theta is not None:
-        return theta_override(args.theta)
+        return ThetaEstimate(args.theta, curve=())
     if median is None:
         median = _pooled_median(labeled, unlabeled)
     estimate = estimate_theta(labeled, unlabeled, KernelSpec(median),
@@ -161,8 +169,7 @@ def _warn_unconverged_cv(report) -> None:
 
 
 def cmd_fit(args) -> int:
-    labeled = dt.load_libsvm(args.labeled)
-    unlabeled = dt.load_features_csv(args.unlabeled)
+    labeled, unlabeled = _load_training(args)
     median = _pooled_median(labeled, unlabeled)
     estimate = _resolve_theta(args, labeled, unlabeled, median)
     grid = _grid_from_args(args)
@@ -209,16 +216,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_theta(args) -> int:
-    labeled = dt.load_libsvm(args.labeled)
-    unlabeled = dt.load_features_csv(args.unlabeled)
+    labeled, unlabeled = _load_training(args)
     estimate = _resolve_theta(args, labeled, unlabeled)
     _dump_json(args.out, {"config": _config_echo(args), **_theta_payload(estimate)})
     return EXIT_OK
 
 
 def cmd_cv(args) -> int:
-    labeled = dt.load_libsvm(args.labeled)
-    unlabeled = dt.load_features_csv(args.unlabeled)
+    labeled, unlabeled = _load_training(args)
     median = _pooled_median(labeled, unlabeled)
     estimate = _resolve_theta(args, labeled, unlabeled, median)
     report = cross_validate(labeled, unlabeled, estimate.theta_hat,

@@ -20,7 +20,6 @@ import numpy as np
 from .data import LabeledDataset, UnlabeledDataset
 from .kernel import GRAM_BLOCK_ROWS, KernelSpec, gram
 
-THETA_FLOOR = 1e-3
 # The curve's slope before the knee is sample-size independent while past
 # the knee it only shaves sampling noise and scales like 1/sqrt(n);
 # tau = 2.0 places the cut inside that gap.
@@ -36,7 +35,8 @@ QP_GUARD_SLACK = 50
 
 @dataclass(frozen=True)
 class ThetaEstimate:
-    """Estimated known-class fraction plus the audited distance curve."""
+    """Estimated known-class fraction plus the audited distance curve; a
+    supplied fraction has an empty curve."""
 
     theta_hat: float
     curve: tuple[tuple[float, float], ...]
@@ -47,14 +47,15 @@ class ThetaEstimate:
 
     def __post_init__(self):
         if not 0.0 < self.theta_hat <= 1.0:
-            raise ValueError(f"theta estimate must lie in (0, 1], got {self.theta_hat}")
+            raise ValueError(f"theta must lie in (0, 1], got {self.theta_hat}")
 
 
-def theta_override(value: float) -> ThetaEstimate:
-    """Wrap an externally known mixture fraction."""
-    if not 0.0 < value <= 1.0:
-        raise ValueError(f"theta must lie in (0, 1], got {value}")
-    return ThetaEstimate(float(value), curve=())
+def check_slope_threshold(value: float) -> None:
+    """Refuse a slope threshold that is not a positive finite number: a zero,
+    negative or NaN one leaves no segment flat and an infinite one makes the
+    first flat, whatever the data."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"slope threshold must be a positive finite number, got {value}")
 
 
 def _simplex_qp(P: np.ndarray, scale: float, g: np.ndarray,
@@ -116,11 +117,13 @@ def _simplex_qp(P: np.ndarray, scale: float, g: np.ndarray,
         shrinking = delta < 0
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = np.where(shrinking, cur / np.maximum(-delta, 1e-300), np.inf)
-        t = min(1.0, float(ratios.min()))
+        # a negative target's ratio cur / (cur - target) is below 1, so the
+        # step stops short of the target, on the coordinate it clamps
+        k = int(np.argmin(ratios))
         w_new = np.zeros(m)
-        w_new[free] = np.maximum(cur + t * delta, 0.0)
+        w_new[free] = np.maximum(cur + ratios[k] * delta, 0.0)
         w = w_new / w_new.sum()
-        hit = free[np.argmin(ratios)]
+        hit = free[k]
         clamped[hit] = True
         w[hit] = 0.0
         if w.sum() > 0:
@@ -175,6 +178,7 @@ def estimate_theta(
     first segment whose slope magnitude falls below
     ``slope_threshold * (1/sqrt(n_l) + 1/sqrt(n_u))``.
     """
+    check_slope_threshold(slope_threshold)
     if labeled.dimension != unlabeled.dimension:
         raise ValueError("labeled and unlabeled dimensions differ")
     n_l, n_u = len(labeled), len(unlabeled)
@@ -214,18 +218,9 @@ def estimate_theta(
     threshold = slope_threshold * (1.0 / np.sqrt(n_l) + 1.0 / np.sqrt(n_u))
     slopes = np.diff(dists) / np.diff(candidates)
     flat = np.flatnonzero(np.abs(slopes) <= threshold)
-    if len(flat) == 0:
-        theta_hat = 1.0 / candidates[-1]
-        no_novelty = False
-    elif flat[0] == 0:
-        # the curve is flat from the start: unlabeled data look like pure
-        # known-class draws
-        theta_hat = 1.0
-        no_novelty = True
-    else:
-        theta_hat = 1.0 / candidates[flat[0]]
-        no_novelty = False
-
-    theta_hat = float(np.clip(theta_hat, THETA_FLOOR, 1.0))
-    return ThetaEstimate(theta_hat, curve, no_novelty_detected=no_novelty,
+    # the knee is the first flat segment's left end, or the grid's last
+    # candidate when none is flat; a knee at candidate 1 means the unlabeled
+    # data look like pure known-class draws
+    knee = int(flat[0]) if len(flat) else len(candidates) - 1
+    return ThetaEstimate(float(1.0 / candidates[knee]), curve, no_novelty_detected=knee == 0,
                          qp_guard_hits=guard_hits)

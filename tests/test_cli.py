@@ -349,6 +349,46 @@ class TestThetaAndCv:
         assert info.value.code == 2  # an argparse usage error
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
+    def test_flat_first_segment_reports_no_novelty(self, spec_file, tmp_path):
+        data = _gen(spec_file, tmp_path / "data", nl=200, nu=300)
+        rc = main(["theta", "--labeled", str(data / "labeled.libsvm"),
+                   "--unlabeled", str(data / "unlabeled.csv"), "--out", str(tmp_path / "t.json"),
+                   "--theta-threshold", "1e300"])
+        assert rc == 0
+        payload = json.loads((tmp_path / "t.json").read_text())
+        assert payload["theta_hat"] == 1.0
+        assert payload["no_novelty_detected"] is True
+        assert payload["config"]["theta_threshold"] == 1e300
+        assert len(payload["curve"]) == eulac.mixture.CANDIDATE_GRID_SIZE
+
+    @pytest.mark.parametrize("theta", [[], ["--theta", "0.7"]], ids=["estimated", "given"])
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("command", ["fit", "cv", "theta"])
+    def test_unusable_theta_threshold_exits_one(self, tmp_path, capsys, command, threshold,
+                                                 theta):
+        # neither file exists: the threshold is refused before either is
+        # read, also beside --theta, since every artifact echoes it.  nan
+        # echoed as a bare NaN, which is not JSON
+        out = tmp_path / "out"
+        rc = main([command, "--labeled", str(tmp_path / "l"), "--unlabeled", str(tmp_path / "u"),
+                   "--out", str(out), f"--theta-threshold={threshold}", *theta])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: slope threshold must be a positive finite number, got {float(threshold)}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "cv", "theta"])
+    def test_theta_out_of_range_exits_one(self, spec_file, tmp_path, capsys, command):
+        data = _gen(spec_file, tmp_path / "data", nl=40, nu=60)
+        capsys.readouterr()
+        out = tmp_path / command
+        rc = main([command, "--labeled", str(data / "labeled.libsvm"),
+                   "--unlabeled", str(data / "unlabeled.csv"), "--out", str(out),
+                   "--theta", "1.5"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: theta must lie in (0, 1], got 1.5\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("mult", ["1e200", "1e-200"])
     def test_bandwidth_without_a_normal_square_exits_one(self, spec_file, tmp_path, capsys,
                                                           mult):

@@ -9,9 +9,9 @@ from scipy.stats import spearmanr
 import eulac.mixture
 from eulac.data import parse_synthetic_spec, sample_synthetic
 from eulac.kernel import GRAM_BLOCK_ROWS, KernelSpec, gram, median_heuristic
-from eulac.mixture import (CANDIDATE_GRID_SIZE, CANDIDATE_MAX, NU_SUPPORT_LIMIT,
-                           ThetaEstimate, _distance_curve, _simplex_qp, estimate_theta,
-                           theta_override)
+from eulac.mixture import (CANDIDATE_GRID_SIZE, CANDIDATE_MAX, DEFAULT_SLOPE_THRESHOLD,
+                           NU_SUPPORT_LIMIT, ThetaEstimate, _distance_curve, _simplex_qp,
+                           estimate_theta)
 
 from conftest import two_cluster_spec
 
@@ -27,16 +27,17 @@ def _estimate(theta, seed, n=1000):
 
 
 class TestOverride:
+    """A known theta is an estimate without a curve."""
+
     def test_passthrough(self):
-        assert theta_override(0.7).theta_hat == 0.7
-        assert theta_override(1.0).theta_hat == 1.0
-        assert theta_override(0.7).curve == ()
+        assert ThetaEstimate(0.7, curve=()).theta_hat == 0.7
+        assert ThetaEstimate(1.0, curve=()).theta_hat == 1.0
+        assert not ThetaEstimate(0.7, curve=()).no_novelty_detected
 
     def test_open_interval(self):
-        with pytest.raises(ValueError):
-            theta_override(0.0)
-        with pytest.raises(ValueError):
-            theta_override(1.2)
+        for value in (0.0, 1.2, -0.3, float("nan")):
+            with pytest.raises(ValueError, match=rf"theta must lie in \(0, 1\], got {value}"):
+                ThetaEstimate(value, curve=())
 
     def test_estimate_type_validates(self):
         with pytest.raises(ValueError):
@@ -101,6 +102,41 @@ class TestEstimation:
         labeled, unlabeled, _ = sample_synthetic(spec, 50, 50, 10)
         with pytest.raises(ValueError, match="degenerate"):
             estimate_theta(labeled, unlabeled, KernelSpec(1e9))
+
+
+class TestKnee:
+    """theta_hat is 1/c at the left end of the curve's first flat segment."""
+
+    @pytest.fixture(scope="class")
+    def task(self):
+        return _bundled_task(1, 150, 300)
+
+    def test_default_threshold_reads_the_first_flat_segment(self, task):
+        labeled, unlabeled, kernel = task
+        est = estimate_theta(labeled, unlabeled, kernel)
+        cs, ds = np.array(est.curve).T
+        cut = DEFAULT_SLOPE_THRESHOLD * (1 / np.sqrt(len(labeled)) + 1 / np.sqrt(len(unlabeled)))
+        knee = int(np.flatnonzero(np.abs(np.diff(ds) / np.diff(cs)) <= cut)[0])
+        assert knee > 0
+        assert est.theta_hat == 1.0 / cs[knee]
+        assert not est.no_novelty_detected
+
+    def test_flat_first_segment_detects_no_novelty(self, task):
+        est = estimate_theta(*task, slope_threshold=1e300)
+        assert est.theta_hat == 1.0
+        assert est.no_novelty_detected
+
+    def test_no_flat_segment_reads_the_grid_end(self, task):
+        est = estimate_theta(*task, slope_threshold=1e-300)
+        assert est.theta_hat == 1.0 / CANDIDATE_MAX
+        assert not est.no_novelty_detected
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_threshold_must_be_positive_and_finite(self, task, threshold):
+        # nan, 0 and -1 left no segment flat (theta_hat 0.05); inf made the
+        # first one flat (theta_hat 1.0)
+        with pytest.raises(ValueError, match="slope threshold must be a positive finite number"):
+            estimate_theta(*task, slope_threshold=threshold)
 
 
 def _random_qp(seed, m=40):

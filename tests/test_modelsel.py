@@ -137,6 +137,26 @@ class TestCrossValidate:
         assert [c.nonconverged_folds for c in report.cells] == [2, 0]
         assert "nonconverged" not in report.to_json()
 
+    def test_failed_first_order_solve_names_its_cell(self, monkeypatch):
+        solve = eulac.modelsel._first_order_alpha
+        seen = []
+
+        def failing_at_second_fold(G, y, K, n_l, n_u, theta, options, loss_kind):
+            seen.append(options.lam)
+            if len(seen) == 3:  # fold 1's first lambda
+                raise FloatingPointError("overflow in exp")
+            return solve(G, y, K, n_l, n_u, theta, options, loss_kind)
+
+        monkeypatch.setattr(eulac.modelsel, "_first_order_alpha", failing_at_second_fold)
+        L, U, _ = _data(seed=6, n_l=24, n_u=30)
+        grid = HyperGrid(sigma_multipliers=(1.0,), lambda_candidates=(0.1, 1.0),
+                         loss_kind="logistic", folds=2)
+        with pytest.raises(RuntimeError) as info:
+            cross_validate(L, U, THETA, grid, seed=0)
+        assert str(info.value) == ("fit failed at sigma_multiplier=1.0, lambda=0.1, fold=1: "
+                                   "FloatingPointError: overflow in exp")
+        assert isinstance(info.value.__cause__, FloatingPointError)
+
     @pytest.mark.parametrize("theta", [1.5, -0.3, float("nan")])
     def test_theta_out_of_range_rejected_before_factoring(self, monkeypatch, theta):
         calls = [0]

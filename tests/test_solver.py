@@ -32,6 +32,7 @@ from eulac.solver import (
     FitOptions,
     _column_coefficients,
     _labeled_bracket,
+    _shifted_lanczos,
     _square_loss_alpha,
     _square_loss_fold_alphas,
     fit_first_order,
@@ -430,6 +431,61 @@ class TestFoldLanczos:
         with pytest.raises(np.linalg.LinAlgError, match=r"cap of 1 steps") as info:
             _square_loss_fold_alphas(G, len(L), L.y, 2, THETA, folds, (1e-2,))
         assert info.value.fold == 3
+
+
+class _CountingProducts(np.ndarray):
+    """An operator that counts the matrix products it takes part in: one per
+    Lanczos step."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        _CountingProducts.products += ufunc is np.matmul
+        return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+
+class TestShiftedLanczos:
+    def test_basis_grows_past_its_first_block(self, monkeypatch):
+        # 250 eigenvalues spread over four decades and a shift at the bottom
+        # of the spectrum: the run takes about 200 steps, so its 64-step
+        # basis grows twice
+        rng = np.random.default_rng(0)
+        n = 250
+        eigvecs, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        A = (eigvecs * np.geomspace(1e-4, 1.0, n)) @ eigvecs.T
+        A = (A + A.T) / 2.0
+        starts = rng.normal(size=(2, n))
+        shifts = np.array([1e-4, 1e-2])
+        monkeypatch.setattr(_CountingProducts, "products", 0)
+        x = _shifted_lanczos(A.view(_CountingProducts), starts, shifts, np.ones((2, n)),
+                             np.ones(2))
+        assert _CountingProducts.products > 128
+        for r in range(2):
+            for j, shift in enumerate(shifts):
+                ref = np.linalg.solve(A + shift * np.eye(n), starts[r])
+                assert np.max(np.abs(x[r, :, j] - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+    def test_nonpositive_pivot_names_its_start_vector(self):
+        # row 0's operator is -(-I) = I, row 1's is -I: shifted by 0.5, its
+        # first pivot is -0.5
+        n = 6
+        starts = np.random.default_rng(1).normal(size=(2, n))
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=r"not positive definite \(Lanczos pivot -5\.000e-01 at step 1\)"
+                           ) as info:
+            _shifted_lanczos(-np.eye(n), starts, np.array([0.5]), np.ones((2, n)),
+                             np.array([-1.0, 1.0]))
+        assert info.value.row == 1
+
+    def test_infinite_weight_rejected(self, instance):
+        L, U, kernel, G = instance
+        with pytest.raises(ValueError, match="regularization weight must be finite, got inf"):
+            fit_square_closed_form(L, U, kernel, THETA, float("inf"))
+        folds = [(np.arange(len(L)), np.arange(len(U)))]
+        with pytest.raises(ValueError,
+                           match=r"regularization weights must be finite, got \[0\.1, inf\]"):
+            _square_loss_fold_alphas(_floored(G), len(L), L.y, 2, THETA, folds,
+                                     [0.1, float("inf")])
 
 
 class TestFirstOrder:
