@@ -65,17 +65,27 @@ def _grid_from_args(args) -> HyperGrid:
     )
 
 
+def _checked_flags(args) -> HyperGrid | None:
+    """Refuse an out-of-range --theta or grid flag before any file is read;
+    the grid of a command that has grid flags, else None."""
+    if args.theta is not None:
+        dt.check_theta(args.theta)
+    return _grid_from_args(args) if "lam" in vars(args) else None
+
+
 def _pooled_median(labeled, unlabeled) -> float:
     """Median pairwise distance of the pooled sample: the theta kernel's
     bandwidth and the unit of the CV bandwidth grid."""
-    return median_heuristic(np.vstack([labeled.X, unlabeled.X]))
+    return median_heuristic(dt.pooled_points(labeled, unlabeled))
 
 
 def _load_training(args):
-    """The labeled and unlabeled files, read only once --theta-threshold is
-    known to be usable: it is echoed even when --theta skips the estimate."""
+    """The labeled and unlabeled files, read only once every flag is known
+    to be usable, and the grid of ``_checked_flags``.  --theta-threshold is
+    checked even beside --theta, since every artifact echoes it."""
     check_slope_threshold(args.theta_threshold)
-    return dt.load_libsvm(args.labeled), dt.load_features_csv(args.unlabeled)
+    grid = _checked_flags(args)
+    return dt.load_libsvm(args.labeled), dt.load_features_csv(args.unlabeled), grid
 
 
 def _resolve_theta(args, labeled, unlabeled, median: float | None = None):
@@ -169,10 +179,9 @@ def _warn_unconverged_cv(report) -> None:
 
 
 def cmd_fit(args) -> int:
-    labeled, unlabeled = _load_training(args)
+    labeled, unlabeled, grid = _load_training(args)
     median = _pooled_median(labeled, unlabeled)
     estimate = _resolve_theta(args, labeled, unlabeled, median)
-    grid = _grid_from_args(args)
     model, report = fit_with_selection(labeled, unlabeled, estimate.theta_hat, grid, args.seed,
                                        median)
 
@@ -216,18 +225,17 @@ def cmd_eval(args) -> int:
 
 
 def cmd_theta(args) -> int:
-    labeled, unlabeled = _load_training(args)
+    labeled, unlabeled, _ = _load_training(args)
     estimate = _resolve_theta(args, labeled, unlabeled)
     _dump_json(args.out, {"config": _config_echo(args), **_theta_payload(estimate)})
     return EXIT_OK
 
 
 def cmd_cv(args) -> int:
-    labeled, unlabeled = _load_training(args)
+    labeled, unlabeled, grid = _load_training(args)
     median = _pooled_median(labeled, unlabeled)
     estimate = _resolve_theta(args, labeled, unlabeled, median)
-    report = cross_validate(labeled, unlabeled, estimate.theta_hat,
-                            _grid_from_args(args), args.seed, median)
+    report = cross_validate(labeled, unlabeled, estimate.theta_hat, grid, args.seed, median)
     _write_cv_and_theta(Path(args.out), args, report, estimate)
     print(f"selected sigma={report.selected.sigma!r} lambda={report.selected.lam!r}")
     _warn_unconverged_cv(report)
@@ -247,17 +255,17 @@ def _bench_source(args):
         if absent:
             raise ValueError(f"class configuration names ids absent from {args.data}: {absent}")
         return (full, dt.ClassConfiguration({ids[c] for c in config.known_labels},
-                                            {ids[c] for c in config.new_labels}, config.seed))
+                                            {ids[c] for c in config.new_labels}))
     raise ValueError("bench needs either --spec or both --data and --config")
 
 
 def cmd_bench(args) -> int:
     if args.repeats < 1:
         raise ValueError(f"--repeats must be at least 1, got {args.repeats}")
+    grid = _checked_flags(args)
     source = _bench_source(args)
     out = Path(args.out)
     seeds = tuple(args.seed + i for i in range(args.repeats))
-    grid = _grid_from_args(args)
 
     if args.harness == "scaling":
         report = run_unlabeled_scaling(

@@ -96,6 +96,25 @@ class UnlabeledDataset:
         return self.X.shape[1]
 
 
+def check_theta(theta: float) -> None:
+    """Refuse a known-class fraction outside (0, 1], NaN included."""
+    if not 0.0 < theta <= 1.0:
+        raise ValueError(f"theta must lie in (0, 1], got {theta}")
+
+
+def pooled_points(labeled: LabeledDataset, unlabeled: UnlabeledDataset) -> np.ndarray:
+    """The training support: the labeled rows, then the unlabeled rows.
+
+    The labeled rows must hold known classes only, and both sets must
+    share one dimension.
+    """
+    if labeled.contains_novel:
+        raise ValueError("training labels must not contain the novel class")
+    if labeled.dimension != unlabeled.dimension:
+        raise ValueError("labeled and unlabeled dimensions differ")
+    return np.vstack([labeled.X, unlabeled.X])
+
+
 # ---------------------------------------------------------------------------
 # file ingestion
 # ---------------------------------------------------------------------------
@@ -312,7 +331,6 @@ class ClassConfiguration:
 
     known_labels: frozenset[int]
     new_labels: frozenset[int]
-    seed: int = 0
 
     def __post_init__(self):
         known = frozenset(int(c) for c in self.known_labels)
@@ -388,7 +406,8 @@ def split_class_configuration(
         elif novel_fraction > 0:
             raise ValueError("cannot force a novel fraction without new classes")
 
-    used = set(int(i) for i in labeled_idx)
+    used = np.zeros(len(full), dtype=bool)  # rows already drawn
+    used[labeled_idx] = True
 
     def draw_stratified(count: int) -> np.ndarray:
         per_class = _largest_remainder_counts(proportions, count)
@@ -396,28 +415,27 @@ def split_class_configuration(
         for c, want in zip(pool_classes, per_class):
             if want == 0:
                 continue
-            avail = np.array([i for i in pool_idx[c] if int(i) not in used], dtype=int)
+            avail = pool_idx[c][~used[pool_idx[c]]]
             if len(avail) >= want:
                 take = rng.choice(avail, size=want, replace=False)
             else:
                 # dataset too small for disjoint splits: reuse earlier rows
                 extra = rng.choice(pool_idx[c], size=want - len(avail), replace=True)
                 take = np.concatenate([avail, extra])
-            used.update(int(i) for i in take)
+            used[take] = True
             chosen.append(take)
         return np.concatenate(chosen) if chosen else np.array([], dtype=int)
 
     unlabeled_idx = draw_stratified(n_unlabeled)
     test_idx = draw_stratified(n_test)
 
-    def relabel(idx: np.ndarray) -> np.ndarray:
-        return np.array(
-            [remap.get(int(full.y[i]), K + 1) for i in idx], dtype=np.int64
-        )
-
-    labeled = LabeledDataset(full.X[labeled_idx], relabel(labeled_idx), K, label_map=remap)
+    # the split's label of every file label: 1..K for the known ids, K+1 else
+    relabel = np.full(int(full.y.max()) + 1, K + 1, dtype=np.int64)
+    relabel[known_sorted] = np.arange(1, K + 1)
+    labeled = LabeledDataset(full.X[labeled_idx], relabel[full.y[labeled_idx]], K,
+                             label_map=remap)
     unlabeled = UnlabeledDataset(full.X[unlabeled_idx])
-    test = LabeledDataset(full.X[test_idx], relabel(test_idx), K, label_map=remap)
+    test = LabeledDataset(full.X[test_idx], relabel[full.y[test_idx]], K, label_map=remap)
     return labeled, unlabeled, test
 
 
@@ -533,8 +551,7 @@ class SyntheticSpec:
             raise ValueError("need one prior per known class")
         if np.any(priors < 0) or not np.isclose(priors.sum(), 1.0, atol=1e-9):
             raise ValueError("class priors must be nonnegative and sum to 1")
-        if not 0.0 < self.theta <= 1.0:
-            raise ValueError(f"theta must lie in (0, 1], got {self.theta}")
+        check_theta(self.theta)
         d = mixes[0].dimension
         for gm in mixes + (self.new_mixture,):
             if gm.dimension != d:
@@ -643,8 +660,7 @@ class FiniteDistribution:
             raise ValueError(f"labels must lie in 1..{K + 1}")
         if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12:
             raise ValueError("probabilities must be nonnegative and sum to 1")
-        if not 0.0 < self.theta <= 1.0:
-            raise ValueError(f"theta must lie in (0, 1], got {self.theta}")
+        check_theta(self.theta)
         known_mass = float(p[y <= K].sum())
         if abs(known_mass - self.theta) > 1e-9:
             raise ValueError(
@@ -749,13 +765,17 @@ def _parse_kv_lines(text: str) -> dict[str, str]:
 
 
 def parse_class_configuration(text: str) -> ClassConfiguration:
+    """Parse ``known_labels`` and the optional ``new_labels``, each a
+    space-separated list of class ids; any other key is an error."""
     kv = _parse_kv_lines(text)
     try:
-        known = frozenset(int(t) for t in kv["known_labels"].split())
-        new = frozenset(int(t) for t in kv.get("new_labels", "").split())
+        known = frozenset(int(t) for t in kv.pop("known_labels").split())
     except KeyError as exc:
         raise ValueError(f"missing key {exc.args[0]!r}") from exc
-    return ClassConfiguration(known, new, seed=int(kv.get("seed", "0")))
+    new = frozenset(int(t) for t in kv.pop("new_labels", "").split())
+    if kv:
+        raise ValueError(f"unrecognised key {next(iter(kv))!r}")
+    return ClassConfiguration(known, new)
 
 
 def _parse_matrix(value: str, d: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledDataset, UnlabeledDataset
+from .data import LabeledDataset, UnlabeledDataset, check_theta, pooled_points
 from .kernel import GRAM_BLOCK_ROWS, KernelSpec, gram
 
 # The curve's slope before the knee is sample-size independent while past
@@ -46,8 +46,7 @@ class ThetaEstimate:
     qp_guard_hits: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.theta_hat <= 1.0:
-            raise ValueError(f"theta must lie in (0, 1], got {self.theta_hat}")
+        check_theta(self.theta_hat)
 
 
 def check_slope_threshold(value: float) -> None:
@@ -179,10 +178,8 @@ def estimate_theta(
     ``slope_threshold * (1/sqrt(n_l) + 1/sqrt(n_u))``.
     """
     check_slope_threshold(slope_threshold)
-    if labeled.dimension != unlabeled.dimension:
-        raise ValueError("labeled and unlabeled dimensions differ")
+    pooled = pooled_points(labeled, unlabeled)
     n_l, n_u = len(labeled), len(unlabeled)
-    pooled = np.vstack([labeled.X, unlabeled.X])
     n = n_l + n_u
 
     # restrict the candidate mixture's support to an even stride of the pool;

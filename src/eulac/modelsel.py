@@ -8,11 +8,12 @@ Both the labeled and the unlabeled sets are folded.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledDataset, UnlabeledDataset, json_text, kfold_indices
+from .data import LabeledDataset, UnlabeledDataset, json_text, kfold_indices, pooled_points
 from .kernel import DEFAULT_SIGMA_MULTIPLIERS, KernelSpec, floored_gram, gram, median_heuristic
 from .losses import SQUARE, canonical_loss_kind
 from .risk import lac_risk_from_scores
@@ -40,8 +41,9 @@ class HyperGrid:
     def __post_init__(self):
         if not self.sigma_multipliers or not self.lambda_candidates:
             raise ValueError("grids must be nonempty")
-        if any(m <= 0 for m in self.sigma_multipliers) or any(l <= 0 for l in self.lambda_candidates):
-            raise ValueError("grid values must be positive")
+        if not all(math.isfinite(v) and v > 0
+                   for v in (*self.sigma_multipliers, *self.lambda_candidates)):
+            raise ValueError("grid values must be positive and finite")
         if self.folds < 2:
             raise ValueError("need at least 2 folds")
         object.__setattr__(self, "sigma_multipliers", tuple(float(m) for m in self.sigma_multipliers))
@@ -133,7 +135,7 @@ def cross_validate(
     dual coefficients that are zero outside the fold's training rows.
     """
     n_l = len(labeled)
-    pooled = np.vstack([labeled.X, unlabeled.X])
+    pooled = pooled_points(labeled, unlabeled)
     if median is None:
         median = median_heuristic(pooled)
     folds = kfold_indices(labeled, unlabeled, grid.folds, seed)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FiniteDistribution, LabeledDataset, UnlabeledDataset
+from .data import FiniteDistribution, LabeledDataset, UnlabeledDataset, check_theta
 from .losses import canonical_loss_kind, loss_value
 
 
@@ -61,8 +61,7 @@ def lac_risk_from_scores(
     K = sl.shape[1] - 1
     if np.any(y < 1) or np.any(y > K):
         raise ValueError("labeled-set labels must lie in 1..K")
-    if not 0.0 < theta <= 1.0:
-        raise ValueError(f"theta must lie in (0, 1], got {theta}")
+    check_theta(theta)
 
     rows = np.arange(sl.shape[0])
     labeled_term = float(np.mean(sl[:, K] - sl[rows, y - 1]))
@@ -192,8 +191,7 @@ class TheoryParams:
             raise ValueError("all bound parameters must be positive")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if not 0.0 < self.theta <= 1.0:
-            raise ValueError("theta must lie in (0, 1]")
+        check_theta(self.theta)
 
 
 def generalization_bound(p: TheoryParams) -> float:

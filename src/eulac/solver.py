@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .data import LabeledDataset, UnlabeledDataset, json_text
+from .data import LabeledDataset, UnlabeledDataset, check_theta, json_text, pooled_points
 from .kernel import GRAM_BLOCK_ROWS, KernelSpec, floored_gram, gram
 from .losses import (
     DOUBLE_HINGE,
@@ -166,13 +166,6 @@ class DualModel:
             return DualModel.from_json(fh.read())
 
 
-def _check_train_inputs(labeled: LabeledDataset, unlabeled: UnlabeledDataset):
-    if labeled.contains_novel:
-        raise ValueError("training labels must not contain the novel class")
-    if labeled.dimension != unlabeled.dimension:
-        raise ValueError("labeled and unlabeled dimensions differ")
-
-
 def _objective_arrays(a, scores, y, n_l, n_u, theta, lam, loss_kind) -> float:
     """The objective at dual coefficients a whose scores G @ a are given."""
     risk = lac_risk_from_scores(scores[:n_l], y, scores[n_l:], theta, loss_kind)
@@ -252,11 +245,6 @@ def objective_gradient(
                             loss_kind)
 
 
-def _check_theta(theta: float) -> None:
-    if not 0.0 < theta <= 1.0:
-        raise ValueError(f"theta must lie in (0, 1], got {theta}")
-
-
 def _square_loss_alpha(
     G: np.ndarray,
     n_l: int,
@@ -275,7 +263,7 @@ def _square_loss_alpha(
     finite here, so the factorization and the solve skip scipy's
     full-matrix finiteness scans.
     """
-    _check_theta(theta)
+    check_theta(theta)
     n_u = G.shape[0] - n_l
     shift = 2.0 * lam + GRAM_JITTER
     if not np.isfinite(shift):
@@ -433,7 +421,7 @@ def _square_loss_fold_alphas(
     pooled support, zero outside fold f's training rows.  A failed solve
     raises LinAlgError whose ``fold`` names the fold.
     """
-    _check_theta(theta)
+    check_theta(theta)
     n_u = G.shape[0] - n_l
     K = num_known_classes
     lams = np.asarray(lams, dtype=float)
@@ -490,8 +478,7 @@ def fit_square_closed_form(
     """Solve the square-loss problem exactly via its normal equations."""
     if lam <= 0:
         raise ValueError("regularization weight must be positive")
-    _check_train_inputs(labeled, unlabeled)
-    support = np.vstack([labeled.X, unlabeled.X])
+    support = pooled_points(labeled, unlabeled)
     G = floored_gram(kernel, support, support)
     alpha = _square_loss_alpha(G, len(labeled), labeled.y, labeled.num_known_classes,
                                theta, lam)
@@ -639,8 +626,7 @@ def fit_first_order(
     rather than failing silently.
     """
     loss_kind = canonical_loss_kind(loss_kind)
-    _check_train_inputs(labeled, unlabeled)
-    support = np.vstack([labeled.X, unlabeled.X])
+    support = pooled_points(labeled, unlabeled)
     G = gram(kernel, support, support)
     alpha, record = _first_order_alpha(
         G, labeled.y, labeled.num_known_classes, len(labeled), len(unlabeled),

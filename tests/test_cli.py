@@ -389,6 +389,41 @@ class TestThetaAndCv:
         assert capsys.readouterr().err == "error: theta must lie in (0, 1], got 1.5\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flag, message", [
+        pytest.param(command, flag, message, id=f"{command}{flag[0]}")
+        for command in ("fit", "cv", "theta", "bench")
+        for flag, message in (
+            (["--theta", "1.5"], "theta must lie in (0, 1], got 1.5"),
+            (["--folds", "1"], "need at least 2 folds"),
+            (["--lambda", "nan"], "grid values must be positive and finite"),
+            (["--sigma-mult", "inf"], "grid values must be positive and finite"))
+        if command != "theta" or flag[0] == "--theta"])
+    def test_bad_flag_refused_before_any_file_is_read(self, tmp_path, capsys, command, flag,
+                                                      message):
+        # no input file exists, so an error that reads one names the file
+        out = tmp_path / "out"
+        files = (["scaling", "--spec", str(tmp_path / "spec")] if command == "bench" else
+                 ["--labeled", str(tmp_path / "l"), "--unlabeled", str(tmp_path / "u")])
+        rc = main([command, *files, "--out", str(out), *flag])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "cv", "theta"])
+    def test_mismatched_dimensions_exit_one(self, spec_file, tmp_path, capsys, command):
+        # numpy's concatenate error used to end fit and cv
+        data = _gen(spec_file, tmp_path / "data", nl=40, nu=60)
+        wide = tmp_path / "wide.csv"
+        wide.write_text("".join(line + ",0.0\n" for line in
+                                (data / "unlabeled.csv").read_text().splitlines()))
+        capsys.readouterr()
+        out = tmp_path / command
+        rc = main([command, "--labeled", str(data / "labeled.libsvm"), "--unlabeled", str(wide),
+                   "--out", str(out)] + ([] if command == "theta" else FAST_GRID))
+        assert rc == 1
+        assert capsys.readouterr().err == "error: labeled and unlabeled dimensions differ\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("mult", ["1e200", "1e-200"])
     def test_bandwidth_without_a_normal_square_exits_one(self, spec_file, tmp_path, capsys,
                                                           mult):
@@ -580,3 +615,13 @@ class TestBenchData:
         assert rc == 1
         err = capsys.readouterr().err
         assert "class configuration names ids absent from" in err and err.endswith(": [7]\n")
+
+    def test_misspelt_configuration_key_exits_one(self, data_file, tmp_path, capsys):
+        # a misspelt new_labels ran the harness with no novel class and exit 0
+        config = tmp_path / "config.txt"
+        config.write_text("known_labels = 1 2\nnew_label = 3\n")
+        rc = main(["bench", "scaling", "--data", str(data_file), "--config", str(config),
+                   "--out", str(tmp_path / "b")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: unrecognised key 'new_label'\n"
+        assert not (tmp_path / "b").exists()

@@ -7,6 +7,7 @@ from eulac.data import (
     GaussianMixture,
     LabeledDataset,
     UnlabeledDataset,
+    _largest_remainder_counts,
     bayes_risk_oracle,
     format_synthetic_spec,
     kfold_indices,
@@ -14,12 +15,18 @@ from eulac.data import (
     load_libsvm,
     parse_class_configuration,
     parse_synthetic_spec,
+    pooled_points,
     sample_synthetic,
     sample_test_set,
     split_class_configuration,
     write_features_csv,
     write_libsvm,
 )
+
+from eulac.kernel import KernelSpec
+from eulac.mixture import estimate_theta
+from eulac.modelsel import HyperGrid, cross_validate
+from eulac.solver import FitOptions, fit_first_order, fit_square_closed_form
 
 from conftest import two_cluster_spec
 
@@ -345,6 +352,44 @@ class TestDatasets:
         assert ds.contains_novel and ds.novel_label == 3
 
 
+# every function that trains or estimates on a labeled/unlabeled pair, each
+# reaching the pair through pooled_points
+_SMALL_GRID = dict(sigma_multipliers=(1.0,), lambda_candidates=(0.1,), folds=2)
+PAIR_CALLERS = {
+    "estimate_theta": lambda L, U: estimate_theta(L, U, KernelSpec(1.0)),
+    "cross_validate-square": lambda L, U: cross_validate(L, U, 0.7, HyperGrid(**_SMALL_GRID), 0),
+    "cross_validate-logistic": lambda L, U: cross_validate(
+        L, U, 0.7, HyperGrid(loss_kind="logistic", **_SMALL_GRID), 0),
+    "fit_square_closed_form": lambda L, U: fit_square_closed_form(L, U, KernelSpec(1.0), 0.7, 0.1),
+    "fit_first_order": lambda L, U: fit_first_order(L, U, KernelSpec(1.0), 0.7,
+                                                    FitOptions(lam=0.1), "logistic"),
+}
+
+
+class TestPooledPoints:
+    def _pair(self):
+        rng = np.random.default_rng(0)
+        return (LabeledDataset(rng.normal(size=(20, 2)), np.tile([1, 2], 10), 2),
+                UnlabeledDataset(rng.normal(size=(30, 2))))
+
+    def test_labeled_rows_first(self):
+        L, U = self._pair()
+        np.testing.assert_array_equal(pooled_points(L, U), np.concatenate([L.X, U.X]))
+
+    @pytest.mark.parametrize("fault", ["novel", "dimension"])
+    @pytest.mark.parametrize("caller", list(PAIR_CALLERS))
+    def test_every_caller_refuses_a_bad_pair(self, caller, fault):
+        L, U = self._pair()
+        if fault == "novel":
+            L = LabeledDataset(L.X, np.where(np.arange(len(L)) == 3, 3, L.y), 2)
+            message = "training labels must not contain the novel class"
+        else:
+            U = UnlabeledDataset(np.zeros((len(U), 3)))
+            message = "labeled and unlabeled dimensions differ"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PAIR_CALLERS[caller](L, U)
+
+
 class TestSplitConfiguration:
     def _dataset(self, seed=0, classes=6, per_class=400, dim=3):
         rng = np.random.default_rng(seed)
@@ -354,13 +399,13 @@ class TestSplitConfiguration:
 
     def test_sizes_exact(self):
         full = self._dataset()
-        config = ClassConfiguration(frozenset({1, 3, 5}), frozenset({2, 4, 6}), seed=1)
+        config = ClassConfiguration(frozenset({1, 3, 5}), frozenset({2, 4, 6}))
         L, U, T = split_class_configuration(full, config, 500, 1000, 700, seed=2)
         assert len(L) == 500 and len(U) == 1000 and len(T) == 700
 
     def test_no_novel_leak_into_labeled(self):
         full = self._dataset()
-        config = ClassConfiguration(frozenset({2, 4, 6}), frozenset({1, 3, 5}), seed=3)
+        config = ClassConfiguration(frozenset({2, 4, 6}), frozenset({1, 3, 5}))
         L, _, T = split_class_configuration(full, config, 400, 400, 400, seed=4)
         assert not L.contains_novel
         assert L.num_known_classes == 3
@@ -411,6 +456,70 @@ class TestSplitConfiguration:
     def test_overlapping_sets_rejected(self):
         with pytest.raises(ValueError, match="overlap"):
             ClassConfiguration(frozenset({1, 2}), frozenset({2, 3}))
+
+    @pytest.mark.parametrize("per_class, sizes, novel_fraction", [
+        (400, (500, 1000, 700), None),
+        (300, (100, 200, 200), 0.2),
+        # too few rows for disjoint sets: later draws reuse earlier rows
+        (60, (100, 150, 150), None),
+        (60, (50, 100, 100), 0.8),
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_matches_per_index_draw(self, per_class, sizes, novel_fraction, seed):
+        full = self._dataset(seed=seed, classes=4, per_class=per_class)
+        config = ClassConfiguration(frozenset({1, 3}), frozenset({2, 4}))
+        splits = split_class_configuration(full, config, *sizes, seed=seed,
+                                           novel_fraction=novel_fraction)
+        expected = _reference_split(full, config, *sizes, seed, novel_fraction)
+        for got, (idx, y) in zip(splits, expected):
+            np.testing.assert_array_equal(got.X, full.X[idx])
+            if y is not None:
+                np.testing.assert_array_equal(got.y, y)
+                assert got.y.dtype == y.dtype
+
+
+def _reference_split(full, config, n_labeled, n_unlabeled, n_test, seed, novel_fraction):
+    """The split's rows and labels as drawn with a Python set of used rows
+    and a per-row relabel, one rng call at a time; None for the unlabeled
+    set's labels."""
+    rng = np.random.default_rng(seed)
+    known_sorted = sorted(config.known_labels)
+    remap = {orig: i + 1 for i, orig in enumerate(known_sorted)}
+    K = len(known_sorted)
+    known_pool = np.flatnonzero(np.isin(full.y, known_sorted))
+    labeled_idx = rng.choice(known_pool, size=n_labeled, replace=False)
+    pool_classes = known_sorted + sorted(config.new_labels)
+    pool_idx = {c: np.flatnonzero(full.y == c) for c in pool_classes}
+    sizes = np.array([len(pool_idx[c]) for c in pool_classes], dtype=float)
+    if novel_fraction is None:
+        proportions = sizes / sizes.sum()
+    else:
+        proportions = np.concatenate([(1.0 - novel_fraction) * sizes[:K] / sizes[:K].sum(),
+                                      novel_fraction * sizes[K:] / sizes[K:].sum()])
+    used = set(int(i) for i in labeled_idx)
+
+    def draw(count):
+        chosen = []
+        for c, want in zip(pool_classes, _largest_remainder_counts(proportions, count)):
+            if want == 0:
+                continue
+            avail = np.array([i for i in pool_idx[c] if int(i) not in used], dtype=int)
+            if len(avail) >= want:
+                take = rng.choice(avail, size=want, replace=False)
+            else:
+                extra = rng.choice(pool_idx[c], size=want - len(avail), replace=True)
+                take = np.concatenate([avail, extra])
+            used.update(int(i) for i in take)
+            chosen.append(take)
+        return np.concatenate(chosen)
+
+    def relabel(idx):
+        return np.array([remap.get(int(full.y[i]), K + 1) for i in idx], dtype=np.int64)
+
+    unlabeled_idx = draw(n_unlabeled)
+    test_idx = draw(n_test)
+    return ((labeled_idx, relabel(labeled_idx)), (unlabeled_idx, None),
+            (test_idx, relabel(test_idx)))
 
 
 class TestSyntheticSampling:
@@ -568,10 +677,18 @@ class TestConfigFormats:
             np.testing.assert_array_equal(a.covariances, b.covariances)
 
     def test_class_configuration_parse(self):
-        config = parse_class_configuration("known_labels = 1 2 3\nnew_labels = 4 5\nseed = 7\n")
+        config = parse_class_configuration("known_labels = 1 2 3\nnew_labels = 4 5\n")
         assert config.known_labels == frozenset({1, 2, 3})
         assert config.new_labels == frozenset({4, 5})
-        assert config.seed == 7
+
+    @pytest.mark.parametrize("text, message", [
+        ("known_labels = 1 2\nnew_label = 3\n", "unrecognised key 'new_label'"),
+        ("known_labels = 1 2\nnew_labels = 3\nseed = 7\n", "unrecognised key 'seed'"),
+        ("new_labels = 3\n", "missing key 'known_labels'"),
+    ])
+    def test_class_configuration_bad_key_rejected(self, text, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_class_configuration(text)
 
     def test_bad_key_rejected(self):
         with pytest.raises(ValueError, match="unrecognised|missing"):

@@ -89,14 +89,6 @@ class TestEstimation:
             rhos.append(spearmanr(fractions, hats).statistic)
         assert np.mean(rhos) <= 0.0
 
-    def test_dimension_mismatch(self):
-        spec = two_cluster_spec(0.7, 0)
-        labeled, unlabeled, _ = sample_synthetic(spec, 50, 50, 10)
-        from eulac.data import UnlabeledDataset
-        bad = UnlabeledDataset(np.zeros((10, 3)))
-        with pytest.raises(ValueError, match="dimension"):
-            estimate_theta(labeled, bad, KernelSpec(1.0))
-
     def test_degenerate_kernel_rejected(self):
         spec = two_cluster_spec(0.7, 0)
         labeled, unlabeled, _ = sample_synthetic(spec, 50, 50, 10)

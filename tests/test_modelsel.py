@@ -33,6 +33,11 @@ class TestHyperGrid:
             HyperGrid(sigma_multipliers=())
         with pytest.raises(ValueError):
             HyperGrid(lambda_candidates=(0.0,))
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="grid values must be positive and finite"):
+                HyperGrid(lambda_candidates=(0.1, bad))
+            with pytest.raises(ValueError, match="grid values must be positive and finite"):
+                HyperGrid(sigma_multipliers=[bad])
         with pytest.raises(ValueError):
             HyperGrid(folds=1)
 

@@ -6,7 +6,6 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from eulac.data import (
-    LabeledDataset,
     UnlabeledDataset,
     kfold_indices,
     parse_synthetic_spec,
@@ -185,12 +184,6 @@ class TestClosedForm:
         L, U, kernel, _ = instance
         with pytest.raises(ValueError):
             fit_square_closed_form(L, U, kernel, THETA, 0.0)
-
-    def test_novel_labels_rejected(self):
-        L = LabeledDataset(np.random.default_rng(0).normal(size=(4, 2)), [1, 2, 3, 1], 2)
-        U = UnlabeledDataset(np.zeros((3, 2)) + 0.5)
-        with pytest.raises(ValueError, match="novel"):
-            fit_square_closed_form(L, U, KernelSpec(1.0), THETA, LAM)
 
     @pytest.mark.parametrize("theta", [1.5, -0.3, float("nan")])
     def test_theta_out_of_range_rejected(self, instance, theta):
