@@ -20,6 +20,8 @@ from .evalbench import (
     DEFAULT_SCALING_SIZES,
     DEFAULT_SWEEP_RATIOS,
     ConfusionMatrix,
+    check_ratios,
+    check_sizes,
     macro_f1,
     run_excess_risk_seeds,
     run_theta_sweep,
@@ -56,21 +58,24 @@ def _read_spec(path: str) -> dt.SyntheticSpec:
     return dt.parse_synthetic_spec(Path(path).read_text(encoding="utf-8"))
 
 
-def _grid_from_args(args) -> HyperGrid:
-    return HyperGrid(
-        sigma_multipliers=tuple(args.sigma_mult),
-        lambda_candidates=tuple(args.lam),
-        loss_kind=args.loss,
-        folds=args.folds,
-    )
-
-
 def _checked_flags(args) -> HyperGrid | None:
-    """Refuse an out-of-range --theta or grid flag before any file is read;
-    the grid of a command that has grid flags, else None."""
-    if args.theta is not None:
+    """Refuse every out-of-range flag value by its flag's name before any
+    file is read; the grid of a command that has grid flags, else None."""
+    flags = vars(args)
+    if flags.get("theta") is not None:
         dt.check_theta(args.theta)
-    return _grid_from_args(args) if "lam" in vars(args) else None
+    floors = {"repeats": 1, "n_labeled": 1, "n_unlabeled": 1, "n_test": 1, "grid_resolution": 2}
+    for key, least in floors.items():
+        if key in flags:
+            dt.check_count("--" + key.replace("_", "-"), flags[key], least)
+    if "sizes" in flags:
+        check_sizes("--sizes", args.sizes)
+    if "ratios" in flags:
+        check_ratios("--ratios", args.ratios)
+    if "lam" not in flags:
+        return None
+    return HyperGrid(sigma_multipliers=tuple(args.sigma_mult), lambda_candidates=tuple(args.lam),
+                     loss_kind=args.loss, folds=args.folds)
 
 
 def _pooled_median(labeled, unlabeled) -> float:
@@ -125,6 +130,7 @@ def _config_echo(args) -> dict:
 
 
 def cmd_gen(args) -> int:
+    _checked_flags(args)
     spec = dataclasses.replace(_read_spec(args.spec), seed=args.seed)
     labeled, unlabeled, test = dt.sample_synthetic(
         spec, args.n_labeled, args.n_unlabeled, args.n_test
@@ -243,47 +249,44 @@ def cmd_cv(args) -> int:
 
 
 def _bench_source(args):
+    """The harness's synthetic spec, or its labeled file and class
+    configuration; excess-risk has --spec alone."""
+    data, config = vars(args).get("data"), vars(args).get("config")
+    if args.spec and (data or config):
+        raise ValueError("bench takes either --spec or --data with --config, not both")
     if args.spec:
         return _read_spec(args.spec)
-    if args.data and args.config:
-        full = dt.load_libsvm(args.data)
-        config = dt.parse_class_configuration(Path(args.config).read_text(encoding="utf-8"))
-        # the configuration names the file's own ids, which the loader keeps
-        # in label_map
-        ids = full.label_map
-        absent = sorted((config.known_labels | config.new_labels) - ids.keys())
-        if absent:
-            raise ValueError(f"class configuration names ids absent from {args.data}: {absent}")
-        return (full, dt.ClassConfiguration({ids[c] for c in config.known_labels},
-                                            {ids[c] for c in config.new_labels}))
-    raise ValueError("bench needs either --spec or both --data and --config")
+    if not (data and config):
+        raise ValueError("bench needs either --spec or both --data and --config")
+    full = dt.load_libsvm(data)
+    classes = dt.parse_class_configuration(Path(config).read_text(encoding="utf-8"))
+    # the configuration names the file's own ids, which the loader keeps in
+    # label_map
+    ids = full.label_map
+    absent = sorted((classes.known_labels | classes.new_labels) - ids.keys())
+    if absent:
+        raise ValueError(f"class configuration names ids absent from {data}: {absent}")
+    return (full, dt.ClassConfiguration({ids[c] for c in classes.known_labels},
+                                        {ids[c] for c in classes.new_labels}))
 
 
 def cmd_bench(args) -> int:
-    if args.repeats < 1:
-        raise ValueError(f"--repeats must be at least 1, got {args.repeats}")
     grid = _checked_flags(args)
     source = _bench_source(args)
     out = Path(args.out)
     seeds = tuple(args.seed + i for i in range(args.repeats))
 
     if args.harness == "scaling":
-        report = run_unlabeled_scaling(
-            source, sizes=tuple(args.sizes), seeds=seeds,
-            n_labeled=args.n_labeled, n_test=args.n_test,
-            grid=grid, theta=args.theta,
-        )
+        report = run_unlabeled_scaling(source, tuple(args.sizes), seeds, args.n_labeled,
+                                       args.n_test, grid, args.theta)
         _write_text(out / "scaling.json", report.to_json())
         _write_text(out / "scaling.csv", report.to_csv("macro_f1"))
         print(f"spearman(size, mean macro-F1) = {report.spearman('macro_f1')}")
         return EXIT_OK
 
     if args.harness == "theta-sweep":
-        report = run_theta_sweep(
-            source, ratios=tuple(args.ratios), seeds=seeds,
-            n_labeled=args.n_labeled, n_unlabeled=args.n_unlabeled,
-            n_test=args.n_test, grid=grid,
-        )
+        report = run_theta_sweep(source, tuple(args.ratios), seeds, args.n_labeled,
+                                 args.n_unlabeled, args.n_test, grid)
         _write_text(out / "theta_sweep.json", report.to_json())
         _write_text(out / "theta_sweep_f1.csv", report.to_csv("macro_f1"))
         _write_text(out / "theta_sweep_accuracy.csv", report.to_csv("accuracy"))
@@ -292,16 +295,12 @@ def cmd_bench(args) -> int:
 
     # excess-risk: fit one model per seed on generated data and verify that
     # the square-loss surrogate excess bounds the observed 0-1 excess
-    if not isinstance(source, dt.SyntheticSpec):
-        raise ValueError("the excess-risk harness needs a synthetic --spec")
     if source.dimension > 2:
         raise ValueError("the excess-risk harness needs dimension <= 2")
     results = []
     for seed, check in run_excess_risk_seeds(source, seeds, args.n_labeled,
                                              args.n_unlabeled, grid, args.theta):
-        results.append({"seed": seed, **{key: getattr(check, key) for key in (
-            "lhs", "rhs", "monte_carlo_se", "bayes_risk", "test_risk", "lac_risk",
-            "optimal_lac_risk", "passed")}})
+        results.append({"seed": seed, **dataclasses.asdict(check), "passed": check.passed})
         print(f"seed {seed}: lhs={check.lhs:.6f} <= rhs={check.rhs:.6f} "
               f"+ 3se={3 * check.monte_carlo_se:.6f} -> "
               f"{'PASS' if check.passed else 'FAIL'}")
@@ -378,21 +377,29 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid(p)
     p.set_defaults(func=cmd_cv)
 
-    p = sub.add_parser("bench", help="run a benchmark harness")
-    p.add_argument("harness", choices=["scaling", "theta-sweep", "excess-risk"])
-    p.add_argument("--spec", default=None, help="synthetic spec (key-value text)")
-    p.add_argument("--data", default=None, help="full labeled dataset (LIBSVM)")
-    p.add_argument("--config", default=None, help="class configuration (key-value text)")
-    p.add_argument("--sizes", type=int, nargs="+", default=list(DEFAULT_SCALING_SIZES))
-    p.add_argument("--ratios", type=float, nargs="+", default=list(DEFAULT_SWEEP_RATIOS))
-    p.add_argument("--repeats", type=int, default=10, help="number of seeds per cell")
-    p.add_argument("--n-labeled", type=int, default=500)
-    p.add_argument("--n-unlabeled", type=int, default=1000)
-    p.add_argument("--n-test", type=int, default=1000)
-    _add_common(p)
-    _add_theta(p, threshold=False)
-    _add_grid(p)
-    p.set_defaults(func=cmd_bench)
+    # each harness takes only the flags it reads
+    harnesses = sub.add_parser("bench", help="run a benchmark harness").add_subparsers(
+        dest="harness", required=True)
+    scaling = harnesses.add_parser("scaling", help="refit as the unlabeled set grows")
+    sweep = harnesses.add_parser("theta-sweep", help="vary the novel-class share of the test data")
+    excess = harnesses.add_parser("excess-risk", help="check the square-loss excess-risk bound")
+    for p in (scaling, sweep, excess):
+        p.add_argument("--spec", required=p is excess, help="synthetic spec (key-value text)")
+        p.add_argument("--repeats", type=int, default=10, help="number of seeds per cell")
+        p.add_argument("--n-labeled", type=int, default=500)
+        _add_common(p)
+        _add_grid(p)
+        p.set_defaults(func=cmd_bench)
+    for p in (scaling, sweep):
+        p.add_argument("--data", help="full labeled dataset (LIBSVM)")
+        p.add_argument("--config", help="class configuration (key-value text)")
+        p.add_argument("--n-test", type=int, default=1000)
+    for p in (sweep, excess):
+        p.add_argument("--n-unlabeled", type=int, default=1000)
+    for p in (scaling, excess):
+        _add_theta(p, threshold=False)
+    scaling.add_argument("--sizes", type=int, nargs="+", default=list(DEFAULT_SCALING_SIZES))
+    sweep.add_argument("--ratios", type=float, nargs="+", default=list(DEFAULT_SWEEP_RATIOS))
 
     return parser
 

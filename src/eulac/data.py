@@ -102,14 +102,25 @@ def check_theta(theta: float) -> None:
         raise ValueError(f"theta must lie in (0, 1], got {theta}")
 
 
+def check_count(name: str, count: int, least: int = 1) -> None:
+    """Refuse a sample size, repeat count or grid resolution below ``least``."""
+    if count < least:
+        raise ValueError(f"{name} must be at least {least}, got {count}")
+
+
+def check_known_only(labeled: LabeledDataset) -> None:
+    """Refuse training labels that hold the novel class."""
+    if labeled.contains_novel:
+        raise ValueError("training labels must not contain the novel class")
+
+
 def pooled_points(labeled: LabeledDataset, unlabeled: UnlabeledDataset) -> np.ndarray:
     """The training support: the labeled rows, then the unlabeled rows.
 
     The labeled rows must hold known classes only, and both sets must
     share one dimension.
     """
-    if labeled.contains_novel:
-        raise ValueError("training labels must not contain the novel class")
+    check_known_only(labeled)
     if labeled.dimension != unlabeled.dimension:
         raise ValueError("labeled and unlabeled dimensions differ")
     return np.vstack([labeled.X, unlabeled.X])
@@ -570,22 +581,15 @@ class SyntheticSpec:
 
 def _flatten_mixture(spec: SyntheticSpec, include_new: bool):
     """Joint categorical over (label, component) pairs for one-shot sampling."""
-    labels, means, chols, probs = [], [], [], []
-    for c, (prior, gm) in enumerate(zip(spec.class_priors, spec.class_mixtures), start=1):
-        scale = spec.theta * prior if include_new else prior
-        for j in range(len(gm.weights)):
-            labels.append(c)
-            means.append(gm.means[j])
-            chols.append(gm._chols[j])
-            probs.append(scale * gm.weights[j])
+    scale = spec.theta if include_new else 1.0
+    parts = [(c, scale * prior, gm) for c, (prior, gm)
+             in enumerate(zip(spec.class_priors, spec.class_mixtures), start=1)]
     if include_new:
-        gm = spec.new_mixture
-        for j in range(len(gm.weights)):
-            labels.append(spec.num_known_classes + 1)
-            means.append(gm.means[j])
-            chols.append(gm._chols[j])
-            probs.append((1.0 - spec.theta) * gm.weights[j])
-    return (np.array(labels), np.array(means), np.array(chols), np.array(probs))
+        parts.append((spec.num_known_classes + 1, 1.0 - spec.theta, spec.new_mixture))
+    return (np.concatenate([np.full(len(gm.weights), label) for label, _, gm in parts]),
+            np.concatenate([gm.means for _, _, gm in parts]),
+            np.concatenate([gm._chols for _, _, gm in parts]),
+            np.concatenate([weight * gm.weights for _, weight, gm in parts]))
 
 
 def _draw(rng, labels, means, chols, probs, size):
@@ -706,8 +710,7 @@ def posterior_grid(spec: SyntheticSpec, grid_resolution: int):
     d = spec.dimension
     if d > 2:
         raise ValueError("quadrature grid supports dimension <= 2 only")
-    if grid_resolution < 2:
-        raise ValueError("grid resolution must be at least 2")
+    check_count("grid_resolution", grid_resolution, least=2)
 
     mixtures = list(spec.class_mixtures) + [spec.new_mixture]
     lo = np.full(d, np.inf)

@@ -14,6 +14,8 @@ from .data import (
     LabeledDataset,
     SyntheticSpec,
     bayes_risk_from_joints,
+    check_count,
+    check_known_only,
     json_text,
     posterior_grid,
     sample_synthetic,
@@ -136,8 +138,7 @@ def ovr_reject_baseline(
     labeled: LabeledDataset, kernel: KernelSpec, lam: float
 ) -> RejectingOvrModel:
     """Fit the baseline: one regularized kernel scorer per known class."""
-    if labeled.contains_novel:
-        raise ValueError("baseline training labels must not contain the novel class")
+    check_known_only(labeled)
     n = len(labeled)
     K = labeled.num_known_classes
     G = gram(kernel, labeled.X, labeled.X)
@@ -256,8 +257,23 @@ class ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
+def check_sizes(name: str, sizes) -> None:
+    """Refuse unlabeled sizes that are not strictly increasing from at least 1."""
+    if list(sizes) != sorted(set(sizes)) or min(sizes, default=1) < 1:
+        raise ValueError(f"{name} must be strictly increasing and at least 1, got {list(sizes)}")
+
+
+def check_ratios(name: str, ratios) -> None:
+    """Refuse a novel-class share outside [0, 1), NaN included."""
+    if not all(0.0 <= r < 1.0 for r in ratios):
+        raise ValueError(f"{name} must lie in [0, 1), got {list(ratios)}")
+
+
 def _make_task(source, n_labeled, n_unlabeled, n_test, seed, novel_ratio=None):
     """Concrete (labeled, unlabeled, test, true theta) for one run."""
+    for name, count in (("n_labeled", n_labeled), ("n_unlabeled", n_unlabeled),
+                        ("n_test", n_test)):
+        check_count(name, count)
     if isinstance(source, SyntheticSpec):
         spec = dataclasses.replace(source, seed=seed)
         if novel_ratio is not None:  # SyntheticSpec rejects a ratio of 1
@@ -304,10 +320,8 @@ def run_unlabeled_scaling(
     Every run fits with ``theta`` when it is given, and with the task's true
     mixture fraction otherwise.
     """
-    if list(sizes) != sorted(set(sizes)):
-        raise ValueError("sizes must be strictly increasing")
-    if not seeds:
-        raise ValueError("need at least one seed")
+    check_sizes("sizes", sizes)
+    check_count("the number of seeds", len(seeds))
     grid = grid or HyperGrid()
     runs = []
     for size in sizes:
@@ -353,8 +367,7 @@ def run_theta_sweep(
     Each ratio r corresponds to a known-class fraction of 1 - r, supplied
     to the fit directly (the sweep assumes the fraction is known).
     """
-    if any(not 0.0 <= r < 1.0 for r in ratios):
-        raise ValueError("novel ratios must lie in [0, 1)")
+    check_ratios("ratios", ratios)
     grid = grid or HyperGrid()
     runs = []
     for ratio in ratios:

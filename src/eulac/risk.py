@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FiniteDistribution, LabeledDataset, UnlabeledDataset, check_theta
+from .data import (FiniteDistribution, LabeledDataset, UnlabeledDataset, check_known_only,
+                   check_theta)
 from .losses import canonical_loss_kind, loss_value
 
 
@@ -77,9 +78,8 @@ def empirical_lac_risk(
     loss_kind: str,
 ) -> float:
     """Unbiased estimate of the testing-distribution surrogate risk."""
+    check_known_only(labeled)
     K = labeled.num_known_classes
-    if labeled.contains_novel:
-        raise ValueError("labeled set must not contain novel-class rows")
     sl = tabulate_scores(f, labeled.X, K)
     su = tabulate_scores(f, unlabeled.X, K)
     return lac_risk_from_scores(sl, labeled.y, su, theta, loss_kind)

@@ -53,6 +53,13 @@ DUAL_GAP_TOLERANCE = 1e-6
 MODEL_FORMAT_VERSION = 1
 
 
+def check_lambda(lam: float) -> None:
+    """Refuse a regularization weight that is not positive and finite, NaN
+    included, or whose square-loss shift 2 lam overflows."""
+    if not (lam > 0.0 and np.isfinite(2.0 * float(lam))):
+        raise ValueError(f"regularization weight must be positive and finite, got {lam}")
+
+
 @dataclass(frozen=True)
 class FitOptions:
     """First-order solver settings; lam is the RKHS-norm penalty weight.
@@ -67,8 +74,7 @@ class FitOptions:
     gradient_tolerance: float = 1e-6
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("regularization weight must be positive")
+        check_lambda(self.lam)
         if self.max_iterations < 1:
             raise ValueError("need at least one iteration")
         if self.gradient_tolerance <= 0:
@@ -264,10 +270,9 @@ def _square_loss_alpha(
     full-matrix finiteness scans.
     """
     check_theta(theta)
+    check_lambda(lam)
     n_u = G.shape[0] - n_l
     shift = 2.0 * lam + GRAM_JITTER
-    if not np.isfinite(shift):
-        raise ValueError(f"regularization weight must be finite, got {lam}")
     if not np.all(np.isfinite(G[n_l:])):
         raise ValueError("square-loss Gram blocks must be finite")
     K = num_known_classes
@@ -422,12 +427,12 @@ def _square_loss_fold_alphas(
     raises LinAlgError whose ``fold`` names the fold.
     """
     check_theta(theta)
+    for lam in lams:
+        check_lambda(lam)
     n_u = G.shape[0] - n_l
     K = num_known_classes
     lams = np.asarray(lams, dtype=float)
     shifts = 2.0 * lams + GRAM_JITTER
-    if not np.all(np.isfinite(shifts)):
-        raise ValueError(f"regularization weights must be finite, got {lams.tolist()}")
     if not np.all(np.isfinite(G[n_l:])):
         raise ValueError("square-loss Gram blocks must be finite")
 
@@ -476,8 +481,7 @@ def fit_square_closed_form(
     lam: float,
 ) -> DualModel:
     """Solve the square-loss problem exactly via its normal equations."""
-    if lam <= 0:
-        raise ValueError("regularization weight must be positive")
+    check_lambda(lam)
     support = pooled_points(labeled, unlabeled)
     G = floored_gram(kernel, support, support)
     alpha = _square_loss_alpha(G, len(labeled), labeled.y, labeled.num_known_classes,

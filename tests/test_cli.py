@@ -566,17 +566,97 @@ class TestBench:
     @pytest.mark.parametrize("repeats", ["0", "-1"])
     def test_repeats_below_one_exits_one(self, spec_file, tmp_path, capsys, harness, repeats):
         # excess-risk wrote {"runs": []} and theta-sweep header-only CSVs,
-        # both with exit 0
+        # both with exit 0.  theta-sweep reads no --theta
+        theta = [] if harness == "theta-sweep" else ["--theta", "0.7"]
         rc = main(["bench", harness, "--spec", str(spec_file), "--out", str(tmp_path / "b"),
-                   "--repeats", repeats, "--theta", "0.7"] + FAST_GRID)
+                   "--repeats", repeats, *theta] + FAST_GRID)
         assert rc == 1
         assert capsys.readouterr().err == f"error: --repeats must be at least 1, got {repeats}\n"
         assert not (tmp_path / "b").exists()
 
     def test_source_required(self, tmp_path, capsys):
-        rc = main(["bench", "scaling", "--out", str(tmp_path / "b")])
+        for harness in ("scaling", "theta-sweep"):
+            rc = main(["bench", harness, "--out", str(tmp_path / "b")])
+            assert rc == 1
+            assert capsys.readouterr().err == (
+                "error: bench needs either --spec or both --data and --config\n")
+
+    def test_excess_risk_requires_spec(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["bench", "excess-risk", "--out", str(tmp_path / "b")])
+        assert info.value.code == 2
+        assert "the following arguments are required: --spec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("harness, flag", [
+        pytest.param(harness, flag, id=f"{harness}{flag[0]}") for harness, flag in (
+            ("scaling", ["--ratios", "0.2"]),
+            ("scaling", ["--n-unlabeled", "90"]),
+            ("theta-sweep", ["--sizes", "60"]),
+            ("theta-sweep", ["--theta", "0.3"]),
+            ("excess-risk", ["--sizes", "60"]),
+            ("excess-risk", ["--ratios", "0.2"]),
+            ("excess-risk", ["--n-test", "80"]),
+            ("excess-risk", ["--data", "full.libsvm"]),
+            ("excess-risk", ["--config", "config.txt"]))])
+    def test_harness_rejects_flags_it_does_not_read(self, spec_file, tmp_path, capsys, harness,
+                                                    flag):
+        with pytest.raises(SystemExit) as info:
+            main(["bench", harness, "--spec", str(spec_file), "--out", str(tmp_path / "b")]
+                 + flag)
+        assert info.value.code == 2  # an argparse usage error
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
+    @pytest.mark.parametrize("harness", ["scaling", "theta-sweep"])
+    @pytest.mark.parametrize("source", [["--data"], ["--config"], ["--data", "--config"]],
+                             ids=["data", "config", "both"])
+    def test_spec_beside_data_exits_one(self, tmp_path, capsys, harness, source):
+        # --spec silently won over --data and --config; no file exists, so
+        # the refusal comes before any is read
+        out = tmp_path / "b"
+        rc = main(["bench", harness, "--spec", str(tmp_path / "spec"), "--out", str(out),
+                   *[arg for flag in source for arg in (flag, str(tmp_path / flag))]])
         assert rc == 1
-        assert "--spec" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: bench takes either --spec or --data with --config, not both\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag, message", [
+        pytest.param(command, flag, message, id=f"{command[-1]}{'='.join(flag)}")
+        for command, flag, message in (
+            (["bench", "scaling"], ["--sizes", "0"],
+             "--sizes must be strictly increasing and at least 1, got [0]"),
+            (["bench", "scaling"], ["--sizes", "120", "60"],
+             "--sizes must be strictly increasing and at least 1, got [120, 60]"),
+            (["bench", "scaling"], ["--sizes", "60", "60"],
+             "--sizes must be strictly increasing and at least 1, got [60, 60]"),
+            (["bench", "theta-sweep"], ["--ratios", "1.5"],
+             "--ratios must lie in [0, 1), got [1.5]"),
+            (["bench", "theta-sweep"], ["--ratios", "0.2", "-0.1"],
+             "--ratios must lie in [0, 1), got [0.2, -0.1]"),
+            (["bench", "theta-sweep"], ["--ratios", "nan"],
+             "--ratios must lie in [0, 1), got [nan]"),
+            (["bench", "scaling"], ["--n-labeled", "-5"], "--n-labeled must be at least 1, got -5"),
+            (["bench", "scaling"], ["--n-test", "0"], "--n-test must be at least 1, got 0"),
+            (["bench", "theta-sweep"], ["--n-unlabeled", "0"],
+             "--n-unlabeled must be at least 1, got 0"),
+            (["bench", "excess-risk"], ["--n-labeled", "0"],
+             "--n-labeled must be at least 1, got 0"),
+            (["bench", "excess-risk"], ["--n-unlabeled", "-1"],
+             "--n-unlabeled must be at least 1, got -1"),
+            (["bench", "excess-risk"], ["--repeats", "0"], "--repeats must be at least 1, got 0"),
+            (["gen"], ["--n-labeled", "-1"], "--n-labeled must be at least 1, got -1"),
+            (["gen"], ["--n-unlabeled", "0"], "--n-unlabeled must be at least 1, got 0"),
+            (["gen"], ["--n-test", "0"], "--n-test must be at least 1, got 0"),
+            (["gen"], ["--grid-resolution", "1"], "--grid-resolution must be at least 2, got 1"))])
+    def test_bad_size_refused_before_any_file_is_read(self, tmp_path, capsys, command, flag,
+                                                      message):
+        # the spec does not exist, so an error that reads it names the file
+        out = tmp_path / "out"
+        rc = main([*command, "--spec", str(tmp_path / "spec"), "--out", str(out), *flag])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 class TestBenchData:

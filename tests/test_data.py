@@ -23,9 +23,11 @@ from eulac.data import (
     write_libsvm,
 )
 
+from eulac.evalbench import ovr_reject_baseline
 from eulac.kernel import KernelSpec
 from eulac.mixture import estimate_theta
 from eulac.modelsel import HyperGrid, cross_validate
+from eulac.risk import empirical_lac_risk
 from eulac.solver import FitOptions, fit_first_order, fit_square_closed_form
 
 from conftest import two_cluster_spec
@@ -389,6 +391,18 @@ class TestPooledPoints:
         with pytest.raises(ValueError, match=f"^{message}$"):
             PAIR_CALLERS[caller](L, U)
 
+    @pytest.mark.parametrize("caller", ["empirical_lac_risk", "ovr_reject_baseline"])
+    def test_one_set_callers_refuse_novel_rows(self, caller):
+        # neither stacks a pair, yet both train or score on known classes
+        # only, under the same rule and message as pooled_points
+        L, U = self._pair()
+        L = LabeledDataset(L.X, np.where(np.arange(len(L)) == 3, 3, L.y), 2)
+        call = {"empirical_lac_risk": lambda: empirical_lac_risk(
+                    lambda X: np.zeros((len(X), 3)), L, U, 0.7, "square"),
+                "ovr_reject_baseline": lambda: ovr_reject_baseline(L, KernelSpec(1.0), 0.1)}
+        with pytest.raises(ValueError, match="^training labels must not contain the novel class$"):
+            call[caller]()
+
 
 class TestSplitConfiguration:
     def _dataset(self, seed=0, classes=6, per_class=400, dim=3):
@@ -572,6 +586,13 @@ class TestBayesOracle:
         from eulac.data import SyntheticSpec
         spec = SyntheticSpec([0.5, 0.5], (gm1, gm2), gm1, 1.0)
         assert bayes_risk_oracle(spec, 500) <= 1e-6
+
+    @pytest.mark.parametrize("resolution", [1, 0, -4])
+    def test_grid_of_fewer_than_two_points_refused(self, resolution):
+        # the same check refuses eulac gen --grid-resolution before any read
+        with pytest.raises(ValueError,
+                           match=f"^grid_resolution must be at least 2, got {resolution}$"):
+            bayes_risk_oracle(two_cluster_spec(0.7, 0), resolution)
 
     def test_monte_carlo_cross_check(self):
         from eulac.data import SyntheticSpec

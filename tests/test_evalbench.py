@@ -216,6 +216,20 @@ class TestScalingHarness:
         with pytest.raises(ValueError, match="increasing"):
             run_unlabeled_scaling(two_cluster_spec(0.7, 0), sizes=(100, 100), seeds=(0,))
 
+    @pytest.mark.parametrize("sizes", [(0, 60), (-5,)])
+    def test_sizes_must_be_at_least_one(self, sizes):
+        with pytest.raises(ValueError, match=r"^sizes must be strictly increasing and at least 1"):
+            run_unlabeled_scaling(two_cluster_spec(0.7, 0), sizes=sizes, seeds=(0,))
+
+    @pytest.mark.parametrize("counts, message", [
+        (dict(n_labeled=0), "n_labeled must be at least 1, got 0"),
+        (dict(n_test=-3), "n_test must be at least 1, got -3")])
+    def test_sample_sizes_named(self, counts, message):
+        # numpy's "negative dimensions are not allowed" named no size
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_unlabeled_scaling(two_cluster_spec(0.7, 0), sizes=(60,), seeds=(0,),
+                                  grid=SMALL_GRID, **counts)
+
     def test_needs_seeds(self):
         with pytest.raises(ValueError, match="seed"):
             run_unlabeled_scaling(two_cluster_spec(0.7, 0), sizes=(50,), seeds=())
@@ -243,6 +257,11 @@ class TestThetaSweepHarness:
     def test_invalid_ratio(self):
         with pytest.raises(ValueError, match="ratio"):
             run_theta_sweep(two_cluster_spec(0.7, 0), ratios=(1.0,), seeds=(0,))
+
+    def test_unlabeled_size_named(self):
+        with pytest.raises(ValueError, match="^n_unlabeled must be at least 1, got 0$"):
+            run_theta_sweep(two_cluster_spec(0.7, 0), ratios=(0.2,), seeds=(0,), n_unlabeled=0,
+                            grid=SMALL_GRID)
 
 
 class TestExcessRiskCheck:

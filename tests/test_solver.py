@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -372,9 +373,12 @@ class TestSquareLossSystem:
             _lanczos_alphas(G, L.y, len(L), (1e-2, 1.0))
 
     def test_indefinite_system_raises_with_condition_estimate(self, instance):
+        # a negative weight is refused before the solve, so the Gram is
+        # negated instead: the unlabeled block's top eigenvalue, about
+        # -n_u / (2 n_u), outweighs the shift 2 LAM
         L, _, _, G = instance
         with pytest.raises(np.linalg.LinAlgError, match="condition estimate") as info:
-            _refit_alpha(G, L.y, len(L), -1.0)
+            _square_loss_alpha(-_floored(G), len(L), L.y, 2, THETA, LAM)
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
@@ -472,11 +476,11 @@ class TestShiftedLanczos:
 
     def test_infinite_weight_rejected(self, instance):
         L, U, kernel, G = instance
-        with pytest.raises(ValueError, match="regularization weight must be finite, got inf"):
+        message = "regularization weight must be positive and finite, got inf"
+        with pytest.raises(ValueError, match=message):
             fit_square_closed_form(L, U, kernel, THETA, float("inf"))
         folds = [(np.arange(len(L)), np.arange(len(U)))]
-        with pytest.raises(ValueError,
-                           match=r"regularization weights must be finite, got \[0\.1, inf\]"):
+        with pytest.raises(ValueError, match=message):
             _square_loss_fold_alphas(_floored(G), len(L), L.y, 2, THETA, folds,
                                      [0.1, float("inf")])
 
@@ -581,6 +585,14 @@ class TestFirstOrder:
             FitOptions(lam=0.0)
         with pytest.raises(ValueError):
             FitOptions(lam=1.0, max_iterations=0)
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), 1e308, 0.0, -1.0])
+    def test_unusable_weight_rejected(self, lam):
+        # nan and inf were accepted and failed later as "loss input must be
+        # finite"; 1e308 overflows the square-loss shift 2 lam
+        message = f"regularization weight must be positive and finite, got {lam}"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            FitOptions(lam=lam)
 
 
 class TestPrediction:
