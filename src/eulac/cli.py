@@ -20,7 +20,6 @@ from .evalbench import (
     DEFAULT_SCALING_SIZES,
     DEFAULT_SWEEP_RATIOS,
     ConfusionMatrix,
-    check_ratios,
     check_sizes,
     macro_f1,
     run_excess_risk_seeds,
@@ -71,7 +70,7 @@ def _checked_flags(args) -> HyperGrid | None:
     if "sizes" in flags:
         check_sizes("--sizes", args.sizes)
     if "ratios" in flags:
-        check_ratios("--ratios", args.ratios)
+        dt.check_ratios("--ratios", args.ratios)
     if "lam" not in flags:
         return None
     return HyperGrid(sigma_multipliers=tuple(args.sigma_mult), lambda_candidates=tuple(args.lam),
@@ -162,6 +161,8 @@ def _theta_payload(estimate) -> dict:
     return {
         "theta_hat": estimate.theta_hat,
         "no_novelty_detected": estimate.no_novelty_detected,
+        "knee": estimate.knee,
+        "slope_cut": estimate.slope_cut,
         "curve": [[c, d] for c, d in estimate.curve],
     }
 

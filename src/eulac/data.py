@@ -108,6 +108,12 @@ def check_count(name: str, count: int, least: int = 1) -> None:
         raise ValueError(f"{name} must be at least {least}, got {count}")
 
 
+def check_ratios(name: str, ratios) -> None:
+    """Refuse a novel-class share outside [0, 1), NaN included."""
+    if not all(0.0 <= r < 1.0 for r in ratios):
+        raise ValueError(f"{name} must lie in [0, 1), got {list(ratios)}")
+
+
 def check_known_only(labeled: LabeledDataset) -> None:
     """Refuse training labels that hold the novel class."""
     if labeled.contains_novel:
@@ -406,8 +412,7 @@ def split_class_configuration(
     if novel_fraction is None:
         proportions = pool_sizes / pool_sizes.sum()
     else:
-        if not 0.0 <= novel_fraction < 1.0:
-            raise ValueError("novel fraction must lie in [0, 1)")
+        check_ratios("novel fraction", [novel_fraction])
         proportions = np.zeros(len(pool_classes))
         known_part = pool_sizes[:K] / pool_sizes[:K].sum()
         proportions[:K] = (1.0 - novel_fraction) * known_part

@@ -16,6 +16,7 @@ from .data import (
     bayes_risk_from_joints,
     check_count,
     check_known_only,
+    check_ratios,
     json_text,
     posterior_grid,
     sample_synthetic,
@@ -263,12 +264,6 @@ def check_sizes(name: str, sizes) -> None:
         raise ValueError(f"{name} must be strictly increasing and at least 1, got {list(sizes)}")
 
 
-def check_ratios(name: str, ratios) -> None:
-    """Refuse a novel-class share outside [0, 1), NaN included."""
-    if not all(0.0 <= r < 1.0 for r in ratios):
-        raise ValueError(f"{name} must lie in [0, 1), got {list(ratios)}")
-
-
 def _make_task(source, n_labeled, n_unlabeled, n_test, seed, novel_ratio=None):
     """Concrete (labeled, unlabeled, test, true theta) for one run."""
     for name, count in (("n_labeled", n_labeled), ("n_unlabeled", n_unlabeled),
@@ -368,6 +363,7 @@ def run_theta_sweep(
     to the fit directly (the sweep assumes the fraction is known).
     """
     check_ratios("ratios", ratios)
+    check_count("the number of seeds", len(seeds))
     grid = grid or HyperGrid()
     runs = []
     for ratio in ratios:
@@ -454,6 +450,7 @@ def run_excess_risk_seeds(spec: SyntheticSpec, seeds, n_labeled: int, n_unlabele
                           grid: HyperGrid, theta: float | None):
     """Yield (seed, check) for one model per seed, fit on the spec's draws
     with ``theta`` when it is given and the spec's fraction otherwise."""
+    check_count("the number of seeds", len(seeds))
     for seed in seeds:
         # the task's test draw goes unused: the check samples its own
         labeled, unlabeled, _, spec_theta = _make_task(spec, n_labeled, n_unlabeled, 1, seed)

@@ -36,14 +36,20 @@ QP_GUARD_SLACK = 50
 @dataclass(frozen=True)
 class ThetaEstimate:
     """Estimated known-class fraction plus the audited distance curve; a
-    supplied fraction has an empty curve."""
+    supplied fraction has an empty curve and no knee or slope cut."""
 
     theta_hat: float
+    # (c, d(c)) from candidate 1 up to the point right of the knee, or the
+    # whole grid when no segment is flat
     curve: tuple[tuple[float, float], ...]
     no_novelty_detected: bool = False
     # QPs of the curve stopped by their iteration guard; a hit leaves a
     # feasible but possibly suboptimal distance
     qp_guard_hits: int = 0
+    # the index into curve that theta_hat reads, and the slope magnitude at
+    # or below which a segment is flat
+    knee: int | None = None
+    slope_cut: float | None = None
 
     def __post_init__(self):
         check_theta(self.theta_hat)
@@ -138,10 +144,17 @@ def _distance_curve(
     a_ul: float,
     a_ll: float,
     candidates: np.ndarray,
-) -> tuple[np.ndarray, int]:
-    """Exact embedding distance d(c) for every candidate, warm-starting along
-    the grid, plus the number of QPs stopped by the iteration guard.  Every
-    candidate's QP shares the Hessian P_base and scales it by beta^2."""
+    slope_cut: float,
+) -> tuple[np.ndarray, int, int]:
+    """Exact embedding distance d(c) along the grid up to its knee, plus the
+    knee and the number of QPs stopped by the iteration guard.
+
+    The knee is the left end of the first segment whose slope magnitude is
+    at most ``slope_cut``; the curve stops at the segment's right end.  With
+    no flat segment every candidate is computed and the knee is the grid's
+    last index.  Each QP warm-starts from the previous candidate's point and
+    shares the Hessian P_base, scaled by beta^2.
+    """
     m = K_nu.shape[0]
     w = np.zeros(m)
     P_base = 2.0 * (K_nu + 1e-10 * np.eye(m))
@@ -161,7 +174,9 @@ def _distance_curve(
         # the free block alone moves the value in its last digits
         value = beta * beta * float(w @ K_nu @ w) - 2.0 * beta * float(q @ w) + const
         out[j] = np.sqrt(max(value, 0.0))
-    return out, guard_hits
+        if j and abs((out[j] - out[j - 1]) / (c - candidates[j - 1])) <= slope_cut:
+            return out[:j + 1], j - 1, guard_hits
+    return out, len(candidates) - 1, guard_hits
 
 
 def estimate_theta(
@@ -174,8 +189,9 @@ def estimate_theta(
 
     Deterministic given the datasets and kernel.  The candidate grid covers
     reciprocal fractions in [1, 20]; the knee of the distance curve is the
-    first segment whose slope magnitude falls below
-    ``slope_threshold * (1/sqrt(n_l) + 1/sqrt(n_u))``.
+    first segment whose slope magnitude is at most the slope cut
+    ``slope_threshold * (1/sqrt(n_l) + 1/sqrt(n_u))``, and the curve is
+    computed only up to that segment's right end.
     """
     check_slope_threshold(slope_threshold)
     pooled = pooled_points(labeled, unlabeled)
@@ -209,15 +225,11 @@ def estimate_theta(
     a_uu = math.fsum(row_u[n_l:]) / (n_u * n_u)
 
     candidates = np.geomspace(1.0, CANDIDATE_MAX, CANDIDATE_GRID_SIZE)
-    dists, guard_hits = _distance_curve(K_nu, ku, kl, a_uu, a_ul, a_ll, candidates)
+    slope_cut = slope_threshold * (1.0 / math.sqrt(n_l) + 1.0 / math.sqrt(n_u))
+    dists, knee, guard_hits = _distance_curve(K_nu, ku, kl, a_uu, a_ul, a_ll, candidates,
+                                              slope_cut)
     curve = tuple((float(c), float(d)) for c, d in zip(candidates, dists))
-
-    threshold = slope_threshold * (1.0 / np.sqrt(n_l) + 1.0 / np.sqrt(n_u))
-    slopes = np.diff(dists) / np.diff(candidates)
-    flat = np.flatnonzero(np.abs(slopes) <= threshold)
-    # the knee is the first flat segment's left end, or the grid's last
-    # candidate when none is flat; a knee at candidate 1 means the unlabeled
-    # data look like pure known-class draws
-    knee = int(flat[0]) if len(flat) else len(candidates) - 1
+    # a knee at candidate 1 means the unlabeled data look like pure
+    # known-class draws
     return ThetaEstimate(float(1.0 / candidates[knee]), curve, no_novelty_detected=knee == 0,
-                         qp_guard_hits=guard_hits)
+                         qp_guard_hits=guard_hits, knee=knee, slope_cut=slope_cut)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import hashlib
 import subprocess
 import sys
@@ -124,7 +125,10 @@ class TestFit:
         assert rc == 0
         assert (tmp_path / "fit" / "model.json").exists()
         assert (tmp_path / "fit" / "cv_report.json").exists()
-        assert (tmp_path / "fit" / "theta.json").exists()
+        theta = json.loads((tmp_path / "fit" / "theta.json").read_text())
+        # a supplied fraction has no curve, so no knee and no slope cut
+        assert theta["theta_hat"] == 0.7 and theta["curve"] == []
+        assert theta["knee"] is None and theta["slope_cut"] is None
 
     def test_missing_unlabeled_exits_one(self, spec_file, tmp_path, capsys):
         data = _gen(spec_file, tmp_path / "data")
@@ -332,7 +336,11 @@ class TestThetaAndCv:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert 0.0 < payload["theta_hat"] <= 1.0
-        assert len(payload["curve"]) > 0
+        # the curve stops one point right of the knee, where theta_hat is read
+        assert len(payload["curve"]) == payload["knee"] + 2
+        assert payload["theta_hat"] == 1.0 / payload["curve"][payload["knee"]][0]
+        assert payload["slope_cut"] == eulac.mixture.DEFAULT_SLOPE_THRESHOLD * (
+            1.0 / math.sqrt(200) + 1.0 / math.sqrt(300))
         # the estimate reads no seed or grid flag, so none is echoed
         assert payload["config"] == {
             "command": "theta", "labeled_sha256": _digest(data / "labeled.libsvm"),
@@ -359,7 +367,8 @@ class TestThetaAndCv:
         assert payload["theta_hat"] == 1.0
         assert payload["no_novelty_detected"] is True
         assert payload["config"]["theta_threshold"] == 1e300
-        assert len(payload["curve"]) == eulac.mixture.CANDIDATE_GRID_SIZE
+        # the first segment is flat, so the curve stops at its right end
+        assert payload["knee"] == 0 and len(payload["curve"]) == 2
 
     @pytest.mark.parametrize("theta", [[], ["--theta", "0.7"]], ids=["estimated", "given"])
     @pytest.mark.parametrize("threshold", ["nan", "inf", "0", "-1"])

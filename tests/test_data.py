@@ -461,6 +461,14 @@ class TestSplitConfiguration:
         with pytest.raises(ValueError, match="insufficient"):
             split_class_configuration(full, config, 100, 10, 10, seed=0)
 
+    @pytest.mark.parametrize("fraction", [1.2, 1.0, -0.1, float("nan")])
+    def test_novel_fraction_in_unit_interval(self, fraction):
+        full = self._dataset(classes=4)
+        config = ClassConfiguration(frozenset({1, 2}), frozenset({3, 4}))
+        with pytest.raises(ValueError,
+                           match=rf"^novel fraction must lie in \[0, 1\), got \[{fraction}\]$"):
+            split_class_configuration(full, config, 10, 10, 10, seed=0, novel_fraction=fraction)
+
     def test_absent_class_rejected(self):
         full = self._dataset(classes=2)
         config = ClassConfiguration(frozenset({1}), frozenset({9}))

@@ -11,6 +11,7 @@ from eulac.evalbench import (
     macro_f1,
     ovr_reject_baseline,
     run_excess_risk_check,
+    run_excess_risk_seeds,
     run_theta_sweep,
     run_unlabeled_scaling,
     select_baseline_bandwidth,
@@ -233,6 +234,17 @@ class TestScalingHarness:
     def test_needs_seeds(self):
         with pytest.raises(ValueError, match="seed"):
             run_unlabeled_scaling(two_cluster_spec(0.7, 0), sizes=(50,), seeds=())
+
+    def test_theta_sweep_needs_seeds(self):
+        # no seed used to give a report with no runs: header-only CSVs
+        with pytest.raises(ValueError, match="^the number of seeds must be at least 1, got 0$"):
+            run_theta_sweep(two_cluster_spec(0.7, 0), ratios=(0.2,), seeds=())
+
+    def test_excess_risk_needs_seeds(self):
+        # no seed used to give a generator that yields nothing
+        checks = run_excess_risk_seeds(two_cluster_spec(0.7, 0), (), 40, 60, SMALL_GRID, None)
+        with pytest.raises(ValueError, match="^the number of seeds must be at least 1, got 0$"):
+            next(checks)
 
 
 class TestThetaSweepHarness:

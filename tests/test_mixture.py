@@ -33,6 +33,8 @@ class TestOverride:
         assert ThetaEstimate(0.7, curve=()).theta_hat == 0.7
         assert ThetaEstimate(1.0, curve=()).theta_hat == 1.0
         assert not ThetaEstimate(0.7, curve=()).no_novelty_detected
+        assert ThetaEstimate(0.7, curve=()).knee is None
+        assert ThetaEstimate(0.7, curve=()).slope_cut is None
 
     def test_open_interval(self):
         for value in (0.0, 1.2, -0.3, float("nan")):
@@ -110,18 +112,39 @@ class TestKnee:
         cut = DEFAULT_SLOPE_THRESHOLD * (1 / np.sqrt(len(labeled)) + 1 / np.sqrt(len(unlabeled)))
         knee = int(np.flatnonzero(np.abs(np.diff(ds) / np.diff(cs)) <= cut)[0])
         assert knee > 0
+        assert est.knee == knee and est.slope_cut == cut
         assert est.theta_hat == 1.0 / cs[knee]
         assert not est.no_novelty_detected
+        # the curve stops at the flat segment's right end
+        assert len(est.curve) == knee + 2
 
     def test_flat_first_segment_detects_no_novelty(self, task):
         est = estimate_theta(*task, slope_threshold=1e300)
         assert est.theta_hat == 1.0
         assert est.no_novelty_detected
+        assert est.knee == 0 and len(est.curve) == 2
 
     def test_no_flat_segment_reads_the_grid_end(self, task):
         est = estimate_theta(*task, slope_threshold=1e-300)
         assert est.theta_hat == 1.0 / CANDIDATE_MAX
         assert not est.no_novelty_detected
+        # with no flat segment every candidate is still computed
+        assert len(est.curve) == CANDIDATE_GRID_SIZE
+        assert est.knee == CANDIDATE_GRID_SIZE - 1
+
+    def test_one_qp_per_candidate_past_the_first(self, task, monkeypatch):
+        # candidate 1 has no mixture part, so its distance needs no QP
+        calls = [0]
+
+        def counting(*args):
+            calls[0] += 1
+            return _simplex_qp(*args)
+
+        monkeypatch.setattr(eulac.mixture, "_simplex_qp", counting)
+        for threshold in (DEFAULT_SLOPE_THRESHOLD, 1e300, 1e-300):
+            calls[0] = 0
+            est = estimate_theta(*task, slope_threshold=threshold)
+            assert calls[0] == len(est.curve) - 1
 
     @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), 0.0, -1.0])
     def test_threshold_must_be_positive_and_finite(self, task, threshold):
@@ -282,9 +305,9 @@ class TestGramMean:
         labeled, unlabeled, kernel = _bundled_task(1, n_l, n_u)
         seen = []
 
-        def capturing(K_nu, ku, kl, a_uu, a_ul, a_ll, candidates):
+        def capturing(K_nu, ku, kl, a_uu, a_ul, a_ll, candidates, slope_cut):
             seen.append((a_uu, a_ul, a_ll))
-            return _distance_curve(K_nu, ku, kl, a_uu, a_ul, a_ll, candidates)
+            return _distance_curve(K_nu, ku, kl, a_uu, a_ul, a_ll, candidates, slope_cut)
 
         monkeypatch.setattr(eulac.mixture, "_distance_curve", capturing)
         estimate_theta(labeled, unlabeled, kernel)
@@ -321,15 +344,17 @@ class TestSupportGram:
         m = min(n, NU_SUPPORT_LIMIT)
         support = pooled[np.unique(np.round(np.linspace(0, n - 1, m)).astype(int))]
         candidates = np.geomspace(1.0, CANDIDATE_MAX, CANDIDATE_GRID_SIZE)
-        dists, _ = _distance_curve(
+        dists, knee, _ = _distance_curve(
             gram(kernel, support, support),
             gram(kernel, support, unlabeled.X).mean(axis=1),
             gram(kernel, support, labeled.X).mean(axis=1),
             _fsum_mean(kernel, unlabeled.X, unlabeled.X),
             _fsum_mean(kernel, unlabeled.X, labeled.X),
             _fsum_mean(kernel, labeled.X, labeled.X),
-            candidates)
-        assert np.array_equal(np.array(est.curve), np.column_stack([candidates, dists]))
+            candidates, est.slope_cut)
+        assert knee == est.knee
+        assert np.array_equal(np.array(est.curve),
+                              np.column_stack([candidates[:len(dists)], dists]))
 
     @pytest.mark.parametrize("seed", [1, 6, 9])
     def test_gram_block_height_keeps_the_estimate(self, seed, monkeypatch):
@@ -342,3 +367,44 @@ class TestSupportGram:
             est = estimate_theta(labeled, unlabeled, kernel)
             assert est.theta_hat == ref.theta_hat
             assert np.array_equal(np.array(est.curve), np.array(ref.curve))
+
+
+def _estimate_and_full_curve(labeled, unlabeled, kernel, monkeypatch):
+    """estimate_theta's estimate and, from the same inputs, the distances at
+    every candidate under a cut that no segment meets."""
+    full = []
+
+    def capturing(*args):
+        full.append(_distance_curve(*args[:-1], -1.0))
+        return _distance_curve(*args)
+
+    monkeypatch.setattr(eulac.mixture, "_distance_curve", capturing)
+    est = estimate_theta(labeled, unlabeled, kernel)
+    (dists, knee, _), = full
+    assert knee == CANDIDATE_GRID_SIZE - 1 and len(dists) == CANDIDATE_GRID_SIZE
+    return est, dists
+
+
+@pytest.mark.parametrize("task", [
+    *[("criterion 8", theta) for theta in (0.5, 0.7, 0.9)],
+    *[("bundled", seed) for seed in (1, 2, 3)],
+], ids=lambda task: f"{task[0]}-{task[1]}")
+def test_curve_is_a_prefix_of_the_full_grid(task, monkeypatch):
+    # the warm starts run in the same order, so stopping at the knee leaves
+    # every computed distance unchanged to the last bit
+    kind, value = task
+    if kind == "bundled":
+        labeled, unlabeled, kernel = _bundled_task(value, 500, 1000)
+    else:
+        spec = two_cluster_spec(value, 0, new_mean=FAR_NOVEL)
+        labeled, unlabeled, _ = sample_synthetic(spec, 1000, 1000, 10)
+        kernel = KernelSpec(median_heuristic(np.vstack([labeled.X, unlabeled.X])))
+    est, dists = _estimate_and_full_curve(labeled, unlabeled, kernel, monkeypatch)
+    candidates = np.geomspace(1.0, CANDIDATE_MAX, CANDIDATE_GRID_SIZE)
+    full = np.column_stack([candidates, dists])
+    assert len(est.curve) < CANDIDATE_GRID_SIZE
+    assert np.array_equal(np.array(est.curve), full[:len(est.curve)])
+    # the knee is the full curve's first flat segment
+    slopes = np.abs(np.diff(dists) / np.diff(candidates))
+    assert est.knee == int(np.flatnonzero(slopes <= est.slope_cut)[0])
+    assert len(est.curve) == est.knee + 2
