@@ -2,17 +2,26 @@
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
-# Row-block height for kernel products whose row count grows with the input
-# (prediction and the theta estimate's pass over the pooled Gram): memory
-# stays 8 * GRAM_BLOCK_ROWS * n_cols bytes.
-# With numpy's bundled OpenBLAS on x86-64, 256- and 512-row blocks changed
-# scores by up to 3.6e-13 (another BLAS kernel for the smaller product);
-# 1024-row blocks matched the one-shot product bit for bit.
+# Every kernel evaluation runs in tiles of TILE_ROWS rows.  A tile's cdist,
+# scale, exp and product release the GIL, so the tiles are spread over up to
+# GRAM_BLOCK_ROWS // TILE_ROWS threads, one per CPU this process may use.  An
+# entry does not depend on the tile that holds it, so every result is the
+# same whatever the CPU count.
+TILE_ROWS = 256
+# Row-block height for kernel products whose row count grows with the input:
+# the theta estimate's pass over the pooled Gram holds one block, and
+# prediction holds one TILE_ROWS tile per thread, so kernel memory stays at
+# most 8 * GRAM_BLOCK_ROWS * n_cols bytes.
+# With numpy's bundled OpenBLAS on x86-64, the product of a full 256-row
+# tile matched the one-shot product bit for bit; a shorter last tile takes
+# another BLAS kernel and moved its scores by up to 4.4e-13.
 GRAM_BLOCK_ROWS = 1024
 # Every square-loss solve runs on a pooled Gram whose entries below this
 # floor are zeroed as it is built (floored_gram); otherwise it runs on
@@ -52,32 +61,93 @@ def _as_points(x) -> np.ndarray:
     return pts
 
 
-def _exponents(spec: KernelSpec, rows, cols) -> np.ndarray:
-    """The n x m array -||rows[i] - cols[j]||^2 / (2 sigma^2)."""
-    r = _as_points(rows)
-    c = _as_points(cols)
+def _point_pair(rows: np.ndarray, cols) -> tuple[np.ndarray, np.ndarray]:
+    """The 2-D point arrays rows and cols, C-ordered; refused when either is
+    empty or their dimensions differ."""
+    r = np.ascontiguousarray(rows, dtype=float)
+    c = np.ascontiguousarray(cols, dtype=float)
     if r.shape[0] == 0 or c.shape[0] == 0:
         raise ValueError("gram requires nonempty datasets")
     if r.shape[1] != c.shape[1]:
         raise ValueError(f"dimension mismatch: {r.shape[1]} vs {c.shape[1]}")
-    out = cdist(r, c, metric="sqeuclidean")
-    # one pass: IEEE division is sign-symmetric, so this equals negating
-    # and then dividing by 2 sigma^2 bit for bit
+    return r, c
+
+
+def _fill(out: np.ndarray, spec: KernelSpec, rows: np.ndarray, cols: np.ndarray,
+          floored: bool) -> None:
+    """Write k(rows[i], cols[j]) into the C-ordered ``out`` in place.
+
+    The exponent is -||rows[i] - cols[j]||^2 / (2 sigma^2), scaled in one
+    pass: IEEE division is sign-symmetric, so this equals negating and then
+    dividing bit for bit.  ``floored`` clamps the exponents at
+    log(KERNEL_FLOOR) - 1 before the exp and zeroes the entries below
+    KERNEL_FLOOR after it (see ``floored_gram``).  No check runs here: this
+    is one tile's work, on points its caller checked.
+    """
+    cdist(rows, cols, metric="sqeuclidean", out=out)
     out /= -2.0 * spec.sigma**2
+    if floored:
+        np.maximum(out, np.log(KERNEL_FLOOR) - 1.0, out=out)
+    np.exp(out, out=out)
+    if floored:
+        out *= out >= KERNEL_FLOOR
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _worker_count(n_rows: int) -> int:
+    tiles = -(-n_rows // TILE_ROWS)
+    return min(_usable_cpus(), GRAM_BLOCK_ROWS // TILE_ROWS, tiles)
+
+
+def _each_tile(n_rows: int, workers: int, work) -> None:
+    """Call ``work(worker, start, stop)`` once for every TILE_ROWS-row tile.
+
+    Worker w takes tiles w, w + workers, ... in order.  Worker 0 is the
+    calling thread; the others run on threads that live for this call.
+    ``work`` runs outside the calling thread, so it must not reach a
+    module-level name that a tracer may wrap (``eulac.solver.gram`` and the
+    like): a tracer keeps one span stack for the process.
+    """
+    def share(worker):
+        for start in range(worker * TILE_ROWS, n_rows, workers * TILE_ROWS):
+            work(worker, start, min(start + TILE_ROWS, n_rows))
+
+    if workers == 1:
+        share(0)
+        return
+    with ThreadPoolExecutor(workers - 1) as pool:
+        others = [pool.submit(share, worker) for worker in range(1, workers)]
+        share(0)
+    for done in others:
+        done.result()
+
+
+def _tiled_gram(spec: KernelSpec, rows, cols, floored: bool) -> np.ndarray:
+    r, c = _point_pair(_as_points(rows), _as_points(cols))
+    out = np.empty((r.shape[0], c.shape[0]))
+    _each_tile(r.shape[0], _worker_count(r.shape[0]),
+               lambda _, start, stop: _fill(out[start:stop], spec, r[start:stop], c, floored))
     return out
 
 
 def gram(spec: KernelSpec, rows, cols) -> np.ndarray:
     """Gram matrix with entry (i, j) = k(rows[i], cols[j]).
 
-    cdist keeps the accumulation order fixed, so the result is identical
-    across runs and thread counts.  The kernel is computed in place in the
-    cdist output, one scaling pass and one exp pass, so the call makes one
-    n x m allocation; the arithmetic is that of
-    ``np.exp(-sq / (2 sigma^2))``.
+    The n x m result is allocated once and filled in TILE_ROWS-row tiles,
+    spread over one thread per usable CPU (at most GRAM_BLOCK_ROWS //
+    TILE_ROWS).  Each tile is computed in place: cdist, one scaling pass and
+    one exp pass, the arithmetic of ``np.exp(-sq / (2 sigma^2))``.  cdist
+    keeps the accumulation order fixed and every entry is computed on its
+    own, so the result is identical across runs, tile heights and thread
+    counts.
     """
-    out = _exponents(spec, rows, cols)
-    return np.exp(out, out=out)
+    return _tiled_gram(spec, rows, cols, floored=False)
 
 
 def floored_gram(spec: KernelSpec, rows, cols) -> np.ndarray:
@@ -89,10 +159,32 @@ def floored_gram(spec: KernelSpec, rows, cols) -> np.ndarray:
     so it is zeroed either way, and the result equals ``gram`` followed by
     zeroing bit for bit.
     """
-    out = _exponents(spec, rows, cols)
-    np.maximum(out, np.log(KERNEL_FLOOR) - 1.0, out=out)
-    np.exp(out, out=out)
-    out *= out >= KERNEL_FLOOR
+    return _tiled_gram(spec, rows, cols, floored=True)
+
+
+def gram_product(spec: KernelSpec, rows, cols, coef) -> np.ndarray:
+    """``gram(spec, rows, cols) @ coef`` without the n x m Gram.
+
+    ``cols`` must be a finite 2-D array, as a DualModel's support points
+    are; only ``rows`` is checked, once.  Each tile worker (as in ``gram``)
+    owns one TILE_ROWS x m slice of a buffer allocated here, evaluates each
+    of its tiles of the Gram into it and multiplies it by coef into the
+    tile's rows of the result.  So kernel memory stays at most 8 x
+    GRAM_BLOCK_ROWS x m bytes whatever the number of rows or CPUs, and the
+    result does not depend on the CPU count.
+    """
+    r, c = _point_pair(_as_points(rows), cols)
+    coef = np.asarray(coef, dtype=float)
+    out = np.empty((r.shape[0], coef.shape[1]))
+    workers = _worker_count(r.shape[0])
+    tiles = np.empty((workers, min(TILE_ROWS, r.shape[0]), c.shape[0]))
+
+    def work(worker, start, stop):
+        tile = tiles[worker, :stop - start]
+        _fill(tile, spec, r[start:stop], c, floored=False)
+        np.matmul(tile, coef, out=out[start:stop])
+
+    _each_tile(r.shape[0], workers, work)
     return out
 
 

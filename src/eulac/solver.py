@@ -24,7 +24,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .data import LabeledDataset, UnlabeledDataset, check_theta, json_text, pooled_points
-from .kernel import GRAM_BLOCK_ROWS, KernelSpec, floored_gram, gram
+from .kernel import KernelSpec, floored_gram, gram, gram_product
 from .losses import (
     DOUBLE_HINGE,
     SQUARE,
@@ -113,7 +113,12 @@ class DualModel:
     record: FitRecord | None = None
 
     def __post_init__(self):
-        pts = np.asarray(self.support_points, dtype=float)
+        pts = np.ascontiguousarray(self.support_points, dtype=float)
+        if pts.ndim != 2:
+            raise ValueError(f"support points must be a 2-D array, got {pts.ndim} dimension(s)")
+        # prediction trusts them and checks only the queries
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("support points must be finite")
         a = np.asarray(self.alpha, dtype=float)
         if a.shape != (pts.shape[0], self.num_known_classes + 1):
             raise ValueError(f"alpha must be (n, K+1), got {a.shape}")
@@ -643,7 +648,7 @@ def fit_first_order(
 def predict_scores(model: DualModel, queries) -> np.ndarray:
     """Kernel-expansion scores of the queries, one column per class.
 
-    The cross-Gram is built GRAM_BLOCK_ROWS query rows at a time, so memory
+    ``kernel.gram_product`` builds the cross-Gram tile by tile, so memory
     does not grow with the number of queries.
     """
     q = np.atleast_2d(np.asarray(queries, dtype=float))
@@ -653,11 +658,7 @@ def predict_scores(model: DualModel, queries) -> np.ndarray:
         )
     if q.shape[0] == 0:
         raise ValueError("prediction requires at least one query point")
-    scores = np.empty((q.shape[0], model.alpha.shape[1]))
-    for start in range(0, q.shape[0], GRAM_BLOCK_ROWS):
-        block = slice(start, start + GRAM_BLOCK_ROWS)
-        scores[block] = gram(model.kernel, q[block], model.support_points) @ model.alpha
-    return scores
+    return gram_product(model.kernel, q, model.support_points, model.alpha)
 
 
 def predict_labels(scores: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ import math
 import hashlib
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -276,6 +277,16 @@ class TestEval:
         assert rc == 1
         assert "query dimension 3 does not match support 2" in capsys.readouterr().err
 
+    def test_nonfinite_support_point_exits_one(self, fitted, tmp_path, capsys):
+        data, model = fitted
+        payload = json.loads(model.read_text())
+        payload["support_points"][5][0] = math.nan
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(payload))  # writes the NaN literal
+        rc = main(["eval", "--model", str(bad), "--test", str(data / "test.libsvm")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: support points must be finite\n"
+
     def test_sentinel_label_in_file_exits_one(self, fitted, tmp_path, capsys):
         # files mark novel rows with 0; a raw K+1 is not read as novel
         data, model = fitted
@@ -325,6 +336,43 @@ class TestEval:
         assert payload["model_sha256"] == _digest(model)
         assert payload["test_sha256"] == _digest(data / "test.libsvm")
         assert "model" not in payload and "test" not in payload
+
+
+# names the benchmark tracer (perfbench/spans.py) wraps and that reach the
+# kernel or a model's JSON; its span stack is the process's, so none may run
+# on a kernel tile thread
+TRACED_NAMES = ((eulac.solver, "gram"), (eulac.modelsel, "gram"), (eulac.mixture, "gram"),
+                (eulac.solver, "floored_gram"), (eulac.modelsel, "floored_gram"),
+                (eulac.cli, "_write_text"))
+
+
+def test_traced_names_run_only_in_the_main_thread(spec_file, tmp_path, monkeypatch):
+    data = _gen(spec_file, tmp_path / "data", nl=200, nu=300, nt=3 * eulac.kernel.TILE_ROWS + 1)
+    calls = {}
+
+    def recorder(module, name):
+        original = getattr(module, name)
+
+        def recorded(*args, **kwargs):
+            assert threading.current_thread() is threading.main_thread(), (module, name)
+            calls[module.__name__, name] = calls.get((module.__name__, name), 0) + 1
+            return original(*args, **kwargs)
+        return recorded
+
+    for module, name in TRACED_NAMES:
+        monkeypatch.setattr(module, name, recorder(module, name))
+    # the largest pool, whatever this machine's CPU count
+    monkeypatch.setattr(eulac.kernel, "_usable_cpus",
+                        lambda: eulac.kernel.GRAM_BLOCK_ROWS // eulac.kernel.TILE_ROWS)
+    train = ["--labeled", str(data / "labeled.libsvm"), "--unlabeled", str(data / "unlabeled.csv")]
+    # square loss with theta estimated, then logistic, which reach every
+    # Gram name; the pooled 500 rows span two tiles
+    assert main(["fit", *train, "--out", str(tmp_path / "square"), *FAST_GRID]) == 0
+    assert main(["fit", *train, "--out", str(tmp_path / "logistic"), "--loss", "logistic",
+                 "--theta", "0.7", *FAST_GRID]) == 0
+    assert main(["eval", "--model", str(tmp_path / "square" / "model.json"),
+                 "--test", str(data / "test.libsvm"), "--out", str(tmp_path / "eval.json")]) == 0
+    assert sorted(calls) == sorted((module.__name__, name) for module, name in TRACED_NAMES)
 
 
 class TestThetaAndCv:

@@ -1,15 +1,20 @@
 import re
+import sys
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+import eulac.kernel
 from eulac.kernel import (
     DEFAULT_SIGMA_MULTIPLIERS,
+    GRAM_BLOCK_ROWS,
     KERNEL_FLOOR,
+    TILE_ROWS,
     KernelSpec,
     floored_gram,
     gram,
+    gram_product,
     median_heuristic,
 )
 
@@ -142,6 +147,87 @@ class TestGram:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             gram(KernelSpec(1.0), np.zeros((2, 2)), np.zeros((2, 3)))
+
+
+# the usable CPU counts the tile pool is run at: one worker, this machine's
+# count, and the largest pool (more threads than CPUs where CPUs are few)
+CPU_COUNTS = (1, None, GRAM_BLOCK_ROWS // TILE_ROWS)
+
+
+def _at_cpus(monkeypatch, cpus):
+    if cpus is not None:
+        monkeypatch.setattr(eulac.kernel, "_usable_cpus", lambda: cpus)
+
+
+class TestTiles:
+    @pytest.mark.parametrize("cpus", CPU_COUNTS)
+    @pytest.mark.parametrize("n", [1, TILE_ROWS - 1, TILE_ROWS, TILE_ROWS + 1,
+                                   GRAM_BLOCK_ROWS + 1, 5 * TILE_ROWS + 3])
+    def test_bit_identical_to_untiled_reference(self, monkeypatch, cpus, n):
+        # every entry is computed on its own, so no tile edge and no worker
+        # count moves a bit; 0.05 puts entries under the floor and the clamp
+        _at_cpus(monkeypatch, cpus)
+        rng = np.random.default_rng(n)
+        X, Y = rng.normal(size=(n, 3)), rng.normal(size=(300, 3))
+        for sigma in (0.05, 0.8):
+            expected = np.exp(-cdist(X, Y, "sqeuclidean") / (2.0 * sigma**2))
+            np.testing.assert_array_equal(gram(KernelSpec(sigma), X, Y), expected)
+            np.copyto(expected, 0.0, where=expected < KERNEL_FLOOR)
+            np.testing.assert_array_equal(floored_gram(KernelSpec(sigma), X, Y), expected)
+
+    @pytest.mark.parametrize("n", [1, 2, TILE_ROWS, TILE_ROWS + 1, 9 * TILE_ROWS])
+    def test_worker_count(self, monkeypatch, n):
+        tiles = -(-n // TILE_ROWS)
+        for cpus in (1, 2, 3, 16):
+            monkeypatch.setattr(eulac.kernel, "_usable_cpus", lambda: cpus)
+            assert eulac.kernel._worker_count(n) == min(cpus, GRAM_BLOCK_ROWS // TILE_ROWS,
+                                                        tiles)
+
+    def test_each_tile_visited_once_in_row_order_per_worker(self):
+        seen = []
+        eulac.kernel._each_tile(7 * TILE_ROWS + 5, 3, lambda *tile: seen.append(tile))
+        assert sorted(start for _, start, _ in seen) == list(range(0, 7 * TILE_ROWS + 5,
+                                                                   TILE_ROWS))
+        for worker, start, stop in seen:
+            assert (start // TILE_ROWS) % 3 == worker
+            assert stop == min(start + TILE_ROWS, 7 * TILE_ROWS + 5)
+
+    def test_worker_error_reaches_the_caller(self):
+        def work(worker, start, stop):
+            if worker == 1:
+                raise MemoryError("tile")
+        with pytest.raises(MemoryError, match="tile"):
+            eulac.kernel._each_tile(4 * TILE_ROWS, 2, work)
+
+    def test_more_workers_than_cores_at_a_short_switch_interval(self, monkeypatch):
+        # a tile lost, run twice or written into another worker's buffer
+        # slice would leave rows of np.empty or of another tile
+        rng = np.random.default_rng(11)
+        X, Y, coef = (rng.normal(size=(40 * TILE_ROWS + 17, 2)), rng.normal(size=(200, 2)),
+                      rng.normal(size=(200, 3)))
+        spec = KernelSpec(0.7)
+        expected = np.exp(-cdist(X, Y, "sqeuclidean") / (2.0 * spec.sigma**2))
+        monkeypatch.setattr(eulac.kernel, "_usable_cpus", lambda: 1)
+        expected_product = gram_product(spec, X, Y, coef)
+        monkeypatch.setattr(eulac.kernel, "_usable_cpus", lambda: 64)
+        assert eulac.kernel._worker_count(len(X)) == GRAM_BLOCK_ROWS // TILE_ROWS
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                np.testing.assert_array_equal(gram(spec, X, Y), expected)
+                np.testing.assert_array_equal(gram_product(spec, X, Y, coef), expected_product)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_product_checks_rows_once(self, monkeypatch):
+        calls = []
+        checked = eulac.kernel._as_points
+        monkeypatch.setattr(eulac.kernel, "_as_points", lambda x: calls.append(1) or checked(x))
+        rng = np.random.default_rng(1)
+        gram_product(KernelSpec(1.0), rng.normal(size=(5 * TILE_ROWS, 2)),
+                     rng.normal(size=(30, 2)), np.ones((30, 2)))
+        assert len(calls) == 1
 
 
 class TestMedianHeuristic:

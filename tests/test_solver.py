@@ -1,3 +1,4 @@
+import json
 import re
 import tracemalloc
 from pathlib import Path
@@ -12,10 +13,12 @@ from eulac.data import (
     parse_synthetic_spec,
     sample_synthetic,
 )
+import eulac.kernel
 from eulac.kernel import (
     DEFAULT_SIGMA_MULTIPLIERS,
     GRAM_BLOCK_ROWS,
     KERNEL_FLOOR,
+    TILE_ROWS,
     KernelSpec,
     floored_gram,
     gram,
@@ -647,12 +650,20 @@ class TestBlockedPrediction:
         L, U, kernel, _ = instance
         return fit_square_closed_form(L, U, kernel, THETA, LAM)
 
-    @pytest.mark.parametrize("m", [1, GRAM_BLOCK_ROWS - 1, GRAM_BLOCK_ROWS,
+    @pytest.mark.parametrize("m", [1, TILE_ROWS - 1, TILE_ROWS, TILE_ROWS + 1,
+                                   GRAM_BLOCK_ROWS - 1, GRAM_BLOCK_ROWS,
                                    GRAM_BLOCK_ROWS + 1, 2 * GRAM_BLOCK_ROWS + 513])
-    def test_matches_one_shot_product(self, model, m):
+    def test_matches_one_shot_product(self, model, m, monkeypatch):
         queries = np.random.default_rng(m).normal(size=(m, 2))
         reference = gram(model.kernel, queries, model.support_points) @ model.alpha
-        blocked = predict_scores(model, queries)
+        # at one worker, at this machine's CPU count and at the largest pool
+        results = [predict_scores(model, queries)]
+        for cpus in (1, GRAM_BLOCK_ROWS // TILE_ROWS):
+            monkeypatch.setattr(eulac.kernel, "_usable_cpus", lambda: cpus)
+            results.append(predict_scores(model, queries))
+        for blocked in results[1:]:
+            np.testing.assert_array_equal(blocked, results[0])
+        blocked = results[0]
         assert blocked.shape == reference.shape
         np.testing.assert_allclose(blocked, reference, rtol=1e-12, atol=0.0)
         np.testing.assert_array_equal(predict_labels(blocked), predict_labels(reference))
@@ -755,6 +766,24 @@ class TestSerialization:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError, match="format"):
             DualModel.from_json('{"format_version": 99}')
+
+    def test_nonfinite_support_rejected(self, instance):
+        # json writes and reads these as the NaN, Infinity and -Infinity literals
+        L, U, kernel, _ = instance
+        model = fit_square_closed_form(L, U, kernel, THETA, LAM)
+        for value in (np.nan, np.inf, -np.inf):
+            payload = json.loads(model.to_json())
+            payload["support_points"][3][1] = value
+            with pytest.raises(ValueError, match="^support points must be finite$"):
+                DualModel.from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("points", [[0.0, 1.0, 2.0], [[[0.0, 1.0]]], 1.0])
+    def test_support_of_another_rank_rejected(self, points):
+        payload = {"format_version": 1, "kind": "dual_model", "kernel_sigma": 1.0,
+                   "loss": "square", "theta": THETA, "lambda": LAM, "num_known_classes": 2,
+                   "support_points": points, "alpha": [[0.0, 0.0, 0.0]]}
+        with pytest.raises(ValueError, match="support points must be a 2-D array"):
+            DualModel.from_json(json.dumps(payload))
 
     def test_nonfinite_alpha_rejected(self, instance):
         L, U, kernel, _ = instance
