@@ -33,6 +33,18 @@ GRAM_BLOCK_ROWS = 1024
 # lambda = 1e-3.  The G_UL alpha_L part of the right-hand side moves by at
 # most delta theta / (2 lambda) relative to its 1 / (2 n_u) constant part.
 KERNEL_FLOOR = 1e-30
+# pivoted_cholesky stops once no residual diagonal of the Gram exceeds this.
+# The residual G - L L^T is positive semidefinite, so its spectral norm is at
+# most n times it: at n = 1500 a function of RKHS norm 1 moves by at most
+# sqrt(1500 x 1e-10) = 3.9e-4 anywhere.
+PIVOT_TOLERANCE = 1e-10
+# The largest residual falls about geometrically with the pivot count: on the
+# bundled spec at 1x median (500/1000, seeds 1-10) its log10 fell by 0.13 to
+# 0.15 a pivot from pivot 12 to pivot 50, and was -4.0 to -4.5 at pivot 33
+# of the 80-85 needed.  So a factorization whose largest residual is still
+# above PIVOT_TOLERANCE ** (1/3) after a third of its pivot budget gives up
+# there, for a third of the cost: at 0.1x median it stays near 1.
+PIVOT_PROGRESS = PIVOT_TOLERANCE ** (1.0 / 3.0)
 
 
 @dataclass(frozen=True)
@@ -74,23 +86,26 @@ def _point_pair(rows: np.ndarray, cols) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _fill(out: np.ndarray, spec: KernelSpec, rows: np.ndarray, cols: np.ndarray,
-          floored: bool) -> None:
+          mask: np.ndarray | None = None) -> None:
     """Write k(rows[i], cols[j]) into the C-ordered ``out`` in place.
 
     The exponent is -||rows[i] - cols[j]||^2 / (2 sigma^2), scaled in one
     pass: IEEE division is sign-symmetric, so this equals negating and then
-    dividing bit for bit.  ``floored`` clamps the exponents at
-    log(KERNEL_FLOOR) - 1 before the exp and zeroes the entries below
-    KERNEL_FLOOR after it (see ``floored_gram``).  No check runs here: this
-    is one tile's work, on points its caller checked.
+    dividing bit for bit.  Given a boolean ``mask`` of out's shape, the
+    exponents are clamped at log(KERNEL_FLOOR) - 1 before the exp and the
+    entries below KERNEL_FLOOR are zeroed after it (see ``floored_gram``),
+    with the mask as the only scratch, so a tile worker allocates no array.
+    No check runs here: this is one tile's work, on points its caller
+    checked.
     """
     cdist(rows, cols, metric="sqeuclidean", out=out)
     out /= -2.0 * spec.sigma**2
-    if floored:
+    if mask is not None:
         np.maximum(out, np.log(KERNEL_FLOOR) - 1.0, out=out)
     np.exp(out, out=out)
-    if floored:
-        out *= out >= KERNEL_FLOOR
+    if mask is not None:
+        np.greater_equal(out, KERNEL_FLOOR, out=mask)
+        out *= mask
 
 
 def _usable_cpus() -> int:
@@ -131,8 +146,16 @@ def _each_tile(n_rows: int, workers: int, work) -> None:
 def _tiled_gram(spec: KernelSpec, rows, cols, floored: bool) -> np.ndarray:
     r, c = _point_pair(_as_points(rows), _as_points(cols))
     out = np.empty((r.shape[0], c.shape[0]))
-    _each_tile(r.shape[0], _worker_count(r.shape[0]),
-               lambda _, start, stop: _fill(out[start:stop], spec, r[start:stop], c, floored))
+    workers = _worker_count(r.shape[0])
+    # each worker's floor mask is allocated here, in the calling thread
+    masks = (np.empty((workers, min(TILE_ROWS, r.shape[0]), c.shape[0]), dtype=bool)
+             if floored else None)
+
+    def work(worker, start, stop):
+        mask = None if masks is None else masks[worker, :stop - start]
+        _fill(out[start:stop], spec, r[start:stop], c, mask)
+
+    _each_tile(r.shape[0], workers, work)
     return out
 
 
@@ -181,11 +204,55 @@ def gram_product(spec: KernelSpec, rows, cols, coef) -> np.ndarray:
 
     def work(worker, start, stop):
         tile = tiles[worker, :stop - start]
-        _fill(tile, spec, r[start:stop], c, floored=False)
+        _fill(tile, spec, r[start:stop], c)
         np.matmul(tile, coef, out=out[start:stop])
 
     _each_tile(r.shape[0], workers, work)
     return out
+
+
+def pivoted_cholesky(spec: KernelSpec, points, max_rank: int):
+    """Greedy pivoted Cholesky factor of the Gram of ``points``, or None.
+
+    Each step takes as pivot the point with the largest residual diagonal
+    of G - L L^T, the first index on ties, and builds its kernel column,
+    with the arithmetic of ``gram``, in the calling thread; no n x n array
+    is made.  It stops once no residual diagonal exceeds PIVOT_TOLERANCE
+    and returns (L, pivots): L is n x P with G[:, pivots] = L L[pivots]^T,
+    L[pivots] lower triangular.  It returns None when that needs more than
+    ``max_rank`` pivots, having spent about n x max_rank^2 / 2 flops, or
+    sooner, when the largest residual still exceeds PIVOT_PROGRESS after
+    max_rank // 3 pivots.  ``points`` must be a finite 2-D array, as a
+    DualModel's support is.
+    """
+    coords = np.array(points, dtype=float).T.copy()  # one contiguous row per coordinate
+    n = coords.shape[1]
+    rows = np.empty((max_rank, n))  # row j is L's column j
+    residual = np.ones(n)  # k(x, x) = 1
+    scratch = np.empty(n)
+    pivots = np.empty(max_rank, dtype=np.intp)
+    for j in range(max_rank + 1):
+        p = int(np.argmax(residual))
+        if residual[p] <= PIVOT_TOLERANCE:
+            return rows[:j].T, pivots[:j].copy()
+        if j == max_rank or (j == max_rank // 3 and residual[p] > PIVOT_PROGRESS):
+            return None
+        col = rows[j]
+        # cdist's sum of squared coordinate differences, in its order
+        col.fill(0.0)
+        for axis in coords:
+            np.subtract(axis, axis[p], out=scratch)
+            col += np.square(scratch, out=scratch)
+        col /= -2.0 * spec.sigma**2
+        np.exp(col, out=col)
+        if j:
+            col -= np.matmul(rows[:j, p], rows[:j], out=scratch)
+        col /= np.sqrt(residual[p])
+        # zero in exact arithmetic: keeps L[pivots] lower triangular
+        col[pivots[:j]] = 0.0
+        residual -= np.square(col, out=scratch)
+        residual[p] = 0.0
+        pivots[j] = p
 
 
 def median_heuristic(points) -> float:
@@ -198,7 +265,12 @@ def median_heuristic(points) -> float:
     pts = _as_points(points)
     if pts.shape[0] < 2:
         raise ValueError("median heuristic needs at least 2 points")
-    med = float(np.median(pdist(pts, metric="euclidean")))
+    dist = pdist(pts, metric="euclidean")
+    # np.median's value from one partition: the middle order statistic, or
+    # for an even count the mean of it and the largest value below it
+    half = dist.size // 2
+    dist.partition(half)
+    med = float(dist[half] if dist.size % 2 else (dist[:half].max() + dist[half]) / 2.0)
     if med <= 0.0:
         raise ValueError("median pairwise distance is 0 (all points identical)")
     return med

@@ -13,18 +13,28 @@ columns decouple into problems over the unlabeled rows.  Other losses solve
 each column with scipy's limited-memory quasi-Newton method (L-BFGS-B):
 a smooth loss on its exact objective and gradient up to a gradient tolerance,
 double-hinge on its box-constrained dual up to a duality-gap tolerance.
+Scores are the exact dense expansion; labels are read from a certified
+low-rank projection of it and equal the dense argmax (``certified_labels``).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .data import LabeledDataset, UnlabeledDataset, check_theta, json_text, pooled_points
-from .kernel import KernelSpec, floored_gram, gram, gram_product
+from .kernel import (
+    PIVOT_TOLERANCE,
+    KernelSpec,
+    floored_gram,
+    gram,
+    gram_product,
+    pivoted_cholesky,
+)
 from .losses import (
     DOUBLE_HINGE,
     SQUARE,
@@ -111,6 +121,8 @@ class DualModel:
     lam: float
     num_known_classes: int
     record: FitRecord | None = None
+    # (rank cap tried, LowRankExpansion or None), set by the first predict
+    _expansion: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.ascontiguousarray(self.support_points, dtype=float)
@@ -137,7 +149,9 @@ class DualModel:
         return predict_scores(self, queries)
 
     def predict(self, queries) -> np.ndarray:
-        return predict_labels(self.scores(queries))
+        """Labels of the queries, equal to ``predict_labels(self.scores(queries))``
+        but read from a certified low-rank expansion (``certified_labels``)."""
+        return certified_labels(self, queries)
 
     def to_json(self) -> str:
         payload = {
@@ -645,12 +659,7 @@ def fit_first_order(
                      num_known_classes=labeled.num_known_classes, record=record)
 
 
-def predict_scores(model: DualModel, queries) -> np.ndarray:
-    """Kernel-expansion scores of the queries, one column per class.
-
-    ``kernel.gram_product`` builds the cross-Gram tile by tile, so memory
-    does not grow with the number of queries.
-    """
+def _query_points(model: DualModel, queries) -> np.ndarray:
     q = np.atleast_2d(np.asarray(queries, dtype=float))
     if q.shape[1] != model.support_points.shape[1]:
         raise ValueError(
@@ -658,7 +667,124 @@ def predict_scores(model: DualModel, queries) -> np.ndarray:
         )
     if q.shape[0] == 0:
         raise ValueError("prediction requires at least one query point")
+    return q
+
+
+def predict_scores(model: DualModel, queries) -> np.ndarray:
+    """Kernel-expansion scores of the queries, one column per class.
+
+    ``kernel.gram_product`` builds the cross-Gram tile by tile, so memory
+    does not grow with the number of queries.
+    """
+    q = _query_points(model, queries)
     return gram_product(model.kernel, q, model.support_points, model.alpha)
+
+
+@dataclass(frozen=True)
+class LowRankExpansion:
+    """Scorers f~_k(x) = sum_p beta[p, k] K(x, support[pivots[p]]) and a
+    radius: at every x, the computed f~_k(x) and the dense score
+    ``predict_scores`` computes differ by at most radius[k]."""
+
+    pivots: np.ndarray
+    beta: np.ndarray
+    radius: np.ndarray
+
+
+def rank_cap(n_queries: int, n_support: int) -> int:
+    """The most pivots ``certified_labels`` spends on n_queries queries.
+
+    An abandoned factorization costs at most about n x cap^2 / 2 flops; at
+    cap = sqrt(m / 2) that is n m / 4, a quarter of the dense product's m n
+    kernel entries, each of which costs tens of flops (distance, scale, exp
+    and K+1 products): a few percent of it.  Measured on 2 vCPUs at 1,500
+    support points and 20,000 queries: giving up at 100 pivots took 2.6 ms
+    against 90 ms for the dense scores.  One without progress usually ends
+    at a third of the cap (``kernel.PIVOT_PROGRESS``).  Above n / 8 pivots
+    the low-rank product saves too little to pay for the factorization.
+    """
+    return min(n_support // 8, math.isqrt(n_queries // 2))
+
+
+def low_rank_expansion(model: DualModel, max_rank: int) -> LowRankExpansion | None:
+    """The model's scorers projected onto the span of at most ``max_rank``
+    pivot points, or None when ``kernel.pivoted_cholesky`` gives up.
+
+    With G[:, P] = L C^T and C = L[P], the projection's coefficients are
+    beta = C^-T L^T alpha.  Its error in column k at any x is
+    <(I - Pi) phi(x), (I - Pi) f_k> <= ||phi(x)|| sqrt(alpha_k^T (G - L L^T) alpha_k),
+    with ||phi(x)||^2 = k(x, x) = 1.  G - L L^T is positive semidefinite and
+    every diagonal entry is at most PIVOT_TOLERANCE, so its spectral norm is
+    at most n PIVOT_TOLERANCE, and the error at most
+    sqrt(n PIVOT_TOLERANCE) ||alpha_k||_2; no G @ alpha and no per-query
+    solve is needed.
+
+    Rounding slack, to first order in the unit roundoff u, with P pivots
+    and d coordinates: a kernel entry is computed to within (d + 4) u
+    (cdist's d-term sum, the scale, and exp, whose relative error t u at
+    exponent -t is damped by e^-t: t e^-t <= 1/e), and a length-n dot
+    product to within n u sum |coef| (Higham's gamma_n).  So the dense
+    scores, which the labels must match, lie within (n + d + 4) u ||alpha_k||_1
+    of the exact expansion, and the computed low-rank scores within
+    (P + d + 4) u ||beta_k||_1 of theirs.  L^T alpha is rounded by at most
+    n u ||alpha_k||_1 and the backward-stable triangular solve leaves a
+    residual of at most P u ||beta_k||_1 (|C| <= 1), which moves f~_k by
+    that much in RKHS norm.  The factor is exact for a Gram moved by at most
+    (P + 1) u per entry, which adds (P + 1) u to the tolerance.  The slack
+    2 (n + P + d + 4) u (||alpha_k||_1 + ||beta_k||_1) covers these terms.
+    """
+    factor = pivoted_cholesky(model.kernel, model.support_points, max_rank)
+    if factor is None:
+        return None
+    L, pivots = factor
+    n, d = model.support_points.shape
+    P = len(pivots)
+    beta = solve_triangular(L[pivots], L.T @ model.alpha, trans="T", lower=True,
+                            check_finite=False)
+    u = np.finfo(float).eps / 2.0
+    bound = (math.sqrt(n * (PIVOT_TOLERANCE + (P + 1) * u))
+             * np.linalg.norm(model.alpha, axis=0))
+    slack = (2.0 * (n + P + d + 4) * u
+             * (np.abs(model.alpha).sum(axis=0) + np.abs(beta).sum(axis=0)))
+    return LowRankExpansion(pivots, beta, bound + slack)
+
+
+def _expansion_for(model: DualModel, n_queries: int) -> LowRankExpansion | None:
+    """The model's expansion, factored once at its first prediction; a
+    factorization that gave up is tried again only under a larger cap."""
+    cap = rank_cap(n_queries, model.support_points.shape[0])
+    tried = model._expansion
+    if tried is None or (tried[1] is None and tried[0] < cap):
+        tried = (cap, low_rank_expansion(model, cap))
+        object.__setattr__(model, "_expansion", tried)
+    return tried[1]
+
+
+def certified_labels(model: DualModel, queries) -> np.ndarray:
+    """``predict_labels(predict_scores(model, queries))`` at a fraction of
+    its cost.
+
+    The queries are scored through the model's ``low_rank_expansion``, whose
+    scores are within radius[k] of the dense ones in column k.  A row whose
+    two largest scores are more than 2 max_k radius[k] apart has the dense
+    argmax, with no dense tie; every other row is scored again by
+    ``predict_scores``.  Without an expansion every row is scored densely.
+    A rescored row sits in a shorter tile than in one dense pass over all
+    the queries, which can move its scores in the last bits (about 1e-13,
+    see kernel.GRAM_BLOCK_ROWS); only a dense margin that small between
+    two classes could read differently.
+    """
+    q = _query_points(model, queries)
+    expansion = _expansion_for(model, q.shape[0])
+    if expansion is None:
+        return predict_labels(predict_scores(model, q))
+    scores = gram_product(model.kernel, q, model.support_points[expansion.pivots],
+                          expansion.beta)
+    top_two = np.partition(scores, -2, axis=1)[:, -2:]
+    near = np.flatnonzero(top_two[:, 1] - top_two[:, 0] <= 2.0 * expansion.radius.max())
+    if len(near):
+        scores[near] = predict_scores(model, q[near])
+    return predict_labels(scores)
 
 
 def predict_labels(scores: np.ndarray) -> np.ndarray:

@@ -3,19 +3,21 @@ import sys
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist
 
 import eulac.kernel
 from eulac.kernel import (
     DEFAULT_SIGMA_MULTIPLIERS,
     GRAM_BLOCK_ROWS,
     KERNEL_FLOOR,
+    PIVOT_TOLERANCE,
     TILE_ROWS,
     KernelSpec,
     floored_gram,
     gram,
     gram_product,
     median_heuristic,
+    pivoted_cholesky,
 )
 
 from conftest import small_train_data
@@ -260,3 +262,90 @@ class TestMedianHeuristic:
     def test_single_point_rejected(self):
         with pytest.raises(ValueError):
             median_heuristic(np.zeros((1, 2)))
+
+    # pairs of p points: p = 3, 6, 7 give an odd count, p = 4, 5, 8 an even one
+    @pytest.mark.parametrize("p", [3, 4, 5, 6, 7, 8, 40, 41])
+    def test_bit_equal_to_np_median(self, p):
+        rng = np.random.default_rng(p)
+        points = [
+            rng.normal(size=(p, 3)),
+            rng.integers(0, 3, size=(p, 2)).astype(float),  # many tied distances
+            np.repeat(rng.normal(size=(-(-p // 2), 2)), 2, axis=0)[:p],  # duplicates
+        ]
+        for X in points:
+            assert median_heuristic(X) == float(np.median(pdist(X)))
+
+
+class TestPivotedCholesky:
+    @pytest.fixture(scope="class")
+    def points(self):
+        return np.random.default_rng(3).normal(size=(400, 2))
+
+    @staticmethod
+    def _full(spec, points):
+        """The factorization with a budget its progress check never reaches."""
+        return pivoted_cholesky(spec, points, 3 * len(points))
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 3.0])
+    def test_factor_reproduces_pivot_columns(self, points, sigma):
+        spec = KernelSpec(sigma)
+        L, pivots = self._full(spec, points)
+        G = gram(spec, points, points)
+        C = L[pivots]
+        np.testing.assert_array_equal(C, np.tril(C))
+        np.testing.assert_allclose(L @ C.T, G[:, pivots], rtol=0.0, atol=1e-14)
+        # every residual diagonal is within the tolerance at the stop
+        residual = 1.0 - np.einsum("ij,ij->i", L, L)
+        assert residual.max() <= PIVOT_TOLERANCE + 1e-14
+        # the first pivot's column is the Gram's column, bit for bit
+        np.testing.assert_array_equal(L[:, 0], G[:, pivots[0]])
+        assert len(np.unique(pivots)) == len(pivots)
+
+    def test_pivot_order_is_greedy_and_deterministic(self, points):
+        spec = KernelSpec(1.0)
+        L, pivots = self._full(spec, points)
+        again = self._full(spec, points.copy())
+        np.testing.assert_array_equal(again[0], L)
+        np.testing.assert_array_equal(again[1], pivots)
+        # each pivot has the largest residual diagonal left by the ones before
+        for j, p in enumerate(pivots):
+            residual = 1.0 - np.einsum("ij,ij->i", L[:, :j], L[:, :j])
+            residual[pivots[:j]] = 0.0
+            assert residual[p] >= residual.max() - 1e-12
+
+    def test_first_index_wins_ties(self):
+        # every diagonal starts at 1, so index 0 is the first pivot; the two
+        # points far from it then tie, and the smaller index goes first
+        X = np.array([[0.0, 0.0], [50.0, 0.0], [-50.0, 0.0], [0.0, 0.01]])
+        L, pivots = self._full(KernelSpec(1.0), X)
+        assert pivots.tolist()[:3] == [0, 1, 2]
+        # duplicated points leave no residual: the copy is never a pivot
+        L, pivots = self._full(KernelSpec(1.0), np.vstack([X[:3], X[:3]]))
+        assert pivots.tolist() == [0, 1, 2]
+
+    @staticmethod
+    def _count_columns(monkeypatch) -> list:
+        """Counts the kernel columns built: one exp pass each."""
+        columns, exp = [], np.exp
+        monkeypatch.setattr(np, "exp", lambda x, out: columns.append(1) or exp(x, out=out))
+        return columns
+
+    def test_gives_up_at_the_cap(self, points, monkeypatch):
+        spec = KernelSpec(3.0)
+        rank = len(self._full(spec, points)[1])
+        columns = self._count_columns(monkeypatch)
+        assert pivoted_cholesky(spec, points, rank - 1) is None
+        assert len(columns) == rank - 1
+        assert pivoted_cholesky(spec, points, 0) is None
+        L, pivots = pivoted_cholesky(spec, points, rank)
+        assert L.shape == (len(points), rank) and len(pivots) == rank
+
+    def test_gives_up_at_a_third_without_progress(self, points, monkeypatch):
+        # at sigma 1 these points need 142 pivots; after 47 the largest
+        # residual is still above PIVOT_PROGRESS, so a budget of 142 ends there
+        spec = KernelSpec(1.0)
+        rank = len(self._full(spec, points)[1])
+        assert rank == 142
+        columns = self._count_columns(monkeypatch)
+        assert pivoted_cholesky(spec, points, rank) is None
+        assert len(columns) == rank // 3

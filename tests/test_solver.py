@@ -38,12 +38,15 @@ from eulac.solver import (
     _shifted_lanczos,
     _square_loss_alpha,
     _square_loss_fold_alphas,
+    certified_labels,
     fit_first_order,
     fit_square_closed_form,
+    low_rank_expansion,
     objective,
     objective_gradient,
     predict_labels,
     predict_scores,
+    rank_cap,
 )
 
 from conftest import small_train_data
@@ -691,6 +694,133 @@ class TestBlockedPrediction:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak < 40e6
+
+
+class TestCertifiedLabels:
+    # enough queries for a rank cap of 100, above the rank at 1x median
+    M = 20000
+
+    @pytest.fixture(scope="class")
+    def bundled(self):
+        spec = parse_synthetic_spec(BUNDLED_SPEC.read_text())
+        L, U, T = sample_synthetic(spec, 500, 1000, self.M)
+        median = median_heuristic(np.vstack([L.X, U.X]))
+        models = {mult: fit_square_closed_form(L, U, KernelSpec(mult * median), spec.theta, 1e-3)
+                  for mult in (1.0, 0.1)}
+        return models, T.X
+
+    @staticmethod
+    def _fresh(model, alpha=None):
+        return DualModel(model.support_points, model.alpha if alpha is None else alpha,
+                         model.kernel, model.loss_kind, model.theta, model.lam,
+                         model.num_known_classes)
+
+    @staticmethod
+    def _count_dense_rows(monkeypatch):
+        rows = []
+        dense = eulac.solver.predict_scores
+
+        def counted(model, queries):
+            rows.append(len(queries))
+            return dense(model, queries)
+
+        monkeypatch.setattr(eulac.solver, "predict_scores", counted)
+        return rows
+
+    def test_rank_cap(self):
+        assert rank_cap(20000, 1500) == 100
+        assert rank_cap(5000, 1500) == 50
+        assert rank_cap(10**7, 1500) == 1500 // 8
+        assert rank_cap(1, 1500) == 0
+
+    @pytest.mark.parametrize("mult", [1.0, 0.1])
+    def test_equal_to_dense_labels(self, bundled, mult, monkeypatch):
+        models, X = bundled
+        model = self._fresh(models[mult])
+        reference = predict_labels(predict_scores(model, X))
+        rows = self._count_dense_rows(monkeypatch)
+        np.testing.assert_array_equal(model.predict(X), reference)
+        cap, expansion = model._expansion
+        assert cap == 100
+        if mult == 1.0:
+            # the low-rank path, with a few near-tie rows scored densely
+            assert expansion is not None and len(expansion.pivots) <= cap
+            assert len(rows) == 1 and 0 < rows[0] < len(X) // 100
+        else:
+            # 0.1x needs far more than 100 pivots: every row is scored densely
+            assert expansion is None
+            assert rows == [len(X)]
+
+    def test_radius_bounds_the_score_error(self, bundled):
+        models, X = bundled
+        model = models[1.0]
+        expansion = low_rank_expansion(model, 100)
+        approx = gram(model.kernel, X, model.support_points[expansion.pivots]) @ expansion.beta
+        error = np.max(np.abs(approx - predict_scores(model, X)), axis=0)
+        assert np.all(error <= expansion.radius)
+
+    @pytest.mark.parametrize("gap", [0.0, 1e-12])
+    def test_forced_near_ties_fall_back(self, bundled, gap, monkeypatch):
+        models, X = bundled
+        alpha = models[1.0].alpha.copy()
+        alpha[:, 1] = alpha[:, 0] + gap * np.abs(alpha[:, 0])
+        model = self._fresh(models[1.0], alpha)
+        dense = predict_scores(model, X)
+        rows = self._count_dense_rows(monkeypatch)
+        labels = model.predict(X)
+        np.testing.assert_array_equal(labels, predict_labels(dense))
+        # every row won by one of the twin columns is scored densely
+        twins = np.max(dense[:, :2], axis=1) >= dense[:, 2]
+        assert model._expansion[1] is not None
+        assert len(rows) == 1 and rows[0] >= np.count_nonzero(twins)
+        if gap == 0.0:
+            # twin scores tie, and the tie goes to the smaller index
+            tied = dense[:, 0] == dense[:, 1]
+            assert np.all(labels[tied & twins] == 1)
+
+    def test_factored_once_per_instance(self, bundled, monkeypatch):
+        models, X = bundled
+        model = self._fresh(models[1.0])
+        calls = []
+        factor = eulac.solver.pivoted_cholesky
+        monkeypatch.setattr(eulac.solver, "pivoted_cholesky",
+                            lambda *a: calls.append(a[2]) or factor(*a))
+        text = model.to_json()
+        model.predict(X[:1])  # a cap of 0 gives up at once
+        model.predict(X)
+        model.predict(X[:5000])
+        model.predict(X)
+        assert calls == [0, 100]
+        assert model.to_json() == text
+        assert DualModel.from_json(text)._expansion is None
+
+    def test_checks_queries_like_predict_scores(self, bundled):
+        model = self._fresh(bundled[0][1.0])
+        with pytest.raises(ValueError, match="dimension"):
+            model.predict(np.zeros((2, 5)))
+        with pytest.raises(ValueError, match="at least one"):
+            model.predict(np.empty((0, 2)))
+        queries = np.zeros((self.M, 2))
+        queries[-1, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            certified_labels(model, queries)
+
+    # rank 193 at sigma 1 (every row dense), 60 at sigma 3 (low rank)
+    @pytest.mark.parametrize("sigma", [1.0, 3.0])
+    def test_memory_does_not_grow_with_queries(self, sigma):
+        rng = np.random.default_rng(9)
+        support = rng.normal(size=(1500, 2))
+        model = DualModel(support, rng.normal(size=(1500, 3)), KernelSpec(sigma),
+                          "square", THETA, LAM, 2)
+        queries = rng.normal(size=(20000, 2))
+        tracemalloc.start()
+        try:
+            model.predict(queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (model._expansion[1] is None) == (sigma == 1.0)
         assert peak < 40e6
 
 
