@@ -23,15 +23,16 @@ TILE_ROWS = 256
 # tile matched the one-shot product bit for bit; a shorter last tile takes
 # another BLAS kernel and moved its scores by up to 4.4e-13.
 GRAM_BLOCK_ROWS = 1024
-# Every square-loss solve runs on a pooled Gram whose entries below this
-# floor are zeroed as it is built (floored_gram); otherwise it runs on
-# subnormal numbers at small bandwidths: the factorization slows five- to
-# tenfold and the Lanczos products twofold.
+# Every Gram that ``gram`` builds has its entries below this floor zeroed;
+# otherwise the solves run on subnormal numbers at small bandwidths: the
+# factorization slows five- to tenfold and the Lanczos products twofold.
 # Zeroing entries below delta moves M = G_UU / (2 n_u) + (2 lambda + jitter) I
 # by at most delta / 2 in spectral norm, and M >= 2 lambda I, so the
 # solution moves by at most delta / (4 lambda) relative: about 2.5e-28 at
 # lambda = 1e-3.  The G_UL alpha_L part of the right-hand side moves by at
 # most delta theta / (2 lambda) relative to its 1 / (2 n_u) constant part.
+# A score G alpha_k moves by at most delta ||alpha_k||_1, and a row sum of a
+# Gram over n points, such as theta's kernel means, by at most n delta.
 KERNEL_FLOOR = 1e-30
 # pivoted_cholesky stops once no residual diagonal of the Gram exceeds this.
 # The residual G - L L^T is positive semidefinite, so its spectral norm is at
@@ -93,8 +94,8 @@ def _fill(out: np.ndarray, spec: KernelSpec, rows: np.ndarray, cols: np.ndarray,
     pass: IEEE division is sign-symmetric, so this equals negating and then
     dividing bit for bit.  Given a boolean ``mask`` of out's shape, the
     exponents are clamped at log(KERNEL_FLOOR) - 1 before the exp and the
-    entries below KERNEL_FLOOR are zeroed after it (see ``floored_gram``),
-    with the mask as the only scratch, so a tile worker allocates no array.
+    entries below KERNEL_FLOOR are zeroed after it (see ``gram``), with the
+    mask as the only scratch, so a tile worker allocates no array.
     No check runs here: this is one tile's work, on points its caller
     checked.
     """
@@ -143,58 +144,52 @@ def _each_tile(n_rows: int, workers: int, work) -> None:
         done.result()
 
 
-def _tiled_gram(spec: KernelSpec, rows, cols, floored: bool) -> np.ndarray:
+def gram(spec: KernelSpec, rows, cols) -> np.ndarray:
+    """Gram matrix with entry (i, j) = k(rows[i], cols[j]), its entries
+    below KERNEL_FLOOR zeroed.
+
+    The n x m result is allocated once and filled in TILE_ROWS-row tiles,
+    spread over one thread per usable CPU (at most GRAM_BLOCK_ROWS //
+    TILE_ROWS).  Each tile is computed in place: cdist, one scaling pass,
+    a clamp of the exponents at log(KERNEL_FLOOR) - 1, one exp pass and the
+    floor.  The clamp keeps numpy's exp off its slow subnormal path (about
+    70x slower at exp(-720) than at exp(-80)); a clamped entry lies below
+    KERNEL_FLOOR / e, so it is zeroed either way, and the result equals
+    ``np.exp(-sq / (2 sigma^2))`` with its entries below the floor zeroed,
+    bit for bit.  For finite points every entry is 0 or a normal number in
+    [KERNEL_FLOOR, 1]: a squared distance that overflows to inf gives the
+    exponent -inf, which is clamped and then zeroed.  cdist keeps the
+    accumulation order fixed and every entry is computed on its own, so the
+    result is identical across runs, tile heights and thread counts.
+    """
     r, c = _point_pair(_as_points(rows), _as_points(cols))
     out = np.empty((r.shape[0], c.shape[0]))
     workers = _worker_count(r.shape[0])
     # each worker's floor mask is allocated here, in the calling thread
-    masks = (np.empty((workers, min(TILE_ROWS, r.shape[0]), c.shape[0]), dtype=bool)
-             if floored else None)
+    masks = np.empty((workers, min(TILE_ROWS, r.shape[0]), c.shape[0]), dtype=bool)
 
     def work(worker, start, stop):
-        mask = None if masks is None else masks[worker, :stop - start]
-        _fill(out[start:stop], spec, r[start:stop], c, mask)
+        _fill(out[start:stop], spec, r[start:stop], c, masks[worker, :stop - start])
 
     _each_tile(r.shape[0], workers, work)
     return out
 
 
-def gram(spec: KernelSpec, rows, cols) -> np.ndarray:
-    """Gram matrix with entry (i, j) = k(rows[i], cols[j]).
-
-    The n x m result is allocated once and filled in TILE_ROWS-row tiles,
-    spread over one thread per usable CPU (at most GRAM_BLOCK_ROWS //
-    TILE_ROWS).  Each tile is computed in place: cdist, one scaling pass and
-    one exp pass, the arithmetic of ``np.exp(-sq / (2 sigma^2))``.  cdist
-    keeps the accumulation order fixed and every entry is computed on its
-    own, so the result is identical across runs, tile heights and thread
-    counts.
-    """
-    return _tiled_gram(spec, rows, cols, floored=False)
-
-
-def floored_gram(spec: KernelSpec, rows, cols) -> np.ndarray:
-    """``gram(spec, rows, cols)`` with its entries below KERNEL_FLOOR zeroed.
-
-    The exponents are clamped at log(KERNEL_FLOOR) - 1 before the exp, which
-    keeps numpy's exp off its slow subnormal path (about 70x slower at
-    exp(-720) than at exp(-80)).  A clamped entry lies below KERNEL_FLOOR / e,
-    so it is zeroed either way, and the result equals ``gram`` followed by
-    zeroing bit for bit.
-    """
-    return _tiled_gram(spec, rows, cols, floored=True)
-
-
 def gram_product(spec: KernelSpec, rows, cols, coef) -> np.ndarray:
-    """``gram(spec, rows, cols) @ coef`` without the n x m Gram.
+    """``K @ coef`` without the n x m kernel matrix K of rows and cols.
 
-    ``cols`` must be a finite 2-D array, as a DualModel's support points
-    are; only ``rows`` is checked, once.  Each tile worker (as in ``gram``)
-    owns one TILE_ROWS x m slice of a buffer allocated here, evaluates each
-    of its tiles of the Gram into it and multiplies it by coef into the
-    tile's rows of the result.  So kernel memory stays at most 8 x
-    GRAM_BLOCK_ROWS x m bytes whatever the number of rows or CPUs, and the
-    result does not depend on the CPU count.
+    K is unfloored: the kernel rows that multiply coefficients are
+    prediction's, and the low-rank factor that certifies its labels
+    (``pivoted_cholesky``) is built from the same unfloored kernel.  Flooring
+    would clamp and mask every tile for a score move of at most
+    KERNEL_FLOOR ||coef_k||_1, and it cost 24 -> 31 ms on a dense 5,000-query
+    product at 1x median.  ``cols`` must be a finite 2-D array, as a
+    DualModel's support points are; only ``rows`` is checked, once.  Each
+    tile worker (as in ``gram``) owns one TILE_ROWS x m slice of a buffer
+    allocated here, evaluates each of its tiles of K into it and multiplies
+    it by coef into the tile's rows of the result.  So kernel memory stays
+    at most 8 x GRAM_BLOCK_ROWS x m bytes whatever the number of rows or
+    CPUs, and the result does not depend on the CPU count.
     """
     r, c = _point_pair(_as_points(rows), cols)
     coef = np.asarray(coef, dtype=float)
@@ -215,18 +210,18 @@ def pivoted_cholesky(spec: KernelSpec, points, max_rank: int):
     """Greedy pivoted Cholesky factor of the Gram of ``points``, or None.
 
     Each step takes as pivot the point with the largest residual diagonal
-    of G - L L^T, the first index on ties, and builds its kernel column,
-    with the arithmetic of ``gram``, in the calling thread; no n x n array
-    is made.  It stops once no residual diagonal exceeds PIVOT_TOLERANCE
-    and returns (L, pivots): L is n x P with G[:, pivots] = L L[pivots]^T,
+    of G - L L^T, the first index on ties, and builds its unfloored kernel
+    column with ``_fill``, in the calling thread; no n x n array is made.
+    It stops once no residual diagonal exceeds PIVOT_TOLERANCE and returns
+    (L, pivots): L is n x P with G[:, pivots] = L L[pivots]^T,
     L[pivots] lower triangular.  It returns None when that needs more than
     ``max_rank`` pivots, having spent about n x max_rank^2 / 2 flops, or
     sooner, when the largest residual still exceeds PIVOT_PROGRESS after
     max_rank // 3 pivots.  ``points`` must be a finite 2-D array, as a
     DualModel's support is.
     """
-    coords = np.array(points, dtype=float).T.copy()  # one contiguous row per coordinate
-    n = coords.shape[1]
+    pts = np.ascontiguousarray(points, dtype=float)
+    n = pts.shape[0]
     rows = np.empty((max_rank, n))  # row j is L's column j
     residual = np.ones(n)  # k(x, x) = 1
     scratch = np.empty(n)
@@ -238,13 +233,7 @@ def pivoted_cholesky(spec: KernelSpec, points, max_rank: int):
         if j == max_rank or (j == max_rank // 3 and residual[p] > PIVOT_PROGRESS):
             return None
         col = rows[j]
-        # cdist's sum of squared coordinate differences, in its order
-        col.fill(0.0)
-        for axis in coords:
-            np.subtract(axis, axis[p], out=scratch)
-            col += np.square(scratch, out=scratch)
-        col /= -2.0 * spec.sigma**2
-        np.exp(col, out=col)
+        _fill(col[None], spec, pts[p:p + 1], pts)
         if j:
             col -= np.matmul(rows[:j, p], rows[:j], out=scratch)
         col /= np.sqrt(residual[p])

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledDataset, UnlabeledDataset, json_text, kfold_indices, pooled_points
-from .kernel import DEFAULT_SIGMA_MULTIPLIERS, KernelSpec, floored_gram, gram, median_heuristic
+from .kernel import DEFAULT_SIGMA_MULTIPLIERS, KernelSpec, gram, median_heuristic
 from .losses import SQUARE, canonical_loss_kind
 from .risk import lac_risk_from_scores
 from .solver import (
@@ -125,7 +125,7 @@ def cross_validate(
 
     The bandwidth for each cell is multiplier x median pairwise distance of
     the pooled data; pass ``median`` when it is already known.  For every
-    sigma the pooled Gram matrix is built once, floored for square loss.  Square loss solves every
+    sigma the pooled Gram matrix is built once.  Square loss solves every
     fold and lambda of a sigma from one shifted-Lanczos run on the pooled
     Gram's unlabeled block, gathering no fold block; other losses solve
     each (fold, lambda) on the fold's gathered training Gram with the
@@ -147,7 +147,7 @@ def cross_validate(
     for mult in grid.sigma_multipliers:
         sigma = mult * median
         G = fold_alphas = None  # release the last bandwidth's arrays before its successor
-        G = (floored_gram if square else gram)(KernelSpec(sigma), pooled, pooled)
+        G = gram(KernelSpec(sigma), pooled, pooled)
         if square:
             try:
                 fold_alphas = _square_loss_fold_alphas(

@@ -5,8 +5,9 @@ Scorers are kernel expansions over the combined labeled + unlabeled support
 The square loss admits an exact linear-system solution: one Cholesky
 factorization for a single weight, or one shifted-Lanczos run on the
 pooled Gram's unlabeled block that serves every fold and weight of a
-cross-validation bandwidth.  Both run on a pooled Gram built floored and
-read the labeled bracket: the labeled risk term is linear in the scores, so
+cross-validation bandwidth.  Both run on a pooled Gram from ``kernel.gram``,
+whose entries below ``kernel.KERNEL_FLOOR`` are zeroed, and read the
+labeled bracket: the labeled risk term is linear in the scores, so
 its gradient is one constant for every loss.  Hence for every loss the labeled
 rows of alpha are the closed form -bracket / (2 lambda), and the K+1 score
 columns decouple into problems over the unlabeled rows.  Other losses solve
@@ -30,7 +31,6 @@ from .data import LabeledDataset, UnlabeledDataset, check_theta, json_text, pool
 from .kernel import (
     PIVOT_TOLERANCE,
     KernelSpec,
-    floored_gram,
     gram,
     gram_product,
     pivoted_cholesky,
@@ -61,6 +61,12 @@ KRYLOV_TOLERANCE = 1e-13
 DUAL_GAP_TOLERANCE = 1e-6
 
 MODEL_FORMAT_VERSION = 1
+# every field a version-1 model file holds, with the types json.loads may
+# give its value (a JSON true is a bool, never an int); the two arrays are
+# checked as DualModel converts them
+_MODEL_FIELDS = {"kernel_sigma": (int, float), "loss": (str,), "theta": (int, float),
+                 "lambda": (int, float), "num_known_classes": (int,), "converged": (bool,),
+                 "support_points": (), "alpha": ()}
 
 
 def check_lambda(lam: float) -> None:
@@ -136,6 +142,8 @@ class DualModel:
             raise ValueError(f"alpha must be (n, K+1), got {a.shape}")
         if not np.all(np.isfinite(a)):
             raise ValueError("dual coefficients must be finite")
+        check_theta(self.theta)
+        check_lambda(self.lam)
         object.__setattr__(self, "support_points", pts)
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "loss_kind", canonical_loss_kind(self.loss_kind))
@@ -170,20 +178,34 @@ class DualModel:
 
     @staticmethod
     def from_json(text: str) -> "DualModel":
+        """The model a ``to_json`` text describes.  A text that is not a
+        version-1 model, or that misses a field or holds one of another JSON
+        type, is refused by a ValueError that names every such field."""
         payload = json.loads(text)
-        if payload.get("format_version") != MODEL_FORMAT_VERSION:
-            raise ValueError(f"unsupported model format {payload.get('format_version')!r}")
-        record = FitRecord(None, None, bool(payload.get("converged", True)))
-        return DualModel(
-            support_points=np.array(payload["support_points"], dtype=float),
-            alpha=np.array(payload["alpha"], dtype=float),
-            kernel=KernelSpec(payload["kernel_sigma"]),
-            loss_kind=payload["loss"],
-            theta=payload["theta"],
-            lam=payload["lambda"],
-            num_known_classes=payload["num_known_classes"],
-            record=record,
-        )
+        if not isinstance(payload, dict) or payload.get("format_version") != MODEL_FORMAT_VERSION:
+            raise ValueError(f"model file is not a JSON object with format_version "
+                             f"{MODEL_FORMAT_VERSION}")
+        problems = []
+        for name, types in _MODEL_FIELDS.items():
+            if name not in payload:
+                problems.append(f"field {name!r} is missing")
+            elif types and type(payload[name]) not in types:
+                problems.append(f"field {name!r} has the wrong type ({type(payload[name]).__name__})")
+        if problems:
+            raise ValueError("model file: " + "; ".join(problems))
+        try:
+            return DualModel(
+                support_points=payload["support_points"],
+                alpha=payload["alpha"],
+                kernel=KernelSpec(payload["kernel_sigma"]),
+                loss_kind=payload["loss"],
+                theta=payload["theta"],
+                lam=payload["lambda"],
+                num_known_classes=payload["num_known_classes"],
+                record=FitRecord(None, None, payload["converged"]),
+            )
+        except TypeError:  # an array holds a JSON object
+            raise ValueError("model file: support_points and alpha must hold numbers") from None
 
     @staticmethod
     def load(path) -> "DualModel":
@@ -281,19 +303,16 @@ def _square_loss_alpha(
     """Exact stationary point of the square-loss objective at weight lam.
 
     G is the training Gram matrix, n_l labeled rows first, built by
-    ``floored_gram``.  The labeled rows of alpha are the bracket's closed
-    form -B_L / (2 lam); the unlabeled rows solve
+    ``gram``.  The labeled rows of alpha are the bracket's closed form
+    -B_L / (2 lam); the unlabeled rows solve
     (G_UU / (2 n_u) + s I) x = -B_U - G_UL alpha_L / (2 n_u) with
-    s = 2 lam + GRAM_JITTER, by one Cholesky factorization.  G was checked
-    finite here, so the factorization and the solve skip scipy's
-    full-matrix finiteness scans.
+    s = 2 lam + GRAM_JITTER, by one Cholesky factorization.  ``gram``'s
+    entries lie in [0, 1], so the factorization and the solve skip scipy's
+    full-matrix finiteness scans; the right-hand side is checked.  theta and
+    lam are checked by the caller.
     """
-    check_theta(theta)
-    check_lambda(lam)
     n_u = G.shape[0] - n_l
     shift = 2.0 * lam + GRAM_JITTER
-    if not np.all(np.isfinite(G[n_l:])):
-        raise ValueError("square-loss Gram blocks must be finite")
     K = num_known_classes
     alpha = np.empty((n_l + n_u, K + 1))
     alpha[:n_l] = -_labeled_bracket(labels, K, theta) / (2.0 * lam)
@@ -441,9 +460,10 @@ def _square_loss_fold_alphas(
     started from every fold's m_f and the K+1 columns of its r1, serves
     every fold and weight, with no factorization and no gathered block.
 
-    G is built by ``floored_gram``.  alphas[f][i] is (n, K+1) over the
-    pooled support, zero outside fold f's training rows.  A failed solve
-    raises LinAlgError whose ``fold`` names the fold.
+    G is built by ``gram``, so its entries lie in [0, 1] and are not
+    scanned.  alphas[f][i] is (n, K+1) over the pooled support, zero
+    outside fold f's training rows.  A failed solve raises LinAlgError
+    whose ``fold`` names the fold.
     """
     check_theta(theta)
     for lam in lams:
@@ -452,8 +472,6 @@ def _square_loss_fold_alphas(
     K = num_known_classes
     lams = np.asarray(lams, dtype=float)
     shifts = 2.0 * lams + GRAM_JITTER
-    if not np.all(np.isfinite(G[n_l:])):
-        raise ValueError("square-loss Gram blocks must be finite")
 
     width = K + 2  # start vectors per fold: m_f, then the K+1 columns of r1
     masks = np.zeros((len(folds) * width, n_u))
@@ -500,9 +518,10 @@ def fit_square_closed_form(
     lam: float,
 ) -> DualModel:
     """Solve the square-loss problem exactly via its normal equations."""
+    check_theta(theta)  # before the Gram is built
     check_lambda(lam)
     support = pooled_points(labeled, unlabeled)
-    G = floored_gram(kernel, support, support)
+    G = gram(kernel, support, support)
     alpha = _square_loss_alpha(G, len(labeled), labeled.y, labeled.num_known_classes,
                                theta, lam)
     # the bracket is solved exactly, so the gradient G @ residual is ~0

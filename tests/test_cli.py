@@ -287,6 +287,33 @@ class TestEval:
         assert rc == 1
         assert capsys.readouterr().err == "error: support points must be finite\n"
 
+    @staticmethod
+    def _without(payload, name):
+        del payload[name]
+        return payload
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda p: TestEval._without(p, "kernel_sigma"),
+         "model file: field 'kernel_sigma' is missing"),
+        (lambda p: [p], "model file is not a JSON object with format_version 1"),
+        (lambda p: {**p, "num_known_classes": "2"},
+         "model file: field 'num_known_classes' has the wrong type (str)"),
+        (lambda p: {**p, "theta": 1.5}, "theta must lie in (0, 1], got 1.5"),
+        (lambda p: {**p, "lambda": -1},
+         "regularization weight must be positive and finite, got -1"),
+        # every version-1 file has it: a missing verdict is not read as converged
+        (lambda p: TestEval._without(p, "converged"), "model file: field 'converged' is missing"),
+    ], ids=["missing-key", "json-list", "string-class-count", "theta-1.5", "lambda-minus-1",
+            "missing-converged"])
+    def test_malformed_model_exits_one(self, fitted, tmp_path, capsys, edit, message):
+        data, model = fitted
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(edit(json.loads(model.read_text()))))
+        capsys.readouterr()
+        rc = main(["eval", "--model", str(bad), "--test", str(data / "test.libsvm")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_sentinel_label_in_file_exits_one(self, fitted, tmp_path, capsys):
         # files mark novel rows with 0; a raw K+1 is not read as novel
         data, model = fitted
@@ -342,7 +369,6 @@ class TestEval:
 # kernel or a model's JSON; its span stack is the process's, so none may run
 # on a kernel tile thread
 TRACED_NAMES = ((eulac.solver, "gram"), (eulac.modelsel, "gram"), (eulac.mixture, "gram"),
-                (eulac.solver, "floored_gram"), (eulac.modelsel, "floored_gram"),
                 (eulac.cli, "_write_text"))
 
 

@@ -13,7 +13,6 @@ from eulac.kernel import (
     PIVOT_TOLERANCE,
     TILE_ROWS,
     KernelSpec,
-    floored_gram,
     gram,
     gram_product,
     median_heuristic,
@@ -21,6 +20,17 @@ from eulac.kernel import (
 )
 
 from conftest import small_train_data
+
+
+def _unfloored(sigma, X, Y) -> np.ndarray:
+    """The textbook Gaussian Gram, with no floor."""
+    return np.exp(-cdist(X, Y, "sqeuclidean") / (2.0 * sigma**2))
+
+
+def _floored(G) -> np.ndarray:
+    """G with its entries below KERNEL_FLOOR zeroed, in place."""
+    np.copyto(G, 0.0, where=G < KERNEL_FLOOR)
+    return G
 
 
 def _pair(spec, x, y) -> float:
@@ -106,25 +116,35 @@ class TestGram:
         rng = np.random.default_rng(8)
         X, Y = rng.normal(size=(40, 3)), rng.normal(size=(25, 3))
         sigma = 0.37
-        expected = np.exp(-cdist(X, Y, "sqeuclidean") / (2.0 * sigma**2))
+        expected = _floored(_unfloored(sigma, X, Y))
         np.testing.assert_array_equal(gram(KernelSpec(sigma), X, Y), expected)
 
     @pytest.mark.parametrize("mult", DEFAULT_SIGMA_MULTIPLIERS)
     def test_floored_build_equals_gram_then_floor(self, mult):
-        # the square-loss Gram, clamped before its exp, has the bits of
-        # gram() with its entries below the floor zeroed afterwards
+        # the Gram, clamped before its exp, has the bits of the textbook
+        # Gram with its entries below the floor zeroed afterwards
         L, U = small_train_data(seed=3, n_l=60, n_u=200)
         X = np.vstack([L.X, U.X])
         spec = KernelSpec(mult * median_heuristic(X))
-        expected = gram(spec, X, X)
+        expected = _unfloored(spec.sigma, X, X)
         if mult == min(DEFAULT_SIGMA_MULTIPLIERS):
             # the clamp is exercised: some entries are subnormal
             assert np.any((expected > 0) & (expected < np.finfo(float).tiny))
-        np.copyto(expected, 0.0, where=expected < KERNEL_FLOOR)
-        floored = floored_gram(spec, X, X)
+        _floored(expected)
+        floored = gram(spec, X, X)
         np.testing.assert_array_equal(floored, expected)
         assert not np.any(np.signbit(floored))
-        np.testing.assert_array_equal(floored_gram(spec, X[:50], X), expected[:50])
+        np.testing.assert_array_equal(gram(spec, X[:50], X), expected[:50])
+
+    def test_overflowing_distances_give_finite_normal_entries(self):
+        # squared distances near 4e400 overflow to inf; the exponent -inf
+        # is clamped and its entry zeroed, so the solvers need no scan
+        X = np.array([[1e200, -1e200], [-1e200, 1e200], [1e200, 1e200], [0.0, 0.0]])
+        G = gram(KernelSpec(1e-3), X, X)
+        assert np.all(np.isfinite(G))
+        assert np.all((G >= 0.0) & (G <= 1.0))
+        assert not np.any((G != 0.0) & (G < np.finfo(float).tiny))
+        np.testing.assert_array_equal(G, np.eye(4))
 
     def test_positive_semidefinite(self):
         rng = np.random.default_rng(3)
@@ -172,10 +192,8 @@ class TestTiles:
         rng = np.random.default_rng(n)
         X, Y = rng.normal(size=(n, 3)), rng.normal(size=(300, 3))
         for sigma in (0.05, 0.8):
-            expected = np.exp(-cdist(X, Y, "sqeuclidean") / (2.0 * sigma**2))
+            expected = _floored(_unfloored(sigma, X, Y))
             np.testing.assert_array_equal(gram(KernelSpec(sigma), X, Y), expected)
-            np.copyto(expected, 0.0, where=expected < KERNEL_FLOOR)
-            np.testing.assert_array_equal(floored_gram(KernelSpec(sigma), X, Y), expected)
 
     @pytest.mark.parametrize("n", [1, 2, TILE_ROWS, TILE_ROWS + 1, 9 * TILE_ROWS])
     def test_worker_count(self, monkeypatch, n):
@@ -290,7 +308,7 @@ class TestPivotedCholesky:
     def test_factor_reproduces_pivot_columns(self, points, sigma):
         spec = KernelSpec(sigma)
         L, pivots = self._full(spec, points)
-        G = gram(spec, points, points)
+        G = _unfloored(sigma, points, points)
         C = L[pivots]
         np.testing.assert_array_equal(C, np.tril(C))
         np.testing.assert_allclose(L @ C.T, G[:, pivots], rtol=0.0, atol=1e-14)

@@ -95,7 +95,7 @@ class TestCrossValidate:
         factors, runs, grams = [0], [], []
         factor = eulac.solver.cho_factor
         lanczos = eulac.solver._shifted_lanczos
-        build = eulac.modelsel.floored_gram
+        build = eulac.modelsel.gram
 
         def counting_factor(a, **kwargs):
             # the refit factors its own copy in place: no copy by scipy's wrapper
@@ -116,7 +116,7 @@ class TestCrossValidate:
 
         monkeypatch.setattr(eulac.solver, "cho_factor", counting_factor)
         monkeypatch.setattr(eulac.solver, "_shifted_lanczos", counting_lanczos)
-        monkeypatch.setattr(eulac.modelsel, "floored_gram", recording_gram)
+        monkeypatch.setattr(eulac.modelsel, "gram", recording_gram)
         L, U, _ = _data(seed=1)
         grid = HyperGrid(sigma_multipliers=(0.1, 1.0), lambda_candidates=(1e-2, 0.1, 1.0),
                          folds=3)

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
+from scipy.spatial.distance import cdist
 
 from eulac.data import (
     UnlabeledDataset,
@@ -20,7 +21,6 @@ from eulac.kernel import (
     KERNEL_FLOOR,
     TILE_ROWS,
     KernelSpec,
-    floored_gram,
     gram,
     median_heuristic,
 )
@@ -267,7 +267,9 @@ class TestSquareLossSystem:
         # some land on subnormal numbers
         L, U = small_train_data(seed=3, n_l=60, n_u=200)
         support = np.vstack([L.X, U.X])
-        G = gram(_narrow_kernel(L, U), support, support)
+        sigma = _narrow_kernel(L, U).sigma
+        # the textbook Gram, with no floor: gram() zeroes what this keeps
+        G = np.exp(-cdist(support, support, "sqeuclidean") / (2.0 * sigma**2))
         return L, U, G
 
     def test_floor_keeps_the_solution(self, narrow):
@@ -407,7 +409,7 @@ class TestFoldLanczos:
         n_l = len(L)
         assert len({len(train_U) for _, train_U in folds}) == 2
         for mult in DEFAULT_SIGMA_MULTIPLIERS:
-            G = floored_gram(KernelSpec(mult * median), support, support)
+            G = gram(KernelSpec(mult * median), support, support)
             before = G.copy()
             fold_alphas = _square_loss_fold_alphas(G, n_l, L.y, 2, THETA, folds, DEFAULT_LAMBDAS)
             # the solve reads the floored Gram and changes none of it
@@ -911,7 +913,7 @@ class TestSerialization:
     def test_support_of_another_rank_rejected(self, points):
         payload = {"format_version": 1, "kind": "dual_model", "kernel_sigma": 1.0,
                    "loss": "square", "theta": THETA, "lambda": LAM, "num_known_classes": 2,
-                   "support_points": points, "alpha": [[0.0, 0.0, 0.0]]}
+                   "support_points": points, "alpha": [[0.0, 0.0, 0.0]], "converged": True}
         with pytest.raises(ValueError, match="support points must be a 2-D array"):
             DualModel.from_json(json.dumps(payload))
 
