@@ -22,6 +22,7 @@ from .solver import (
     FitOptions,
     _first_order_alpha,
     _square_loss_fold_alphas,
+    check_lambda,
     fit_first_order,
     fit_square_closed_form,
 )
@@ -31,7 +32,8 @@ DEFAULT_LAMBDAS = (1e-3, 1e-2, 1e-1, 1.0, 10.0)
 
 @dataclass(frozen=True)
 class HyperGrid:
-    """Candidate bandwidth multipliers and regularization weights."""
+    """Candidate bandwidth multipliers and regularization weights; each
+    weight must pass ``solver.check_lambda``."""
 
     sigma_multipliers: tuple[float, ...] = DEFAULT_SIGMA_MULTIPLIERS
     lambda_candidates: tuple[float, ...] = DEFAULT_LAMBDAS
@@ -41,9 +43,10 @@ class HyperGrid:
     def __post_init__(self):
         if not self.sigma_multipliers or not self.lambda_candidates:
             raise ValueError("grids must be nonempty")
-        if not all(math.isfinite(v) and v > 0
-                   for v in (*self.sigma_multipliers, *self.lambda_candidates)):
+        if not all(math.isfinite(v) and v > 0 for v in self.sigma_multipliers):
             raise ValueError("grid values must be positive and finite")
+        for lam in self.lambda_candidates:
+            check_lambda(lam)
         if self.folds < 2:
             raise ValueError("need at least 2 folds")
         object.__setattr__(self, "sigma_multipliers", tuple(float(m) for m in self.sigma_multipliers))

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
@@ -63,7 +63,7 @@ DUAL_GAP_TOLERANCE = 1e-6
 MODEL_FORMAT_VERSION = 1
 # every field a version-1 model file holds, with the types json.loads may
 # give its value (a JSON true is a bool, never an int); the two arrays are
-# checked as DualModel converts them
+# checked as from_json converts them, and their shapes by DualModel
 _MODEL_FIELDS = {"kernel_sigma": (int, float), "loss": (str,), "theta": (int, float),
                  "lambda": (int, float), "num_known_classes": (int,), "converged": (bool,),
                  "support_points": (), "alpha": ()}
@@ -127,8 +127,6 @@ class DualModel:
     lam: float
     num_known_classes: int
     record: FitRecord | None = None
-    # (rank cap tried, LowRankExpansion or None), set by the first predict
-    _expansion: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.ascontiguousarray(self.support_points, dtype=float)
@@ -158,10 +156,15 @@ class DualModel:
 
     def predict(self, queries) -> np.ndarray:
         """Labels of the queries, equal to ``predict_labels(self.scores(queries))``
-        but read from a certified low-rank expansion (``certified_labels``)."""
+        but read from a certified low-rank expansion that every call factors
+        anew (``certified_labels``); the model holds no other state."""
         return certified_labels(self, queries)
 
     def to_json(self) -> str:
+        """The model as a version-1 JSON text.  A model built without a
+        ``FitRecord`` is refused: no solve gave it a convergence verdict."""
+        if self.record is None:
+            raise ValueError("a model without a fit record has no convergence verdict to save")
         payload = {
             "format_version": MODEL_FORMAT_VERSION,
             "kind": "dual_model",
@@ -172,7 +175,7 @@ class DualModel:
             "num_known_classes": int(self.num_known_classes),
             "support_points": self.support_points.tolist(),
             "alpha": self.alpha.tolist(),
-            "converged": bool(self.record.converged) if self.record else True,
+            "converged": bool(self.record.converged),
         }
         return json_text(payload)
 
@@ -193,19 +196,21 @@ class DualModel:
                 problems.append(f"field {name!r} has the wrong type ({type(payload[name]).__name__})")
         if problems:
             raise ValueError("model file: " + "; ".join(problems))
-        try:
-            return DualModel(
-                support_points=payload["support_points"],
-                alpha=payload["alpha"],
-                kernel=KernelSpec(payload["kernel_sigma"]),
-                loss_kind=payload["loss"],
-                theta=payload["theta"],
-                lam=payload["lambda"],
-                num_known_classes=payload["num_known_classes"],
-                record=FitRecord(None, None, payload["converged"]),
-            )
-        except TypeError:  # an array holds a JSON object
-            raise ValueError("model file: support_points and alpha must hold numbers") from None
+        for name in ("support_points", "alpha"):
+            try:
+                payload[name] = np.asarray(payload[name], dtype=float)
+            except (TypeError, ValueError):  # ragged, or holding an object or a string
+                raise ValueError(f"model file: field {name!r} is not a rectangular array of numbers")
+        return DualModel(
+            support_points=payload["support_points"],
+            alpha=payload["alpha"],
+            kernel=KernelSpec(payload["kernel_sigma"]),
+            loss_kind=payload["loss"],
+            theta=payload["theta"],
+            lam=payload["lambda"],
+            num_known_classes=payload["num_known_classes"],
+            record=FitRecord(None, None, payload["converged"]),
+        )
 
     @staticmethod
     def load(path) -> "DualModel":
@@ -710,19 +715,18 @@ class LowRankExpansion:
     radius: np.ndarray
 
 
-def rank_cap(n_queries: int, n_support: int) -> int:
-    """The most pivots ``certified_labels`` spends on n_queries queries.
+def rank_cap(n_support: int) -> int:
+    """The most pivots ``certified_labels`` spends on a model of n_support
+    points: n_support / 8, above which the low-rank product saves too little
+    to pay for the factorization.
 
-    An abandoned factorization costs at most about n x cap^2 / 2 flops; at
-    cap = sqrt(m / 2) that is n m / 4, a quarter of the dense product's m n
-    kernel entries, each of which costs tens of flops (distance, scale, exp
-    and K+1 products): a few percent of it.  Measured on 2 vCPUs at 1,500
-    support points and 20,000 queries: giving up at 100 pivots took 2.6 ms
-    against 90 ms for the dense scores.  One without progress usually ends
-    at a third of the cap (``kernel.PIVOT_PROGRESS``).  Above n / 8 pivots
-    the low-rank product saves too little to pay for the factorization.
+    An abandoned factorization costs about n x cap^2 / 2 flops at most, and
+    one without progress usually ends at a third of the cap
+    (``kernel.PIVOT_PROGRESS``).  Measured on 2 vCPUs at n = 1,500 (a cap of
+    187): a 0.1x-median model gave up at 62 pivots in 1.1 ms, against about
+    40 ms for the dense scores of 20,000 queries and 11 ms for 5,000.
     """
-    return min(n_support // 8, math.isqrt(n_queries // 2))
+    return n_support // 8
 
 
 def low_rank_expansion(model: DualModel, max_rank: int) -> LowRankExpansion | None:
@@ -768,33 +772,26 @@ def low_rank_expansion(model: DualModel, max_rank: int) -> LowRankExpansion | No
     return LowRankExpansion(pivots, beta, bound + slack)
 
 
-def _expansion_for(model: DualModel, n_queries: int) -> LowRankExpansion | None:
-    """The model's expansion, factored once at its first prediction; a
-    factorization that gave up is tried again only under a larger cap."""
-    cap = rank_cap(n_queries, model.support_points.shape[0])
-    tried = model._expansion
-    if tried is None or (tried[1] is None and tried[0] < cap):
-        tried = (cap, low_rank_expansion(model, cap))
-        object.__setattr__(model, "_expansion", tried)
-    return tried[1]
-
-
 def certified_labels(model: DualModel, queries) -> np.ndarray:
     """``predict_labels(predict_scores(model, queries))`` at a fraction of
     its cost.
 
-    The queries are scored through the model's ``low_rank_expansion``, whose
-    scores are within radius[k] of the dense ones in column k.  A row whose
-    two largest scores are more than 2 max_k radius[k] apart has the dense
-    argmax, with no dense tie; every other row is scored again by
-    ``predict_scores``.  Without an expansion every row is scored densely.
+    The queries are scored through the model's ``low_rank_expansion`` under
+    ``rank_cap``, factored at every call.  Its cost depends on the model
+    alone: at n = 1,500, about 1.5 ms for the 79-84 pivots of a 1x-median
+    model and 1.1 ms for one that gives up, which a call with a few hundred
+    queries pays in full.  Its scores are within radius[k] of the dense ones
+    in column k.  A row whose two largest scores are more than
+    2 max_k radius[k] apart has the dense argmax, with no dense tie; every
+    other row is scored again by ``predict_scores``.  Without an expansion
+    every row is scored densely.
     A rescored row sits in a shorter tile than in one dense pass over all
     the queries, which can move its scores in the last bits (about 1e-13,
     see kernel.GRAM_BLOCK_ROWS); only a dense margin that small between
     two classes could read differently.
     """
     q = _query_points(model, queries)
-    expansion = _expansion_for(model, q.shape[0])
+    expansion = low_rank_expansion(model, rank_cap(model.support_points.shape[0]))
     if expansion is None:
         return predict_labels(predict_scores(model, q))
     scores = gram_product(model.kernel, q, model.support_points[expansion.pivots],

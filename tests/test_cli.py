@@ -303,8 +303,10 @@ class TestEval:
          "regularization weight must be positive and finite, got -1"),
         # every version-1 file has it: a missing verdict is not read as converged
         (lambda p: TestEval._without(p, "converged"), "model file: field 'converged' is missing"),
+        (lambda p: {**p, "alpha": [p["alpha"][0][:2], *p["alpha"][1:]]},
+         "model file: field 'alpha' is not a rectangular array of numbers"),
     ], ids=["missing-key", "json-list", "string-class-count", "theta-1.5", "lambda-minus-1",
-            "missing-converged"])
+            "missing-converged", "ragged-alpha"])
     def test_malformed_model_exits_one(self, fitted, tmp_path, capsys, edit, message):
         data, model = fitted
         bad = tmp_path / "model.json"
@@ -473,14 +475,20 @@ class TestThetaAndCv:
         assert not out.exists()
 
     @pytest.mark.parametrize("command, flag, message", [
-        pytest.param(command, flag, message, id=f"{command}{flag[0]}")
-        for command in ("fit", "cv", "theta", "bench")
-        for flag, message in (
-            (["--theta", "1.5"], "theta must lie in (0, 1], got 1.5"),
-            (["--folds", "1"], "need at least 2 folds"),
-            (["--lambda", "nan"], "grid values must be positive and finite"),
-            (["--sigma-mult", "inf"], "grid values must be positive and finite"))
-        if command != "theta" or flag[0] == "--theta"])
+        *(pytest.param(command, flag, message, id=f"{command}{flag[0]}")
+          for command in ("fit", "cv", "theta", "bench")
+          for flag, message in (
+              (["--theta", "1.5"], "theta must lie in (0, 1], got 1.5"),
+              (["--folds", "1"], "need at least 2 folds"),
+              (["--lambda", "nan"], "regularization weight must be positive and finite, got nan"),
+              (["--sigma-mult", "inf"], "grid values must be positive and finite"))
+          if command != "theta" or flag[0] == "--theta"),
+        # its shift 2 lambda overflows; the grid used to pass it on to the
+        # median and the first Gram
+        *(pytest.param(command, ["--lambda", "1e308"],
+                       "regularization weight must be positive and finite, got 1e+308",
+                       id=f"{command}--lambda=1e308")
+          for command in ("fit", "cv", "bench"))])
     def test_bad_flag_refused_before_any_file_is_read(self, tmp_path, capsys, command, flag,
                                                       message):
         # no input file exists, so an error that reads one names the file

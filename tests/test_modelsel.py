@@ -33,9 +33,12 @@ class TestHyperGrid:
             HyperGrid(sigma_multipliers=())
         with pytest.raises(ValueError):
             HyperGrid(lambda_candidates=(0.0,))
-        for bad in (float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="grid values must be positive and finite"):
+        # the lambda rule is solver.check_lambda's, which also refuses an
+        # overflowing shift 2 lambda
+        for bad in (float("nan"), float("inf"), 1e308):
+            with pytest.raises(ValueError, match="regularization weight must be positive"):
                 HyperGrid(lambda_candidates=(0.1, bad))
+        for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="grid values must be positive and finite"):
                 HyperGrid(sigma_multipliers=[bad])
         with pytest.raises(ValueError):

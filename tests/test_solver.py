@@ -33,6 +33,7 @@ from eulac.solver import (
     GRAM_JITTER,
     DualModel,
     FitOptions,
+    FitRecord,
     _column_coefficients,
     _labeled_bracket,
     _shifted_lanczos,
@@ -700,7 +701,6 @@ class TestBlockedPrediction:
 
 
 class TestCertifiedLabels:
-    # enough queries for a rank cap of 100, above the rank at 1x median
     M = 20000
 
     @pytest.fixture(scope="class")
@@ -730,28 +730,45 @@ class TestCertifiedLabels:
         monkeypatch.setattr(eulac.solver, "predict_scores", counted)
         return rows
 
-    def test_rank_cap(self):
-        assert rank_cap(20000, 1500) == 100
-        assert rank_cap(5000, 1500) == 50
-        assert rank_cap(10**7, 1500) == 1500 // 8
-        assert rank_cap(1, 1500) == 0
+    @staticmethod
+    def _count_factorizations(monkeypatch):
+        """(rank cap, pivot count or None when it gave up) of every factorization."""
+        calls = []
+        factor = eulac.solver.pivoted_cholesky
 
+        def counted(spec, points, max_rank):
+            result = factor(spec, points, max_rank)
+            calls.append((max_rank, None if result is None else len(result[1])))
+            return result
+
+        monkeypatch.setattr(eulac.solver, "pivoted_cholesky", counted)
+        return calls
+
+    def test_rank_cap(self):
+        assert rank_cap(1500) == 187
+        assert rank_cap(60) == 7
+        assert rank_cap(7) == 0
+
+    # 5,000 queries is the benchmark's fit_square eval, 20,000 its eval_bulk
+    @pytest.mark.parametrize("m", [5000, 20000])
     @pytest.mark.parametrize("mult", [1.0, 0.1])
-    def test_equal_to_dense_labels(self, bundled, mult, monkeypatch):
+    def test_equal_to_dense_labels(self, bundled, mult, m, monkeypatch):
         models, X = bundled
-        model = self._fresh(models[mult])
+        X = X[:m]
+        model = models[mult]
         reference = predict_labels(predict_scores(model, X))
         rows = self._count_dense_rows(monkeypatch)
+        calls = self._count_factorizations(monkeypatch)
         np.testing.assert_array_equal(model.predict(X), reference)
-        cap, expansion = model._expansion
-        assert cap == 100
+        assert len(calls) == 1 and calls[0][0] == rank_cap(1500)
+        pivots = calls[0][1]
         if mult == 1.0:
             # the low-rank path, with a few near-tie rows scored densely
-            assert expansion is not None and len(expansion.pivots) <= cap
+            assert pivots is not None and pivots <= rank_cap(1500)
             assert len(rows) == 1 and 0 < rows[0] < len(X) // 100
         else:
-            # 0.1x needs far more than 100 pivots: every row is scored densely
-            assert expansion is None
+            # 0.1x needs far more than n / 8 pivots: every row is scored densely
+            assert pivots is None
             assert rows == [len(X)]
 
     def test_radius_bounds_the_score_error(self, bundled):
@@ -770,32 +787,28 @@ class TestCertifiedLabels:
         model = self._fresh(models[1.0], alpha)
         dense = predict_scores(model, X)
         rows = self._count_dense_rows(monkeypatch)
+        calls = self._count_factorizations(monkeypatch)
         labels = model.predict(X)
         np.testing.assert_array_equal(labels, predict_labels(dense))
         # every row won by one of the twin columns is scored densely
         twins = np.max(dense[:, :2], axis=1) >= dense[:, 2]
-        assert model._expansion[1] is not None
+        assert len(calls) == 1 and calls[0][1] is not None
         assert len(rows) == 1 and rows[0] >= np.count_nonzero(twins)
         if gap == 0.0:
             # twin scores tie, and the tie goes to the smaller index
             tied = dense[:, 0] == dense[:, 1]
             assert np.all(labels[tied & twins] == 1)
 
-    def test_factored_once_per_instance(self, bundled, monkeypatch):
+    def test_factored_at_every_call(self, bundled, monkeypatch):
         models, X = bundled
-        model = self._fresh(models[1.0])
-        calls = []
-        factor = eulac.solver.pivoted_cholesky
-        monkeypatch.setattr(eulac.solver, "pivoted_cholesky",
-                            lambda *a: calls.append(a[2]) or factor(*a))
+        model = models[1.0]
+        calls = self._count_factorizations(monkeypatch)
         text = model.to_json()
-        model.predict(X[:1])  # a cap of 0 gives up at once
-        model.predict(X)
-        model.predict(X[:5000])
-        model.predict(X)
-        assert calls == [0, 100]
+        for queries in (X[:1], X, X[:1]):
+            model.predict(queries)
+        # the cap and the pivots depend on the model alone, not on the queries
+        assert len(calls) == 3 and len(set(calls)) == 1
         assert model.to_json() == text
-        assert DualModel.from_json(text)._expansion is None
 
     def test_checks_queries_like_predict_scores(self, bundled):
         model = self._fresh(bundled[0][1.0])
@@ -810,19 +823,20 @@ class TestCertifiedLabels:
 
     # rank 193 at sigma 1 (every row dense), 60 at sigma 3 (low rank)
     @pytest.mark.parametrize("sigma", [1.0, 3.0])
-    def test_memory_does_not_grow_with_queries(self, sigma):
+    def test_memory_does_not_grow_with_queries(self, sigma, monkeypatch):
         rng = np.random.default_rng(9)
         support = rng.normal(size=(1500, 2))
         model = DualModel(support, rng.normal(size=(1500, 3)), KernelSpec(sigma),
                           "square", THETA, LAM, 2)
         queries = rng.normal(size=(20000, 2))
+        calls = self._count_factorizations(monkeypatch)
         tracemalloc.start()
         try:
             model.predict(queries)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (model._expansion[1] is None) == (sigma == 1.0)
+        assert len(calls) == 1 and (calls[0][1] is None) == (sigma == 1.0)
         assert peak < 40e6
 
 
@@ -894,6 +908,30 @@ class TestSerialization:
         assert back.record.iterations is None and back.record.final_gradient_norm is None
         assert back.record.objective_history == ()
         assert back.to_json() == text
+
+    def test_model_without_record_is_not_saved(self, instance):
+        # no solve gave it a verdict, so the writer does not invent one
+        L, U, kernel, _ = instance
+        model = fit_square_closed_form(L, U, kernel, THETA, LAM)
+        bare = DualModel(model.support_points, model.alpha, kernel, "square", THETA, LAM, 2)
+        with pytest.raises(ValueError, match="no convergence verdict"):
+            bare.to_json()
+        # a loaded model keeps only the verdict, and that is enough to save it
+        text = model.to_json()
+        loaded = DualModel.from_json(text)
+        assert loaded.record == FitRecord(None, None, True)
+        assert loaded.to_json() == text
+
+    @pytest.mark.parametrize("name", ["support_points", "alpha"])
+    @pytest.mark.parametrize("entry", [[0.0], {"x": 0.0}, "0.0x"],
+                             ids=["ragged", "object", "string"])
+    def test_malformed_array_named(self, instance, name, entry):
+        L, U, kernel, _ = instance
+        payload = json.loads(fit_square_closed_form(L, U, kernel, THETA, LAM).to_json())
+        payload[name][1] = entry
+        with pytest.raises(ValueError, match=f"^model file: field '{name}' is not a "
+                                             f"rectangular array of numbers$"):
+            DualModel.from_json(json.dumps(payload))
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError, match="format"):
