@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,7 +13,15 @@ from scipy.spatial.distance import cdist, pdist
 # scale, exp and product release the GIL, so the tiles are spread over up to
 # GRAM_BLOCK_ROWS // TILE_ROWS threads, one per CPU this process may use.  An
 # entry does not depend on the tile that holds it, so every result is the
-# same whatever the CPU count.
+# same whatever the CPU count.  The shifted-Lanczos product v @ A runs on
+# the same ``Workers``, one BLAS call per TILE_ROWS-column tile whatever the
+# CPU count, so it too is the same on any number of CPUs.  One block per
+# worker would not be: with numpy's bundled OpenBLAS 0.3.31 on x86-64
+# (Haswell kernels), a call of at most 1e6 multiply-adds takes a
+# small-matrix kernel that rounds differently, as did the last 4 columns of
+# a 188-column end block at p = 20, n = 700.  So blocks cut at multiples of
+# TILE_ROWS moved last bits at some shapes (p = 6, n = 700, 4 workers) but
+# not at others (p = 20, n = 1000).
 TILE_ROWS = 256
 # Row-block height for kernel products whose row count grows with the input:
 # the theta estimate's pass over the pooled Gram holds one block, and
@@ -121,27 +129,66 @@ def _worker_count(n_rows: int) -> int:
     return min(_usable_cpus(), GRAM_BLOCK_ROWS // TILE_ROWS, tiles)
 
 
-def _each_tile(n_rows: int, workers: int, work) -> None:
-    """Call ``work(worker, start, stop)`` once for every TILE_ROWS-row tile.
+class Workers:
+    """``count`` workers that share out TILE_ROWS-long tiles of rows or
+    columns, for the life of a ``with`` block.
 
-    Worker w takes tiles w, w + workers, ... in order.  Worker 0 is the
-    calling thread; the others run on threads that live for this call.
-    ``work`` runs outside the calling thread, so it must not reach a
-    module-level name that a tracer may wrap (``eulac.solver.gram`` and the
-    like): a tracer keeps one span stack for the process.
+    Worker 0 is the calling thread; the other count - 1 are threads that
+    live until the block ends, so a loop that runs many parallel steps, such
+    as a Lanczos run's products, starts its threads once.
     """
-    def share(worker):
-        for start in range(worker * TILE_ROWS, n_rows, workers * TILE_ROWS):
-            work(worker, start, min(start + TILE_ROWS, n_rows))
 
-    if workers == 1:
-        share(0)
-        return
-    with ThreadPoolExecutor(workers - 1) as pool:
-        others = [pool.submit(share, worker) for worker in range(1, workers)]
-        share(0)
-    for done in others:
-        done.result()
+    def __init__(self, count: int):
+        self.count = count
+        self._pool = None
+
+    @classmethod
+    def for_tiles(cls, n_rows: int) -> "Workers":
+        """One worker per usable CPU, at most GRAM_BLOCK_ROWS // TILE_ROWS
+        and at most one per tile of n_rows rows."""
+        return cls(_worker_count(n_rows))
+
+    def __enter__(self) -> "Workers":
+        if self.count > 1:
+            self._pool = ThreadPoolExecutor(self.count - 1)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
+
+    def each_tile(self, n_rows: int, work) -> None:
+        """Call ``work(worker, start, stop)`` once for every TILE_ROWS-long
+        tile [start, stop) of range(n_rows), and return when every tile is
+        done.
+
+        Worker w takes tiles w, w + count, ... in order.  The calling
+        thread's error is raised first, then the first other worker's.
+        ``work`` runs outside the calling thread, so it must not reach a
+        module-level name that a tracer may wrap (``eulac.solver.gram`` and
+        the like): a tracer keeps one span stack for the process.  Nor
+        should it allocate an array: the buffers it writes into are
+        allocated by the caller, so no worker thread grows a malloc arena.
+        """
+        def share(worker):
+            for start in range(worker * TILE_ROWS, n_rows, self.count * TILE_ROWS):
+                work(worker, start, min(start + TILE_ROWS, n_rows))
+
+        others = [self._pool.submit(share, worker) for worker in range(1, self.count)]
+        try:
+            share(0)
+        finally:
+            wait(others)
+        for done in others:
+            done.result()
+
+
+def _each_tile(n_rows: int, workers: int, work) -> None:
+    """``Workers(workers).each_tile(n_rows, work)``, on threads that live
+    for this call."""
+    with Workers(workers) as pool:
+        pool.each_tile(n_rows, work)
 
 
 def gram(spec: KernelSpec, rows, cols) -> np.ndarray:

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import eulac.kernel
 import eulac.solver
 from eulac.data import LabeledDataset, UnlabeledDataset, kfold_indices, sample_synthetic
 from eulac.evalbench import ConfusionMatrix, macro_f1
@@ -129,6 +130,18 @@ class TestCrossValidate:
         assert runs == [(3 * (L.num_known_classes + 2), 3)] * 2
         fit_with_selection(L, U, THETA, grid, seed=0)
         assert factors[0] == 1
+
+    def test_square_loss_report_same_on_any_cpu_count(self, monkeypatch):
+        # 700 unlabeled rows: the Lanczos product's three column tiles run
+        # on one, two or three workers, which must not move a bit of the
+        # report
+        L, U, _ = _data(seed=2, n_l=60, n_u=700)
+        grid = HyperGrid(sigma_multipliers=(0.1, 1.0), lambda_candidates=(1e-3, 0.1), folds=3)
+        reports = []
+        for cpus in (1, 4):
+            monkeypatch.setattr(eulac.kernel, "_usable_cpus", lambda: cpus)
+            reports.append(cross_validate(L, U, THETA, grid, seed=0).to_json())
+        assert reports[0] == reports[1]
 
     def test_unconverged_first_order_solves_are_counted(self, monkeypatch):
         solve = eulac.modelsel._first_order_alpha

@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -441,7 +442,8 @@ class TestFoldLanczos:
 
 class _CountingProducts(np.ndarray):
     """An operator that counts the matrix products it takes part in: one per
-    Lanczos step."""
+    TILE_ROWS-column tile of each Lanczos step, so one per step when n is at
+    most one tile."""
 
     products = 0
 
@@ -470,6 +472,43 @@ class TestShiftedLanczos:
             for j, shift in enumerate(shifts):
                 ref = np.linalg.solve(A + shift * np.eye(n), starts[r])
                 assert np.max(np.abs(x[r, :, j] - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [250, 700, 1000])
+    def test_same_bits_on_any_cpu_count(self, monkeypatch, n):
+        # 250 is one tile; 700 and 1,000 end in a short tile, and split the
+        # product's tiles unevenly over 2 and 4 workers (more threads than
+        # CPUs where CPUs are few, at a short switch interval: a tile lost or
+        # read from another step would move the result).  Per-worker blocks
+        # cut at tile boundaries moved bits at n = 700 with 4 workers.
+        # Three folds' masks, each with a mask and a data start vector, and
+        # three shifts, as cross-validation runs them.
+        rng = np.random.default_rng(n)
+        X = rng.normal(size=(n, 2))
+        A = gram(KernelSpec(median_heuristic(X)), X, X)
+        masks = np.ones((6, n))
+        for f in range(3):
+            masks[2 * f:2 * f + 2, f::3] = 0.0
+        starts = masks * np.repeat([[1.0], [0.0]], 3, axis=0)
+        starts[1::2] = masks[1::2] * rng.normal(size=(3, n))
+        scales = 1.0 / (2.0 * masks.sum(axis=1))
+        shifts = 2.0 * np.array([1e-3, 1e-2, 1e-1]) + GRAM_JITTER
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cpus in (1, 2, 4):
+                monkeypatch.setattr(eulac.kernel, "_usable_cpus", lambda: cpus)
+                assert eulac.kernel._worker_count(n) == min(cpus, -(-n // TILE_ROWS))
+                results.append(_shifted_lanczos(A, starts, shifts, masks, scales))
+        finally:
+            sys.setswitchinterval(interval)
+        for x in results[1:]:
+            np.testing.assert_array_equal(x, results[0])
+        # and the result solves fold 0's data system at the smallest shift
+        m = masks[1].astype(bool)
+        system = A[np.ix_(m, m)] * scales[1] + shifts[0] * np.eye(m.sum())
+        ref = np.linalg.solve(system, starts[1, m])
+        assert np.max(np.abs(results[0][1, m, 0] - ref)) <= 1e-9 * np.max(np.abs(ref))
 
     def test_nonpositive_pivot_names_its_start_vector(self):
         # row 0's operator is -(-I) = I, row 1's is -I: shifted by 0.5, its
@@ -804,11 +843,22 @@ class TestCertifiedLabels:
         model = models[1.0]
         calls = self._count_factorizations(monkeypatch)
         text = model.to_json()
-        for queries in (X[:1], X, X[:1]):
+        for queries in (X[:1500], X, X[:1500]):
             model.predict(queries)
         # the cap and the pivots depend on the model alone, not on the queries
         assert len(calls) == 3 and len(set(calls)) == 1
         assert model.to_json() == text
+
+    @pytest.mark.parametrize("m, factored", [(1499, 0), (1500, 1)])
+    def test_fewer_queries_than_support_points_scored_densely(self, bundled, monkeypatch,
+                                                             m, factored):
+        # n = 1,500: below it the dense product costs less than the factorization
+        models, X = bundled
+        model = models[1.0]
+        reference = predict_labels(predict_scores(model, X[:m]))
+        calls = self._count_factorizations(monkeypatch)
+        np.testing.assert_array_equal(model.predict(X[:m]), reference)
+        assert len(calls) == factored
 
     def test_checks_queries_like_predict_scores(self, bundled):
         model = self._fresh(bundled[0][1.0])
