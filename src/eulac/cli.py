@@ -63,7 +63,8 @@ def _checked_flags(args) -> HyperGrid | None:
     flags = vars(args)
     if flags.get("theta") is not None:
         dt.check_theta(args.theta)
-    floors = {"repeats": 1, "n_labeled": 1, "n_unlabeled": 1, "n_test": 1, "grid_resolution": 2}
+    floors = {"repeats": 1, "n_labeled": 1, "n_unlabeled": 1, "n_test": 1, "grid_resolution": 2,
+              "folds": 2}
     for key, least in floors.items():
         if key in flags:
             dt.check_count("--" + key.replace("_", "-"), flags[key], least)

@@ -109,7 +109,8 @@ def check_count(name: str, count: int, least: int = 1) -> None:
 
 
 def check_ratios(name: str, ratios) -> None:
-    """Refuse a novel-class share outside [0, 1), NaN included."""
+    """Refuse no novel-class shares, or one outside [0, 1), NaN included."""
+    check_count(f"the number of {name}", len(ratios))
     if not all(0.0 <= r < 1.0 for r in ratios):
         raise ValueError(f"{name} must lie in [0, 1), got {list(ratios)}")
 

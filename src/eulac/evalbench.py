@@ -259,8 +259,10 @@ class ExperimentReport:
 
 
 def check_sizes(name: str, sizes) -> None:
-    """Refuse unlabeled sizes that are not strictly increasing from at least 1."""
-    if list(sizes) != sorted(set(sizes)) or min(sizes, default=1) < 1:
+    """Refuse no unlabeled sizes, or sizes that are not strictly increasing
+    from at least 1."""
+    check_count(f"the number of {name}", len(sizes))
+    if list(sizes) != sorted(set(sizes)) or min(sizes) < 1:
         raise ValueError(f"{name} must be strictly increasing and at least 1, got {list(sizes)}")
 
 

@@ -43,8 +43,9 @@ class HyperGrid:
     def __post_init__(self):
         if not self.sigma_multipliers or not self.lambda_candidates:
             raise ValueError("grids must be nonempty")
-        if not all(math.isfinite(v) and v > 0 for v in self.sigma_multipliers):
-            raise ValueError("grid values must be positive and finite")
+        bad = [m for m in self.sigma_multipliers if not (math.isfinite(m) and m > 0)]
+        if bad:
+            raise ValueError(f"sigma multipliers must be positive and finite, got {bad}")
         for lam in self.lambda_candidates:
             check_lambda(lam)
         if self.folds < 2:

@@ -32,7 +32,8 @@ from .kernel import (
     PIVOT_TOLERANCE,
     KernelSpec,
     TILE_ROWS,
-    Workers,
+    _each_tile,
+    _worker_count,
     gram,
     gram_product,
     pivoted_cholesky,
@@ -367,9 +368,9 @@ def _shifted_lanczos(
     reorthogonalization; the p recurrences advance in lockstep, so a step
     costs one (p, n) x (n, n) product.  That product is one BLAS call per
     kernel.TILE_ROWS-column tile, into a (p, n) buffer allocated here, with
-    the tiles shared out over ``kernel.Workers`` that live for the whole
-    run; the calls do not depend on the CPU count, so neither does the
-    result.  At p = 20 and n = 1000 (the bundled spec at 500/1000, 5 folds)
+    the tiles shared out by ``kernel._each_tile`` over the calling thread
+    and the process's tile pool, whose threads every step reuses; the calls
+    do not depend on the CPU count, so neither does the result.  At p = 20 and n = 1000 (the bundled spec at 500/1000, 5 folds)
     the tiles' product equals the one-call v @ A bit for bit.  The weights,
     the dot products, the reorthogonalization and the pivots run in the
     calling thread.  After m steps the solution for shift
@@ -406,53 +407,53 @@ def _shifted_lanczos(
         block, out = tiles[start // TILE_ROWS]
         np.matmul(v, block, out=out)
 
-    with Workers.for_tiles(n) as workers:
-        for m in range(max_steps):
-            v = Q[:, m]
-            workers.each_tile(n, product)
-            w *= weights
-            a = np.einsum("pn,pn->p", v, w)
-            w -= a[:, None] * v
-            if m:
-                w -= beta[:, None] * Q[:, m - 1]
-            basis = Q[:, :m + 1]
-            w -= np.matmul(np.matmul(basis, w[:, :, None]).transpose(0, 2, 1), basis)[:, 0]
-            d = a[:, None] + shifts
-            if m:
-                d -= (beta ** 2)[:, None] / pivots[-1]
-                first = -(beta[:, None] / pivots[-1]) * firsts[-1]
-            else:
-                first = np.ones_like(d)
-            failed = np.flatnonzero(~np.all(d > 0.0, axis=1))
-            if len(failed):
-                row = int(failed[0])
-                raise _located(np.linalg.LinAlgError(
-                    "square-loss system not positive definite "
-                    f"(Lanczos pivot {np.min(d[row]):.3e} at step {m + 1})"), row=row)
-            beta = np.linalg.norm(w, axis=1)
-            residuals = np.max(beta[:, None] * np.abs(first / d), axis=1)
-            open_rows = residuals > KRYLOV_TOLERANCE
-            # a converged recurrence stops here: with no coupling and a zero
-            # next vector its solution stays this step's, and it does not go on
-            # to normalize rounding noise into vectors that lose orthogonality
-            beta[~open_rows] = 0.0
-            w[~open_rows] = 0.0
-            pivots.append(d)
-            firsts.append(first)
-            betas.append(beta)
-            if not open_rows.any():
-                break
-            capped = np.flatnonzero(open_rows & (caps <= m + 1))
-            if len(capped):
-                row = int(capped[0])
-                raise _located(np.linalg.LinAlgError(
-                    f"shifted Lanczos stopped at its cap of {caps[row]} steps with relative "
-                    f"residual {residuals[row]:.3e} above {KRYLOV_TOLERANCE:.1e}"), row=row)
-            if m + 1 == Q.shape[1]:
-                grown = np.empty((p, min(max_steps, 2 * Q.shape[1]), n))
-                grown[:, :m + 1] = Q
-                Q = grown
-            Q[:, m + 1] = w / np.where(beta > 0.0, beta, 1.0)[:, None]
+    workers = _worker_count(n)
+    for m in range(max_steps):
+        v = Q[:, m]
+        _each_tile(n, workers, product)
+        w *= weights
+        a = np.einsum("pn,pn->p", v, w)
+        w -= a[:, None] * v
+        if m:
+            w -= beta[:, None] * Q[:, m - 1]
+        basis = Q[:, :m + 1]
+        w -= np.matmul(np.matmul(basis, w[:, :, None]).transpose(0, 2, 1), basis)[:, 0]
+        d = a[:, None] + shifts
+        if m:
+            d -= (beta ** 2)[:, None] / pivots[-1]
+            first = -(beta[:, None] / pivots[-1]) * firsts[-1]
+        else:
+            first = np.ones_like(d)
+        failed = np.flatnonzero(~np.all(d > 0.0, axis=1))
+        if len(failed):
+            row = int(failed[0])
+            raise _located(np.linalg.LinAlgError(
+                "square-loss system not positive definite "
+                f"(Lanczos pivot {np.min(d[row]):.3e} at step {m + 1})"), row=row)
+        beta = np.linalg.norm(w, axis=1)
+        residuals = np.max(beta[:, None] * np.abs(first / d), axis=1)
+        open_rows = residuals > KRYLOV_TOLERANCE
+        # a converged recurrence stops here: with no coupling and a zero
+        # next vector its solution stays this step's, and it does not go on
+        # to normalize rounding noise into vectors that lose orthogonality
+        beta[~open_rows] = 0.0
+        w[~open_rows] = 0.0
+        pivots.append(d)
+        firsts.append(first)
+        betas.append(beta)
+        if not open_rows.any():
+            break
+        capped = np.flatnonzero(open_rows & (caps <= m + 1))
+        if len(capped):
+            row = int(capped[0])
+            raise _located(np.linalg.LinAlgError(
+                f"shifted Lanczos stopped at its cap of {caps[row]} steps with relative "
+                f"residual {residuals[row]:.3e} above {KRYLOV_TOLERANCE:.1e}"), row=row)
+        if m + 1 == Q.shape[1]:
+            grown = np.empty((p, min(max_steps, 2 * Q.shape[1]), n))
+            grown[:, :m + 1] = Q
+            Q = grown
+        Q[:, m + 1] = w / np.where(beta > 0.0, beta, 1.0)[:, None]
 
     # back substitution through L^T gives (T_m + s I)^{-1} e_1 for every
     # start vector and shift at once

@@ -479,9 +479,9 @@ class TestThetaAndCv:
           for command in ("fit", "cv", "theta", "bench")
           for flag, message in (
               (["--theta", "1.5"], "theta must lie in (0, 1], got 1.5"),
-              (["--folds", "1"], "need at least 2 folds"),
+              (["--folds", "1"], "--folds must be at least 2, got 1"),
               (["--lambda", "nan"], "regularization weight must be positive and finite, got nan"),
-              (["--sigma-mult", "inf"], "grid values must be positive and finite"))
+              (["--sigma-mult", "inf"], "sigma multipliers must be positive and finite, got [inf]"))
           if command != "theta" or flag[0] == "--theta"),
         # its shift 2 lambda overflows; the grid used to pass it on to the
         # median and the first Gram

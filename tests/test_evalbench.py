@@ -235,6 +235,16 @@ class TestScalingHarness:
         with pytest.raises(ValueError, match="seed"):
             run_unlabeled_scaling(two_cluster_spec(0.7, 0), sizes=(50,), seeds=())
 
+    def test_needs_sizes(self):
+        # no size used to give a report with no runs
+        with pytest.raises(ValueError, match="^the number of sizes must be at least 1, got 0$"):
+            run_unlabeled_scaling(two_cluster_spec(0.7, 0), sizes=(), seeds=(0,))
+
+    def test_theta_sweep_needs_ratios(self):
+        # no ratio used to give a report with no runs
+        with pytest.raises(ValueError, match="^the number of ratios must be at least 1, got 0$"):
+            run_theta_sweep(two_cluster_spec(0.7, 0), ratios=(), seeds=(0,))
+
     def test_theta_sweep_needs_seeds(self):
         # no seed used to give a report with no runs: header-only CSVs
         with pytest.raises(ValueError, match="^the number of seeds must be at least 1, got 0$"):

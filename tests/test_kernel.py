@@ -1,5 +1,7 @@
+import multiprocessing
 import re
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -248,6 +250,85 @@ class TestTiles:
         gram_product(KernelSpec(1.0), rng.normal(size=(5 * TILE_ROWS, 2)),
                      rng.normal(size=(30, 2)), np.ones((30, 2)))
         assert len(calls) == 1
+
+
+def _save_gram(path, X):
+    np.save(path, gram(KernelSpec(0.8), X, X))
+
+
+class TestTilePool:
+    def test_concurrent_callers_get_the_serial_result(self, monkeypatch):
+        # two threads deal their tiles to the one pool at once; a tile run
+        # into the other caller's buffer, or not run, would leave rows of
+        # np.empty or of another Gram
+        rng = np.random.default_rng(5)
+        X, Y = rng.normal(size=(700, 3)), rng.normal(size=(300, 3))
+        spec = KernelSpec(0.8)
+        monkeypatch.setattr(eulac.kernel, "_usable_cpus", lambda: 1)
+        expected = gram(spec, X, Y)
+        monkeypatch.setattr(eulac.kernel, "_usable_cpus", lambda: 4)
+        assert eulac.kernel._worker_count(len(X)) == 3
+        start = threading.Barrier(2)
+        results = ([], [])
+
+        def run(slot):
+            start.wait(timeout=30)
+            for _ in range(5):
+                results[slot].append(gram(spec, X, Y))
+
+        callers = [threading.Thread(target=run, args=(slot,)) for slot in (0, 1)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+        assert not any(caller.is_alive() for caller in callers)
+        for got in results:
+            assert len(got) == 5
+            for G in got:
+                np.testing.assert_array_equal(G, expected)
+
+    def test_repeated_calls_reuse_the_pool_threads(self, monkeypatch):
+        # a pool of this test's own, so its first call makes every thread:
+        # all four workers must meet at a barrier before any tile ends
+        monkeypatch.setattr(eulac.kernel, "_tile_pool", None)
+        monkeypatch.setattr(eulac.kernel, "_usable_cpus", lambda: 4)
+        workers = GRAM_BLOCK_ROWS // TILE_ROWS
+        meet = threading.Barrier(workers)
+        first, later = set(), set()
+
+        def meet_all(*tile):
+            first.add(threading.current_thread())
+            meet.wait(timeout=30)
+
+        eulac.kernel._each_tile(GRAM_BLOCK_ROWS, workers, meet_all)
+        assert len(first) == workers
+        threads = threading.active_count()
+        X = np.random.default_rng(7).normal(size=(GRAM_BLOCK_ROWS, 2))
+        for _ in range(5):
+            gram(KernelSpec(0.8), X, X)
+            eulac.kernel._each_tile(GRAM_BLOCK_ROWS, workers,
+                                    lambda *tile: later.add(threading.current_thread()))
+            assert threading.active_count() <= threads
+        assert later <= first
+
+    # Python 3.12+ warns at every fork of a process that has threads
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_forked_child_makes_its_own_pool(self, monkeypatch, tmp_path):
+        # the child inherits the parent's pool but none of its threads, so
+        # tiles dealt to that pool would never run
+        monkeypatch.setattr(eulac.kernel, "_usable_cpus", lambda: 4)
+        X = np.random.default_rng(6).normal(size=(3 * TILE_ROWS + 1, 2))
+        expected = gram(KernelSpec(0.8), X, X)
+        child = multiprocessing.get_context("fork").Process(
+            target=_save_gram, args=(tmp_path / "child.npy", X))
+        child.start()
+        child.join(timeout=30)
+        if child.is_alive():
+            child.kill()
+            child.join()
+            pytest.fail("the forked child's gram did not return within 30 s")
+        assert child.exitcode == 0
+        np.testing.assert_array_equal(np.load(tmp_path / "child.npy"), expected)
 
 
 class TestMedianHeuristic:

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -39,9 +40,11 @@ class TestHyperGrid:
         for bad in (float("nan"), float("inf"), 1e308):
             with pytest.raises(ValueError, match="regularization weight must be positive"):
                 HyperGrid(lambda_candidates=(0.1, bad))
-        for bad in (float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="grid values must be positive and finite"):
-                HyperGrid(sigma_multipliers=[bad])
+        # the message names the multipliers and only the bad values
+        for bad in (float("nan"), float("inf"), 0.0, -1.0):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"sigma multipliers must be positive and finite, got [{bad}]")):
+                HyperGrid(sigma_multipliers=[1.0, bad])
         with pytest.raises(ValueError):
             HyperGrid(folds=1)
 
