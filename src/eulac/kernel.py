@@ -126,7 +126,9 @@ def _usable_cpus() -> int:
 
 
 def _worker_count(n_rows: int) -> int:
-    tiles = -(-n_rows // TILE_ROWS)
+    # a last tile shorter than half a tile gets no worker of its own: the
+    # hand-off would cost more than its rows
+    tiles = max((n_rows + TILE_ROWS // 2) // TILE_ROWS, 1)
     return min(_usable_cpus(), GRAM_BLOCK_ROWS // TILE_ROWS, tiles)
 
 

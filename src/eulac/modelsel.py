@@ -135,8 +135,9 @@ def cross_validate(
     each (fold, lambda) on the fold's gathered training Gram with the
     refit's default ``FitOptions``, one L-BFGS-B run per score column, and
     count the folds that end unconverged in ``CvCell.nonconverged_folds``.
-    Validation scores multiply the validation rows of the pooled Gram by
-    dual coefficients that are zero outside the fold's training rows.
+    Each fold's dual coefficients for every lambda form one (n, L, K+1)
+    block, zero outside the fold's training rows, so one product with the
+    validation rows of the pooled Gram scores every lambda.
     """
     n_l = len(labeled)
     pooled = pooled_points(labeled, unlabeled)
@@ -150,11 +151,11 @@ def cross_validate(
     cells: list[CvCell] = []
     for mult in grid.sigma_multipliers:
         sigma = mult * median
-        G = fold_alphas = None  # release the last bandwidth's arrays before its successor
+        G = blocks = None  # release the last bandwidth's arrays before its successor
         G = gram(KernelSpec(sigma), pooled, pooled)
         if square:
             try:
-                fold_alphas = _square_loss_fold_alphas(
+                blocks = _square_loss_fold_alphas(
                     G, n_l, labeled.y, K, theta,
                     [(train_L, train_U) for train_L, train_U, _, _ in folds], lams)
             except np.linalg.LinAlgError as exc:
@@ -163,34 +164,31 @@ def cross_validate(
         nonconverged = [0 for _ in lams]
         for fold, (train_L, train_U, val_L, val_U) in enumerate(folds):
             if square:
-                alphas = fold_alphas[fold]
+                coef = blocks[fold]
             else:
                 sup = np.concatenate([train_L, n_l + train_U])
                 G_tt = G[np.ix_(sup, sup)]
-                alphas = []
+                coef = np.zeros((len(pooled), len(lams), K + 1))
                 for i, lam in enumerate(lams):
                     try:
-                        alpha_sup, record = _first_order_alpha(
+                        coef[sup, i], record = _first_order_alpha(
                             G_tt, labeled.y[train_L], K, len(train_L), len(train_U), theta,
                             FitOptions(lam=lam), grid.loss_kind)
                     except Exception as exc:
                         raise _fit_failure(mult, (lam,), fold, exc) from exc
                     nonconverged[i] += not record.converged
-                    alpha = np.zeros((len(pooled), K + 1))
-                    alpha[sup] = alpha_sup
-                    alphas.append(alpha)
                 del G_tt
             # one product scores every lambda: the validation rows are read once
-            scores = G.take(np.concatenate([val_L, n_l + val_U]), axis=0) @ np.hstack(alphas)
+            scores = (G.take(np.concatenate([val_L, n_l + val_U]), axis=0)
+                      @ coef.reshape(len(pooled), -1)).reshape(-1, len(lams), K + 1)
             for i, lam_risks in enumerate(risks):
-                scores_val = scores[:, i * (K + 1):(i + 1) * (K + 1)]
                 lam_risks.append(lac_risk_from_scores(
-                    scores_val[:len(val_L)], labeled.y[val_L], scores_val[len(val_L):],
+                    scores[:len(val_L), i], labeled.y[val_L], scores[len(val_L):, i],
                     theta, grid.loss_kind
                 ))
         for lam, lam_risks, missed in zip(lams, risks, nonconverged):
             risks_arr = np.array(lam_risks)
-            stderr = float(risks_arr.std(ddof=1) / np.sqrt(len(risks_arr))) if len(risks_arr) > 1 else 0.0
+            stderr = float(risks_arr.std(ddof=1) / np.sqrt(len(risks_arr)))
             cells.append(CvCell(mult, sigma, lam, float(risks_arr.mean()), stderr,
                                 tuple(lam_risks), missed))
 

@@ -138,6 +138,8 @@ class DualModel:
         # prediction trusts them and checks only the queries
         if not np.all(np.isfinite(pts)):
             raise ValueError("support points must be finite")
+        if self.num_known_classes < 1:
+            raise ValueError("need at least one known class")
         a = np.asarray(self.alpha, dtype=float)
         if a.shape != (pts.shape[0], self.num_known_classes + 1):
             raise ValueError(f"alpha must be (n, K+1), got {a.shape}")
@@ -202,9 +204,14 @@ class DualModel:
             raise ValueError("model file: " + "; ".join(problems))
         for name in ("support_points", "alpha"):
             try:
-                payload[name] = np.asarray(payload[name], dtype=float)
+                array = np.asarray(payload[name], dtype=float)
+                # float() also reads a numeric string or a JSON true: the
+                # entries of a 2-D array must be JSON numbers
+                if array.ndim == 2 and {type(v) for r in payload[name] for v in r} - {int, float}:
+                    raise TypeError
             except (TypeError, ValueError):  # ragged, or holding an object or a string
                 raise ValueError(f"model file: field {name!r} is not a rectangular array of numbers")
+            payload[name] = array
         return DualModel(
             support_points=payload["support_points"],
             alpha=payload["alpha"],
@@ -370,7 +377,8 @@ def _shifted_lanczos(
     kernel.TILE_ROWS-column tile, into a (p, n) buffer allocated here, with
     the tiles shared out by ``kernel._each_tile`` over the calling thread
     and the process's tile pool, whose threads every step reuses; the calls
-    do not depend on the CPU count, so neither does the result.  At p = 20 and n = 1000 (the bundled spec at 500/1000, 5 folds)
+    do not depend on the CPU count, so neither does the result.  At p = 15
+    and n = 1000 (the bundled spec at 500/1000, 5 folds, 2 known classes)
     the tiles' product equals the one-call v @ A bit for bit.  The weights,
     the dot products, the reorthogonalization and the pivots run in the
     calling thread.  After m steps the solution for shift
@@ -472,7 +480,7 @@ def _square_loss_fold_alphas(
     theta: float,
     folds,
     lams,
-) -> list[list[np.ndarray]]:
+) -> np.ndarray:
     """Square-loss stationary points of every training fold at every weight.
 
     G is the pooled Gram matrix, n_l labeled rows first; ``folds`` holds
@@ -485,13 +493,16 @@ def _square_loss_fold_alphas(
     r0 = +-m_f / (2 n_u,f) in every column and
     r1 = m_f * G_UL B_L,f / (4 n_u,f).  A Krylov space does not change when
     its matrix is shifted, so one shifted-Lanczos run on the shared G_UU,
-    started from every fold's m_f and the K+1 columns of its r1, serves
+    started from every fold's m_f and the K known columns of its r1, serves
     every fold and weight, with no factorization and no gathered block.
+    B_L,f's novel column is minus the sum of its known ones, so r1's is too,
+    and so is, the solve being linear, that column's solution.
 
     G is built by ``gram``, so its entries lie in [0, 1] and are not
-    scanned.  alphas[f][i] is (n, K+1) over the pooled support, zero
-    outside fold f's training rows.  A failed solve raises LinAlgError
-    whose ``fold`` names the fold.
+    scanned.  The result is (len(folds), n, len(lams), K+1), one block over
+    the pooled support per fold: [f, :, i] holds fold f's dual coefficients
+    at lams[i], zero outside its training rows.  A failed or non-finite
+    solve raises LinAlgError whose ``fold`` names the fold.
     """
     check_theta(theta)
     for lam in lams:
@@ -501,7 +512,7 @@ def _square_loss_fold_alphas(
     lams = np.asarray(lams, dtype=float)
     shifts = 2.0 * lams + GRAM_JITTER
 
-    width = K + 2  # start vectors per fold: m_f, then the K+1 columns of r1
+    width = K + 1  # start vectors per fold: m_f, then the K known columns of r1
     masks = np.zeros((len(folds) * width, n_u))
     scales = np.empty(len(folds) * width)
     B_L = np.zeros((len(folds), n_l, K + 1))
@@ -509,33 +520,30 @@ def _square_loss_fold_alphas(
         masks[f * width:(f + 1) * width, train_U] = 1.0
         scales[f * width:(f + 1) * width] = 1.0 / (2.0 * len(train_U))
         B_L[f, train_L] = _labeled_bracket(labels[train_L], K, theta)
-    # G_UL B_L,f of every fold from one product, one row per column
-    r1 = (G[n_l:, :n_l] @ np.hstack(B_L)).T
+    # G_UL B_L,f of every fold from one product, one row per known column
+    r1 = (G[n_l:, :n_l] @ np.hstack(B_L[:, :, :K])).T
     starts = masks.copy()
     for f, (_, train_U) in enumerate(folds):
-        starts[f * width + 1:(f + 1) * width] *= (r1[f * (K + 1):(f + 1) * (K + 1)]
-                                                  / (4.0 * len(train_U)))
+        starts[f * width + 1:(f + 1) * width] *= r1[f * K:(f + 1) * K] / (4.0 * len(train_U))
     try:
         x = _shifted_lanczos(G[n_l:, n_l:], starts, shifts, masks, scales)
     except np.linalg.LinAlgError as exc:
         exc.fold = exc.row // width
         raise
 
-    alphas = []
+    coef = np.empty((len(folds), n_l + n_u, len(lams), K + 1))
+    coef[:, :n_l] = -B_L[:, :, None] / (2.0 * lams[:, None])
     for f, (_, train_U) in enumerate(folds):
-        b_U = -_unlabeled_bracket(len(train_U), K)
-        x0, xr = x[f * width], x[f * width + 1:(f + 1) * width]
-        fold_alphas = []
-        for i, lam in enumerate(lams):
-            alpha = np.empty((n_l + n_u, K + 1))
-            alpha[:n_l] = -B_L[f] / (2.0 * lam)
-            alpha[n_l:] = np.outer(x0[:, i], b_U) + xr[:, :, i].T / lam
-            if not np.all(np.isfinite(alpha)):
-                raise _located(np.linalg.LinAlgError(
-                    f"square-loss solution is not finite at lambda={lam}"), fold=f)
-            fold_alphas.append(alpha)
-        alphas.append(fold_alphas)
-    return alphas
+        x0, xk = x[f * width], x[f * width + 1:(f + 1) * width]
+        xr = np.concatenate([xk, -xk.sum(axis=0, keepdims=True)])
+        coef[f, n_l:] = (x0[:, :, None] * -_unlabeled_bracket(len(train_U), K)
+                         + xr.transpose(1, 2, 0) / lams[:, None])
+    bad = np.argwhere(~np.isfinite(coef).all(axis=(1, 3)))
+    if len(bad):
+        f, i = bad[0]
+        raise _located(np.linalg.LinAlgError(
+            f"square-loss solution is not finite at lambda={lams[i]}"), fold=int(f))
+    return coef
 
 
 def fit_square_closed_form(

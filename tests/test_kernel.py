@@ -186,7 +186,8 @@ def _at_cpus(monkeypatch, cpus):
 class TestTiles:
     @pytest.mark.parametrize("cpus", CPU_COUNTS)
     @pytest.mark.parametrize("n", [1, TILE_ROWS - 1, TILE_ROWS, TILE_ROWS + 1,
-                                   GRAM_BLOCK_ROWS + 1, 5 * TILE_ROWS + 3])
+                                   TILE_ROWS + TILE_ROWS // 2, GRAM_BLOCK_ROWS + 1,
+                                   5 * TILE_ROWS + 3])
     def test_bit_identical_to_untiled_reference(self, monkeypatch, cpus, n):
         # every entry is computed on its own, so no tile edge and no worker
         # count moves a bit; 0.05 puts entries under the floor and the clamp
@@ -197,9 +198,11 @@ class TestTiles:
             expected = _floored(_unfloored(sigma, X, Y))
             np.testing.assert_array_equal(gram(KernelSpec(sigma), X, Y), expected)
 
-    @pytest.mark.parametrize("n", [1, 2, TILE_ROWS, TILE_ROWS + 1, 9 * TILE_ROWS])
+    @pytest.mark.parametrize("n", [1, 2, TILE_ROWS, TILE_ROWS + 1, 300, 383, 384, 9 * TILE_ROWS])
     def test_worker_count(self, monkeypatch, n):
-        tiles = -(-n // TILE_ROWS)
+        # a last tile shorter than half a tile gets no worker of its own
+        full, rest = divmod(n, TILE_ROWS)
+        tiles = max(full + (rest >= TILE_ROWS // 2), 1)
         for cpus in (1, 2, 3, 16):
             monkeypatch.setattr(eulac.kernel, "_usable_cpus", lambda: cpus)
             assert eulac.kernel._worker_count(n) == min(cpus, GRAM_BLOCK_ROWS // TILE_ROWS,

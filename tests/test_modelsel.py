@@ -129,8 +129,9 @@ class TestCrossValidate:
                          folds=3)
         cross_validate(L, U, THETA, grid, seed=0)
         assert factors[0] == 0
-        # per sigma: 3 folds x (K + 2) start vectors, 3 lambdas
-        assert runs == [(3 * (L.num_known_classes + 2), 3)] * 2
+        # per sigma: 3 folds x (K + 1) start vectors, 3 lambdas; the novel
+        # column's solution is minus the sum of the known ones'
+        assert runs == [(3 * (L.num_known_classes + 1), 3)] * 2
         fit_with_selection(L, U, THETA, grid, seed=0)
         assert factors[0] == 1
 

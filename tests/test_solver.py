@@ -233,7 +233,9 @@ def _lanczos_alphas(G, y, n_l, lams, theta=THETA):
     """The cross-validation solve, on a floored copy of G, with one fold
     that trains on every row."""
     folds = [(np.arange(n_l), np.arange(G.shape[0] - n_l))]
-    return _square_loss_fold_alphas(_floored(G), n_l, y, 2, theta, folds, lams)[0]
+    block, = _square_loss_fold_alphas(_floored(G), n_l, y, 2, theta, folds, lams)
+    assert block.shape == (G.shape[0], len(lams), 3)
+    return [block[:, i] for i in range(len(lams))]
 
 
 def _narrow_kernel(L, U):
@@ -413,15 +415,17 @@ class TestFoldLanczos:
         for mult in DEFAULT_SIGMA_MULTIPLIERS:
             G = gram(KernelSpec(mult * median), support, support)
             before = G.copy()
-            fold_alphas = _square_loss_fold_alphas(G, n_l, L.y, 2, THETA, folds, DEFAULT_LAMBDAS)
+            blocks = _square_loss_fold_alphas(G, n_l, L.y, 2, THETA, folds, DEFAULT_LAMBDAS)
             # the solve reads the floored Gram and changes none of it
             assert np.array_equal(G, before)
-            for (train_L, train_U), alphas in zip(folds, fold_alphas):
+            for (train_L, train_U), block in zip(folds, blocks):
                 sup = np.concatenate([train_L, n_l + train_U])
                 G_f = before[np.ix_(sup, sup)]
                 off_support = np.ones(len(G), dtype=bool)
                 off_support[sup] = False
-                for lam, alpha in zip(DEFAULT_LAMBDAS, alphas):
+                assert block.shape == (len(G), len(DEFAULT_LAMBDAS), 3)
+                for i, lam in enumerate(DEFAULT_LAMBDAS):
+                    alpha = block[:, i]
                     ref = _square_loss_alpha(G_f.copy(), len(train_L), L.y[train_L], 2, THETA,
                                              lam)
                     assert np.max(np.abs(alpha[sup] - ref)) <= 1e-10 * np.max(np.abs(ref))
@@ -438,6 +442,24 @@ class TestFoldLanczos:
         with pytest.raises(np.linalg.LinAlgError, match=r"cap of 1 steps") as info:
             _square_loss_fold_alphas(G, len(L), L.y, 2, THETA, folds, (1e-2,))
         assert info.value.fold == 3
+
+    def test_nonfinite_solution_names_fold_and_lambda(self, pooled, monkeypatch):
+        # one entry of fold 2's first known-column solution at the second
+        # weight overflows; it reaches that fold's novel column too
+        L, support, median, folds = pooled
+        lanczos = eulac.solver._shifted_lanczos
+
+        def overflowing(*args):
+            x = lanczos(*args)
+            x[2 * 3 + 1, 0, 1] = np.inf  # 3 = K + 1 start vectors per fold
+            return x
+
+        monkeypatch.setattr(eulac.solver, "_shifted_lanczos", overflowing)
+        G = gram(KernelSpec(median), support, support)
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=r"^square-loss solution is not finite at lambda=0\.1$") as info:
+            _square_loss_fold_alphas(G, len(L), L.y, 2, THETA, folds, (1e-2, 0.1, 1.0))
+        assert info.value.fold == 2
 
 
 class _CountingProducts(np.ndarray):
@@ -498,7 +520,8 @@ class TestShiftedLanczos:
         try:
             for cpus in (1, 2, 4):
                 monkeypatch.setattr(eulac.kernel, "_usable_cpus", lambda: cpus)
-                assert eulac.kernel._worker_count(n) == min(cpus, -(-n // TILE_ROWS))
+                tiles = (n + TILE_ROWS // 2) // TILE_ROWS
+                assert eulac.kernel._worker_count(n) == min(cpus, tiles)
                 results.append(_shifted_lanczos(A, starts, shifts, masks, scales))
         finally:
             sys.setswitchinterval(interval)
@@ -696,7 +719,7 @@ class TestBlockedPrediction:
         return fit_square_closed_form(L, U, kernel, THETA, LAM)
 
     @pytest.mark.parametrize("m", [1, TILE_ROWS - 1, TILE_ROWS, TILE_ROWS + 1,
-                                   GRAM_BLOCK_ROWS - 1, GRAM_BLOCK_ROWS,
+                                   TILE_ROWS + TILE_ROWS // 2, GRAM_BLOCK_ROWS - 1, GRAM_BLOCK_ROWS,
                                    GRAM_BLOCK_ROWS + 1, 2 * GRAM_BLOCK_ROWS + 513])
     def test_matches_one_shot_product(self, model, m, monkeypatch):
         queries = np.random.default_rng(m).normal(size=(m, 2))
@@ -973,14 +996,28 @@ class TestSerialization:
         assert loaded.to_json() == text
 
     @pytest.mark.parametrize("name", ["support_points", "alpha"])
-    @pytest.mark.parametrize("entry", [[0.0], {"x": 0.0}, "0.0x"],
-                             ids=["ragged", "object", "string"])
-    def test_malformed_array_named(self, instance, name, entry):
+    @pytest.mark.parametrize("row", [lambda row: [0.0], lambda row: {"x": 0.0},
+                                     lambda row: "0.0x", lambda row: ["0.5"] + row[1:],
+                                     lambda row: [True] + row[1:]],
+                             ids=["ragged", "object", "string", "numeric-string", "true"])
+    def test_malformed_array_named(self, instance, name, row):
+        # float() would read "0.5" and true as numbers; a model file holds none
         L, U, kernel, _ = instance
         payload = json.loads(fit_square_closed_form(L, U, kernel, THETA, LAM).to_json())
-        payload[name][1] = entry
+        payload[name][1] = row(payload[name][1])
         with pytest.raises(ValueError, match=f"^model file: field '{name}' is not a "
                                              f"rectangular array of numbers$"):
+            DualModel.from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("classes", [0, -1])
+    def test_no_known_class_rejected(self, instance, classes):
+        # a model of no known class has no label to predict; at -1 classes
+        # its alpha has no column, whose argmax is undefined
+        L, U, kernel, _ = instance
+        payload = json.loads(fit_square_closed_form(L, U, kernel, THETA, LAM).to_json())
+        payload["num_known_classes"] = classes
+        payload["alpha"] = [row[:classes + 1] for row in payload["alpha"]]
+        with pytest.raises(ValueError, match="^need at least one known class$"):
             DualModel.from_json(json.dumps(payload))
 
     def test_unknown_format_rejected(self):
