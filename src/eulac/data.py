@@ -179,36 +179,76 @@ def _one_colon_prefix(joined: str, n: int) -> int:
     return int(np.count_nonzero(marks[:wrong[0] if wrong.size else len(marks)] == ord(" ")))
 
 
-def load_libsvm(
-    path,
-    nc_label: int | None = None,
-    num_known_classes: int | None = None,
-) -> LabeledDataset:
-    """Read a LIBSVM text file (``label index:value ...``, 1-based indices).
+def _dense_shape(text: str) -> tuple[int, int] | None:
+    """``(n, d)`` when ``text`` is ASCII, its only whitespace is ' ' and
+    newlines, and its n nonblank lines each hold 1+d tokens (d >= 1, taken
+    from the first) with one ':' in each token after the first and no other
+    ':'; None otherwise."""
+    if not text.isascii():
+        return None
+    b = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    ends = np.flatnonzero(b == ord("\n"))
+    if np.count_nonzero(b < ord(" ")) != len(ends):
+        return None  # a tab, \v, \f, \x1c-\x1f or another control byte
+    space = b <= ord(" ")
+    first = ~space
+    first[1:] &= space[:-1]
+    starts = np.flatnonzero(first)  # where each token begins
+    per_line = np.diff(np.searchsorted(starts, ends), prepend=0, append=len(starts))
+    per_line = per_line[per_line > 0]
+    if not per_line.size or per_line[0] < 2 or np.any(per_line != per_line[0]):
+        return None
+    n, width = len(per_line), int(per_line[0])
+    colons = np.flatnonzero(b == ord(":"))
+    feature_tokens = np.arange(n * width).reshape(n, width)[:, 1:].ravel()
+    if not np.array_equal(np.searchsorted(starts, colons, side="right") - 1, feature_tokens):
+        return None
+    return n, width - 1
 
-    Rows whose label equals ``nc_label`` (if given) become the novel class;
-    all other labels are remapped to 1..K preserving sorted order.  When
-    ``num_known_classes`` is given no remapping happens: every other label
-    must already lie in 1..K (useful for files that pair with a fitted
-    model).
 
-    Tokens are whitespace-separated and blank lines are skipped.  The file
-    is parsed in bulk: each line is split once, labels go through
-    ``float`` and then ``int``, and the feature tokens are joined and split
-    on ':' once, their indices going through ``int`` and their values
-    through ``float``.  A malformed file raises ValueError naming
-    ``path:line`` of its first bad line and the problem there, in the order
-    a line is read: the label, then each token in turn (its ':', then its
-    index and value, then whether its index is 1-based and greater than the
-    one before).  Non-finite feature values are reported the same way.
+def _dense_libsvm(text: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(X, labels)`` of LIBSVM text in the dense layout, else None.
+
+    The layout is the one ``write_libsvm`` writes: every nonblank line reads
+    ``label 1:v_1 ... d:v_d`` with the indices spelled exactly so (see
+    ``_dense_shape`` for the rest), every label and value is one that
+    ``float`` reads as finite, and every label is a whole number.
     """
+    shape = _dense_shape(text)
+    if shape is None:
+        return None
+    n, d = shape
+    step = 2 * d + 1  # the label, then each index and its value
+    pieces = text.replace(":", " ").split()
+    # an empty index or value drops a piece; an index is spelled 1..d only
+    if len(pieces) != n * step or any(pieces[2 * j - 1::step] != [str(j)] * n
+                                      for j in range(1, d + 1)):
+        return None
+    X = np.empty((n, d))
+    try:
+        labels = np.fromiter(map(float, pieces[0::step]), float, n)
+        for j in range(d):
+            X[:, j] = np.fromiter(map(float, pieces[2 * j + 2::step]), float, n)
+    except ValueError:
+        return None
+    if not (np.isfinite(X).all() and np.isfinite(labels).all()
+            and np.array_equal(labels, np.trunc(labels))):
+        return None
+    return X, labels
+
+
+def _parse_general(path, text: str) -> tuple[np.ndarray, np.ndarray, int | None]:
+    """``(X, labels, line)`` of any LIBSVM text, ``line`` the first line
+    with a non-finite feature value (None if there is none); a malformed
+    text raises ValueError naming ``path:line`` and the problem."""
     # every token, line after line, and the token count of each line; no
-    # per-line lists are kept, which would raise the peak RSS of a load
+    # per-line lists are kept, which would raise the peak RSS of a load.
+    # splitlines() would also break lines at \v, \f, \x1c-\x1e, \x85,
+    # \u2028 and \u2029, which the file's own line numbers do not count
     flat, lens = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for parts in map(str.split, fh):
-            lens.append(len(parts))
-            flat += parts
+    for parts in map(str.split, text.split("\n")):
+        lens.append(len(parts))
+        flat += parts
     counts = np.array(lens, dtype=np.intp)
     line_nos = np.flatnonzero(counts) + 1  # nonblank lines
     counts = counts[counts > 0]
@@ -261,6 +301,16 @@ def load_libsvm(
     del labels
     X = np.zeros((len(counts), int(idx.max())))
     X[token_row, idx - 1] = values
+    nonfinite = np.flatnonzero(~np.isfinite(values))
+    return X, label_values, int(line_nos[token_row[nonfinite[0]]]) if nonfinite.size else None
+
+
+def _labeled(path, X: np.ndarray, label_values: np.ndarray, nc_label: int | None,
+             num_known_classes: int | None, nonfinite_line: int | None = None) -> LabeledDataset:
+    """The dataset of a LIBSVM file either path parsed, from its
+    whole-number float labels: they are checked against 1..K or remapped,
+    and then ``nonfinite_line``, the general parser's first line with a
+    non-finite value, is refused."""
     if num_known_classes is not None:
         K = int(num_known_classes)
         novel = label_values == nc_label
@@ -272,10 +322,49 @@ def load_libsvm(
         table = None
     else:
         y, K, table = _remap_labels(list(map(int, label_values.tolist())), nc_label)
-    nonfinite = np.flatnonzero(~np.isfinite(values))
-    if nonfinite.size:
-        raise ValueError(f"{path}:{line_nos[token_row[nonfinite[0]]]}: features must be finite")
+    if nonfinite_line is not None:
+        raise ValueError(f"{path}:{nonfinite_line}: features must be finite")
     return LabeledDataset(X, y, K, label_map=table)
+
+
+def load_libsvm(
+    path,
+    nc_label: int | None = None,
+    num_known_classes: int | None = None,
+) -> LabeledDataset:
+    """Read a LIBSVM text file (``label index:value ...``, 1-based indices).
+
+    Rows whose label equals ``nc_label`` (if given) become the novel class;
+    all other labels are remapped to 1..K preserving sorted order.  When
+    ``num_known_classes`` is given no remapping happens: every other label
+    must already lie in 1..K (useful for files that pair with a fitted
+    model).
+
+    Tokens are whitespace-separated and blank lines are skipped.  The file
+    is read once and takes one of two paths, which give the same dataset.
+    A file in the dense layout that ``write_libsvm`` and ``eulac gen``
+    write (ASCII, spaces between tokens, every nonblank line
+    ``label 1:v_1 ... d:v_d``) passes one vectorised check of that layout,
+    and is then split once, its labels and each value column going through
+    ``float``.  Any other file, or one whose labels or values that path
+    does not read as finite (whole-number labels), goes to the general
+    parser.  It parses in bulk: each line is split once, labels go through
+    ``float`` and then ``int``, and the feature tokens are joined and split
+    on ':' once, their indices going through ``int`` and their values
+    through ``float``.  Only the general parser reports a malformed file:
+    it raises ValueError naming ``path:line`` of its first bad line and
+    the problem there, in the order a line is read: the label, then each
+    token in turn (its ':', then its index and value, then whether its
+    index is 1-based and greater than the one before).  Non-finite feature
+    values are reported the same way, after the labels' range.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    dense = _dense_libsvm(text)
+    if dense is not None:
+        return _labeled(path, *dense, nc_label, num_known_classes)
+    X, label_values, nonfinite_line = _parse_general(path, text)
+    return _labeled(path, X, label_values, nc_label, num_known_classes, nonfinite_line)
 
 
 def load_features_csv(path) -> UnlabeledDataset:

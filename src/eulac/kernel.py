@@ -210,9 +210,9 @@ def gram_product(spec: KernelSpec, rows, cols, coef) -> np.ndarray:
     K is unfloored: the kernel rows that multiply coefficients are
     prediction's, and the low-rank factor that certifies its labels
     (``pivoted_cholesky``) is built from the same unfloored kernel.  Flooring
-    would clamp and mask every tile for a score move of at most
-    KERNEL_FLOOR ||coef_k||_1, and it cost 24 -> 31 ms on a dense 5,000-query
-    product at 1x median.  ``cols`` must be a finite 2-D array, as a
+    would clamp and mask every tile, which slows a dense product, for a
+    score move of at most KERNEL_FLOOR ||coef_k||_1.  ``cols`` must be a
+    finite 2-D array, as a
     DualModel's support points are; only ``rows`` is checked, once.  Each
     tile worker (as in ``gram``) owns one TILE_ROWS x m slice of a buffer
     allocated here, evaluates each of its tiles of K into it and multiplies

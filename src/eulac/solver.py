@@ -72,6 +72,15 @@ _MODEL_FIELDS = {"kernel_sigma": (int, float), "loss": (str,), "theta": (int, fl
                  "support_points": (), "alpha": ()}
 
 
+def _beyond_float(number) -> bool:
+    """Whether a JSON number is an integer too large for a float."""
+    try:
+        float(number)
+    except OverflowError:
+        return True
+    return False
+
+
 def check_lambda(lam: float) -> None:
     """Refuse a regularization weight that is not positive and finite, NaN
     included, or whose square-loss shift 2 lam overflows."""
@@ -200,6 +209,8 @@ class DualModel:
                 problems.append(f"field {name!r} is missing")
             elif types and type(payload[name]) not in types:
                 problems.append(f"field {name!r} has the wrong type ({type(payload[name]).__name__})")
+            elif float in types and _beyond_float(payload[name]):
+                problems.append(f"field {name!r} is an integer beyond the float range")
         if problems:
             raise ValueError("model file: " + "; ".join(problems))
         for name in ("support_points", "alpha"):
@@ -209,6 +220,9 @@ class DualModel:
                 # entries of a 2-D array must be JSON numbers
                 if array.ndim == 2 and {type(v) for r in payload[name] for v in r} - {int, float}:
                     raise TypeError
+            except OverflowError:
+                raise ValueError(f"model file: field {name!r} holds an integer beyond the "
+                                 "float range") from None
             except (TypeError, ValueError):  # ragged, or holding an object or a string
                 raise ValueError(f"model file: field {name!r} is not a rectangular array of numbers")
             payload[name] = array
@@ -753,9 +767,8 @@ def rank_cap(n_support: int) -> int:
 
     An abandoned factorization costs about n x cap^2 / 2 flops at most, and
     one without progress usually ends at a third of the cap
-    (``kernel.PIVOT_PROGRESS``).  Measured on 2 vCPUs at n = 1,500 (a cap of
-    187): a 0.1x-median model gave up at 62 pivots in 1.1 ms, against about
-    40 ms for the dense scores of 20,000 queries and 11 ms for 5,000.
+    (``kernel.PIVOT_PROGRESS``), so giving up costs a small share of the
+    dense scores of at least n queries, which follow it.
     """
     return n_support // 8
 
@@ -809,13 +822,9 @@ def certified_labels(model: DualModel, queries) -> np.ndarray:
 
     Fewer queries than the model's n support points are scored densely.
     Otherwise they are scored through the model's ``low_rank_expansion``
-    under ``rank_cap``, factored at every call.  Its cost depends on the
-    model alone: at n = 1,500, about 1.5 ms for the 79-84 pivots of a
-    1x-median model and 1.1 ms for one that gives up.  On the bundled
-    spec's seed-1 model (1x median, n = 1,500, 2 vCPUs), dense against
-    certified labels took 0.02 against 1.78 ms for 1 query, 2.22 against
-    2.39 ms for 1,000, 3.15 against 2.49 ms for 1,500 and 10.1 against
-    3.2 ms for 5,000.  The expansion's scores are within radius[k] of the
+    under ``rank_cap``, factored at every call.  The factorization's cost
+    depends on the model alone, so it pays only over a batch of about n
+    queries or more.  The expansion's scores are within radius[k] of the
     dense ones in column k.  A row whose two largest scores are more than
     2 max_k radius[k] apart has the dense argmax, with no dense tie; every
     other row is scored again by ``predict_scores``.  Without an expansion

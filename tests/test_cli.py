@@ -305,8 +305,19 @@ class TestEval:
         (lambda p: TestEval._without(p, "converged"), "model file: field 'converged' is missing"),
         (lambda p: {**p, "alpha": [p["alpha"][0][:2], *p["alpha"][1:]]},
          "model file: field 'alpha' is not a rectangular array of numbers"),
+        # JSON integers beyond the float range
+        (lambda p: {**p, "alpha": [[10**400, *p["alpha"][0][1:]], *p["alpha"][1:]]},
+         "model file: field 'alpha' holds an integer beyond the float range"),
+        (lambda p: {**p, "support_points": [[10**400, *p["support_points"][0][1:]],
+                                            *p["support_points"][1:]]},
+         "model file: field 'support_points' holds an integer beyond the float range"),
+        (lambda p: {**p, "kernel_sigma": 10**400},
+         "model file: field 'kernel_sigma' is an integer beyond the float range"),
+        (lambda p: {**p, "lambda": 10**400},
+         "model file: field 'lambda' is an integer beyond the float range"),
     ], ids=["missing-key", "json-list", "string-class-count", "theta-1.5", "lambda-minus-1",
-            "missing-converged", "ragged-alpha"])
+            "missing-converged", "ragged-alpha", "huge-alpha", "huge-support-point",
+            "huge-sigma", "huge-lambda"])
     def test_malformed_model_exits_one(self, fitted, tmp_path, capsys, edit, message):
         data, model = fitted
         bad = tmp_path / "model.json"

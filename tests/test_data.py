@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import eulac.data as dt
 from eulac.data import (
     ClassConfiguration,
     FiniteDistribution,
@@ -155,6 +156,39 @@ def _ragged_libsvm(rng) -> str:
     return "".join(line + str(rng.choice(["\n", "\r\n"])) for line in lines)
 
 
+# malformed LIBSVM texts, the line each names and its problem
+_LIBSVM_LINE_ERRORS = [
+    ("1 1:1\n\n1x 1:1\n", 3, "invalid label '1x'"),
+    ("1 1:1\n2.5 1:1\n", 2, "non-integer label '2.5'"),
+    ("1 1:1\n2 1:1 5\n", 2, "invalid token '5'"),
+    ("1 1:1 2:1:1\n", 1, "invalid token '2:1:1'"),
+    ("1 1:1\n2 1.5:1\n", 2, "invalid token '1.5:1'"),
+    ("1 1:1\n2 1:abc\n", 2, "invalid token '1:abc'"),
+    ("1 1:1 3:1 3:2\n", 1, "indices must be 1-based and strictly increasing"),
+    ("1 1:1\n2 0:1\n", 2, "indices must be 1-based and strictly increasing"),
+    # the first bad line wins, whatever its problem
+    ("1 2:1 1:1\nx 1:1\n3 1:y\n", 1, "indices must be 1-based and strictly increasing"),
+    ("1 1:1\n2 1:y\nx 1:1\n", 2, "invalid token '1:y'"),
+    ("1 1:1 1:1\n2 1\n", 1, "indices must be 1-based and strictly increasing"),
+    ("1 5 1:2:3\n", 1, "invalid token '5'"),
+    # within a line, the label first, then each token in turn
+    ("x 1:1 2\n", 1, "invalid label 'x'"),
+    ("1 2:1 1:y\n", 1, "invalid token '1:y'"),
+    ("1 2:1 1:1 3:y\n", 1, "indices must be 1-based and strictly increasing"),
+    ("1 1:1 2:2 3\n", 1, "invalid token '3'"),
+]
+
+_KNOWN_CLASS_TEXT = "0 2:1.5\n\n+2 1:-1 3:2e-1\r\n1.0 1:+0.25\n"
+_NONFINITE_LABELS = ["inf", "-inf", "nan", "1e400"]
+_NONFINITE_FEATURE_TEXT = "1 1:0.5\n\n1 1:0.5 2:nan\n2 1:inf\n"
+
+_LIBSVM_FILE_ERRORS = [
+    ("", "empty file"),
+    ("\n \n\t\n", "empty file"),
+    ("1\n2\n", "no features found"),
+]
+
+
 class TestLibsvmParity:
     """The bulk loader against a per-line reference parse."""
 
@@ -171,32 +205,13 @@ class TestLibsvmParity:
 
     def test_known_class_mode(self, tmp_path):
         p = tmp_path / "k.libsvm"
-        p.write_text("0 2:1.5\n\n+2 1:-1 3:2e-1\r\n1.0 1:+0.25\n")
+        p.write_text(_KNOWN_CLASS_TEXT)
         ds = load_libsvm(p, nc_label=0, num_known_classes=2)
         np.testing.assert_array_equal(ds.X, [[0.0, 1.5, 0.0], [-1.0, 0.0, 0.2], [0.25, 0, 0]])
         np.testing.assert_array_equal(ds.y, [3, 2, 1])
         assert ds.label_map is None
 
-    @pytest.mark.parametrize("text, line, problem", [
-        ("1 1:1\n\n1x 1:1\n", 3, "invalid label '1x'"),
-        ("1 1:1\n2.5 1:1\n", 2, "non-integer label '2.5'"),
-        ("1 1:1\n2 1:1 5\n", 2, "invalid token '5'"),
-        ("1 1:1 2:1:1\n", 1, "invalid token '2:1:1'"),
-        ("1 1:1\n2 1.5:1\n", 2, "invalid token '1.5:1'"),
-        ("1 1:1\n2 1:abc\n", 2, "invalid token '1:abc'"),
-        ("1 1:1 3:1 3:2\n", 1, "indices must be 1-based and strictly increasing"),
-        ("1 1:1\n2 0:1\n", 2, "indices must be 1-based and strictly increasing"),
-        # the first bad line wins, whatever its problem
-        ("1 2:1 1:1\nx 1:1\n3 1:y\n", 1, "indices must be 1-based and strictly increasing"),
-        ("1 1:1\n2 1:y\nx 1:1\n", 2, "invalid token '1:y'"),
-        ("1 1:1 1:1\n2 1\n", 1, "indices must be 1-based and strictly increasing"),
-        ("1 5 1:2:3\n", 1, "invalid token '5'"),
-        # within a line, the label first, then each token in turn
-        ("x 1:1 2\n", 1, "invalid label 'x'"),
-        ("1 2:1 1:y\n", 1, "invalid token '1:y'"),
-        ("1 2:1 1:1 3:y\n", 1, "indices must be 1-based and strictly increasing"),
-        ("1 1:1 2:2 3\n", 1, "invalid token '3'"),
-    ])
+    @pytest.mark.parametrize("text, line, problem", _LIBSVM_LINE_ERRORS)
     def test_error_names_first_bad_line(self, tmp_path, text, line, problem):
         p = tmp_path / "bad.libsvm"
         p.write_text(text)
@@ -204,11 +219,7 @@ class TestLibsvmParity:
             load_libsvm(p)
         assert str(info.value) == f"{p}:{line}: {problem}"
 
-    @pytest.mark.parametrize("text, problem", [
-        ("", "empty file"),
-        ("\n \n\t\n", "empty file"),
-        ("1\n2\n", "no features found"),
-    ])
+    @pytest.mark.parametrize("text, problem", _LIBSVM_FILE_ERRORS)
     def test_file_level_errors(self, tmp_path, text, problem):
         p = tmp_path / "bad.libsvm"
         p.write_text(text)
@@ -216,7 +227,7 @@ class TestLibsvmParity:
             load_libsvm(p)
         assert str(info.value) == f"{p}: {problem}"
 
-    @pytest.mark.parametrize("label", ["inf", "-inf", "nan", "1e400"])
+    @pytest.mark.parametrize("label", _NONFINITE_LABELS)
     def test_nonfinite_label_names_its_line(self, tmp_path, label):
         p = tmp_path / "bad.libsvm"
         p.write_text(f"1 1:1\n{label} 1:1\n")
@@ -226,10 +237,126 @@ class TestLibsvmParity:
 
     def test_nonfinite_feature_names_its_line(self, tmp_path):
         p = tmp_path / "bad.libsvm"
-        p.write_text("1 1:0.5\n\n1 1:0.5 2:nan\n2 1:inf\n")
+        p.write_text(_NONFINITE_FEATURE_TEXT)
         with pytest.raises(ValueError) as info:
             load_libsvm(p)
         assert str(info.value) == f"{p}:3: features must be finite"
+
+
+def _token(line: str, k: int, new: str) -> str:
+    tokens = line.split(" ")
+    tokens[k] = new
+    return " ".join(tokens)
+
+
+# the lines of a three-feature file from write_libsvm edited one way, and
+# whether the result stays in the dense layout that load_libsvm reads
+# without its general parser
+_DENSE_EDITS = {
+    "as-written": (lambda ls: "\n".join(ls) + "\n", True),
+    "crlf": (lambda ls: "\r\n".join(ls) + "\r\n", True),
+    "cr": (lambda ls: "\r".join(ls) + "\r", True),
+    "blank-lines": (lambda ls: "\n" + "\n \n".join(ls) + "\n\n", True),
+    "no-final-newline": (lambda ls: "\n".join(ls), True),
+    "padded-lines": (lambda ls: "".join(f"  {l.replace(' ', '   ')} \n" for l in ls), True),
+    "row-split": (lambda ls: "\n".join(ls).replace(" 3:", "\n3:", 1) + "\n", False),
+    "rows-merged": (lambda ls: "\n".join(ls).replace("\n", " ", 1) + "\n", False),
+    # the token and colon counts of the whole file still fit the layout
+    "row-split-then-merged": (
+        lambda ls: "\n".join([ls[0], ls[1][:1], ls[1][2:] + " " + ls[2], *ls[3:]]) + "\n", False),
+    "colon-moved": (lambda ls: "\n".join([_token(_token(ls[0], 2, ls[0].split(" ")[2] + ":3"),
+                                                  3, "0.5"), *ls[1:]]) + "\n", False),
+    "label-takes-index": (lambda ls: "\n".join([ls[0].replace(" 1:", ":1 ", 1), *ls[1:]])
+                          + "\n", False),
+    "colon-in-label": (lambda ls: "\n".join(["1:2" + ls[0][1:], *ls[1:]]) + "\n", False),
+    "two-colons": (lambda ls: "\n".join([_token(ls[0], 2, "2:1:1"), *ls[1:]]) + "\n", False),
+    "zero-padded-index": (lambda ls: "\n".join(ls).replace(" 1:", " 01:", 1) + "\n", False),
+    "signed-index": (lambda ls: "\n".join(ls).replace(" 1:", " +1:", 1) + "\n", False),
+    "empty-value": (lambda ls: "\n".join([_token(ls[0], 3, "3:"), *ls[1:]]) + "\n", False),
+    "swapped-indices": (lambda ls: "\n".join([ls[0].replace(" 1:", " 9:").replace(" 2:", " 1:")
+                                               .replace(" 9:", " 2:"), *ls[1:]]) + "\n", False),
+    "missing-last": (lambda ls: "\n".join([ls[0].rsplit(" ", 1)[0], *ls[1:]]) + "\n", False),
+    "extra-last": (lambda ls: "\n".join([ls[0] + " 4:0.5", *ls[1:]]) + "\n", False),
+    "tab": (lambda ls: "\n".join(ls).replace(" ", "\t", 2) + "\n", False),
+    "vertical-tab": (lambda ls: "\n".join(ls).replace(" ", "\v", 1) + "\n", False),
+    "file-separator": (lambda ls: "\n".join(ls).replace(" ", "\x1c", 1) + "\n", False),
+    "nbsp": (lambda ls: "\n".join(ls).replace(" ", "\xa0", 1) + "\n", False),
+    "bad-label": (lambda ls: "\n".join([ls[0], "x" + ls[1][1:], *ls[2:]]) + "\n", False),
+    "non-integer-label": (lambda ls: "\n".join([ls[0], "1.5" + ls[1][1:], *ls[2:]]) + "\n",
+                          False),
+    "infinite-label": (lambda ls: "\n".join([ls[0], "inf" + ls[1][1:], *ls[2:]]) + "\n",
+                       False),
+    "nan-value": (lambda ls: "\n".join([ls[0], _token(ls[1], 2, "2:nan"), *ls[2:]]) + "\n",
+                  False),
+    "bad-value": (lambda ls: "\n".join([ls[0], _token(ls[1], 2, "2:1x"), *ls[2:]]) + "\n",
+                  False),
+}
+
+
+class TestDenseLayoutParity:
+    """``load_libsvm``, which reads the dense layout without its general
+    parser, against that parser alone: the same bits or the same error."""
+
+    @staticmethod
+    def _outcome(path, **kwargs):
+        try:
+            ds = load_libsvm(path, **kwargs)
+        except ValueError as exc:
+            return str(exc)
+        return ds.X.shape, ds.X.tobytes(), ds.y.tolist(), ds.label_map, ds.num_known_classes
+
+    def _assert_parity(self, monkeypatch, path):
+        for kwargs in ({}, {"nc_label": 0}, {"nc_label": 0, "num_known_classes": 2}):
+            either = self._outcome(path, **kwargs)
+            with monkeypatch.context() as m:
+                m.setattr(dt, "_dense_libsvm", lambda text: None)
+                assert self._outcome(path, **kwargs) == either, kwargs
+
+    @pytest.mark.parametrize("edit", list(_DENSE_EDITS))
+    def test_edited_dense_file(self, tmp_path, monkeypatch, edit):
+        write, dense = _DENSE_EDITS[edit]
+        p = tmp_path / "e.libsvm"
+        rng = np.random.default_rng(3)
+        write_libsvm(p, LabeledDataset(rng.normal(size=(6, 3)), [1, 2, 3, 1, 2, 3], 2))
+        p.write_bytes(write(p.read_text().splitlines()).encode())
+        with open(p, encoding="utf-8") as fh:
+            assert (dt._dense_libsvm(fh.read()) is not None) == dense
+        self._assert_parity(monkeypatch, p)
+
+    @pytest.mark.parametrize("text", [
+        *(pytest.param(_ragged_libsvm(np.random.default_rng(seed)), id=f"ragged-{seed}")
+          for seed in range(12)),
+        pytest.param(_KNOWN_CLASS_TEXT, id="known-class"),
+        *(pytest.param(text, id=f"line-error-{i}")
+          for i, (text, _, _) in enumerate(_LIBSVM_LINE_ERRORS)),
+        *(pytest.param(text, id=f"file-error-{i}")
+          for i, (text, _) in enumerate(_LIBSVM_FILE_ERRORS)),
+        *(pytest.param(f"1 1:1\n{label} 1:1\n", id=f"label-{label}")
+          for label in _NONFINITE_LABELS),
+        pytest.param(_NONFINITE_FEATURE_TEXT, id="nonfinite-feature"),
+        pytest.param("1 1:0.5\n", id="dense-one-row"),
+        pytest.param("0 1:-0.0 2:1e-300\n2 1:3 2:4\n", id="dense-signed-zero"),
+        pytest.param("1 " + " ".join(f"{j}:{j / 8}" for j in range(1, 13)) + "\n",
+                     id="dense-two-digit-indices"),
+    ])
+    def test_parity_file(self, tmp_path, monkeypatch, text):
+        p = tmp_path / "p.libsvm"
+        p.write_bytes(text.encode())
+        self._assert_parity(monkeypatch, p)
+
+    @pytest.mark.parametrize("d", [1, 5])
+    def test_dense_file_skips_the_general_parser(self, tmp_path, monkeypatch, d):
+        def refuse(path, text):
+            raise AssertionError("the general parser ran on a dense file")
+
+        monkeypatch.setattr(dt, "_parse_general", refuse)
+        rng = np.random.default_rng(d)
+        ds = LabeledDataset(rng.normal(size=(50, d)), rng.integers(1, 4, 50), 2)
+        p = tmp_path / "d.libsvm"
+        write_libsvm(p, ds)
+        back = load_libsvm(p, nc_label=0, num_known_classes=2)
+        assert back.X.tobytes() == ds.X.tobytes()
+        np.testing.assert_array_equal(back.y, ds.y)
 
 
 def _reference_csv(path) -> np.ndarray:
