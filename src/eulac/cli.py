@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import sys
 from pathlib import Path
@@ -54,7 +55,7 @@ def _dump_json(path: str | Path | None, payload: dict) -> None:
 
 
 def _read_spec(path: str) -> dt.SyntheticSpec:
-    return dt.parse_synthetic_spec(Path(path).read_text(encoding="utf-8"))
+    return dt.parse_synthetic_spec(dt.read_text(path))
 
 
 def _checked_flags(args) -> HyperGrid | None:
@@ -207,7 +208,7 @@ def cmd_fit(args) -> int:
 
 def cmd_eval(args) -> int:
     model_bytes = Path(args.model).read_bytes()
-    model = DualModel.from_json(model_bytes.decode("utf-8"))
+    model = DualModel.from_json(dt.utf8_text(args.model, model_bytes))
     test = dt.load_libsvm(args.test, nc_label=dt.NC_FILE_LABEL,
                           num_known_classes=model.num_known_classes)
     pred = model.predict(test.X)
@@ -261,7 +262,7 @@ def _bench_source(args):
     if not (data and config):
         raise ValueError("bench needs either --spec or both --data and --config")
     full = dt.load_libsvm(data)
-    classes = dt.parse_class_configuration(Path(config).read_text(encoding="utf-8"))
+    classes = dt.parse_class_configuration(dt.read_text(config))
     # the configuration names the file's own ids, which the loader keeps in
     # label_map
     ids = full.label_map
@@ -326,14 +327,16 @@ def _add_theta(p: argparse.ArgumentParser, threshold: bool = True) -> None:
 def _add_grid(p: argparse.ArgumentParser) -> None:
     p.add_argument("--loss", choices=LOSS_KINDS, default=SQUARE)
     p.add_argument("--lambda", dest="lam", type=float, nargs="+",
-                   default=list(DEFAULT_LAMBDAS), help="regularization candidates")
+                   default=DEFAULT_LAMBDAS, help="regularization candidates")
     p.add_argument("--sigma-mult", type=float, nargs="+",
-                   default=list(DEFAULT_SIGMA_MULTIPLIERS),
+                   default=DEFAULT_SIGMA_MULTIPLIERS,
                    help="bandwidth multipliers of the median distance")
     p.add_argument("--folds", type=int, default=5)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser.  Every list-valued flag defaults to a tuple,
+    so no command can change the default a later call reads."""
     parser = argparse.ArgumentParser(
         prog="eulac",
         description="Kernel one-vs-rest classification with an augmented novel "
@@ -400,15 +403,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n-unlabeled", type=int, default=1000)
     for p in (scaling, excess):
         _add_theta(p, threshold=False)
-    scaling.add_argument("--sizes", type=int, nargs="+", default=list(DEFAULT_SCALING_SIZES))
-    sweep.add_argument("--ratios", type=float, nargs="+", default=list(DEFAULT_SWEEP_RATIOS))
+    scaling.add_argument("--sizes", type=int, nargs="+", default=DEFAULT_SCALING_SIZES)
+    sweep.add_argument("--ratios", type=float, nargs="+", default=DEFAULT_SWEEP_RATIOS)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built on the first ``main`` call of a process, not
+    at import, and reused by every later call."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     # numpy's MemoryError names the array it could not allocate, such as a

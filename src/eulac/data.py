@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import length_hint
+from pathlib import Path
 
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular
@@ -136,6 +137,25 @@ def pooled_points(labeled: LabeledDataset, unlabeled: UnlabeledDataset) -> np.nd
 # ---------------------------------------------------------------------------
 # file ingestion
 # ---------------------------------------------------------------------------
+
+
+def utf8_text(path, raw: bytes) -> str:
+    """The bytes of the file at ``path`` decoded as UTF-8.  Bytes that are
+    not UTF-8 raise ValueError naming ``path:line`` of the first bad byte,
+    counted by the newlines before it."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{line}: not valid UTF-8 (byte 0x{raw[exc.start]:02x})") from None
+
+
+def read_text(path) -> str:
+    """A UTF-8 text file's contents with every line end (CR LF, CR or LF)
+    read as LF, as a text-mode ``open`` reads it; bytes that are not UTF-8
+    are refused by ``utf8_text``."""
+    text = utf8_text(path, Path(path).read_bytes())
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def _remap_labels(raw: list[int], nc_label: int | None) -> tuple[np.ndarray, int, dict[int, int]]:
@@ -358,8 +378,7 @@ def load_libsvm(
     index is 1-based and greater than the one before).  Non-finite feature
     values are reported the same way, after the labels' range.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_text(path)
     dense = _dense_libsvm(text)
     if dense is not None:
         return _labeled(path, *dense, nc_label, num_known_classes)
@@ -378,8 +397,7 @@ def load_features_csv(path) -> UnlabeledDataset:
     count differs from the first row's) before a non-numeric cell.
     Non-finite values are reported the same way, once every cell parsed.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = list(map(str.strip, fh))
+    lines = list(map(str.strip, read_text(path).split("\n")))
     lengths = np.fromiter(map(len, lines), np.intp, len(lines))
     line_nos = np.flatnonzero(lengths) + 1  # nonblank lines
     rows = list(compress(lines, lengths))

@@ -21,7 +21,7 @@ from .solver import (
     DualModel,
     FitOptions,
     _first_order_alpha,
-    _square_loss_fold_alphas,
+    _square_loss_fold_scores,
     check_lambda,
     fit_first_order,
     fit_square_closed_form,
@@ -135,9 +135,12 @@ def cross_validate(
     each (fold, lambda) on the fold's gathered training Gram with the
     refit's default ``FitOptions``, one L-BFGS-B run per score column, and
     count the folds that end unconverged in ``CvCell.nonconverged_folds``.
-    Each fold's dual coefficients for every lambda form one (n, L, K+1)
-    block, zero outside the fold's training rows, so one product with the
-    validation rows of the pooled Gram scores every lambda.
+    The square-loss run returns each fold's validation scores at every
+    lambda, read from the products the run already took, so no dual
+    coefficient is assembled, and of the pooled Gram only the labeled
+    validation rows' columns are gathered.  A first-order fold's dual coefficients for every lambda form
+    one (n, L, K+1) block, zero outside the fold's training rows, so one
+    product with the validation rows of the pooled Gram scores every lambda.
     """
     n_l = len(labeled)
     pooled = pooled_points(labeled, unlabeled)
@@ -151,20 +154,20 @@ def cross_validate(
     cells: list[CvCell] = []
     for mult in grid.sigma_multipliers:
         sigma = mult * median
-        G = blocks = None  # release the last bandwidth's arrays before its successor
+        G = fold_scores = None  # release the last bandwidth's arrays before its successor
         G = gram(KernelSpec(sigma), pooled, pooled)
         if square:
             try:
-                blocks = _square_loss_fold_alphas(
+                fold_scores = _square_loss_fold_scores(
                     G, n_l, labeled.y, K, theta,
-                    [(train_L, train_U) for train_L, train_U, _, _ in folds], lams)
+                    [(train_L, train_U, val_L) for train_L, train_U, val_L, _ in folds], lams)
             except np.linalg.LinAlgError as exc:
                 raise _fit_failure(mult, lams, exc.fold, exc) from exc
         risks = [[] for _ in lams]
         nonconverged = [0 for _ in lams]
         for fold, (train_L, train_U, val_L, val_U) in enumerate(folds):
             if square:
-                coef = blocks[fold]
+                scores = fold_scores[fold]
             else:
                 sup = np.concatenate([train_L, n_l + train_U])
                 G_tt = G[np.ix_(sup, sup)]
@@ -178,9 +181,9 @@ def cross_validate(
                         raise _fit_failure(mult, (lam,), fold, exc) from exc
                     nonconverged[i] += not record.converged
                 del G_tt
-            # one product scores every lambda: the validation rows are read once
-            scores = (G.take(np.concatenate([val_L, n_l + val_U]), axis=0)
-                      @ coef.reshape(len(pooled), -1)).reshape(-1, len(lams), K + 1)
+                # one product scores every lambda: the validation rows are read once
+                scores = (G.take(np.concatenate([val_L, n_l + val_U]), axis=0)
+                          @ coef.reshape(len(pooled), -1)).reshape(-1, len(lams), K + 1)
             for i, lam_risks in enumerate(risks):
                 lam_risks.append(lac_risk_from_scores(
                     scores[:len(val_L), i], labeled.y[val_L], scores[len(val_L):, i],

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
-from .data import LabeledDataset, UnlabeledDataset, check_theta, json_text, pooled_points
+from .data import (LabeledDataset, UnlabeledDataset, check_theta, json_text, pooled_points,
+                   read_text)
 from .kernel import (
     PIVOT_TOLERANCE,
     KernelSpec,
@@ -239,8 +240,7 @@ class DualModel:
 
     @staticmethod
     def load(path) -> "DualModel":
-        with open(path, "r", encoding="utf-8") as fh:
-            return DualModel.from_json(fh.read())
+        return DualModel.from_json(read_text(path))
 
 
 def _objective_arrays(a, scores, y, n_l, n_u, theta, lam, loss_kind) -> float:
@@ -378,13 +378,14 @@ def _shifted_lanczos(
     shifts: np.ndarray,
     masks: np.ndarray,
     scales: np.ndarray,
-) -> np.ndarray:
-    """Solutions of (A_r + s I) x = b for every start vector b and shift s.
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Solutions of (A_r + s I) x = b for every start vector b and shift s,
+    and the products A x off each row's mask.
 
     ``starts`` holds one right-hand side per row, (p, n); row r's operator
     is A_r = scales[r] diag(masks[r]) A diag(masks[r]) for a symmetric A and
     a 0/1 mask that covers its start vector, so several systems can share
-    one A.  The result is (p, n, len(shifts)) and is zero outside each
+    one A.  The first result is (p, n, len(shifts)) and is zero outside each
     row's mask.  Each start vector runs its own Lanczos recurrence with full
     reorthogonalization; the p recurrences advance in lockstep, so a step
     costs one (p, n) x (n, n) product.  That product is one BLAS call per
@@ -404,6 +405,12 @@ def _shifted_lanczos(
     take at most as many steps as its mask has ones.  A failure raises
     LinAlgError whose ``row`` names the start vector whose recurrence
     failed.
+
+    Each step's product A q_m is kept at the rows outside its recurrence's
+    mask, which the operator's mask then zeroes; no second basis is held.
+    So the second result, entry r of length p, is (A x_r) at the rows where
+    masks[r] is 0, in ascending order, (n - ones, len(shifts)): one
+    contraction with the coefficients of Q_m, and no product with A.
     """
     p, n = starts.shape
     weights = masks * scales[:, None]
@@ -416,6 +423,11 @@ def _shifted_lanczos(
     max_steps = int(caps.max())
     Q = np.empty((p, min(max_steps, 64), n))
     Q[:, 0] = starts / safe[:, None]
+    # each step's product at the rows off every mask, row by row, in one
+    # buffer that grows with the basis: an array per step fragmented the
+    # heap, and repeated fits' peak RSS rose by about 5 MB in some runs
+    off = np.flatnonzero(masks.ravel() == 0.0)
+    kept = np.empty((Q.shape[1], len(off)))
     pivots, firsts, betas = [], [], []
     beta = np.zeros(p)
     w = np.empty((p, n))
@@ -433,6 +445,7 @@ def _shifted_lanczos(
     for m in range(max_steps):
         v = Q[:, m]
         _each_tile(n, workers, product)
+        np.take(w, off, out=kept[m])
         w *= weights
         a = np.einsum("pn,pn->p", v, w)
         w -= a[:, None] * v
@@ -475,6 +488,7 @@ def _shifted_lanczos(
             grown = np.empty((p, min(max_steps, 2 * Q.shape[1]), n))
             grown[:, :m + 1] = Q
             Q = grown
+            kept = np.concatenate([kept, np.empty((Q.shape[1] - m - 1, len(off)))])
         Q[:, m + 1] = w / np.where(beta > 0.0, beta, 1.0)[:, None]
 
     # back substitution through L^T gives (T_m + s I)^{-1} e_1 for every
@@ -483,10 +497,13 @@ def _shifted_lanczos(
     for k in range(len(pivots) - 2, -1, -1):
         y[k] -= (betas[k][:, None] / pivots[k]) * y[k + 1]
     basis = Q[:, :len(pivots)]
-    return np.matmul(basis.transpose(0, 2, 1), y.transpose(1, 0, 2)) * norms[:, None, None]
+    x = np.matmul(basis.transpose(0, 2, 1), y.transpose(1, 0, 2)) * norms[:, None, None]
+    blocks = np.split(kept[:len(pivots)], np.cumsum(n - caps)[:-1], axis=1)
+    products = [(block.T @ y[:, r]) * norms[r] for r, block in enumerate(blocks)]
+    return x, products
 
 
-def _square_loss_fold_alphas(
+def _square_loss_fold_scores(
     G: np.ndarray,
     n_l: int,
     labels: np.ndarray,
@@ -494,29 +511,38 @@ def _square_loss_fold_alphas(
     theta: float,
     folds,
     lams,
-) -> np.ndarray:
-    """Square-loss stationary points of every training fold at every weight.
+) -> list[np.ndarray]:
+    """Validation scores of every square-loss training fold at every weight.
 
     G is the pooled Gram matrix, n_l labeled rows first; ``folds`` holds
-    (train_L, train_U) row indices, train_U counted within the unlabeled
-    block.  Let m_f be the 0/1 mask of fold f's training-unlabeled rows,
-    n_u,f and n_l,f its training counts, and B_L,f the labeled bracket of
-    its training labels, zero outside them.  The fold's
-    unlabeled rows solve (A_f + s I) x = r0 + r1 / lam, with
-    s = 2 lam + GRAM_JITTER, A_f = diag(m_f) G_UU diag(m_f) / (2 n_u,f),
-    r0 = +-m_f / (2 n_u,f) in every column and
-    r1 = m_f * G_UL B_L,f / (4 n_u,f).  A Krylov space does not change when
-    its matrix is shifted, so one shifted-Lanczos run on the shared G_UU,
-    started from every fold's m_f and the K known columns of its r1, serves
-    every fold and weight, with no factorization and no gathered block.
-    B_L,f's novel column is minus the sum of its known ones, so r1's is too,
-    and so is, the solve being linear, that column's solution.
+    (train_L, train_U, val_L) row indices, train_U counted within the
+    unlabeled block.  A fold's unlabeled validation rows are the unlabeled
+    rows outside train_U.  Let m_f be the 0/1 mask of fold f's
+    training-unlabeled rows, n_u,f its count, and B_L,f the labeled bracket
+    of its training labels, zero outside them.  The fold's labeled
+    coefficients are the closed form -B_L,f / (2 lam), and its unlabeled
+    ones solve (A_f + s I) x = r0 + r1 / lam, with s = 2 lam + GRAM_JITTER,
+    A_f = diag(m_f) G_UU diag(m_f) / (2 n_u,f), r0 = +-m_f / (2 n_u,f) in
+    every column and r1 = m_f * G_UL B_L,f / (4 n_u,f).  A Krylov space does
+    not change when its matrix is shifted, so one shifted-Lanczos run on
+    the shared G_UU, started from every fold's m_f and the K known columns
+    of its r1, serves every fold and weight, with no factorization and no
+    gathered block.  B_L,f's novel column is minus the sum of its known
+    ones, so r1's is too, and so is, the solve being linear, that column's
+    solution and its scores' share.
+
+    No coefficient is assembled.  A validation row v scores
+    G[v, U] x - G[v, L] B_L,f / (2 lam).  At an unlabeled validation row the
+    run kept G[v, U] x off the fold's mask, and G[v, L] B_L,f is a row of
+    the unscaled r1; the labeled validation rows take one product
+    G[val_L, U] @ [x0, xk] per fold and the rows of G_LL B_L,f.
 
     G is built by ``gram``, so its entries lie in [0, 1] and are not
-    scanned.  The result is (len(folds), n, len(lams), K+1), one block over
-    the pooled support per fold: [f, :, i] holds fold f's dual coefficients
-    at lams[i], zero outside its training rows.  A failed or non-finite
-    solve raises LinAlgError whose ``fold`` names the fold.
+    scanned.  Every fold holds out at least one row.  Entry f of the result
+    is fold f's (len(val_L) + n_u - len(train_U), len(lams), K+1) scores:
+    its labeled validation rows in val_L's order, then its unlabeled ones in
+    ascending order.  A failed solve, or a non-finite score, raises
+    LinAlgError whose ``fold`` names the fold.
     """
     check_theta(theta)
     for lam in lams:
@@ -529,35 +555,42 @@ def _square_loss_fold_alphas(
     width = K + 1  # start vectors per fold: m_f, then the K known columns of r1
     masks = np.zeros((len(folds) * width, n_u))
     scales = np.empty(len(folds) * width)
-    B_L = np.zeros((len(folds), n_l, K + 1))
-    for f, (train_L, train_U) in enumerate(folds):
+    B = np.zeros((n_l, len(folds) * K))  # the known columns of every fold's B_L,f
+    for f, (train_L, train_U, _) in enumerate(folds):
         masks[f * width:(f + 1) * width, train_U] = 1.0
         scales[f * width:(f + 1) * width] = 1.0 / (2.0 * len(train_U))
-        B_L[f, train_L] = _labeled_bracket(labels[train_L], K, theta)
+        B[train_L, f * K:(f + 1) * K] = _labeled_bracket(labels[train_L], K, theta)[:, :K]
     # G_UL B_L,f of every fold from one product, one row per known column
-    r1 = (G[n_l:, :n_l] @ np.hstack(B_L[:, :, :K])).T
+    r1 = (G[n_l:, :n_l] @ B).T
     starts = masks.copy()
-    for f, (_, train_U) in enumerate(folds):
+    for f, (_, train_U, _) in enumerate(folds):
         starts[f * width + 1:(f + 1) * width] *= r1[f * K:(f + 1) * K] / (4.0 * len(train_U))
     try:
-        x = _shifted_lanczos(G[n_l:, n_l:], starts, shifts, masks, scales)
+        x, kept = _shifted_lanczos(G[n_l:, n_l:], starts, shifts, masks, scales)
     except np.linalg.LinAlgError as exc:
         exc.fold = exc.row // width
         raise
 
-    coef = np.empty((len(folds), n_l + n_u, len(lams), K + 1))
-    coef[:, :n_l] = -B_L[:, :, None] / (2.0 * lams[:, None])
-    for f, (_, train_U) in enumerate(folds):
-        x0, xk = x[f * width], x[f * width + 1:(f + 1) * width]
-        xr = np.concatenate([xk, -xk.sum(axis=0, keepdims=True)])
-        coef[f, n_l:] = (x0[:, :, None] * -_unlabeled_bracket(len(train_U), K)
-                         + xr.transpose(1, 2, 0) / lams[:, None])
-    bad = np.argwhere(~np.isfinite(coef).all(axis=(1, 3)))
+    # every fold's validation rows, its labeled ones, then its unlabeled ones:
+    # G[v, U] x of its K+1 solutions, (K+1, rows, lams), and G[v, L] B_L,f, (K, rows)
+    solved, bracket, counts = [], [], []
+    for f, (_, train_U, val_L) in enumerate(folds):
+        rows, cols = slice(f * width, (f + 1) * width), slice(f * K, (f + 1) * K)
+        solved += [np.matmul(G[val_L, n_l:], x[rows]), np.stack(kept[rows])]
+        bracket += [(G[val_L, :n_l] @ B[:, cols]).T, r1[cols, masks[f * width] == 0.0]]
+        counts.append(len(val_L) + n_u - len(train_U))
+    solved, bracket = np.concatenate(solved, axis=1), np.concatenate(bracket, axis=1)
+    known = (solved[1:] - bracket[:, :, None] / 2.0) / lams
+    # the start vector m_f's share: x0 times -+1 / (2 n_u,f), its scale
+    x0 = solved[0] * np.repeat(scales[::width], counts)[:, None]
+    columns = np.concatenate([known - x0, x0[None] - known.sum(axis=0, keepdims=True)])
+    firsts = np.cumsum(counts) - counts
+    bad = np.argwhere(~np.logical_and.reduceat(np.isfinite(columns).all(axis=0), firsts))
     if len(bad):
         f, i = bad[0]
         raise _located(np.linalg.LinAlgError(
             f"square-loss solution is not finite at lambda={lams[i]}"), fold=int(f))
-    return coef
+    return np.split(columns.transpose(1, 2, 0), firsts[1:])
 
 
 def fit_square_closed_form(
@@ -605,8 +638,8 @@ def _column_coefficients(
     the verdict read at the returned point: the largest gradient entry, or
     the gap relative to the column objective.  loss_kind is canonical.
     """
-    # scipy.optimize costs about 11 MB of RSS and 0.1 s to import, and only
-    # these first-order solves use it, so square-loss runs never load it
+    # scipy.optimize is costly to import, in memory and time, and only these
+    # first-order solves use it, so square-loss runs never load it
     from scipy.optimize import minimize
 
     lam, n = options.lam, len(offsets)

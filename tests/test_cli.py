@@ -89,6 +89,46 @@ def test_square_loss_leaves_scipy_stats_and_optimize_unloaded(spec_file, tmp_pat
                     "logistic fit": [0, ["scipy.optimize"]]}
 
 
+class TestParser:
+    def test_built_once_per_process_not_at_import(self, tmp_path, monkeypatch, capsys):
+        # building it took 84 add_argument calls on every main() call
+        probe = ("import eulac.cli; print(eulac.cli._parser.cache_info().currsize)")
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              check=True)
+        assert done.stdout == "0\n"
+        builds = []
+        build = eulac.cli.build_parser
+
+        def counting_build():
+            builds.append(1)
+            return build()
+
+        monkeypatch.setattr(eulac.cli, "build_parser", counting_build)
+        eulac.cli._parser.cache_clear()
+        try:
+            for _ in range(3):
+                assert main(["theta", "--labeled", str(tmp_path / "missing.libsvm"),
+                             "--unlabeled", str(tmp_path / "missing.csv")]) == 1
+        finally:
+            eulac.cli._parser.cache_clear()
+        assert len(builds) == 1
+        assert capsys.readouterr().err.count("No such file") == 3
+
+    def test_list_defaults_cannot_be_changed_by_a_command(self):
+        # the parser is shared by every main() call of a process, so a list
+        # default that a command changed would reach the next call
+        parser = build_parser()
+        for argv, names in [
+            (["bench", "scaling", "--spec", "s"], ("sizes", "lam", "sigma_mult")),
+            (["bench", "theta-sweep", "--spec", "s"], ("ratios", "lam", "sigma_mult")),
+            (["fit", "--labeled", "l", "--unlabeled", "u"], ("lam", "sigma_mult")),
+            (["cv", "--labeled", "l", "--unlabeled", "u"], ("lam", "sigma_mult")),
+        ]:
+            args = parser.parse_args(argv)
+            for name in names:
+                assert isinstance(getattr(args, name), tuple), (argv, name)
+
+
 class TestGen:
     def test_writes_expected_files(self, spec_file, tmp_path):
         out = _gen(spec_file, tmp_path / "out")
@@ -354,6 +394,26 @@ class TestEval:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {bad}:3: features must be finite\n"
 
+    def test_test_file_not_utf8_names_its_line(self, fitted, tmp_path, capsys):
+        # the decoder's own message named neither the file nor the line
+        data, model = fitted
+        bad = tmp_path / "bad.libsvm"
+        bad.write_bytes(b"1 1:0.0 2:0.0\n\n0 1:1.0 2:\xff1.0\n1 1:0.5 2:0.5\n")
+        rc = main(["eval", "--model", str(model), "--test", str(bad)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {bad}:3: not valid UTF-8 (byte 0xff)\n"
+
+    def test_model_not_utf8_names_its_path(self, fitted, tmp_path, capsys):
+        data, model = fitted
+        bad = tmp_path / "model.json"
+        text = model.read_bytes()
+        bad.write_bytes(text[:40] + b"\xfe" + text[40:])
+        capsys.readouterr()
+        rc = main(["eval", "--model", str(bad), "--test", str(data / "test.libsvm")])
+        assert rc == 1
+        line = text[:40].count(b"\n") + 1
+        assert capsys.readouterr().err == f"error: {bad}:{line}: not valid UTF-8 (byte 0xfe)\n"
+
     def test_out_file(self, fitted, tmp_path):
         data, model = fitted
         target = tmp_path / "metrics.json"
@@ -544,6 +604,21 @@ class TestThetaAndCv:
         assert "outside the normal floating-point range" in err
         assert not (tmp_path / "cv").exists()
 
+    @pytest.mark.parametrize("command", ["fit", "cv", "theta"])
+    def test_unlabeled_file_not_utf8_names_its_line(self, spec_file, tmp_path, capsys,
+                                                     command):
+        data = _gen(spec_file, tmp_path / "data")
+        rows = (data / "unlabeled.csv").read_bytes().split(b"\n")
+        rows[3] = b"\xc3" + rows[3]  # a lead byte with no continuation
+        bad = tmp_path / "unlabeled.csv"
+        bad.write_bytes(b"\n".join(rows))
+        capsys.readouterr()
+        rc = main([command, "--labeled", str(data / "labeled.libsvm"), "--unlabeled", str(bad),
+                   "--out", str(tmp_path / command), "--theta", "0.7"]
+                  + ([] if command == "theta" else FAST_GRID))
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {bad}:4: not valid UTF-8 (byte 0xc3)\n"
+
     def test_cv_command(self, spec_file, tmp_path):
         data = _gen(spec_file, tmp_path / "data")
         rc = main(["cv", "--labeled", str(data / "labeled.libsvm"),
@@ -560,7 +635,7 @@ class TestThetaAndCv:
             exc.fold = 0  # the solver names the fold whose recurrence failed
             raise exc
 
-        monkeypatch.setattr(eulac.modelsel, "_square_loss_fold_alphas", singular)
+        monkeypatch.setattr(eulac.modelsel, "_square_loss_fold_scores", singular)
         data = _gen(spec_file, tmp_path / "data")
         labeled = load_libsvm(data / "labeled.libsvm")
         unlabeled = load_features_csv(data / "unlabeled.csv")

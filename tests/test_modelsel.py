@@ -23,6 +23,27 @@ def _data(seed=0, n_l=60, n_u=120, n_t=200):
     return sample_synthetic(spec, n_l, n_u, n_t)
 
 
+class _RowGathers(np.ndarray):
+    """A pooled Gram that records each gather of its rows: a ``take`` along
+    them, or an index array in the first place of a subscript.  A record
+    holds the rows and whether they were taken whole; every result is a
+    plain array."""
+
+    gathers: list = []
+
+    def take(self, indices, axis=None, **kwargs):
+        if axis == 0:
+            self.gathers.append((np.ravel(indices), True))
+        return np.asarray(self).take(indices, axis=axis, **kwargs)
+
+    def __getitem__(self, key):
+        first = key[0] if isinstance(key, tuple) else key
+        if not isinstance(first, (slice, int)):
+            whole = not isinstance(key, tuple) or all(k == slice(None) for k in key[1:])
+            self.gathers.append((np.ravel(first), whole))
+        return np.asarray(self)[key]
+
+
 class TestHyperGrid:
     def test_defaults(self):
         grid = HyperGrid()
@@ -134,6 +155,25 @@ class TestCrossValidate:
         assert runs == [(3 * (L.num_known_classes + 1), 3)] * 2
         fit_with_selection(L, U, THETA, grid, seed=0)
         assert factors[0] == 1
+
+    def test_square_loss_gathers_no_pooled_validation_rows(self, monkeypatch):
+        # the square-loss folds are scored from the Krylov run: no unlabeled
+        # row of the pooled Gram, and no whole pooled row, is gathered; the
+        # labeled validation rows are read in their unlabeled and their
+        # labeled columns apart
+        gathers = []
+        build = eulac.modelsel.gram
+        monkeypatch.setattr(eulac.modelsel, "gram",
+                            lambda *args: build(*args).view(_RowGathers))
+        monkeypatch.setattr(_RowGathers, "gathers", gathers)
+        L, U, _ = _data(seed=1)
+        grid = HyperGrid(sigma_multipliers=(0.1, 1.0), lambda_candidates=(1e-2, 0.1), folds=3)
+        report = cross_validate(L, U, THETA, grid, seed=0)
+        assert len(report.cells) == 4
+        for rows, whole in gathers:
+            assert not whole and np.all(rows < len(L))
+        # two gathers per fold and bandwidth
+        assert len(gathers) == 2 * 3 * 2
 
     def test_square_loss_report_same_on_any_cpu_count(self, monkeypatch):
         # 700 unlabeled rows: the Lanczos product's three column tiles run

@@ -39,7 +39,7 @@ from eulac.solver import (
     _labeled_bracket,
     _shifted_lanczos,
     _square_loss_alpha,
-    _square_loss_fold_alphas,
+    _square_loss_fold_scores,
     certified_labels,
     fit_first_order,
     fit_square_closed_form,
@@ -230,12 +230,28 @@ def _refit_alpha(G, y, n_l, lam, theta=THETA):
 
 
 def _lanczos_alphas(G, y, n_l, lams, theta=THETA):
-    """The cross-validation solve, on a floored copy of G, with one fold
-    that trains on every row."""
-    folds = [(np.arange(n_l), np.arange(G.shape[0] - n_l))]
-    block, = _square_loss_fold_alphas(_floored(G), n_l, y, 2, theta, folds, lams)
-    assert block.shape == (G.shape[0], len(lams), 3)
-    return [block[:, i] for i in range(len(lams))]
+    """The cross-validation solve, on a floored copy of G, of one fold that
+    trains on every row: one shifted-Lanczos run from the fold's start
+    vectors, the ones vector and the known columns of G_UL B_L / (4 n_u),
+    with the dual coefficients written out from its solutions."""
+    G = _floored(G)
+    n_u = G.shape[0] - n_l
+    B = _labeled_bracket(y, 2, theta)
+    starts = np.vstack([np.ones(n_u), (G[n_l:, :n_l] @ B[:, :2]).T / (4.0 * n_u)])
+    x, products = _shifted_lanczos(G[n_l:, n_l:], starts, 2.0 * np.asarray(lams) + GRAM_JITTER,
+                                   np.ones((3, n_u)), np.full(3, 1.0 / (2.0 * n_u)))
+    # no row lies off the masks, so no product is kept
+    assert [p.shape for p in products] == [(0, len(lams))] * 3
+    alphas = []
+    for i, lam in enumerate(lams):
+        alpha = np.empty((n_l + n_u, 3))
+        alpha[:n_l] = -B / (2.0 * lam)
+        # x0 times minus the unlabeled bracket +-1 / (2 n_u), plus the data
+        # solutions over lam, the novel one minus the sum of the known ones
+        alpha[n_l:, :2] = -x[0, :, i, None] / (2.0 * n_u) + x[1:, :, i].T / lam
+        alpha[n_l:, 2] = x[0, :, i] / (2.0 * n_u) - (x[1, :, i] + x[2, :, i]) / lam
+        alphas.append(alpha)
+    return alphas
 
 
 def _narrow_kernel(L, U):
@@ -402,45 +418,49 @@ class TestFoldLanczos:
         # 203 unlabeled rows in 5 folds: training blocks of 162 and 163 rows
         L, U = small_train_data(seed=9, n_l=80, n_u=203)
         support = np.vstack([L.X, U.X])
-        folds = [(train_L, train_U) for train_L, train_U, _, _ in kfold_indices(L, U, 5, seed=2)]
+        folds = [(train_L, train_U, val_L)
+                 for train_L, train_U, val_L, _ in kfold_indices(L, U, 5, seed=2)]
         # fold 1 trains without class 2: its start vector for that column is zero
-        train_L, train_U = folds[1]
-        folds[1] = (train_L[L.y[train_L] == 1], train_U)
+        train_L, train_U, val_L = folds[1]
+        folds[1] = (train_L[L.y[train_L] == 1], train_U, val_L)
         return L, support, median_heuristic(support), folds
 
     def test_matches_per_fold_factorizations(self, pooled):
+        # every fold's validation scores, at every lambda and in every
+        # column, the novel one included, against the scores of its own
+        # Cholesky solve
         L, support, median, folds = pooled
         n_l = len(L)
-        assert len({len(train_U) for _, train_U in folds}) == 2
+        assert len({len(train_U) for _, train_U, _ in folds}) == 2
         for mult in DEFAULT_SIGMA_MULTIPLIERS:
             G = gram(KernelSpec(mult * median), support, support)
             before = G.copy()
-            blocks = _square_loss_fold_alphas(G, n_l, L.y, 2, THETA, folds, DEFAULT_LAMBDAS)
+            fold_scores = _square_loss_fold_scores(G, n_l, L.y, 2, THETA, folds, DEFAULT_LAMBDAS)
             # the solve reads the floored Gram and changes none of it
             assert np.array_equal(G, before)
-            for (train_L, train_U), block in zip(folds, blocks):
+            assert len(fold_scores) == len(folds)
+            for (train_L, train_U, val_L), scores in zip(folds, fold_scores):
                 sup = np.concatenate([train_L, n_l + train_U])
+                val_U = np.setdiff1d(np.arange(len(G) - n_l), train_U)
+                val = np.concatenate([val_L, n_l + val_U])
                 G_f = before[np.ix_(sup, sup)]
-                off_support = np.ones(len(G), dtype=bool)
-                off_support[sup] = False
-                assert block.shape == (len(G), len(DEFAULT_LAMBDAS), 3)
+                assert scores.shape == (len(val), len(DEFAULT_LAMBDAS), 3)
                 for i, lam in enumerate(DEFAULT_LAMBDAS):
-                    alpha = block[:, i]
-                    ref = _square_loss_alpha(G_f.copy(), len(train_L), L.y[train_L], 2, THETA,
-                                             lam)
-                    assert np.max(np.abs(alpha[sup] - ref)) <= 1e-10 * np.max(np.abs(ref))
-                    assert not np.any(alpha[off_support])
+                    alpha = _unbuffered_square_alpha(G_f, L.y[train_L], 2, len(train_L),
+                                                     len(train_U), THETA, lam)
+                    ref = before[np.ix_(val, sup)] @ alpha
+                    assert np.max(np.abs(scores[:, i] - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     def test_failure_names_the_fold(self, pooled, monkeypatch):
         L, support, median, folds = pooled
         # fold 3 keeps one training-unlabeled row, so its recurrences reach
         # their one-step cap first
         folds = list(folds)
-        folds[3] = (folds[3][0], folds[3][1][:1])
+        folds[3] = (folds[3][0], folds[3][1][:1], folds[3][2])
         G = gram(KernelSpec(median), support, support)
         monkeypatch.setattr(eulac.solver, "KRYLOV_TOLERANCE", -1.0)
         with pytest.raises(np.linalg.LinAlgError, match=r"cap of 1 steps") as info:
-            _square_loss_fold_alphas(G, len(L), L.y, 2, THETA, folds, (1e-2,))
+            _square_loss_fold_scores(G, len(L), L.y, 2, THETA, folds, (1e-2,))
         assert info.value.fold == 3
 
     def test_nonfinite_solution_names_fold_and_lambda(self, pooled, monkeypatch):
@@ -450,15 +470,15 @@ class TestFoldLanczos:
         lanczos = eulac.solver._shifted_lanczos
 
         def overflowing(*args):
-            x = lanczos(*args)
+            x, products = lanczos(*args)
             x[2 * 3 + 1, 0, 1] = np.inf  # 3 = K + 1 start vectors per fold
-            return x
+            return x, products
 
         monkeypatch.setattr(eulac.solver, "_shifted_lanczos", overflowing)
         G = gram(KernelSpec(median), support, support)
         with pytest.raises(np.linalg.LinAlgError,
                            match=r"^square-loss solution is not finite at lambda=0\.1$") as info:
-            _square_loss_fold_alphas(G, len(L), L.y, 2, THETA, folds, (1e-2, 0.1, 1.0))
+            _square_loss_fold_scores(G, len(L), L.y, 2, THETA, folds, (1e-2, 0.1, 1.0))
         assert info.value.fold == 2
 
 
@@ -487,8 +507,8 @@ class TestShiftedLanczos:
         starts = rng.normal(size=(2, n))
         shifts = np.array([1e-4, 1e-2])
         monkeypatch.setattr(_CountingProducts, "products", 0)
-        x = _shifted_lanczos(A.view(_CountingProducts), starts, shifts, np.ones((2, n)),
-                             np.ones(2))
+        x, _ = _shifted_lanczos(A.view(_CountingProducts), starts, shifts, np.ones((2, n)),
+                                np.ones(2))
         assert _CountingProducts.products > 128
         for r in range(2):
             for j, shift in enumerate(shifts):
@@ -525,13 +545,36 @@ class TestShiftedLanczos:
                 results.append(_shifted_lanczos(A, starts, shifts, masks, scales))
         finally:
             sys.setswitchinterval(interval)
-        for x in results[1:]:
-            np.testing.assert_array_equal(x, results[0])
+        # the solutions and the products kept off the masks
+        for x, products in results[1:]:
+            np.testing.assert_array_equal(x, results[0][0])
+            assert len(products) == len(results[0][1]) == 6
+            for kept, first in zip(products, results[0][1]):
+                np.testing.assert_array_equal(kept, first)
         # and the result solves fold 0's data system at the smallest shift
         m = masks[1].astype(bool)
         system = A[np.ix_(m, m)] * scales[1] + shifts[0] * np.eye(m.sum())
         ref = np.linalg.solve(system, starts[1, m])
-        assert np.max(np.abs(results[0][1, m, 0] - ref)) <= 1e-9 * np.max(np.abs(ref))
+        assert np.max(np.abs(results[0][0][1, m, 0] - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+    def test_off_mask_products_equal_dense_products(self):
+        # 250 eigenvalues over four decades and a shift at the bottom of the
+        # spectrum: the run takes about 200 steps, so the kept products grow
+        # with the basis.  Each row leaves out its own rows, one row none
+        rng = np.random.default_rng(3)
+        n = 250
+        eigvecs, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        A = (eigvecs * np.geomspace(1e-4, 1.0, n)) @ eigvecs.T
+        A = (A + A.T) / 2.0
+        masks = np.ones((4, n))
+        masks[0, ::5] = masks[1, 1::7] = masks[2, :40] = 0.0
+        starts = masks * rng.normal(size=(4, n))
+        shifts = np.array([1e-4, 1e-2, 1.0])
+        x, products = _shifted_lanczos(A, starts, shifts, masks, np.array([1.0, 0.5, 2.0, 1.0]))
+        assert [p.shape for p in products] == [(50, 3), (36, 3), (40, 3), (0, 3)]
+        for r in range(3):
+            dense = (A @ x[r])[masks[r] == 0.0]
+            assert np.max(np.abs(products[r] - dense)) <= 1e-12 * np.max(np.abs(dense))
 
     def test_nonpositive_pivot_names_its_start_vector(self):
         # row 0's operator is -(-I) = I, row 1's is -I: shifted by 0.5, its
@@ -550,9 +593,9 @@ class TestShiftedLanczos:
         message = "regularization weight must be positive and finite, got inf"
         with pytest.raises(ValueError, match=message):
             fit_square_closed_form(L, U, kernel, THETA, float("inf"))
-        folds = [(np.arange(len(L)), np.arange(len(U)))]
+        folds = [(np.arange(len(L)), np.arange(len(U)), np.arange(0))]
         with pytest.raises(ValueError, match=message):
-            _square_loss_fold_alphas(_floored(G), len(L), L.y, 2, THETA, folds,
+            _square_loss_fold_scores(_floored(G), len(L), L.y, 2, THETA, folds,
                                      [0.1, float("inf")])
 
 
