@@ -55,7 +55,7 @@ def _dump_json(path: str | Path | None, payload: dict) -> None:
 
 
 def _read_spec(path: str) -> dt.SyntheticSpec:
-    return dt.parse_synthetic_spec(dt.read_text(path))
+    return dt.parse_synthetic_spec(dt.read_text(path), path)
 
 
 def _checked_flags(args) -> HyperGrid | None:
@@ -262,7 +262,7 @@ def _bench_source(args):
     if not (data and config):
         raise ValueError("bench needs either --spec or both --data and --config")
     full = dt.load_libsvm(data)
-    classes = dt.parse_class_configuration(dt.read_text(config))
+    classes = dt.parse_class_configuration(dt.read_text(config), config)
     # the configuration names the file's own ids, which the loader keeps in
     # label_map
     ids = full.label_map

@@ -12,6 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import length_hint
@@ -748,66 +749,6 @@ def sample_test_set(spec: SyntheticSpec, n_test: int, seed: int) -> LabeledDatas
 
 
 # ---------------------------------------------------------------------------
-# exact finite-support distributions (oracle for the risk identities)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FiniteDistribution:
-    """Exact finite-support joint distribution satisfying the class-shift split.
-
-    Rows with a known label carry total mass theta (the known-class part);
-    rows with the sentinel label carry mass 1 - theta.
-    """
-
-    points: np.ndarray
-    labels: np.ndarray
-    probabilities: np.ndarray
-    theta: float
-    num_known_classes: int
-
-    def __post_init__(self):
-        pts = _validate_features(self.points)
-        y = np.asarray(self.labels, dtype=np.int64)
-        p = np.asarray(self.probabilities, dtype=float)
-        K = int(self.num_known_classes)
-        if y.shape != (pts.shape[0],) or p.shape != (pts.shape[0],):
-            raise ValueError("labels/probabilities must align with points")
-        if K < 1 or np.any(y < 1) or np.any(y > K + 1):
-            raise ValueError(f"labels must lie in 1..{K + 1}")
-        if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError("probabilities must be nonnegative and sum to 1")
-        check_theta(self.theta)
-        known_mass = float(p[y <= K].sum())
-        if abs(known_mass - self.theta) > 1e-9:
-            raise ValueError(
-                f"class-shift decomposition violated: known mass {known_mass} != theta {self.theta}"
-            )
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "labels", y)
-        object.__setattr__(self, "probabilities", p)
-        object.__setattr__(self, "num_known_classes", K)
-
-    @property
-    def novel_label(self) -> int:
-        return self.num_known_classes + 1
-
-    @property
-    def known_mask(self) -> np.ndarray:
-        return self.labels <= self.num_known_classes
-
-    def sample_train(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Row indices drawn from the known-class conditional (the training law)."""
-        known = np.flatnonzero(self.known_mask)
-        p = self.probabilities[known] / self.theta
-        return known[rng.choice(len(known), size=size, p=p / p.sum())]
-
-    def sample_test(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Row indices drawn from the full testing law."""
-        return rng.choice(len(self.labels), size=size, p=self.probabilities)
-
-
-# ---------------------------------------------------------------------------
 # exact error floor for low-dimensional synthetic tasks
 # ---------------------------------------------------------------------------
 
@@ -867,84 +808,122 @@ def bayes_risk_from_joints(volume: float, joints: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _parse_kv_lines(text: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
+def _parse_kv_lines(path, text: str, keys: re.Pattern) -> dict[str, tuple[str, int]]:
+    """Each ``key = value`` line of the file at ``path`` as key: (value, line
+    number); '#' starts a comment and blank lines are skipped.  Lines are
+    counted at each '\\n', as the loaders count them.  A line without '=',
+    a key that ``keys`` does not match in full, or a key given twice raises
+    ValueError naming ``path:line``."""
+    out: dict[str, tuple[str, int]] = {}
+    for line_no, line in enumerate(text.split("\n"), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"line {line_no}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+            raise ValueError(f"{path}:{line_no}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if not keys.fullmatch(key):
+            raise ValueError(f"{path}:{line_no}: unrecognised key {key!r}")
+        if key in out:
+            raise ValueError(f"{path}:{line_no}: repeated key {key!r}, first on line {out[key][1]}")
+        out[key] = (value, line_no)
     return out
 
 
-def parse_class_configuration(text: str) -> ClassConfiguration:
+def _kv_value(path, kv: dict, key: str, parse, default: str | None = None,
+              line: int | None = None):
+    """``parse`` of the value of ``key`` in ``kv``, or of ``default`` when
+    the key is absent.  Its ValueError is raised again naming ``path:line``;
+    an absent key without a default is refused naming ``path``, ``line``
+    when given, and the key."""
+    if key not in kv:
+        if default is None:
+            where = path if line is None else f"{path}:{line}"
+            raise ValueError(f"{where}: missing key {key!r}")
+        return parse(default)
+    value, line = kv[key]
+    try:
+        return parse(value)
+    except ValueError as exc:
+        raise ValueError(f"{path}:{line}: {exc}") from None
+
+
+def _class_ids(value: str) -> frozenset[int]:
+    return frozenset(int(t) for t in value.split())
+
+
+def parse_class_configuration(text: str, path="<string>") -> ClassConfiguration:
     """Parse ``known_labels`` and the optional ``new_labels``, each a
-    space-separated list of class ids; any other key is an error."""
-    kv = _parse_kv_lines(text)
+    space-separated list of class ids, from the text of the file at
+    ``path``; any other key is an error.  A malformed configuration raises
+    ValueError naming ``path``, and ``path:line`` where one line is at
+    fault."""
+    kv = _parse_kv_lines(path, text, re.compile("known_labels|new_labels"))
+    known = _kv_value(path, kv, "known_labels", _class_ids)
+    new = _kv_value(path, kv, "new_labels", _class_ids, default="")
     try:
-        known = frozenset(int(t) for t in kv.pop("known_labels").split())
-    except KeyError as exc:
-        raise ValueError(f"missing key {exc.args[0]!r}") from exc
-    new = frozenset(int(t) for t in kv.pop("new_labels", "").split())
-    if kv:
-        raise ValueError(f"unrecognised key {next(iter(kv))!r}")
-    return ClassConfiguration(known, new)
+        return ClassConfiguration(known, new)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
-def _parse_matrix(value: str, d: int) -> np.ndarray:
-    rows = [r.strip() for r in value.split(";")]
-    mat = np.array([[float(t) for t in r.split()] for r in rows])
-    if mat.shape != (d, d):
-        raise ValueError(f"covariance must be {d}x{d}, got {mat.shape}")
-    return mat
+def _parse_rows(value: str, n_rows: int, d: int, name: str) -> np.ndarray:
+    """The ';'-separated rows of numbers in ``value``: n_rows of d each."""
+    rows = [[float(t) for t in r.split()] for r in value.split(";")]
+    if len(rows) != n_rows or any(len(r) != d for r in rows):
+        raise ValueError(f"{name} must hold {n_rows} row(s) of {d} numbers, separated by ';'")
+    return np.array(rows)
 
 
-def parse_synthetic_spec(text: str) -> SyntheticSpec:
-    """Parse the key-value synthetic-spec format (see format_synthetic_spec)."""
-    kv = _parse_kv_lines(text)
-    try:
-        d = int(kv.pop("dimension"))
-        theta = float(kv.pop("theta"))
-    except KeyError as exc:
-        raise ValueError(f"missing key {exc.args[0]!r}") from exc
-    seed = int(kv.pop("seed", "0"))
+# every key of the spec format; ids are spelled as str writes them, so that
+# no two keys name one entry
+_SPEC_KEY = re.compile(r"dimension|theta|seed|class\.(0|[1-9]\d*)\.prior"
+                       r"|(class\.(0|[1-9]\d*)|new)\.component\.(0|[1-9]\d*)\.(weight|mean|cov)")
 
-    groups: dict[str, dict[int, dict[str, str]]] = {}
-    priors: dict[int, float] = {}
-    for key, value in kv.items():
-        parts = key.split(".")
-        if parts[0] == "class" and parts[-1] == "prior" and len(parts) == 3:
-            priors[int(parts[1])] = float(value)
-            continue
-        if parts[0] == "class" and len(parts) == 5 and parts[2] == "component":
-            name, comp, field_name = f"class.{int(parts[1])}", int(parts[3]), parts[4]
-        elif parts[0] == "new" and len(parts) == 4 and parts[1] == "component":
-            name, comp, field_name = "new", int(parts[2]), parts[3]
-        else:
-            raise ValueError(f"unrecognised key {key!r}")
-        groups.setdefault(name, {}).setdefault(comp, {})[field_name] = value
+
+def parse_synthetic_spec(text: str, path="<string>") -> SyntheticSpec:
+    """Parse the key-value synthetic-spec format (see format_synthetic_spec)
+    from the text of the file at ``path``.
+
+    A malformed spec raises ValueError naming ``path:line`` of a line that
+    does not parse, an unrecognised or repeated key, or a component or
+    class without a required key; a missing top-level key, or a mixture or
+    spec the generator refuses, is named by ``path`` alone.
+    """
+    kv = _parse_kv_lines(path, text, _SPEC_KEY)
+    classes, components = {}, {}  # class id -> first line; mixture -> {component id: first line}
+    for key, (_, line) in kv.items():
+        match = _SPEC_KEY.fullmatch(key)
+        if match[1] or match[3]:
+            classes.setdefault(int(match[1] or match[3]), line)
+        if match[2]:
+            components.setdefault(match[2], {}).setdefault(int(match[4]), line)
+    d = _kv_value(path, kv, "dimension", int)
+    theta = _kv_value(path, kv, "theta", float)
+    seed = _kv_value(path, kv, "seed", int, default="0")
 
     def build_mixture(name: str) -> GaussianMixture:
-        comps = groups.get(name)
-        if not comps:
-            raise ValueError(f"no components given for {name!r}")
-        weights, means, covs = [], [], []
-        for comp_id in sorted(comps):
-            fields = comps[comp_id]
-            weights.append(float(fields.get("weight", "1.0")))
-            means.append([float(t) for t in fields["mean"].split()])
-            covs.append(_parse_matrix(fields["cov"], d))
-        return GaussianMixture(np.array(weights), np.array(means), np.array(covs))
+        if name not in components:
+            raise ValueError(f"{path}: no components given for {name!r}")
+        fields = [(f"{name}.component.{j}.", line) for j, line in sorted(components[name].items())]
+        weights = [_kv_value(path, kv, key + "weight", float, default="1.0") for key, _ in fields]
+        means = [_kv_value(path, kv, key + "mean", lambda v: _parse_rows(v, 1, d, "mean")[0],
+                           line=line) for key, line in fields]
+        covs = [_kv_value(path, kv, key + "cov", lambda v: _parse_rows(v, d, d, "covariance"),
+                          line=line) for key, line in fields]
+        try:
+            return GaussianMixture(np.array(weights), np.array(means), np.array(covs))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {name}: {exc}") from None
 
-    class_ids = sorted(priors)
-    if not class_ids:
-        raise ValueError("spec declares no known classes")
-    mixtures = tuple(build_mixture(f"class.{c}") for c in class_ids)
-    prior_vec = np.array([priors[c] for c in class_ids])
-    return SyntheticSpec(prior_vec, mixtures, build_mixture("new"), theta, seed=seed)
+    priors = np.array([_kv_value(path, kv, f"class.{c}.prior", float, line=classes[c])
+                       for c in sorted(classes)])
+    mixtures = tuple(build_mixture(f"class.{c}") for c in sorted(classes))
+    new_mixture = build_mixture("new")
+    try:
+        return SyntheticSpec(priors, mixtures, new_mixture, theta, seed=seed)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def format_synthetic_spec(spec: SyntheticSpec) -> str:

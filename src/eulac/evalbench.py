@@ -1,6 +1,5 @@
-"""Evaluation metrics, the rejecting one-versus-rest baseline, and the
-benchmark harnesses (unlabeled-data scaling, novel-ratio sweep, and the
-excess-risk transfer check for the square loss)."""
+"""Evaluation metrics and the benchmark harnesses (unlabeled-data scaling,
+novel-ratio sweep, and the excess-risk transfer check for the square loss)."""
 
 from __future__ import annotations
 
@@ -8,23 +7,18 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .data import (
-    LabeledDataset,
     SyntheticSpec,
     bayes_risk_from_joints,
     check_count,
-    check_known_only,
     check_ratios,
     json_text,
     posterior_grid,
     sample_synthetic,
     sample_test_set,
     split_class_configuration,
-    stratified_folds,
 )
-from .kernel import DEFAULT_SIGMA_MULTIPLIERS, KernelSpec, gram, median_heuristic
 from .losses import SQUARE
 from .modelsel import HyperGrid, fit_with_selection
 from .risk import (
@@ -36,7 +30,7 @@ from .risk import (
     tabulate_scores,
     zero_one_risk,
 )
-from .solver import DualModel, predict_labels, predict_scores
+from .solver import DualModel, predict_labels
 
 DEFAULT_SCALING_SIZES = (250, 500, 750, 1000, 1250, 1500)
 DEFAULT_SWEEP_RATIOS = (0.0, 0.2, 0.6, 0.8)
@@ -104,83 +98,6 @@ def macro_f1(cm: ConfusionMatrix) -> float:
         denom = truth + pred  # 2PR/(P+R) == 2 tp / (truth + pred)
         scores.append(2.0 * tp / denom if denom > 0 else 0.0)
     return float(np.mean(scores))
-
-
-# ---------------------------------------------------------------------------
-# rejecting one-versus-rest baseline (labeled data only)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RejectingOvrModel:
-    """Square-loss kernel one-versus-rest scorers fit on labeled data alone.
-
-    Predicts the novel class only when every known-class score is strictly
-    negative; a query whose scores all vanish (far from the support) is
-    assigned the argmax known class.
-    """
-
-    support_points: np.ndarray
-    alpha: np.ndarray
-    kernel: KernelSpec
-    num_known_classes: int
-
-    def scores(self, queries) -> np.ndarray:
-        return predict_scores(self, queries)
-
-    def predict(self, queries) -> np.ndarray:
-        s = self.scores(queries)
-        labels = np.argmax(s, axis=1).astype(np.int64) + 1
-        labels[np.max(s, axis=1) < 0.0] = self.num_known_classes + 1
-        return labels
-
-
-def ovr_reject_baseline(
-    labeled: LabeledDataset, kernel: KernelSpec, lam: float
-) -> RejectingOvrModel:
-    """Fit the baseline: one regularized kernel scorer per known class."""
-    check_known_only(labeled)
-    n = len(labeled)
-    K = labeled.num_known_classes
-    G = gram(kernel, labeled.X, labeled.X)
-    targets = np.where(labeled.y[:, None] == np.arange(1, K + 1)[None, :], 1.0, -1.0)
-    # square loss (1 - y f)^2 / 4 plus lam ||f||^2 gives (G + 4 n lam I) a = y
-    system = G + (4.0 * n * lam + 1e-10) * np.eye(n)
-    alpha = cho_solve(cho_factor(system, lower=True), targets)
-    return RejectingOvrModel(labeled.X.copy(), alpha, kernel, K)
-
-
-def select_baseline_bandwidth(
-    labeled: LabeledDataset,
-    lam: float = 1.0,
-    multipliers: tuple[float, ...] = DEFAULT_SIGMA_MULTIPLIERS,
-    folds: int = 5,
-    seed: int = 0,
-) -> KernelSpec:
-    """Labeled-only bandwidth selection for the baseline (accuracy criterion).
-
-    Mirrors the candidate grid used for the main method but applies it to
-    the labeled-median distance, since the baseline never sees unlabeled
-    data.
-    """
-    median = median_heuristic(labeled.X)
-    fold_of = stratified_folds(labeled.y, folds, np.random.default_rng(seed))
-    best = None
-    for mult in multipliers:
-        kernel = KernelSpec(mult * median)
-        hits = 0
-        for f in range(folds):
-            tr = np.flatnonzero(fold_of != f)
-            va = np.flatnonzero(fold_of == f)
-            sub = LabeledDataset(labeled.X[tr], labeled.y[tr], labeled.num_known_classes)
-            model = ovr_reject_baseline(sub, kernel, lam)
-            scores = model.scores(labeled.X[va])
-            pred = np.argmax(scores, axis=1) + 1  # known-class accuracy only
-            hits += int(np.sum(pred == labeled.y[va]))
-        acc = hits / len(labeled)
-        if best is None or acc > best[0] or (acc == best[0] and kernel.sigma > best[1].sigma):
-            best = (acc, kernel)
-    return best[1]
 
 
 # ---------------------------------------------------------------------------

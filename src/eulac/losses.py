@@ -2,8 +2,8 @@
 
 Every loss offered here satisfies the identity psi(z) - psi(-z) = -z, which
 is what makes the labeled-data term of the LAC risk collapse to a linear
-function of the scores.  The plain hinge loss violates the identity and is
-rejected on construction.
+function of the scores; the tests check it on a grid of z.  The plain hinge
+loss violates the identity and is rejected on construction.
 """
 
 from __future__ import annotations
@@ -74,8 +74,3 @@ def loss_derivative(kind: str, z) -> np.ndarray | float:
     out = _derivative(canonical_loss_kind(kind), _check_finite(z))
     return out if out.ndim else float(out)
 
-
-def check_lac_condition(kind: str, grid) -> float:
-    """Max violation of psi(z) - psi(-z) + z = 0 over the given grid."""
-    grid = _check_finite(grid)
-    return float(np.max(np.abs(loss_value(kind, grid) - loss_value(kind, -grid) + grid)))

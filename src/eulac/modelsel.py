@@ -175,8 +175,8 @@ def cross_validate(
                 for i, lam in enumerate(lams):
                     try:
                         coef[sup, i], record = _first_order_alpha(
-                            G_tt, labeled.y[train_L], K, len(train_L), len(train_U), theta,
-                            FitOptions(lam=lam), grid.loss_kind)
+                            G_tt, labeled.y[train_L], K, theta, FitOptions(lam=lam),
+                            grid.loss_kind)
                     except Exception as exc:
                         raise _fit_failure(mult, (lam,), fold, exc) from exc
                     nonconverged[i] += not record.converged

@@ -1,9 +1,9 @@
-"""Risk functionals: the empirical unbiased estimator, its exact
-finite-support counterparts, the 0-1 risk, and the uniform deviation bound.
+"""Risk functionals: the empirical unbiased estimator, the minimal
+square-loss risk, the 0-1 risk, and the uniform deviation bound.
 
-A score function set is anything that maps an (m, d) array of feature
-vectors to an (m, K+1) score matrix: a fitted model's ``scores`` method, a
-plain callable, or a pre-tabulated array aligned with a known support.
+A score function set is a callable that maps an (m, d) array of feature
+vectors to an (m, K+1) score matrix, such as a fitted model's ``scores``
+method.
 """
 
 from __future__ import annotations
@@ -12,17 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (FiniteDistribution, LabeledDataset, UnlabeledDataset, check_known_only,
-                   check_theta)
+from .data import LabeledDataset, UnlabeledDataset, check_known_only, check_theta
 from .losses import canonical_loss_kind, loss_value
 
 
 def tabulate_scores(f, points: np.ndarray, num_known_classes: int) -> np.ndarray:
     """Evaluate a score function set on points, returning an (m, K+1) matrix."""
-    if callable(f):
-        scores = np.asarray(f(points), dtype=float)
-    else:
-        scores = np.asarray(f, dtype=float)
+    scores = np.asarray(f(points), dtype=float)
     m = np.atleast_2d(points).shape[0]
     if scores.shape != (m, num_known_classes + 1):
         raise ValueError(
@@ -83,64 +79,6 @@ def empirical_lac_risk(
     sl = tabulate_scores(f, labeled.X, K)
     su = tabulate_scores(f, unlabeled.X, K)
     return lac_risk_from_scores(sl, labeled.y, su, theta, loss_kind)
-
-
-def _per_row_ovr_loss(scores: np.ndarray, labels: np.ndarray, loss_kind: str) -> np.ndarray:
-    """psi(f_y(x)) + sum_{k != y} psi(-f_k(x)) for each row."""
-    rows = np.arange(scores.shape[0])
-    all_neg = loss_value(loss_kind, -scores).sum(axis=1)
-    own = scores[rows, labels - 1]
-    return loss_value(loss_kind, own) - loss_value(loss_kind, -own) + all_neg
-
-
-def exact_ovr_risk(f, dist: FiniteDistribution, loss_kind: str) -> float:
-    """Exact one-versus-rest surrogate risk over a finite testing distribution."""
-    loss_kind = canonical_loss_kind(loss_kind)
-    scores = tabulate_scores(f, dist.points, dist.num_known_classes)
-    return float(np.sum(dist.probabilities * _per_row_ovr_loss(scores, dist.labels, loss_kind)))
-
-
-def exact_lac_risk(f, dist: FiniteDistribution, loss_kind: str) -> float:
-    """Exact LAC risk (linear labeled term) over a finite distribution.
-
-    Equals exact_ovr_risk whenever the loss satisfies psi(z) - psi(-z) = -z.
-    """
-    loss_kind = canonical_loss_kind(loss_kind)
-    scores = tabulate_scores(f, dist.points, dist.num_known_classes)
-    K = dist.num_known_classes
-    known = dist.known_mask
-    rows = np.flatnonzero(known)
-    gap = scores[rows, K] - scores[rows, dist.labels[rows] - 1]
-    labeled_term = float(np.sum(dist.probabilities[rows] * gap))
-    marginal_term = float(np.sum(dist.probabilities * marginal_row_loss(scores, loss_kind)))
-    return labeled_term + marginal_term
-
-
-def exact_nonconvex_lac_risk(f, dist: FiniteDistribution, loss_kind: str) -> float:
-    """Exact LAC risk in the loss-difference form valid for any surrogate."""
-    loss_kind = canonical_loss_kind(loss_kind)
-    scores = tabulate_scores(f, dist.points, dist.num_known_classes)
-    K = dist.num_known_classes
-    rows = np.flatnonzero(dist.known_mask)
-    own = scores[rows, dist.labels[rows] - 1]
-    nc = scores[rows, K]
-    diff = (
-        loss_value(loss_kind, own)
-        - loss_value(loss_kind, -own)
-        + loss_value(loss_kind, -nc)
-        - loss_value(loss_kind, nc)
-    )
-    labeled_term = float(np.sum(dist.probabilities[rows] * diff))
-    marginal_term = float(np.sum(dist.probabilities * marginal_row_loss(scores, loss_kind)))
-    return labeled_term + marginal_term
-
-
-def optimal_square_lac_risk(dist: FiniteDistribution) -> float:
-    """Minimal LAC risk under the square loss over a finite distribution."""
-    points, where = np.unique(dist.points, axis=0, return_inverse=True)
-    joints = np.zeros((dist.num_known_classes + 1, points.shape[0]))
-    np.add.at(joints, (dist.labels - 1, where.ravel()), dist.probabilities)
-    return optimal_square_risk_from_joints(joints)
 
 
 def optimal_square_risk_from_joints(joints: np.ndarray) -> float:

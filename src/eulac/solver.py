@@ -696,13 +696,12 @@ def _first_order_alpha(
     G: np.ndarray,
     y: np.ndarray,
     num_known_classes: int,
-    n_l: int,
-    n_u: int,
     theta: float,
     options: FitOptions,
     loss_kind: str,
 ) -> tuple[np.ndarray, FitRecord]:
-    """Dual coefficients by first-order solves on a precomputed Gram.
+    """Dual coefficients by first-order solves on a precomputed Gram, its
+    len(y) labeled rows first.
 
     The labeled rows take the closed form -B_L / (2 lam) of the labeled
     bracket for every loss.  Their pull on the unlabeled rows then cancels
@@ -715,6 +714,8 @@ def _first_order_alpha(
     largest relative duality gap.
     """
     lam, K = options.lam, num_known_classes
+    n_l = len(y)
+    n_u = G.shape[0] - n_l
     alpha = np.zeros((n_l + n_u, K + 1))
     # the zero model scores zero everywhere
     history = [_objective_arrays(alpha, alpha, y, n_l, n_u, theta, lam, loss_kind)]
@@ -754,8 +755,7 @@ def fit_first_order(
     support = pooled_points(labeled, unlabeled)
     G = gram(kernel, support, support)
     alpha, record = _first_order_alpha(
-        G, labeled.y, labeled.num_known_classes, len(labeled), len(unlabeled),
-        theta, options, loss_kind,
+        G, labeled.y, labeled.num_known_classes, theta, options, loss_kind,
     )
     return DualModel(support, alpha, kernel, loss_kind, theta, lam=options.lam,
                      num_known_classes=labeled.num_known_classes, record=record)

@@ -4,13 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from eulac.data import (
-    FiniteDistribution,
-    GaussianMixture,
-    LabeledDataset,
-    SyntheticSpec,
-    UnlabeledDataset,
-)
+from eulac.data import GaussianMixture, LabeledDataset, SyntheticSpec, UnlabeledDataset
+
+from oracles import FiniteDistribution
 
 
 def random_finite_distribution(

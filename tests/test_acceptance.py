@@ -16,20 +16,15 @@ from eulac.data import bayes_risk_oracle, format_synthetic_spec, sample_syntheti
 from eulac.evalbench import (
     ConfusionMatrix,
     macro_f1,
-    ovr_reject_baseline,
     run_excess_risk_check,
     run_unlabeled_scaling,
-    select_baseline_bandwidth,
 )
 from eulac.kernel import KernelSpec, gram, median_heuristic
-from eulac.losses import LOSS_KINDS, check_lac_condition
+from eulac.losses import LOSS_KINDS
 from eulac.mixture import estimate_theta
 from eulac.modelsel import HyperGrid, fit_with_selection
 from eulac.risk import (
     TheoryParams,
-    exact_lac_risk,
-    exact_nonconvex_lac_risk,
-    exact_ovr_risk,
     generalization_bound,
     lac_risk_from_scores,
     zero_one_risk,
@@ -43,6 +38,14 @@ from eulac.solver import (
 )
 
 from conftest import random_finite_distribution, random_scores, small_train_data, two_cluster_spec
+from oracles import (
+    check_lac_condition,
+    exact_lac_risk,
+    exact_nonconvex_lac_risk,
+    exact_ovr_risk,
+    ovr_reject_baseline,
+    select_baseline_bandwidth,
+)
 
 
 @contextmanager

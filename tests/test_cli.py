@@ -155,6 +155,24 @@ class TestGen:
         for name in ("labeled.libsvm", "unlabeled.csv", "test.libsvm", "manifest.json"):
             assert _digest(a / name) == _digest(b / name)
 
+    @pytest.mark.parametrize("old, new, message", [
+        # a component without its cov ended in a KeyError traceback
+        ("class.1.component.1.cov = 1.0 0.0 ; 0.0 1.0\n", "",
+         "5: missing key 'class.1.component.1.cov'"),
+        ("class.1.prior = 0.5", "class.1.prior = x", "4: could not convert string to float: 'x'"),
+        ("seed = 0", "seed 0", "3: expected 'key = value'"),
+        # an unknown field exited 0, and a misspelt weight fell back to 1.0
+        ("component.1.weight", "component.1.bogus",
+         "5: unrecognised key 'class.1.component.1.bogus'"),
+    ])
+    def test_malformed_spec_names_path_and_line(self, spec_file, tmp_path, capsys, old, new,
+                                                message):
+        spec_file.write_text(spec_file.read_text().replace(old, new, 1))
+        rc = main(["gen", "--spec", str(spec_file), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {spec_file}:{message}\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestFit:
     def test_happy_path(self, spec_file, tmp_path, capsys):
@@ -880,5 +898,21 @@ class TestBenchData:
         rc = main(["bench", "scaling", "--data", str(data_file), "--config", str(config),
                    "--out", str(tmp_path / "b")])
         assert rc == 1
-        assert capsys.readouterr().err == "error: unrecognised key 'new_label'\n"
+        assert capsys.readouterr().err == f"error: {config}:2: unrecognised key 'new_label'\n"
+        assert not (tmp_path / "b").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("known_labels = 1 x\n", "1: invalid literal for int() with base 10: 'x'"),
+        # a repeated key replaced the first, so this ran with known classes {3}
+        ("known_labels = 1 2\nknown_labels = 3\n",
+         "2: repeated key 'known_labels', first on line 1"),
+    ])
+    def test_malformed_configuration_names_path_and_line(self, data_file, tmp_path, capsys, text,
+                                                         message):
+        config = tmp_path / "config.txt"
+        config.write_text(text)
+        rc = main(["bench", "theta-sweep", "--data", str(data_file), "--config", str(config),
+                   "--out", str(tmp_path / "b")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {config}:{message}\n"
         assert not (tmp_path / "b").exists()

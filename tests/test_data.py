@@ -4,7 +4,6 @@ import pytest
 import eulac.data as dt
 from eulac.data import (
     ClassConfiguration,
-    FiniteDistribution,
     GaussianMixture,
     LabeledDataset,
     UnlabeledDataset,
@@ -24,7 +23,6 @@ from eulac.data import (
     write_libsvm,
 )
 
-from eulac.evalbench import ovr_reject_baseline
 from eulac.kernel import KernelSpec
 from eulac.mixture import estimate_theta
 from eulac.modelsel import HyperGrid, cross_validate
@@ -32,6 +30,7 @@ from eulac.risk import empirical_lac_risk
 from eulac.solver import FitOptions, fit_first_order, fit_square_closed_form
 
 from conftest import two_cluster_spec
+from oracles import FiniteDistribution, ovr_reject_baseline
 
 
 class TestLibsvmLoader:
@@ -837,15 +836,56 @@ class TestConfigFormats:
         assert config.known_labels == frozenset({1, 2, 3})
         assert config.new_labels == frozenset({4, 5})
 
-    @pytest.mark.parametrize("text, message", [
-        ("known_labels = 1 2\nnew_label = 3\n", "unrecognised key 'new_label'"),
-        ("known_labels = 1 2\nnew_labels = 3\nseed = 7\n", "unrecognised key 'seed'"),
-        ("new_labels = 3\n", "missing key 'known_labels'"),
+    @pytest.mark.parametrize("text, message, where", [
+        ("known_labels = 1 2\nnew_label = 3\n", "unrecognised key 'new_label'", "<string>:2"),
+        ("known_labels = 1 2\nnew_labels = 3\nseed = 7\n", "unrecognised key 'seed'",
+         "<string>:3"),
+        ("new_labels = 3\n", "missing key 'known_labels'", "<string>"),
     ])
-    def test_class_configuration_bad_key_rejected(self, text, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
+    def test_class_configuration_bad_key_rejected(self, text, message, where):
+        with pytest.raises(ValueError, match=f"^{where}: {message}$"):
             parse_class_configuration(text)
 
     def test_bad_key_rejected(self):
         with pytest.raises(ValueError, match="unrecognised|missing"):
             parse_synthetic_spec("dimension = 2\ntheta = 0.5\nwhatever = 3\n")
+
+    @pytest.mark.parametrize("edit, message", [
+        # (line to replace or drop, its replacement) in format_synthetic_spec's output
+        (("class.1.component.1.cov", None), "5: missing key 'class.1.component.1.cov'"),
+        (("class.1.prior", "class.1.prior = x"),
+         "4: could not convert string to float: 'x'"),
+        (("seed", "seed 0"), "3: expected 'key = value'"),
+        (("theta", "theta = 0.7\ntheta = 0.5"), "3: repeated key 'theta', first on line 2"),
+        (("class.1.component.1.weight", "class.1.component.1.bogus = 3"),
+         "5: unrecognised key 'class.1.component.1.bogus'"),
+        (("class.1.component.1.weight", "class.1.component.1.weigth = 1.0"),
+         "5: unrecognised key 'class.1.component.1.weigth'"),
+        (("class.1.prior", "class.01.prior = 0.5"), "4: unrecognised key 'class.01.prior'"),
+        (("class.2.prior", None), "8: missing key 'class.2.prior'"),
+        (("class.1.component.1.mean", "class.1.component.1.mean = 1"),
+         "6: mean must hold 1 row(s) of 2 numbers, separated by ';'"),
+        (("class.1.component.1.cov", "class.1.component.1.cov = 1 0 ; 0"),
+         "7: covariance must hold 2 row(s) of 2 numbers, separated by ';'"),
+        (("dimension", "# a comment holding \f and \v\ndimension = x"),
+         "2: invalid literal for int() with base 10: 'x'"),
+    ])
+    def test_spec_error_names_path_and_line(self, edit, message):
+        key, replacement = edit
+        lines = format_synthetic_spec(two_cluster_spec(0.7, seed=0)).splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith(key + " "))
+        lines[at:at + 1] = [] if replacement is None else [replacement]
+        with pytest.raises(ValueError) as info:
+            parse_synthetic_spec("\n".join(lines) + "\n", "spec.txt")
+        assert str(info.value) == f"spec.txt:{message}"
+
+    @pytest.mark.parametrize("text, message", [
+        ("known_labels = 1 x\n", "cfg:1: invalid literal for int() with base 10: 'x'"),
+        ("known_labels = 1 2\nknown_labels = 3\n",
+         "cfg:2: repeated key 'known_labels', first on line 1"),
+        ("# \x1c\nknown_labels = 1\n\nnew_labels 3\n", "cfg:4: expected 'key = value'"),
+    ])
+    def test_class_configuration_error_names_path_and_line(self, text, message):
+        with pytest.raises(ValueError) as info:
+            parse_class_configuration(text, "cfg")
+        assert str(info.value) == message

@@ -7,19 +7,17 @@ from eulac.data import LabeledDataset, bayes_risk_oracle, sample_synthetic
 from eulac.evalbench import (
     ConfusionMatrix,
     ExperimentReport,
-    RejectingOvrModel,
     macro_f1,
-    ovr_reject_baseline,
     run_excess_risk_check,
     run_excess_risk_seeds,
     run_theta_sweep,
     run_unlabeled_scaling,
-    select_baseline_bandwidth,
 )
 from eulac.kernel import KernelSpec, median_heuristic
 from eulac.modelsel import HyperGrid, fit_with_selection
 
 from conftest import two_cluster_spec
+from oracles import RejectingOvrModel, ovr_reject_baseline, select_baseline_bandwidth
 
 SMALL_GRID = HyperGrid(sigma_multipliers=(1.0,), lambda_candidates=(1e-2,), folds=2)
 

@@ -4,10 +4,11 @@ import pytest
 from eulac.losses import (
     LOSS_KINDS,
     canonical_loss_kind,
-    check_lac_condition,
     loss_derivative,
     loss_value,
 )
+
+from oracles import check_lac_condition
 
 GRID = np.arange(-10.0, 10.0001, 0.1)
 

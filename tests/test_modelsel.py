@@ -190,8 +190,8 @@ class TestCrossValidate:
     def test_unconverged_first_order_solves_are_counted(self, monkeypatch):
         solve = eulac.modelsel._first_order_alpha
 
-        def short_of_tolerance(G, y, K, n_l, n_u, theta, options, loss_kind):
-            alpha, record = solve(G, y, K, n_l, n_u, theta, options, loss_kind)
+        def short_of_tolerance(G, y, K, theta, options, loss_kind):
+            alpha, record = solve(G, y, K, theta, options, loss_kind)
             return alpha, dataclasses.replace(record, converged=options.lam != 0.1)
 
         monkeypatch.setattr(eulac.modelsel, "_first_order_alpha", short_of_tolerance)
@@ -206,11 +206,11 @@ class TestCrossValidate:
         solve = eulac.modelsel._first_order_alpha
         seen = []
 
-        def failing_at_second_fold(G, y, K, n_l, n_u, theta, options, loss_kind):
+        def failing_at_second_fold(G, y, K, theta, options, loss_kind):
             seen.append(options.lam)
             if len(seen) == 3:  # fold 1's first lambda
                 raise FloatingPointError("overflow in exp")
-            return solve(G, y, K, n_l, n_u, theta, options, loss_kind)
+            return solve(G, y, K, theta, options, loss_kind)
 
         monkeypatch.setattr(eulac.modelsel, "_first_order_alpha", failing_at_second_fold)
         L, U, _ = _data(seed=6, n_l=24, n_u=30)

@@ -1,21 +1,24 @@
 import numpy as np
 import pytest
 
-from eulac.data import FiniteDistribution, LabeledDataset, UnlabeledDataset
+from eulac.data import LabeledDataset, UnlabeledDataset
 from eulac.losses import LOSS_KINDS, loss_value
 from eulac.risk import (
     TheoryParams,
     empirical_lac_risk,
-    exact_lac_risk,
-    exact_nonconvex_lac_risk,
-    exact_ovr_risk,
     generalization_bound,
     lac_risk_from_scores,
-    optimal_square_lac_risk,
     zero_one_risk,
 )
 
 from conftest import random_finite_distribution, random_scores
+from oracles import (
+    FiniteDistribution,
+    exact_lac_risk,
+    exact_nonconvex_lac_risk,
+    exact_ovr_risk,
+    optimal_square_lac_risk,
+)
 
 
 class TestEmpiricalRisk:
