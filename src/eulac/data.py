@@ -611,6 +611,17 @@ def kfold_indices(
 # ---------------------------------------------------------------------------
 
 
+def _covariance_factor(cov: np.ndarray, name: str) -> np.ndarray:
+    """The lower Cholesky factor of the covariance matrix ``cov``; one that
+    is not symmetric or not positive definite is refused naming ``name``."""
+    if not np.allclose(cov, cov.T, atol=1e-12):
+        raise ValueError(f"{name} is not symmetric")
+    try:
+        return cholesky(cov, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"{name} is not positive definite") from exc
+
+
 @dataclass(frozen=True)
 class GaussianMixture:
     """Weighted Gaussian mixture with full covariances."""
@@ -632,12 +643,7 @@ class GaussianMixture:
             raise ValueError("mixture weights must be nonnegative and sum to 1")
         chols = np.empty_like(cov)
         for j in range(m):
-            if not np.allclose(cov[j], cov[j].T, atol=1e-12):
-                raise ValueError(f"covariance {j} is not symmetric")
-            try:
-                chols[j] = cholesky(cov[j], lower=True)
-            except np.linalg.LinAlgError as exc:
-                raise ValueError(f"covariance {j} is not positive definite") from exc
+            chols[j] = _covariance_factor(cov[j], f"covariance {j}")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "covariances", cov)
@@ -868,11 +874,22 @@ def parse_class_configuration(text: str, path="<string>") -> ClassConfiguration:
 
 
 def _parse_rows(value: str, n_rows: int, d: int, name: str) -> np.ndarray:
-    """The ';'-separated rows of numbers in ``value``: n_rows of d each."""
+    """The ';'-separated rows of finite numbers in ``value``: n_rows of d each."""
     rows = [[float(t) for t in r.split()] for r in value.split(";")]
     if len(rows) != n_rows or any(len(r) != d for r in rows):
         raise ValueError(f"{name} must hold {n_rows} row(s) of {d} numbers, separated by ';'")
-    return np.array(rows)
+    array = np.array(rows)
+    if not np.all(np.isfinite(array)):
+        raise ValueError(f"{name} must hold finite numbers")
+    return array
+
+
+def _parse_covariance(value: str, d: int, key: str) -> np.ndarray:
+    """The d x d covariance matrix in ``value``, refused naming its spec
+    ``key`` when it is not symmetric or not positive definite."""
+    cov = _parse_rows(value, d, d, "covariance")
+    _covariance_factor(cov, key)
+    return cov
 
 
 # every key of the spec format; ids are spelled as str writes them, so that
@@ -886,9 +903,11 @@ def parse_synthetic_spec(text: str, path="<string>") -> SyntheticSpec:
     from the text of the file at ``path``.
 
     A malformed spec raises ValueError naming ``path:line`` of a line that
-    does not parse, an unrecognised or repeated key, or a component or
-    class without a required key; a missing top-level key, or a mixture or
-    spec the generator refuses, is named by ``path`` alone.
+    does not parse, holds a non-finite mean or covariance entry, or gives a
+    covariance that is not symmetric or not positive definite (named by its
+    key), of an unrecognised or repeated key, or of a component or class
+    without a required key; a missing top-level key, or a mixture or spec
+    the generator refuses, is named by ``path`` alone.
     """
     kv = _parse_kv_lines(path, text, _SPEC_KEY)
     classes, components = {}, {}  # class id -> first line; mixture -> {component id: first line}
@@ -909,7 +928,7 @@ def parse_synthetic_spec(text: str, path="<string>") -> SyntheticSpec:
         weights = [_kv_value(path, kv, key + "weight", float, default="1.0") for key, _ in fields]
         means = [_kv_value(path, kv, key + "mean", lambda v: _parse_rows(v, 1, d, "mean")[0],
                            line=line) for key, line in fields]
-        covs = [_kv_value(path, kv, key + "cov", lambda v: _parse_rows(v, d, d, "covariance"),
+        covs = [_kv_value(path, kv, key + "cov", lambda v: _parse_covariance(v, d, key + "cov"),
                           line=line) for key, line in fields]
         try:
             return GaussianMixture(np.array(weights), np.array(means), np.array(covs))

@@ -191,7 +191,10 @@ def estimate_theta(
     reciprocal fractions in [1, 20]; the knee of the distance curve is the
     first segment whose slope magnitude is at most the slope cut
     ``slope_threshold * (1/sqrt(n_l) + 1/sqrt(n_u))``, and the curve is
-    computed only up to that segment's right end.
+    computed only up to that segment's right end.  The kernel means are
+    read from one pass over kernel.GRAM_BLOCK_ROWS-row blocks of the pooled
+    Gram, one block held at a time, so kernel memory stays at most
+    8 x GRAM_BLOCK_ROWS x (n_l + n_u) bytes.
     """
     check_slope_threshold(slope_threshold)
     pooled = pooled_points(labeled, unlabeled)
@@ -206,7 +209,8 @@ def estimate_theta(
     # one pass over row blocks of the pooled Gram keeps each row's sums over
     # the labeled and the unlabeled columns, and the support rows' support
     # columns; every entry and row sum is that of the dense Gram, so nothing
-    # depends on the block height
+    # depends on the block height.  Each block is dropped before the next is
+    # built
     row_l, row_u = np.empty(n), np.empty(n)
     K_nu = np.empty((len(support_idx), len(support_idx)))
     for start in range(0, n, GRAM_BLOCK_ROWS):
@@ -216,6 +220,7 @@ def estimate_theta(
         row_u[start:stop] = block[:, n_l:].sum(axis=1)
         rows = (support_idx >= start) & (support_idx < stop)
         K_nu[rows] = block[np.ix_(support_idx[rows] - start, support_idx)]
+        del block
     if float(K_nu.min()) > 1.0 - 1e-12:
         raise ValueError("kernel is degenerate on this data (all Gram entries ~ 1)")
     kl = row_l[support_idx] / n_l

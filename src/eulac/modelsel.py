@@ -128,19 +128,22 @@ def cross_validate(
     """Mean validation risk (no regulariser) for every grid cell.
 
     The bandwidth for each cell is multiplier x median pairwise distance of
-    the pooled data; pass ``median`` when it is already known.  For every
-    sigma the pooled Gram matrix is built once.  Square loss solves every
-    fold and lambda of a sigma from one shifted-Lanczos run on the pooled
-    Gram's unlabeled block, gathering no fold block; other losses solve
-    each (fold, lambda) on the fold's gathered training Gram with the
-    refit's default ``FitOptions``, one L-BFGS-B run per score column, and
-    count the folds that end unconverged in ``CvCell.nonconverged_folds``.
-    The square-loss run returns each fold's validation scores at every
-    lambda, read from the products the run already took, so no dual
-    coefficient is assembled, and of the pooled Gram only the labeled
-    validation rows' columns are gathered.  A first-order fold's dual coefficients for every lambda form
-    one (n, L, K+1) block, zero outside the fold's training rows, so one
-    product with the validation rows of the pooled Gram scores every lambda.
+    the pooled data; pass ``median`` when it is already known.  Square loss
+    builds two Gram blocks per sigma, the unlabeled block G_UU and the
+    labeled rows G_L of the pooled Gram, which hold each of its entries
+    once, and solves every fold and lambda of the sigma from one
+    shifted-Lanczos run on G_UU, gathering no fold block.  The run returns
+    each fold's validation scores at every lambda, read from the products
+    it already took, so no dual coefficient is assembled, and only the
+    labeled validation rows of G_L are gathered.  Other losses build the
+    pooled Gram once per sigma, because their folds read every block of it,
+    and solve each (fold, lambda) on the fold's gathered training Gram with
+    the refit's default ``FitOptions``, one L-BFGS-B run per score column,
+    counting the folds that end unconverged in
+    ``CvCell.nonconverged_folds``.  A first-order fold's dual coefficients
+    for every lambda form one (n, L, K+1) block, zero outside the fold's
+    training rows, so one product with the validation rows of the pooled
+    Gram scores every lambda.
     """
     n_l = len(labeled)
     pooled = pooled_points(labeled, unlabeled)
@@ -154,15 +157,19 @@ def cross_validate(
     cells: list[CvCell] = []
     for mult in grid.sigma_multipliers:
         sigma = mult * median
+        spec = KernelSpec(sigma)
         G = fold_scores = None  # release the last bandwidth's arrays before its successor
-        G = gram(KernelSpec(sigma), pooled, pooled)
         if square:
+            # the two blocks are freed when the run returns
             try:
                 fold_scores = _square_loss_fold_scores(
-                    G, n_l, labeled.y, K, theta,
+                    gram(spec, pooled[n_l:], pooled[n_l:]), gram(spec, pooled[:n_l], pooled),
+                    labeled.y, K, theta,
                     [(train_L, train_U, val_L) for train_L, train_U, val_L, _ in folds], lams)
             except np.linalg.LinAlgError as exc:
                 raise _fit_failure(mult, lams, exc.fold, exc) from exc
+        else:
+            G = gram(spec, pooled, pooled)
         risks = [[] for _ in lams]
         nonconverged = [0 for _ in lams]
         for fold, (train_L, train_U, val_L, val_U) in enumerate(folds):

@@ -4,13 +4,16 @@ Scorers are kernel expansions over the combined labeled + unlabeled support
 (one dual-coefficient column per known class plus one for the novel class).
 The square loss admits an exact linear-system solution: one Cholesky
 factorization for a single weight, or one shifted-Lanczos run on the
-pooled Gram's unlabeled block that serves every fold and weight of a
-cross-validation bandwidth.  Both run on a pooled Gram from ``kernel.gram``,
-whose entries below ``kernel.KERNEL_FLOOR`` are zeroed, and read the
-labeled bracket: the labeled risk term is linear in the scores, so
-its gradient is one constant for every loss.  Hence for every loss the labeled
-rows of alpha are the closed form -bracket / (2 lambda), and the K+1 score
-columns decouple into problems over the unlabeled rows.  Other losses solve
+unlabeled block G_UU that serves every fold and weight of a
+cross-validation bandwidth.  Both read the labeled bracket: the labeled
+risk term is linear in the scores, so its gradient is one constant for
+every loss.  Hence for every loss the labeled rows of alpha are the closed
+form -bracket / (2 lambda), and the K+1 score columns decouple into problems
+over the unlabeled rows.  So the square-loss solves take two Gram blocks
+from ``kernel.gram``, whose entries below ``kernel.KERNEL_FLOOR`` are
+zeroed: G_UU and the labeled rows G_L = [G_LL, G_LU] of the pooled Gram,
+which hold each of its entries once; the first-order solves take the pooled
+Gram.  Other losses solve
 each column with scipy's limited-memory quasi-Newton method (L-BFGS-B):
 a smooth loss on its exact objective and gradient up to a gradient tolerance,
 double-hinge on its box-constrained dual up to a duality-gap tolerance.
@@ -80,6 +83,17 @@ def _beyond_float(number) -> bool:
     except OverflowError:
         return True
     return False
+
+
+def _json_rows(rows: np.ndarray) -> str:
+    """The 2-D float array ``rows`` as ``json_text`` writes its list one
+    level deep in an object, byte for byte, without json's pure-Python
+    indent encoder: each float is its repr, as json writes a finite float."""
+    n, d = rows.shape
+    if n == 0:
+        return "[]"
+    row = "[\n   " + ",\n   ".join(["%r"] * d) + "\n  ]" if d else "[]"
+    return "[\n  " + ",\n  ".join([row] * n) % tuple(rows.ravel().tolist()) + "\n ]"
 
 
 def check_lambda(lam: float) -> None:
@@ -181,7 +195,8 @@ class DualModel:
         ``FitRecord`` is refused: no solve gave it a convergence verdict."""
         if self.record is None:
             raise ValueError("a model without a fit record has no convergence verdict to save")
-        payload = {
+        arrays = {"support_points": self.support_points, "alpha": self.alpha}
+        text = json_text({
             "format_version": MODEL_FORMAT_VERSION,
             "kind": "dual_model",
             "kernel_sigma": float(self.kernel.sigma),
@@ -189,11 +204,12 @@ class DualModel:
             "theta": float(self.theta),
             "lambda": float(self.lam),
             "num_known_classes": int(self.num_known_classes),
-            "support_points": self.support_points.tolist(),
-            "alpha": self.alpha.tolist(),
             "converged": bool(self.record.converged),
-        }
-        return json_text(payload)
+            **{name: f"@{name}" for name in arrays},
+        })
+        for name, rows in arrays.items():
+            text = text.replace(f'"@{name}"', _json_rows(rows), 1)
+        return text
 
     @staticmethod
     def from_json(text: str) -> "DualModel":
@@ -299,32 +315,23 @@ def _risk_score_gradient(
     return W
 
 
-def _gradient_arrays(a, scores, G, y, n_l, n_u, theta, lam, loss_kind) -> np.ndarray:
-    """The objective's gradient at dual coefficients a whose scores G @ a are given."""
+def _gradient_arrays(a, scores, product, y, n_l, n_u, theta, lam, loss_kind) -> np.ndarray:
+    """The objective's gradient at dual coefficients a whose scores G @ a are
+    given; ``product(R)`` is G @ R."""
     W = _risk_score_gradient(scores, y, n_l, n_u, theta, loss_kind)
-    return G @ (W + 2.0 * lam * a)
+    return product(W + 2.0 * lam * a)
 
 
-def objective_gradient(
-    alpha: np.ndarray,
-    gram_full: np.ndarray,
-    labeled: LabeledDataset,
-    unlabeled: UnlabeledDataset,
-    theta: float,
-    lam: float,
-    loss_kind: str,
-) -> np.ndarray:
-    """Exact gradient of ``objective`` in the dual coefficients."""
-    loss_kind = canonical_loss_kind(loss_kind)
-    n_l, n_u = len(labeled), len(unlabeled)
-    a = np.asarray(alpha, dtype=float)
-    return _gradient_arrays(a, gram_full @ a, gram_full, labeled.y, n_l, n_u, theta, lam,
-                            loss_kind)
+def _pooled_product(G_UU: np.ndarray, G_L: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """G @ R for the pooled Gram G given by its labeled rows G_L and its
+    unlabeled block G_UU: G_L @ R, then G_LU^T R_L + G_UU R_U."""
+    n_l = G_L.shape[0]
+    return np.concatenate([G_L @ R, G_L[:, n_l:].T @ R[:n_l] + G_UU @ R[n_l:]])
 
 
 def _square_loss_alpha(
-    G: np.ndarray,
-    n_l: int,
+    G_UU: np.ndarray,
+    G_L: np.ndarray,
     labels: np.ndarray,
     num_known_classes: int,
     theta: float,
@@ -332,32 +339,32 @@ def _square_loss_alpha(
 ) -> np.ndarray:
     """Exact stationary point of the square-loss objective at weight lam.
 
-    G is the training Gram matrix, n_l labeled rows first, built by
-    ``gram``.  The labeled rows of alpha are the bracket's closed form
-    -B_L / (2 lam); the unlabeled rows solve
-    (G_UU / (2 n_u) + s I) x = -B_U - G_UL alpha_L / (2 n_u) with
-    s = 2 lam + GRAM_JITTER, by one Cholesky factorization.  ``gram``'s
-    entries lie in [0, 1], so the factorization and the solve skip scipy's
-    full-matrix finiteness scans; the right-hand side is checked.  theta and
-    lam are checked by the caller.
+    G_UU is the training Gram's unlabeled block and G_L its n_l labeled
+    rows, labeled columns first, both built by ``gram``.  The labeled rows
+    of alpha are the bracket's closed form -B_L / (2 lam); the unlabeled
+    rows solve (G_UU / (2 n_u) + s I) x = -B_U - G_LU^T alpha_L / (2 n_u)
+    with s = 2 lam + GRAM_JITTER, by one Cholesky factorization of a scaled
+    copy of G_UU.  ``gram``'s entries lie in [0, 1], so the factorization
+    and the solve skip scipy's full-matrix finiteness scans; the right-hand
+    side is checked.  theta and lam are checked by the caller.
     """
-    n_u = G.shape[0] - n_l
+    n_l, n_u = G_L.shape[0], G_UU.shape[0]
     shift = 2.0 * lam + GRAM_JITTER
     K = num_known_classes
     alpha = np.empty((n_l + n_u, K + 1))
     alpha[:n_l] = -_labeled_bracket(labels, K, theta) / (2.0 * lam)
-    rhs = -_unlabeled_bracket(n_u, K) - (G[n_l:, :n_l] @ alpha[:n_l]) / (2.0 * n_u)
+    rhs = -_unlabeled_bracket(n_u, K) - (G_L[:, n_l:].T @ alpha[:n_l]) / (2.0 * n_u)
     if not np.all(np.isfinite(rhs)):
         raise ValueError("square-loss right-hand side is not finite")
 
-    M = G[n_l:, n_l:] / (2.0 * n_u)
+    M = G_UU / (2.0 * n_u)
     M.flat[::n_u + 1] += shift
     try:
         # M is exactly symmetric, so its transpose is M itself in the
         # Fortran order LAPACK factors in place
         factor = cho_factor(M.T, lower=True, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
-        cond = np.linalg.cond(G[n_l:, n_l:] / (2.0 * n_u) + shift * np.eye(n_u))
+        cond = np.linalg.cond(G_UU / (2.0 * n_u) + shift * np.eye(n_u))
         raise np.linalg.LinAlgError(
             f"square-loss system not positive definite (condition estimate {cond:.3e})"
         ) from exc
@@ -504,8 +511,8 @@ def _shifted_lanczos(
 
 
 def _square_loss_fold_scores(
-    G: np.ndarray,
-    n_l: int,
+    G_UU: np.ndarray,
+    G_L: np.ndarray,
     labels: np.ndarray,
     num_known_classes: int,
     theta: float,
@@ -514,32 +521,33 @@ def _square_loss_fold_scores(
 ) -> list[np.ndarray]:
     """Validation scores of every square-loss training fold at every weight.
 
-    G is the pooled Gram matrix, n_l labeled rows first; ``folds`` holds
-    (train_L, train_U, val_L) row indices, train_U counted within the
-    unlabeled block.  A fold's unlabeled validation rows are the unlabeled
-    rows outside train_U.  Let m_f be the 0/1 mask of fold f's
+    G_UU is the pooled Gram's unlabeled block and G_L its n_l labeled rows,
+    labeled columns first; no other block of the pooled Gram is read.
+    ``folds`` holds (train_L, train_U, val_L) row indices, train_U counted
+    within the unlabeled block.  A fold's unlabeled validation rows are the
+    unlabeled rows outside train_U.  Let m_f be the 0/1 mask of fold f's
     training-unlabeled rows, n_u,f its count, and B_L,f the labeled bracket
     of its training labels, zero outside them.  The fold's labeled
     coefficients are the closed form -B_L,f / (2 lam), and its unlabeled
     ones solve (A_f + s I) x = r0 + r1 / lam, with s = 2 lam + GRAM_JITTER,
     A_f = diag(m_f) G_UU diag(m_f) / (2 n_u,f), r0 = +-m_f / (2 n_u,f) in
-    every column and r1 = m_f * G_UL B_L,f / (4 n_u,f).  A Krylov space does
-    not change when its matrix is shifted, so one shifted-Lanczos run on
-    the shared G_UU, started from every fold's m_f and the K known columns
-    of its r1, serves every fold and weight, with no factorization and no
-    gathered block.  B_L,f's novel column is minus the sum of its known
-    ones, so r1's is too, and so is, the solve being linear, that column's
-    solution and its scores' share.
+    every column and r1 = m_f * G_UL B_L,f / (4 n_u,f), G_UL B_L,f being
+    G_LU^T B_L,f.  A Krylov space does not change when its matrix is
+    shifted, so one shifted-Lanczos run on the shared G_UU, started from
+    every fold's m_f and the K known columns of its r1, serves every fold
+    and weight, with no factorization and no gathered block.  B_L,f's novel
+    column is minus the sum of its known ones, so r1's is too, and so is,
+    the solve being linear, that column's solution and its scores' share.
 
     No coefficient is assembled.  A validation row v scores
     G[v, U] x - G[v, L] B_L,f / (2 lam).  At an unlabeled validation row the
     run kept G[v, U] x off the fold's mask, and G[v, L] B_L,f is a row of
     the unscaled r1; the labeled validation rows take one product
-    G[val_L, U] @ [x0, xk] per fold and the rows of G_LL B_L,f.
+    G_L[val_L, U] @ [x0, xk] per fold and the rows of G_LL B_L,f.
 
-    G is built by ``gram``, so its entries lie in [0, 1] and are not
-    scanned.  Every fold holds out at least one row.  Entry f of the result
-    is fold f's (len(val_L) + n_u - len(train_U), len(lams), K+1) scores:
+    Both blocks are built by ``gram``, so their entries lie in [0, 1] and
+    are not scanned.  Every fold holds out at least one row.  Entry f of the
+    result is fold f's (len(val_L) + n_u - len(train_U), len(lams), K+1) scores:
     its labeled validation rows in val_L's order, then its unlabeled ones in
     ascending order.  A failed solve, or a non-finite score, raises
     LinAlgError whose ``fold`` names the fold.
@@ -547,7 +555,7 @@ def _square_loss_fold_scores(
     check_theta(theta)
     for lam in lams:
         check_lambda(lam)
-    n_u = G.shape[0] - n_l
+    n_l, n_u = G_L.shape[0], G_UU.shape[0]
     K = num_known_classes
     lams = np.asarray(lams, dtype=float)
     shifts = 2.0 * lams + GRAM_JITTER
@@ -561,12 +569,12 @@ def _square_loss_fold_scores(
         scales[f * width:(f + 1) * width] = 1.0 / (2.0 * len(train_U))
         B[train_L, f * K:(f + 1) * K] = _labeled_bracket(labels[train_L], K, theta)[:, :K]
     # G_UL B_L,f of every fold from one product, one row per known column
-    r1 = (G[n_l:, :n_l] @ B).T
+    r1 = (G_L[:, n_l:].T @ B).T
     starts = masks.copy()
     for f, (_, train_U, _) in enumerate(folds):
         starts[f * width + 1:(f + 1) * width] *= r1[f * K:(f + 1) * K] / (4.0 * len(train_U))
     try:
-        x, kept = _shifted_lanczos(G[n_l:, n_l:], starts, shifts, masks, scales)
+        x, kept = _shifted_lanczos(G_UU, starts, shifts, masks, scales)
     except np.linalg.LinAlgError as exc:
         exc.fold = exc.row // width
         raise
@@ -576,8 +584,8 @@ def _square_loss_fold_scores(
     solved, bracket, counts = [], [], []
     for f, (_, train_U, val_L) in enumerate(folds):
         rows, cols = slice(f * width, (f + 1) * width), slice(f * K, (f + 1) * K)
-        solved += [np.matmul(G[val_L, n_l:], x[rows]), np.stack(kept[rows])]
-        bracket += [(G[val_L, :n_l] @ B[:, cols]).T, r1[cols, masks[f * width] == 0.0]]
+        solved += [np.matmul(G_L[val_L, n_l:], x[rows]), np.stack(kept[rows])]
+        bracket += [(G_L[val_L, :n_l] @ B[:, cols]).T, r1[cols, masks[f * width] == 0.0]]
         counts.append(len(val_L) + n_u - len(train_U))
     solved, bracket = np.concatenate(solved, axis=1), np.concatenate(bracket, axis=1)
     known = (solved[1:] - bracket[:, :, None] / 2.0) / lams
@@ -600,15 +608,23 @@ def fit_square_closed_form(
     theta: float,
     lam: float,
 ) -> DualModel:
-    """Solve the square-loss problem exactly via its normal equations."""
+    """Solve the square-loss problem exactly via its normal equations.
+
+    The solve and its gradient certificate read two Gram blocks, the
+    unlabeled block G_UU and the labeled rows G_L (see
+    ``_square_loss_alpha``), so no entry of the pooled Gram is computed
+    twice; the certificate's G @ R is ``_pooled_product`` of the two.
+    """
     check_theta(theta)  # before the Gram is built
     check_lambda(lam)
     support = pooled_points(labeled, unlabeled)
-    G = gram(kernel, support, support)
-    alpha = _square_loss_alpha(G, len(labeled), labeled.y, labeled.num_known_classes,
-                               theta, lam)
+    n_l, n_u = len(labeled), len(unlabeled)
+    G_UU, G_L = gram(kernel, support[n_l:], support[n_l:]), gram(kernel, support[:n_l], support)
+    alpha = _square_loss_alpha(G_UU, G_L, labeled.y, labeled.num_known_classes, theta, lam)
     # the bracket is solved exactly, so the gradient G @ residual is ~0
-    grad = objective_gradient(alpha, G, labeled, unlabeled, theta, lam, SQUARE)
+    grad = _gradient_arrays(alpha, _pooled_product(G_UU, G_L, alpha),
+                            lambda R: _pooled_product(G_UU, G_L, R), labeled.y, n_l, n_u,
+                            theta, lam, SQUARE)
     record = FitRecord(0, float(np.max(np.abs(grad))), True)
     return DualModel(support, alpha, kernel, SQUARE, theta, lam,
                      labeled.num_known_classes, record)
@@ -731,7 +747,7 @@ def _first_order_alpha(
     gap = max(certificates) if loss_kind == DOUBLE_HINGE else None
     scores = G @ alpha
     history.append(_objective_arrays(alpha, scores, y, n_l, n_u, theta, lam, loss_kind))
-    grad = _gradient_arrays(alpha, scores, G, y, n_l, n_u, theta, lam, loss_kind)
+    grad = _gradient_arrays(alpha, scores, G.__matmul__, y, n_l, n_u, theta, lam, loss_kind)
     return alpha, FitRecord(iterations, float(np.max(np.abs(grad))), converged, tuple(history),
                             gap)
 

@@ -1,6 +1,7 @@
 """References the tests compare eulac against: exact finite-support
-distributions and their risks, the loss identity check, and the rejecting
-one-versus-rest baseline fit on labeled data alone.
+distributions and their risks, the loss identity check, the objective's
+gradient from the pooled Gram, and the rejecting one-versus-rest baseline
+fit on labeled data alone.
 
 None of these is a step of the algorithm.  The exact risks take one score
 row per atom of the distribution, an (m, K+1) array.
@@ -18,7 +19,7 @@ from eulac.data import (LabeledDataset, _validate_features, check_known_only, ch
 from eulac.kernel import DEFAULT_SIGMA_MULTIPLIERS, KernelSpec, gram, median_heuristic
 from eulac.losses import _check_finite, canonical_loss_kind, loss_value
 from eulac.risk import marginal_row_loss, optimal_square_risk_from_joints
-from eulac.solver import predict_scores
+from eulac.solver import _gradient_arrays, predict_scores
 
 # ---------------------------------------------------------------------------
 # exact finite-support distributions (oracle for the risk identities)
@@ -157,6 +158,20 @@ def check_lac_condition(kind: str, grid) -> float:
     """Max violation of psi(z) - psi(-z) + z = 0 over the given grid."""
     grid = _check_finite(grid)
     return float(np.max(np.abs(loss_value(kind, grid) - loss_value(kind, -grid) + grid)))
+
+
+# ---------------------------------------------------------------------------
+# the objective's gradient (oracle for the solvers' certificates)
+# ---------------------------------------------------------------------------
+
+
+def objective_gradient(alpha, gram_full, labeled, unlabeled, theta, lam, loss_kind):
+    """Exact gradient of ``solver.objective`` in the dual coefficients, read
+    from the pooled Gram ``gram_full``."""
+    loss_kind = canonical_loss_kind(loss_kind)
+    a = np.asarray(alpha, dtype=float)
+    return _gradient_arrays(a, gram_full @ a, gram_full.__matmul__, labeled.y, len(labeled),
+                            len(unlabeled), theta, lam, loss_kind)
 
 
 # ---------------------------------------------------------------------------

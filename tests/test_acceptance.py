@@ -34,7 +34,6 @@ from eulac.solver import (
     fit_first_order,
     fit_square_closed_form,
     objective,
-    objective_gradient,
 )
 
 from conftest import random_finite_distribution, random_scores, small_train_data, two_cluster_spec
@@ -43,6 +42,7 @@ from oracles import (
     exact_lac_risk,
     exact_nonconvex_lac_risk,
     exact_ovr_risk,
+    objective_gradient,
     ovr_reject_baseline,
     select_baseline_bandwidth,
 )

@@ -164,6 +164,12 @@ class TestGen:
         # an unknown field exited 0, and a misspelt weight fell back to 1.0
         ("component.1.weight", "component.1.bogus",
          "5: unrecognised key 'class.1.component.1.bogus'"),
+        # a non-finite mean failed only after sampling, naming no file
+        ("mean = -2.0 0.0", "mean = nan 0.0", "6: mean must hold finite numbers"),
+        # a bad covariance was named by its 0-based position, with no line
+        ("class.2.component.1.cov = 1.0 0.0 ; 0.0 1.0",
+         "class.2.component.1.cov = 1.0 2.0 ; 2.0 1.0",
+         "11: class.2.component.1.cov is not positive definite"),
     ])
     def test_malformed_spec_names_path_and_line(self, spec_file, tmp_path, capsys, old, new,
                                                 message):
@@ -648,7 +654,9 @@ class TestThetaAndCv:
 
     def test_cv_solver_failure_names_cell_and_exits_one(self, spec_file, tmp_path,
                                                         monkeypatch, capsys):
-        def singular(*args, **kwargs):
+        def singular(G_UU, G_L, labels, *args):
+            assert G_UU.shape == (len(unlabeled), len(unlabeled))
+            assert G_L.shape == (len(labeled), len(labeled) + len(unlabeled))
             exc = np.linalg.LinAlgError("not positive definite")
             exc.fold = 0  # the solver names the fold whose recurrence failed
             raise exc

@@ -869,6 +869,16 @@ class TestConfigFormats:
          "7: covariance must hold 2 row(s) of 2 numbers, separated by ';'"),
         (("dimension", "# a comment holding \f and \v\ndimension = x"),
          "2: invalid literal for int() with base 10: 'x'"),
+        (("class.1.component.1.mean", "class.1.component.1.mean = nan 0"),
+         "6: mean must hold finite numbers"),
+        (("new.component.1.mean", "new.component.1.mean = 0 -inf"),
+         "13: mean must hold finite numbers"),
+        (("class.2.component.1.cov", "class.2.component.1.cov = 1 0 ; 0 Infinity"),
+         "11: covariance must hold finite numbers"),
+        (("class.2.component.1.cov", "class.2.component.1.cov = 1 0 ; 0 -1"),
+         "11: class.2.component.1.cov is not positive definite"),
+        (("new.component.1.cov", "new.component.1.cov = 1 0.5 ; 0 1"),
+         "14: new.component.1.cov is not symmetric"),
     ])
     def test_spec_error_names_path_and_line(self, edit, message):
         key, replacement = edit

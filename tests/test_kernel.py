@@ -245,6 +245,20 @@ class TestTiles:
         finally:
             sys.setswitchinterval(interval)
 
+    @pytest.mark.parametrize("n", [TILE_ROWS + 1, 700, 1500])
+    def test_square_loss_blocks_equal_pooled_blocks(self, n):
+        # the square-loss solves build the unlabeled block and the labeled
+        # rows apart, with partial last tiles at these sizes; each must hold
+        # the pooled Gram's bits
+        rng = np.random.default_rng(n)
+        X = rng.normal(size=(n, 2))
+        n_l = n // 3
+        for sigma in (0.05, 0.8):
+            spec = KernelSpec(sigma)
+            G = gram(spec, X, X)
+            np.testing.assert_array_equal(gram(spec, X[n_l:], X[n_l:]), G[n_l:, n_l:])
+            np.testing.assert_array_equal(gram(spec, X[:n_l], X), G[:n_l])
+
     def test_product_checks_rows_once(self, monkeypatch):
         calls = []
         checked = eulac.kernel._as_points

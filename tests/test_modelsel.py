@@ -24,10 +24,10 @@ def _data(seed=0, n_l=60, n_u=120, n_t=200):
 
 
 class _RowGathers(np.ndarray):
-    """A pooled Gram that records each gather of its rows: a ``take`` along
-    them, or an index array in the first place of a subscript.  A record
-    holds the rows and whether they were taken whole; every result is a
-    plain array."""
+    """A Gram, pooled or one of its blocks, that records each gather of its
+    rows: a ``take`` along them, or an index array in the first place of a
+    subscript.  A record holds the rows and whether they were taken whole;
+    every result is a plain array."""
 
     gathers: list = []
 
@@ -118,8 +118,8 @@ class TestCrossValidate:
 
     def test_one_krylov_run_per_bandwidth(self, monkeypatch):
         # cross-validation factors nothing and gathers no fold block: one
-        # shifted-Lanczos run on the pooled Gram's unlabeled block serves
-        # every fold and lambda of a bandwidth; only the refit factors
+        # shifted-Lanczos run on the unlabeled block serves every fold and
+        # lambda of a bandwidth; only the refit factors
         factors, runs, grams = [0], [], []
         factor = eulac.solver.cho_factor
         lanczos = eulac.solver._shifted_lanczos
@@ -138,7 +138,9 @@ class TestCrossValidate:
             return grams[-1]
 
         def counting_lanczos(A, starts, shifts, masks, scales):
-            assert np.shares_memory(A, grams[-1])
+            # the run's operator is the G_UU build itself, the first of the
+            # bandwidth's two blocks
+            assert A is grams[-2] and A.shape == (len(U), len(U))
             runs.append((starts.shape[0], len(shifts)))
             return lanczos(A, starts, shifts, masks, scales)
 
@@ -156,9 +158,29 @@ class TestCrossValidate:
         fit_with_selection(L, U, THETA, grid, seed=0)
         assert factors[0] == 1
 
+    @pytest.mark.parametrize("loss", ["square", "logistic"])
+    def test_square_loss_builds_no_pooled_gram(self, monkeypatch, loss):
+        # square-loss CV and the refit build the unlabeled block and the
+        # labeled rows, which hold each pooled-Gram entry once; the
+        # first-order paths gather every block, so they build the pooled Gram
+        shapes = {"modelsel": [], "solver": []}
+        for name, seen in shapes.items():
+            def recording(spec, rows, cols, build=getattr(eulac, name).gram, seen=seen):
+                G = build(spec, rows, cols)
+                seen.append(G.shape)
+                return G
+            monkeypatch.setattr(getattr(eulac, name), "gram", recording)
+        L, U, _ = _data(seed=1)
+        n_l, n = len(L), len(L) + len(U)
+        grid = HyperGrid(sigma_multipliers=(0.1, 1.0), lambda_candidates=(1e-2, 0.1), folds=3,
+                         loss_kind=loss)
+        fit_with_selection(L, U, THETA, grid, seed=0)
+        blocks = [(n - n_l, n - n_l), (n_l, n)] if loss == "square" else [(n, n)]
+        assert shapes == {"modelsel": blocks * 2, "solver": blocks}
+
     def test_square_loss_gathers_no_pooled_validation_rows(self, monkeypatch):
-        # the square-loss folds are scored from the Krylov run: no unlabeled
-        # row of the pooled Gram, and no whole pooled row, is gathered; the
+        # the square-loss folds are scored from the Krylov run: no row of
+        # the unlabeled block, and no whole labeled row, is gathered; the
         # labeled validation rows are read in their unlabeled and their
         # labeled columns apart
         gathers = []

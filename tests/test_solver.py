@@ -11,6 +11,7 @@ from scipy.spatial.distance import cdist
 
 from eulac.data import (
     UnlabeledDataset,
+    json_text,
     kfold_indices,
     parse_synthetic_spec,
     sample_synthetic,
@@ -45,13 +46,13 @@ from eulac.solver import (
     fit_square_closed_form,
     low_rank_expansion,
     objective,
-    objective_gradient,
     predict_labels,
     predict_scores,
     rank_cap,
 )
 
 from conftest import small_train_data
+from oracles import objective_gradient
 
 THETA = 0.7
 LAM = 0.1
@@ -224,9 +225,15 @@ def _floored(G):
     return G
 
 
+def _blocks(G, n_l):
+    """The unlabeled block and the labeled rows of a pooled Gram, the two
+    blocks the square-loss solves read."""
+    return G[n_l:, n_l:], G[:n_l]
+
+
 def _refit_alpha(G, y, n_l, lam, theta=THETA):
     """The refit's solve on a floored copy of a full training Gram."""
-    return _square_loss_alpha(_floored(G), n_l, y, 2, theta, lam)
+    return _square_loss_alpha(*_blocks(_floored(G), n_l), y, 2, theta, lam)
 
 
 def _lanczos_alphas(G, y, n_l, lams, theta=THETA):
@@ -260,7 +267,10 @@ def _narrow_kernel(L, U):
 
 def _unbuffered_square_alpha(G, y, K, n_l, n_u, theta, lam):
     """The square-loss solve as written before the shared Fortran-order buffer:
-    a C-order copy of the floored block and scipy's checked factorization."""
+    a C-order copy of the floored block and scipy's checked factorization.
+    G_UL is read as the labeled rows' transpose, as the solve reads it: below
+    about 1e6 multiply-adds OpenBLAS multiplies a transposed operand with
+    another kernel, which can move last bits (1e-15 relative at 300 x 100)."""
     B = np.zeros((n_l + n_u, K + 1))
     rows = np.arange(n_l)
     B[rows, y - 1] = -theta / n_l
@@ -275,7 +285,7 @@ def _unbuffered_square_alpha(G, y, K, n_l, n_u, theta, lam):
     alpha[:n_l] = -B[:n_l] / (2.0 * lam)
     M = A.copy()
     M.flat[::n_u + 1] += 2.0 * lam + GRAM_JITTER
-    rhs = -B[n_l:] - (G[n_l:, :n_l] @ alpha[:n_l]) / (2.0 * n_u)
+    rhs = -B[n_l:] - (G[:n_l, n_l:].T @ alpha[:n_l]) / (2.0 * n_u)
     alpha[n_l:] = cho_solve(cho_factor(M, lower=True), rhs)
     return alpha
 
@@ -311,14 +321,14 @@ class TestSquareLossSystem:
         solved = []
         solve = eulac.solver._square_loss_alpha
 
-        def recording_solve(G, *args):
-            solved.append(G.copy())
-            return solve(G, *args)
+        def recording_solve(G_UU, *args):
+            solved.append(G_UU.copy())
+            return solve(G_UU, *args)
 
         monkeypatch.setattr(eulac.solver, "_square_loss_alpha", recording_solve)
         fit_square_closed_form(L, U, _narrow_kernel(L, U), THETA, 1e-2)
-        refit_gram, = solved
-        A = refit_gram[n_l:, n_l:] / (2.0 * n_u)
+        refit_block, = solved
+        A = refit_block / (2.0 * n_u)
         assert not np.any((A != 0) & (np.abs(A) < tiny))
 
     def test_lanczos_start_vectors_have_no_subnormals(self, narrow, monkeypatch):
@@ -406,7 +416,7 @@ class TestSquareLossSystem:
         # -n_u / (2 n_u), outweighs the shift 2 LAM
         L, _, _, G = instance
         with pytest.raises(np.linalg.LinAlgError, match="condition estimate") as info:
-            _square_loss_alpha(-_floored(G), len(L), L.y, 2, THETA, LAM)
+            _square_loss_alpha(*_blocks(-_floored(G), len(L)), L.y, 2, THETA, LAM)
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
@@ -435,7 +445,8 @@ class TestFoldLanczos:
         for mult in DEFAULT_SIGMA_MULTIPLIERS:
             G = gram(KernelSpec(mult * median), support, support)
             before = G.copy()
-            fold_scores = _square_loss_fold_scores(G, n_l, L.y, 2, THETA, folds, DEFAULT_LAMBDAS)
+            fold_scores = _square_loss_fold_scores(*_blocks(G, n_l), L.y, 2, THETA, folds,
+                                                   DEFAULT_LAMBDAS)
             # the solve reads the floored Gram and changes none of it
             assert np.array_equal(G, before)
             assert len(fold_scores) == len(folds)
@@ -460,7 +471,7 @@ class TestFoldLanczos:
         G = gram(KernelSpec(median), support, support)
         monkeypatch.setattr(eulac.solver, "KRYLOV_TOLERANCE", -1.0)
         with pytest.raises(np.linalg.LinAlgError, match=r"cap of 1 steps") as info:
-            _square_loss_fold_scores(G, len(L), L.y, 2, THETA, folds, (1e-2,))
+            _square_loss_fold_scores(*_blocks(G, len(L)), L.y, 2, THETA, folds, (1e-2,))
         assert info.value.fold == 3
 
     def test_nonfinite_solution_names_fold_and_lambda(self, pooled, monkeypatch):
@@ -478,7 +489,8 @@ class TestFoldLanczos:
         G = gram(KernelSpec(median), support, support)
         with pytest.raises(np.linalg.LinAlgError,
                            match=r"^square-loss solution is not finite at lambda=0\.1$") as info:
-            _square_loss_fold_scores(G, len(L), L.y, 2, THETA, folds, (1e-2, 0.1, 1.0))
+            _square_loss_fold_scores(*_blocks(G, len(L)), L.y, 2, THETA, folds,
+                                     (1e-2, 0.1, 1.0))
         assert info.value.fold == 2
 
 
@@ -595,7 +607,7 @@ class TestShiftedLanczos:
             fit_square_closed_form(L, U, kernel, THETA, float("inf"))
         folds = [(np.arange(len(L)), np.arange(len(U)), np.arange(0))]
         with pytest.raises(ValueError, match=message):
-            _square_loss_fold_scores(_floored(G), len(L), L.y, 2, THETA, folds,
+            _square_loss_fold_scores(*_blocks(_floored(G), len(L)), L.y, 2, THETA, folds,
                                      [0.1, float("inf")])
 
 
@@ -1004,6 +1016,20 @@ class TestSerialization:
         assert back.kernel.sigma == model.kernel.sigma
         assert back.theta == model.theta and back.lam == model.lam
         assert back.to_json() == model.to_json()
+
+    @pytest.mark.parametrize("n, d", [(9, 1), (3, 2), (0, 2)])
+    def test_text_is_json_text_of_the_list_payload(self, n, d):
+        # the arrays are written without json's encoder; the text must be
+        # json_text's of the payload with the arrays as lists, byte for byte
+        special = [-0.0, 5e-324, 1e308, -1e308, 1.0, -3.0, 2.0**53, 1e16, 0.1, 2.5e-7]
+        values = np.resize(special, n * (d + 3))
+        support, alpha = values[:n * d].reshape(n, d), values[n * d:].reshape(n, 3)
+        model = DualModel(support, alpha, KernelSpec(0.5), "logistic", 0.7, 1e-3, 2,
+                          FitRecord(0, 0.0, False))
+        assert model.to_json() == json_text({
+            "format_version": 1, "kind": "dual_model", "kernel_sigma": 0.5, "loss": "logistic",
+            "theta": 0.7, "lambda": 1e-3, "num_known_classes": 2,
+            "support_points": support.tolist(), "alpha": alpha.tolist(), "converged": False})
 
     def test_predictions_survive_roundtrip(self, instance):
         L, U, kernel, _ = instance
