@@ -884,6 +884,21 @@ def _parse_rows(value: str, n_rows: int, d: int, name: str) -> np.ndarray:
     return array
 
 
+def _parse_share(value: str, name: str) -> float:
+    """One finite nonnegative number: a component weight or a class prior."""
+    share = float(value)
+    if not (np.isfinite(share) and share >= 0.0):
+        raise ValueError(f"{name} must be finite and nonnegative, got {share}")
+    return share
+
+
+def _parse_theta(value: str) -> float:
+    """The known-class fraction, refused outside (0, 1] as ``check_theta`` does."""
+    theta = float(value)
+    check_theta(theta)
+    return theta
+
+
 def _parse_covariance(value: str, d: int, key: str) -> np.ndarray:
     """The d x d covariance matrix in ``value``, refused naming its spec
     ``key`` when it is not symmetric or not positive definite."""
@@ -903,11 +918,13 @@ def parse_synthetic_spec(text: str, path="<string>") -> SyntheticSpec:
     from the text of the file at ``path``.
 
     A malformed spec raises ValueError naming ``path:line`` of a line that
-    does not parse, holds a non-finite mean or covariance entry, or gives a
-    covariance that is not symmetric or not positive definite (named by its
-    key), of an unrecognised or repeated key, or of a component or class
-    without a required key; a missing top-level key, or a mixture or spec
-    the generator refuses, is named by ``path`` alone.
+    does not parse, holds a non-finite mean or covariance entry, a weight
+    or prior that is not finite and nonnegative or a theta outside (0, 1],
+    or gives a covariance that is not symmetric or not positive definite
+    (named by its key), of an unrecognised or repeated key, or of a
+    component or class without a required key; a missing top-level key,
+    or a mixture's weights or the priors that do not sum to 1, is named by
+    ``path`` alone.
     """
     kv = _parse_kv_lines(path, text, _SPEC_KEY)
     classes, components = {}, {}  # class id -> first line; mixture -> {component id: first line}
@@ -918,14 +935,15 @@ def parse_synthetic_spec(text: str, path="<string>") -> SyntheticSpec:
         if match[2]:
             components.setdefault(match[2], {}).setdefault(int(match[4]), line)
     d = _kv_value(path, kv, "dimension", int)
-    theta = _kv_value(path, kv, "theta", float)
+    theta = _kv_value(path, kv, "theta", _parse_theta)
     seed = _kv_value(path, kv, "seed", int, default="0")
 
     def build_mixture(name: str) -> GaussianMixture:
         if name not in components:
             raise ValueError(f"{path}: no components given for {name!r}")
         fields = [(f"{name}.component.{j}.", line) for j, line in sorted(components[name].items())]
-        weights = [_kv_value(path, kv, key + "weight", float, default="1.0") for key, _ in fields]
+        weights = [_kv_value(path, kv, key + "weight", lambda v: _parse_share(v, "weight"),
+                             default="1.0") for key, _ in fields]
         means = [_kv_value(path, kv, key + "mean", lambda v: _parse_rows(v, 1, d, "mean")[0],
                            line=line) for key, line in fields]
         covs = [_kv_value(path, kv, key + "cov", lambda v: _parse_covariance(v, d, key + "cov"),
@@ -935,7 +953,8 @@ def parse_synthetic_spec(text: str, path="<string>") -> SyntheticSpec:
         except ValueError as exc:
             raise ValueError(f"{path}: {name}: {exc}") from None
 
-    priors = np.array([_kv_value(path, kv, f"class.{c}.prior", float, line=classes[c])
+    priors = np.array([_kv_value(path, kv, f"class.{c}.prior",
+                                 lambda v: _parse_share(v, "prior"), line=classes[c])
                        for c in sorted(classes)])
     mixtures = tuple(build_mixture(f"class.{c}") for c in sorted(classes))
     new_mixture = build_mixture("new")

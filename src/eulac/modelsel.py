@@ -129,13 +129,14 @@ def cross_validate(
 
     The bandwidth for each cell is multiplier x median pairwise distance of
     the pooled data; pass ``median`` when it is already known.  Square loss
-    builds two Gram blocks per sigma, the unlabeled block G_UU and the
-    labeled rows G_L of the pooled Gram, which hold each of its entries
-    once, and solves every fold and lambda of the sigma from one
-    shifted-Lanczos run on G_UU, gathering no fold block.  The run returns
+    solves every fold and lambda of a sigma from one shifted-Lanczos run on
+    the unlabeled block G_UU, gathering no fold block.  The run returns
     each fold's validation scores at every lambda, read from the products
-    it already took, so no dual coefficient is assembled, and only the
-    labeled validation rows of G_L are gathered.  Other losses build the
+    it already took, so no dual coefficient is assembled.  Its Gram blocks
+    are built inside ``_square_loss_fold_scores`` and dropped there one at
+    a time, G_LL, G_LU, G_UU, then G_LU again for the labeled validation
+    rows, so no labeled block is held beside G_UU; G_LU is computed twice
+    per sigma.  Other losses build the
     pooled Gram once per sigma, because their folds read every block of it,
     and solve each (fold, lambda) on the fold's gathered training Gram with
     the refit's default ``FitOptions``, one L-BFGS-B run per score column,
@@ -160,10 +161,10 @@ def cross_validate(
         spec = KernelSpec(sigma)
         G = fold_scores = None  # release the last bandwidth's arrays before its successor
         if square:
-            # the two blocks are freed when the run returns
+            # the run builds and drops its blocks one at a time
             try:
                 fold_scores = _square_loss_fold_scores(
-                    gram(spec, pooled[n_l:], pooled[n_l:]), gram(spec, pooled[:n_l], pooled),
+                    lambda rows, cols: gram(spec, rows, cols), pooled[:n_l], pooled[n_l:],
                     labeled.y, K, theta,
                     [(train_L, train_U, val_L) for train_L, train_U, val_L, _ in folds], lams)
             except np.linalg.LinAlgError as exc:

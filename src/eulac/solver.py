@@ -9,11 +9,12 @@ cross-validation bandwidth.  Both read the labeled bracket: the labeled
 risk term is linear in the scores, so its gradient is one constant for
 every loss.  Hence for every loss the labeled rows of alpha are the closed
 form -bracket / (2 lambda), and the K+1 score columns decouple into problems
-over the unlabeled rows.  So the square-loss solves take two Gram blocks
-from ``kernel.gram``, whose entries below ``kernel.KERNEL_FLOOR`` are
-zeroed: G_UU and the labeled rows G_L = [G_LL, G_LU] of the pooled Gram,
-which hold each of its entries once; the first-order solves take the pooled
-Gram.  Other losses solve
+over the unlabeled rows.  So the square-loss solves build blocks of the
+pooled Gram with ``kernel.gram``, whose entries below
+``kernel.KERNEL_FLOOR`` are zeroed: G_UU and the labeled rows G_L =
+[G_LL, G_LU], built one after the other so that beside G_UU they hold at
+most G_L (the refit) and no labeled block at all (cross-validation's run);
+the first-order solves take the pooled Gram.  Other losses solve
 each column with scipy's limited-memory quasi-Newton method (L-BFGS-B):
 a smooth loss on its exact objective and gradient up to a gradient tolerance,
 double-hinge on its box-constrained dual up to a duality-gap tolerance.
@@ -322,16 +323,30 @@ def _gradient_arrays(a, scores, product, y, n_l, n_u, theta, lam, loss_kind) -> 
     return product(W + 2.0 * lam * a)
 
 
-def _pooled_product(G_UU: np.ndarray, G_L: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """G @ R for the pooled Gram G given by its labeled rows G_L and its
-    unlabeled block G_UU: G_L @ R, then G_LU^T R_L + G_UU R_U."""
+def _pooled_product(G_L: np.ndarray, kernel: KernelSpec, unlabeled: np.ndarray,
+                    R: np.ndarray) -> np.ndarray:
+    """G @ R for the pooled Gram G given by its labeled rows G_L, with its
+    unlabeled block G_UU taken tile by tile from the points ``unlabeled``:
+    G_L @ R, then G_LU^T R_L + G_UU R_U, G_UU R_U by ``kernel.gram_product``,
+    so no n_u x n_u array is made.  Those tiles are unfloored, which moves
+    the product by at most KERNEL_FLOOR ||R_U||_1 a row."""
     n_l = G_L.shape[0]
-    return np.concatenate([G_L @ R, G_L[:, n_l:].T @ R[:n_l] + G_UU @ R[n_l:]])
+    return np.concatenate([G_L @ R, G_L[:, n_l:].T @ R[:n_l]
+                           + gram_product(kernel, unlabeled, unlabeled, R[n_l:])])
+
+
+def _scaled_unlabeled_system(unlabeled_block, n_u: int, shift: float) -> np.ndarray:
+    """G_UU / (2 n_u) + shift I, computed in the block ``unlabeled_block()``
+    builds, with no copy."""
+    M = unlabeled_block()
+    M /= 2.0 * n_u
+    M.flat[::n_u + 1] += shift
+    return M
 
 
 def _square_loss_alpha(
-    G_UU: np.ndarray,
     G_L: np.ndarray,
+    unlabeled_block,
     labels: np.ndarray,
     num_known_classes: int,
     theta: float,
@@ -339,16 +354,24 @@ def _square_loss_alpha(
 ) -> np.ndarray:
     """Exact stationary point of the square-loss objective at weight lam.
 
-    G_UU is the training Gram's unlabeled block and G_L its n_l labeled
-    rows, labeled columns first, both built by ``gram``.  The labeled rows
-    of alpha are the bracket's closed form -B_L / (2 lam); the unlabeled
-    rows solve (G_UU / (2 n_u) + s I) x = -B_U - G_LU^T alpha_L / (2 n_u)
-    with s = 2 lam + GRAM_JITTER, by one Cholesky factorization of a scaled
-    copy of G_UU.  ``gram``'s entries lie in [0, 1], so the factorization
-    and the solve skip scipy's full-matrix finiteness scans; the right-hand
-    side is checked.  theta and lam are checked by the caller.
+    G_L is the training Gram's n_l labeled rows, labeled columns first, and
+    ``unlabeled_block()`` builds its unlabeled block G_UU; both come from
+    ``gram``.  The labeled rows of alpha are the bracket's closed form
+    -B_L / (2 lam); the unlabeled rows solve
+    (G_UU / (2 n_u) + s I) x = -B_U - G_LU^T alpha_L / (2 n_u) with
+    s = 2 lam + GRAM_JITTER, by one Cholesky factorization.  The right-hand
+    side is taken from G_L before G_UU is built.  G_UU is then scaled,
+    shifted and factored in place, in the block the call built, and dropped
+    on return, so the solve holds one n_u x n_u array beside G_L.  ``gram``'s
+    entries lie in [0, 1], so the factorization and the solve skip scipy's
+    full-matrix finiteness scans; the right-hand side is checked.  A system
+    that is not positive definite raises LinAlgError naming its condition
+    number, taken from a second G_UU built on that path alone, since the
+    failed factorization has overwritten the first.  theta and lam are
+    checked by the caller.
     """
-    n_l, n_u = G_L.shape[0], G_UU.shape[0]
+    n_l = G_L.shape[0]
+    n_u = G_L.shape[1] - n_l
     shift = 2.0 * lam + GRAM_JITTER
     K = num_known_classes
     alpha = np.empty((n_l + n_u, K + 1))
@@ -357,14 +380,13 @@ def _square_loss_alpha(
     if not np.all(np.isfinite(rhs)):
         raise ValueError("square-loss right-hand side is not finite")
 
-    M = G_UU / (2.0 * n_u)
-    M.flat[::n_u + 1] += shift
+    M = _scaled_unlabeled_system(unlabeled_block, n_u, shift)
     try:
         # M is exactly symmetric, so its transpose is M itself in the
         # Fortran order LAPACK factors in place
         factor = cho_factor(M.T, lower=True, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
-        cond = np.linalg.cond(G_UU / (2.0 * n_u) + shift * np.eye(n_u))
+        cond = np.linalg.cond(_scaled_unlabeled_system(unlabeled_block, n_u, shift))
         raise np.linalg.LinAlgError(
             f"square-loss system not positive definite (condition estimate {cond:.3e})"
         ) from exc
@@ -511,8 +533,9 @@ def _shifted_lanczos(
 
 
 def _square_loss_fold_scores(
-    G_UU: np.ndarray,
-    G_L: np.ndarray,
+    block,
+    labeled_points: np.ndarray,
+    unlabeled_points: np.ndarray,
     labels: np.ndarray,
     num_known_classes: int,
     theta: float,
@@ -521,8 +544,8 @@ def _square_loss_fold_scores(
 ) -> list[np.ndarray]:
     """Validation scores of every square-loss training fold at every weight.
 
-    G_UU is the pooled Gram's unlabeled block and G_L its n_l labeled rows,
-    labeled columns first; no other block of the pooled Gram is read.
+    ``block(rows, cols)`` builds the Gram of two point sets with ``gram``;
+    it is asked for the pooled Gram's blocks G_LL, G_LU and G_UU alone.
     ``folds`` holds (train_L, train_U, val_L) row indices, train_U counted
     within the unlabeled block.  A fold's unlabeled validation rows are the
     unlabeled rows outside train_U.  Let m_f be the 0/1 mask of fold f's
@@ -543,19 +566,24 @@ def _square_loss_fold_scores(
     G[v, U] x - G[v, L] B_L,f / (2 lam).  At an unlabeled validation row the
     run kept G[v, U] x off the fold's mask, and G[v, L] B_L,f is a row of
     the unscaled r1; the labeled validation rows take one product
-    G_L[val_L, U] @ [x0, xk] per fold and the rows of G_LL B_L,f.
+    G_LU[val_L] @ [x0, xk] per fold and the rows of G_LL B_L,f.
 
-    Both blocks are built by ``gram``, so their entries lie in [0, 1] and
-    are not scanned.  Every fold holds out at least one row.  Entry f of the
-    result is fold f's (len(val_L) + n_u - len(train_U), len(lams), K+1) scores:
-    its labeled validation rows in val_L's order, then its unlabeled ones in
-    ascending order.  A failed solve, or a non-finite score, raises
-    LinAlgError whose ``fold`` names the fold.
+    Each block is built, used and dropped here, one at a time, so the run
+    holds G_UU and its Krylov basis and no labeled block: G_LL gives every
+    fold's G_LL B_L,f rows, G_LU gives r1, G_UU serves the run, and G_LU is
+    built again for the labeled validation rows.  Each entry is held once,
+    but G_LU's n_l x n_u entries are computed twice.  Every block comes
+    from ``gram``, so its entries lie in [0, 1] and are not scanned.  Every
+    fold holds out at least one row.  Entry f of the result is fold f's
+    (len(val_L) + n_u - len(train_U), len(lams), K+1) scores: its labeled
+    validation rows in val_L's order, then its unlabeled ones in ascending
+    order.  A failed solve, or a non-finite score, raises LinAlgError whose
+    ``fold`` names the fold.
     """
     check_theta(theta)
     for lam in lams:
         check_lambda(lam)
-    n_l, n_u = G_L.shape[0], G_UU.shape[0]
+    n_l, n_u = len(labeled_points), len(unlabeled_points)
     K = num_known_classes
     lams = np.asarray(lams, dtype=float)
     shifts = 2.0 * lams + GRAM_JITTER
@@ -568,25 +596,34 @@ def _square_loss_fold_scores(
         masks[f * width:(f + 1) * width, train_U] = 1.0
         scales[f * width:(f + 1) * width] = 1.0 / (2.0 * len(train_U))
         B[train_L, f * K:(f + 1) * K] = _labeled_bracket(labels[train_L], K, theta)[:, :K]
+    # G[val_L, L] B_L,f of every fold, (K, len(val_L))
+    G_LL = block(labeled_points, labeled_points)
+    labeled_shares = [(G_LL[val_L] @ B[:, f * K:(f + 1) * K]).T
+                      for f, (_, _, val_L) in enumerate(folds)]
+    del G_LL
     # G_UL B_L,f of every fold from one product, one row per known column
-    r1 = (G_L[:, n_l:].T @ B).T
+    r1 = (block(labeled_points, unlabeled_points).T @ B).T
     starts = masks.copy()
     for f, (_, train_U, _) in enumerate(folds):
         starts[f * width + 1:(f + 1) * width] *= r1[f * K:(f + 1) * K] / (4.0 * len(train_U))
     try:
-        x, kept = _shifted_lanczos(G_UU, starts, shifts, masks, scales)
+        # G_UU is referenced by the run alone, so it is freed when the run returns
+        x, kept = _shifted_lanczos(block(unlabeled_points, unlabeled_points), starts, shifts,
+                                   masks, scales)
     except np.linalg.LinAlgError as exc:
         exc.fold = exc.row // width
         raise
 
     # every fold's validation rows, its labeled ones, then its unlabeled ones:
     # G[v, U] x of its K+1 solutions, (K+1, rows, lams), and G[v, L] B_L,f, (K, rows)
+    G_LU = block(labeled_points, unlabeled_points)
     solved, bracket, counts = [], [], []
     for f, (_, train_U, val_L) in enumerate(folds):
         rows, cols = slice(f * width, (f + 1) * width), slice(f * K, (f + 1) * K)
-        solved += [np.matmul(G_L[val_L, n_l:], x[rows]), np.stack(kept[rows])]
-        bracket += [(G_L[val_L, :n_l] @ B[:, cols]).T, r1[cols, masks[f * width] == 0.0]]
+        solved += [np.matmul(G_LU[val_L], x[rows]), np.stack(kept[rows])]
+        bracket += [labeled_shares[f], r1[cols, masks[f * width] == 0.0]]
         counts.append(len(val_L) + n_u - len(train_U))
+    del G_LU
     solved, bracket = np.concatenate(solved, axis=1), np.concatenate(bracket, axis=1)
     known = (solved[1:] - bracket[:, :, None] / 2.0) / lams
     # the start vector m_f's share: x0 times -+1 / (2 n_u,f), its scale
@@ -610,21 +647,27 @@ def fit_square_closed_form(
 ) -> DualModel:
     """Solve the square-loss problem exactly via its normal equations.
 
-    The solve and its gradient certificate read two Gram blocks, the
-    unlabeled block G_UU and the labeled rows G_L (see
-    ``_square_loss_alpha``), so no entry of the pooled Gram is computed
-    twice; the certificate's G @ R is ``_pooled_product`` of the two.
+    The solve reads two Gram blocks, the labeled rows G_L and the unlabeled
+    block G_UU, which it builds after G_L and factors in place (see
+    ``_square_loss_alpha``), so the refit holds at most G_L and one
+    n_u x n_u array.  The gradient certificate's two products G @ R are
+    ``_pooled_product``: they read G_L and evaluate G_UU again, unfloored,
+    one tile per worker at a time, after the factor is dropped.
     """
     check_theta(theta)  # before the Gram is built
     check_lambda(lam)
     support = pooled_points(labeled, unlabeled)
     n_l, n_u = len(labeled), len(unlabeled)
-    G_UU, G_L = gram(kernel, support[n_l:], support[n_l:]), gram(kernel, support[:n_l], support)
-    alpha = _square_loss_alpha(G_UU, G_L, labeled.y, labeled.num_known_classes, theta, lam)
+    G_L = gram(kernel, support[:n_l], support)
+    alpha = _square_loss_alpha(G_L, lambda: gram(kernel, support[n_l:], support[n_l:]),
+                               labeled.y, labeled.num_known_classes, theta, lam)
+
+    def product(R):
+        return _pooled_product(G_L, kernel, support[n_l:], R)
+
     # the bracket is solved exactly, so the gradient G @ residual is ~0
-    grad = _gradient_arrays(alpha, _pooled_product(G_UU, G_L, alpha),
-                            lambda R: _pooled_product(G_UU, G_L, R), labeled.y, n_l, n_u,
-                            theta, lam, SQUARE)
+    grad = _gradient_arrays(alpha, product(alpha), product, labeled.y, n_l, n_u, theta, lam,
+                            SQUARE)
     record = FitRecord(0, float(np.max(np.abs(grad))), True)
     return DualModel(support, alpha, kernel, SQUARE, theta, lam,
                      labeled.num_known_classes, record)

@@ -170,6 +170,11 @@ class TestGen:
         ("class.2.component.1.cov = 1.0 0.0 ; 0.0 1.0",
          "class.2.component.1.cov = 1.0 2.0 ; 2.0 1.0",
          "11: class.2.component.1.cov is not positive definite"),
+        # a non-finite weight or theta was named by the file alone, or not
+        # at its line
+        ("class.1.component.1.weight = 1.0", "class.1.component.1.weight = nan",
+         "5: weight must be finite and nonnegative, got nan"),
+        ("theta = 0.7", "theta = nan", "2: theta must lie in (0, 1], got nan"),
     ])
     def test_malformed_spec_names_path_and_line(self, spec_file, tmp_path, capsys, old, new,
                                                 message):
@@ -654,9 +659,11 @@ class TestThetaAndCv:
 
     def test_cv_solver_failure_names_cell_and_exits_one(self, spec_file, tmp_path,
                                                         monkeypatch, capsys):
-        def singular(G_UU, G_L, labels, *args):
-            assert G_UU.shape == (len(unlabeled), len(unlabeled))
-            assert G_L.shape == (len(labeled), len(labeled) + len(unlabeled))
+        def singular(block, labeled_points, unlabeled_points, labels, *args):
+            assert block(unlabeled_points, unlabeled_points).shape == (len(unlabeled),
+                                                                       len(unlabeled))
+            assert block(labeled_points, unlabeled_points).shape == (len(labeled),
+                                                                     len(unlabeled))
             exc = np.linalg.LinAlgError("not positive definite")
             exc.fold = 0  # the solver names the fold whose recurrence failed
             raise exc

@@ -879,6 +879,22 @@ class TestConfigFormats:
          "11: class.2.component.1.cov is not positive definite"),
         (("new.component.1.cov", "new.component.1.cov = 1 0.5 ; 0 1"),
          "14: new.component.1.cov is not symmetric"),
+        (("class.1.component.1.weight", "class.1.component.1.weight = nan"),
+         "5: weight must be finite and nonnegative, got nan"),
+        (("new.component.1.weight", "new.component.1.weight = -0.5"),
+         "12: weight must be finite and nonnegative, got -0.5"),
+        (("class.1.prior", "class.1.prior = nan"),
+         "4: prior must be finite and nonnegative, got nan"),
+        (("class.2.prior", "class.2.prior = -inf"),
+         "8: prior must be finite and nonnegative, got -inf"),
+        (("theta", "theta = nan"), "2: theta must lie in (0, 1], got nan"),
+        (("theta", "theta = 1.5"), "2: theta must lie in (0, 1], got 1.5"),
+        # single values that pass, but do not sum to 1: the mixture's and the
+        # spec's checks name the file alone
+        (("class.1.component.1.weight", "class.1.component.1.weight = 0.5"),
+         " class.1: mixture weights must be nonnegative and sum to 1"),
+        (("class.1.prior", "class.1.prior = 0.25"),
+         " class priors must be nonnegative and sum to 1"),
     ])
     def test_spec_error_names_path_and_line(self, edit, message):
         key, replacement = edit

@@ -26,21 +26,21 @@ def _data(seed=0, n_l=60, n_u=120, n_t=200):
 class _RowGathers(np.ndarray):
     """A Gram, pooled or one of its blocks, that records each gather of its
     rows: a ``take`` along them, or an index array in the first place of a
-    subscript.  A record holds the rows and whether they were taken whole;
-    every result is a plain array."""
+    subscript.  A record holds the rows, the shape of the gathered array
+    and whether its rows were taken whole; every result is a plain array."""
 
     gathers: list = []
 
     def take(self, indices, axis=None, **kwargs):
         if axis == 0:
-            self.gathers.append((np.ravel(indices), True))
+            self.gathers.append((np.ravel(indices), self.shape, True))
         return np.asarray(self).take(indices, axis=axis, **kwargs)
 
     def __getitem__(self, key):
         first = key[0] if isinstance(key, tuple) else key
         if not isinstance(first, (slice, int)):
             whole = not isinstance(key, tuple) or all(k == slice(None) for k in key[1:])
-            self.gathers.append((np.ravel(first), whole))
+            self.gathers.append((np.ravel(first), self.shape, whole))
         return np.asarray(self)[key]
 
 
@@ -120,14 +120,16 @@ class TestCrossValidate:
         # cross-validation factors nothing and gathers no fold block: one
         # shifted-Lanczos run on the unlabeled block serves every fold and
         # lambda of a bandwidth; only the refit factors
-        factors, runs, grams = [0], [], []
+        factors, runs, grams, refit_grams = [0], [], [], []
         factor = eulac.solver.cho_factor
         lanczos = eulac.solver._shifted_lanczos
-        build = eulac.modelsel.gram
+        build, refit_build = eulac.modelsel.gram, eulac.solver.gram
 
         def counting_factor(a, **kwargs):
-            # the refit factors its own copy in place: no copy by scipy's wrapper
+            # the refit factors the G_UU block it built, its latest build, in
+            # place: no copy by the solve and none by scipy's wrapper
             factors[0] += 1
+            assert a.base is refit_grams[-1] and a.shape == (len(U), len(U))
             assert a.flags.f_contiguous and kwargs["overwrite_a"] is True
             result = factor(a, **kwargs)
             assert np.shares_memory(result[0], a)
@@ -137,16 +139,23 @@ class TestCrossValidate:
             grams.append(build(*args))
             return grams[-1]
 
+        def recording_refit_gram(*args):
+            refit_grams.append(refit_build(*args))
+            return refit_grams[-1]
+
         def counting_lanczos(A, starts, shifts, masks, scales):
-            # the run's operator is the G_UU build itself, the first of the
-            # bandwidth's two blocks
-            assert A is grams[-2] and A.shape == (len(U), len(U))
+            # the run's operator is the G_UU build itself, the last of the
+            # bandwidth's three blocks built so far: G_LL, G_LU, G_UU
+            n_l, n_u = len(L), len(U)
+            assert A is grams[-1] and A.shape == (n_u, n_u)
+            assert [G.shape for G in grams[-3:]] == [(n_l, n_l), (n_l, n_u), (n_u, n_u)]
             runs.append((starts.shape[0], len(shifts)))
             return lanczos(A, starts, shifts, masks, scales)
 
         monkeypatch.setattr(eulac.solver, "cho_factor", counting_factor)
         monkeypatch.setattr(eulac.solver, "_shifted_lanczos", counting_lanczos)
         monkeypatch.setattr(eulac.modelsel, "gram", recording_gram)
+        monkeypatch.setattr(eulac.solver, "gram", recording_refit_gram)
         L, U, _ = _data(seed=1)
         grid = HyperGrid(sigma_multipliers=(0.1, 1.0), lambda_candidates=(1e-2, 0.1, 1.0),
                          folds=3)
@@ -160,9 +169,10 @@ class TestCrossValidate:
 
     @pytest.mark.parametrize("loss", ["square", "logistic"])
     def test_square_loss_builds_no_pooled_gram(self, monkeypatch, loss):
-        # square-loss CV and the refit build the unlabeled block and the
-        # labeled rows, which hold each pooled-Gram entry once; the
-        # first-order paths gather every block, so they build the pooled Gram
+        # square-loss CV builds, per bandwidth, G_LL, G_LU and G_UU, then
+        # G_LU again for the labeled validation rows, and the refit the
+        # labeled rows, then the unlabeled block; the first-order paths
+        # gather every block, so they build the pooled Gram
         shapes = {"modelsel": [], "solver": []}
         for name, seen in shapes.items():
             def recording(spec, rows, cols, build=getattr(eulac, name).gram, seen=seen):
@@ -175,14 +185,19 @@ class TestCrossValidate:
         grid = HyperGrid(sigma_multipliers=(0.1, 1.0), lambda_candidates=(1e-2, 0.1), folds=3,
                          loss_kind=loss)
         fit_with_selection(L, U, THETA, grid, seed=0)
-        blocks = [(n - n_l, n - n_l), (n_l, n)] if loss == "square" else [(n, n)]
-        assert shapes == {"modelsel": blocks * 2, "solver": blocks}
+        n_u = n - n_l
+        if loss == "square":
+            cv_blocks = [(n_l, n_l), (n_l, n_u), (n_u, n_u), (n_l, n_u)]
+            refit_blocks = [(n_l, n), (n_u, n_u)]
+        else:
+            cv_blocks = refit_blocks = [(n, n)]
+        assert shapes == {"modelsel": cv_blocks * 2, "solver": refit_blocks}
 
     def test_square_loss_gathers_no_pooled_validation_rows(self, monkeypatch):
         # the square-loss folds are scored from the Krylov run: no row of
-        # the unlabeled block, and no whole labeled row, is gathered; the
-        # labeled validation rows are read in their unlabeled and their
-        # labeled columns apart
+        # the unlabeled block, and no whole pooled labeled row, is gathered;
+        # the labeled validation rows are read in their unlabeled and their
+        # labeled columns apart, from the blocks G_LL and G_LU
         gathers = []
         build = eulac.modelsel.gram
         monkeypatch.setattr(eulac.modelsel, "gram",
@@ -192,8 +207,10 @@ class TestCrossValidate:
         grid = HyperGrid(sigma_multipliers=(0.1, 1.0), lambda_candidates=(1e-2, 0.1), folds=3)
         report = cross_validate(L, U, THETA, grid, seed=0)
         assert len(report.cells) == 4
-        for rows, whole in gathers:
-            assert not whole and np.all(rows < len(L))
+        n_l, n = len(L), len(L) + len(U)
+        for rows, shape, whole in gathers:
+            assert shape[0] == n_l and np.all(rows < n_l)
+            assert not whole or shape[1] < n
         # two gathers per fold and bandwidth
         assert len(gathers) == 2 * 3 * 2
 

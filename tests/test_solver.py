@@ -2,6 +2,7 @@ import json
 import re
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -226,14 +227,21 @@ def _floored(G):
 
 
 def _blocks(G, n_l):
-    """The unlabeled block and the labeled rows of a pooled Gram, the two
-    blocks the square-loss solves read."""
-    return G[n_l:, n_l:], G[:n_l]
+    """The cross-validation solve's block builder over a pooled Gram G, and
+    its labeled and unlabeled points, given as G's row indices: each block
+    it builds is a fresh copy."""
+    return (lambda rows, cols: G[np.ix_(rows, cols)]), np.arange(n_l), np.arange(n_l, len(G))
+
+
+def _refit_blocks(G, n_l):
+    """The refit solve's labeled rows of a pooled Gram G, and the builder of
+    a fresh copy of its unlabeled block, which the solve factors in place."""
+    return G[:n_l], lambda: G[n_l:, n_l:].copy()
 
 
 def _refit_alpha(G, y, n_l, lam, theta=THETA):
     """The refit's solve on a floored copy of a full training Gram."""
-    return _square_loss_alpha(*_blocks(_floored(G), n_l), y, 2, theta, lam)
+    return _square_loss_alpha(*_refit_blocks(_floored(G), n_l), y, 2, theta, lam)
 
 
 def _lanczos_alphas(G, y, n_l, lams, theta=THETA):
@@ -321,9 +329,12 @@ class TestSquareLossSystem:
         solved = []
         solve = eulac.solver._square_loss_alpha
 
-        def recording_solve(G_UU, *args):
-            solved.append(G_UU.copy())
-            return solve(G_UU, *args)
+        def recording_solve(G_L, unlabeled_block, *args):
+            def recording_block():
+                G_UU = unlabeled_block()
+                solved.append(G_UU.copy())
+                return G_UU
+            return solve(G_L, recording_block, *args)
 
         monkeypatch.setattr(eulac.solver, "_square_loss_alpha", recording_solve)
         fit_square_closed_form(L, U, _narrow_kernel(L, U), THETA, 1e-2)
@@ -415,9 +426,18 @@ class TestSquareLossSystem:
         # negated instead: the unlabeled block's top eigenvalue, about
         # -n_u / (2 n_u), outweighs the shift 2 LAM
         L, _, _, G = instance
+        n_l, n_u = len(L), len(G) - len(L)
+        G_L, unlabeled_block = _refit_blocks(-_floored(G), n_l)
+        builds = []
         with pytest.raises(np.linalg.LinAlgError, match="condition estimate") as info:
-            _square_loss_alpha(*_blocks(-_floored(G), len(L)), L.y, 2, THETA, LAM)
+            _square_loss_alpha(G_L, lambda: builds.append(1) or unlabeled_block(), L.y, 2,
+                               THETA, LAM)
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+        # the failed factorization overwrote its block, so the estimate reads
+        # a second build of the system, not the factor's remains
+        assert len(builds) == 2
+        system = -_floored(G)[n_l:, n_l:] / (2.0 * n_u) + (2.0 * LAM + GRAM_JITTER) * np.eye(n_u)
+        assert f"condition estimate {np.linalg.cond(system):.3e})" in str(info.value)
 
 
 class TestFoldLanczos:
@@ -492,6 +512,74 @@ class TestFoldLanczos:
             _square_loss_fold_scores(*_blocks(G, len(L)), L.y, 2, THETA, folds,
                                      (1e-2, 0.1, 1.0))
         assert info.value.fold == 2
+
+
+class TestSquareLossMemory:
+    """The square-loss solves hold one n_u x n_u array at a time, with no
+    n_l-row block beside cross-validation's Krylov run and no scaled copy
+    beside the refit's factor.  Peaks are tracemalloc's, in bytes."""
+
+    # besides the blocks and the basis: the start, mask and weight vectors,
+    # the solutions, the folds' products and each gram call's floor masks
+    # (at most 4 x 256 x n_u booleans).  At these sizes a design that held
+    # G_L through the run, or a scaled copy of G_UU beside the refit's G_UU,
+    # exceeded the bounds by 1.2 MB and 10.1 MB
+    SLACK = 1.5e6
+
+    def test_cross_validation_run_holds_no_labeled_block(self, monkeypatch):
+        L, U = small_train_data(seed=2, n_l=300, n_u=600)
+        n_u = len(U)
+        median = median_heuristic(np.vstack([L.X, U.X]))
+        builds, bases = [], []
+        build = eulac.modelsel.gram
+        lanczos = eulac.solver._shifted_lanczos
+
+        def recording_gram(*args):
+            G = build(*args)
+            builds.append((G.shape, weakref.ref(G)))
+            return G
+
+        def checking_lanczos(A, starts, shifts, masks, scales):
+            # G_LL and G_LU are gone; the operator is the G_UU build
+            assert [shape for shape, _ in builds] == [(len(L), len(L)), (len(L), n_u),
+                                                      (n_u, n_u)]
+            assert [ref() is None for _, ref in builds] == [True, True, False]
+            assert builds[-1][1]() is A
+            # the basis Q, (p, steps, n_u), and the products kept off the
+            # masks, (steps, off-mask rows); no run here outgrows 64 steps
+            caps = masks.sum(axis=1)
+            steps = min(int(caps.max()), 64)
+            bases.append(8 * steps * (starts.size + int((n_u - caps).sum())))
+            return lanczos(A, starts, shifts, masks, scales)
+
+        monkeypatch.setattr(eulac.modelsel, "gram", recording_gram)
+        monkeypatch.setattr(eulac.solver, "_shifted_lanczos", checking_lanczos)
+        grid = HyperGrid(sigma_multipliers=(1.0,), lambda_candidates=DEFAULT_LAMBDAS, folds=2)
+        tracemalloc.start()
+        try:
+            cross_validate(L, U, THETA, grid, seed=0, median=median)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        basis, = bases
+        # G_LU is built again for the labeled validation rows, after the run
+        assert [shape for shape, _ in builds][3:] == [(len(L), n_u)]
+        assert peak < 8 * n_u**2 + basis + self.SLACK
+
+    def test_refit_holds_one_unlabeled_block_beside_the_labeled_rows(self):
+        # the factor overwrites the G_UU build; the certificate's tiles come
+        # after it is dropped
+        L, U = small_train_data(seed=2, n_l=300, n_u=1200)
+        n_l, n_u = len(L), len(U)
+        kernel = KernelSpec(median_heuristic(np.vstack([L.X, U.X])))
+        tracemalloc.start()
+        try:
+            fit_square_closed_form(L, U, kernel, THETA, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tiles = 8 * eulac.kernel._worker_count(n_u) * min(TILE_ROWS, n_u) * n_u
+        assert peak < 8 * n_l * (n_l + n_u) + max(8 * n_u**2, tiles) + self.SLACK
 
 
 class _CountingProducts(np.ndarray):
