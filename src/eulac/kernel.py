@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist, pdist
 
 # Every kernel evaluation runs in tiles of TILE_ROWS rows.  A tile's cdist,
@@ -43,18 +46,12 @@ GRAM_BLOCK_ROWS = 1024
 # A score G alpha_k moves by at most delta ||alpha_k||_1, and a row sum of a
 # Gram over n points, such as theta's kernel means, by at most n delta.
 KERNEL_FLOOR = 1e-30
-# pivoted_cholesky stops once no residual diagonal of the Gram exceeds this.
-# The residual G - L L^T is positive semidefinite, so its spectral norm is at
-# most n times it: at n = 1500 a function of RKHS norm 1 moves by at most
+# pivoted_cholesky's default tolerance, the one prediction's factor takes: it
+# stops once no residual diagonal of the Gram exceeds this.  The residual
+# G - L L^T is positive semidefinite, so its spectral norm is at most n times
+# it: at n = 1500 a function of RKHS norm 1 moves by at most
 # sqrt(1500 x 1e-10) = 3.9e-4 anywhere.
 PIVOT_TOLERANCE = 1e-10
-# The largest residual falls about geometrically with the pivot count: on the
-# bundled spec at 1x median (500/1000, seeds 1-10) its log10 fell by 0.13 to
-# 0.15 a pivot from pivot 12 to pivot 50, and was -4.0 to -4.5 at pivot 33
-# of the 80-85 needed.  So a factorization whose largest residual is still
-# above PIVOT_TOLERANCE ** (1/3) after a third of its pivot budget gives up
-# there, for a third of the cost: at 0.1x median it stays near 1.
-PIVOT_PROGRESS = PIVOT_TOLERANCE ** (1.0 / 3.0)
 
 
 @dataclass(frozen=True)
@@ -212,54 +209,117 @@ def gram_product(spec: KernelSpec, rows, cols, coef) -> np.ndarray:
     (``pivoted_cholesky``) is built from the same unfloored kernel.  Flooring
     would clamp and mask every tile, which slows a dense product, for a
     score move of at most KERNEL_FLOOR ||coef_k||_1.  ``cols`` must be a
-    finite 2-D array, as a
-    DualModel's support points are; only ``rows`` is checked, once.  Each
-    tile worker (as in ``gram``) owns one TILE_ROWS x m slice of a buffer
-    allocated here, evaluates each of its tiles of K into it and multiplies
-    it by coef into the tile's rows of the result.  So kernel memory stays
-    at most 8 x GRAM_BLOCK_ROWS x m bytes whatever the number of rows or
-    CPUs, and the result does not depend on the CPU count.
+    finite 2-D array, as a DualModel's support points are; only ``rows`` is
+    checked, once.  Each tile worker (as in ``gram``) owns one TILE_ROWS x m
+    slice of a buffer allocated here, evaluates each of its tiles of K into
+    it and multiplies it by coef into the tile's rows of the result.  So
+    kernel memory stays at most 8 x GRAM_BLOCK_ROWS x m bytes whatever the
+    number of rows or CPUs, and the result does not depend on the CPU count.
     """
+    return _tiled_product(spec, rows, cols, coef, floored=False)
+
+
+def _tiled_product(spec: KernelSpec, rows, cols, coef, floored: bool) -> np.ndarray:
+    """``gram_product``, or with ``floored`` the product with ``gram``'s
+    floored K: each tile is clamped and floored as ``gram`` does, with one
+    boolean mask per worker allocated here, so no tile holds a subnormal
+    entry.  The refit's gradient certificate reads this one, the matrix its
+    solve used."""
     r, c = _point_pair(_as_points(rows), cols)
     coef = np.asarray(coef, dtype=float)
     out = np.empty((r.shape[0], coef.shape[1]))
     workers = _worker_count(r.shape[0])
     tiles = np.empty((workers, min(TILE_ROWS, r.shape[0]), c.shape[0]))
+    masks = np.empty(tiles.shape, dtype=bool) if floored else None
 
     def work(worker, start, stop):
         tile = tiles[worker, :stop - start]
-        _fill(tile, spec, r[start:stop], c)
+        _fill(tile, spec, r[start:stop], c, None if masks is None else masks[worker, :stop - start])
         np.matmul(tile, coef, out=out[start:stop])
 
     _each_tile(r.shape[0], workers, work)
     return out
 
 
-def pivoted_cholesky(spec: KernelSpec, points, max_rank: int):
+def sparse_gram(spec: KernelSpec, points, max_entries: float):
+    """``gram(spec, points, points)`` as a CSR matrix that stores only its
+    nonzero entries, or None when it would store more than ``max_entries``.
+
+    Beyond the floor radius sigma sqrt(-2 ln KERNEL_FLOOR), 11.7 sigma, an
+    entry lies below KERNEL_FLOOR and ``gram`` zeroes it.  A k-d tree
+    (scipy's cKDTree) counts the ordered pairs, self-pairs included, within
+    that radius widened by a relative 1e-9, so rounding keeps no entry of
+    ``gram`` at or above the floor out; over ``max_entries`` it stops there,
+    having spent the tree and the count.  Otherwise each pair i < j of the radius query gets its
+    entry as ``gram`` computes it: the squared distance summed one
+    coordinate at a time in coordinate order, as cdist's sqeuclidean does,
+    the same scale, clamp, exp and floor.  So every stored entry equals
+    ``gram``'s bit for bit, (i, j) and (j, i) alike, the diagonal is 1, and
+    every entry ``gram`` zeroes is absent.  The columns of each row are
+    ascending, so a product with the result sums each row in one fixed
+    order.  ``points`` must be a finite 2-D array.
+    """
+    pts = np.ascontiguousarray(points, dtype=float)
+    n = pts.shape[0]
+    tree = cKDTree(pts)
+    radius = spec.sigma * math.sqrt(-2.0 * math.log(KERNEL_FLOOR)) * (1.0 + 1e-9)
+    if tree.count_neighbors(tree, radius) > max_entries:
+        return None
+    first, second = tree.query_pairs(radius, output_type="ndarray").T
+    value = np.zeros(len(first))
+    for k in range(pts.shape[1]):
+        step = pts[first, k] - pts[second, k]
+        value += step * step
+    value /= -2.0 * spec.sigma**2
+    np.maximum(value, np.log(KERNEL_FLOOR) - 1.0, out=value)
+    np.exp(value, out=value)
+    kept = value >= KERNEL_FLOOR
+    first, second, value = first[kept], second[kept], value[kept]
+    diagonal = np.arange(n)
+    # the COO form's conversion sorts each row's columns
+    return csr_matrix((np.concatenate([value, value, np.ones(n)]),
+                       (np.concatenate([first, second, diagonal]),
+                        np.concatenate([second, first, diagonal]))), shape=(n, n))
+
+
+def pivoted_cholesky(spec: KernelSpec, points, max_rank: int,
+                     tolerance: float = PIVOT_TOLERANCE):
     """Greedy pivoted Cholesky factor of the Gram of ``points``, or None.
 
     Each step takes as pivot the point with the largest residual diagonal
     of G - L L^T, the first index on ties, and builds its unfloored kernel
     column with ``_fill``, in the calling thread; no n x n array is made.
-    It stops once no residual diagonal exceeds PIVOT_TOLERANCE and returns
+    It stops once no residual diagonal exceeds ``tolerance`` and returns
     (L, pivots): L is n x P with G[:, pivots] = L L[pivots]^T,
-    L[pivots] lower triangular.  It returns None when that needs more than
-    ``max_rank`` pivots, having spent about n x max_rank^2 / 2 flops, or
-    sooner, when the largest residual still exceeds PIVOT_PROGRESS after
-    max_rank // 3 pivots.  ``points`` must be a finite 2-D array, as a
+    L[pivots] lower triangular.  G - L L^T is positive semidefinite, so its
+    spectral norm is then at most n x tolerance.  Prediction takes the
+    default PIVOT_TOLERANCE; the square-loss solves derive a tighter one
+    from the solution error they allow (``solver._factor_tolerance``).
+
+    It returns None when that needs more than ``max_rank`` pivots, having
+    spent about n x max_rank^2 / 2 flops, or sooner, when the largest
+    residual still exceeds tolerance ** (1/3) after max_rank // 3 pivots.
+    The largest residual falls about geometrically with the pivot count: on
+    the bundled spec at 1x median (500/1000, seeds 1-10) its log10 fell by
+    0.13 to 0.15 a pivot from pivot 12 to pivot 50, and was -4.0 to -4.5 at
+    pivot 33 of the 80-85 that PIVOT_TOLERANCE needs.  So a factorization
+    that has not made a third of its progress in a third of its budget
+    gives up there, for a third of the cost: at 0.1x median the largest
+    residual stays near 1.  ``points`` must be a finite 2-D array, as a
     DualModel's support is.
     """
     pts = np.ascontiguousarray(points, dtype=float)
     n = pts.shape[0]
+    progress = tolerance ** (1.0 / 3.0)
     rows = np.empty((max_rank, n))  # row j is L's column j
     residual = np.ones(n)  # k(x, x) = 1
     scratch = np.empty(n)
     pivots = np.empty(max_rank, dtype=np.intp)
     for j in range(max_rank + 1):
         p = int(np.argmax(residual))
-        if residual[p] <= PIVOT_TOLERANCE:
+        if residual[p] <= tolerance:
             return rows[:j].T, pivots[:j].copy()
-        if j == max_rank or (j == max_rank // 3 and residual[p] > PIVOT_PROGRESS):
+        if j == max_rank or (j == max_rank // 3 and residual[p] > progress):
             return None
         col = rows[j]
         _fill(col[None], spec, pts[p:p + 1], pts)

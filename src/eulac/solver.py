@@ -13,8 +13,12 @@ over the unlabeled rows.  So the square-loss solves build blocks of the
 pooled Gram with ``kernel.gram``, whose entries below
 ``kernel.KERNEL_FLOOR`` are zeroed: G_UU and the labeled rows G_L =
 [G_LL, G_LU], built one after the other so that beside G_UU they hold at
-most G_L (the refit) and no labeled block at all (cross-validation's run);
-the first-order solves take the pooled Gram.  Other losses solve
+most G_L (the refit) and no labeled block at all (cross-validation's run).
+Where a cheaper form of G_UU keeps the solution within
+FACTOR_SOLUTION_TOLERANCE, they take it instead and build no G_UU: a
+pivoted-Cholesky factor at wide bandwidths (the run and the refit), the
+sparse floored block at narrow ones (the run).  The first-order solves
+take the pooled Gram.  Other losses solve
 each column with scipy's limited-memory quasi-Newton method (L-BFGS-B):
 a smooth loss on its exact objective and gradient up to a gradient tolerance,
 double-hinge on its box-constrained dual up to a duality-gap tolerance.
@@ -38,6 +42,7 @@ from .kernel import (
     KernelSpec,
     TILE_ROWS,
     _each_tile,
+    _tiled_product,
     _worker_count,
     gram,
     gram_product,
@@ -61,6 +66,11 @@ GRAM_JITTER = 1e-10
 # relative error is at most about tolerance x (1 + 1 / (4 lambda)): 2.5e-11
 # at lambda = 1e-3.
 KRYLOV_TOLERANCE = 1e-13
+# A square-loss solve takes G_UU as a pivoted-Cholesky factor's L L^T only
+# at a tolerance that moves its solution by at most this fraction
+# (``_factor_tolerance``), the order of the Lanczos run's own error (2.5e-11
+# at lambda = 1e-3)
+FACTOR_SOLUTION_TOLERANCE = 1e-10
 # A double-hinge score column counts as converged once the duality gap of
 # its box dual is at most this fraction of the column objective.  On the
 # bundled spec at 500/1000 (seed 1, CV fold 0, lambda <= 1e-2) the columns'
@@ -129,6 +139,17 @@ class FitOptions:
 class FitRecord:
     """How a solve ended.  A model loaded from JSON keeps only ``converged``;
     its iteration count and gradient norm were not saved and are None.
+
+    ``final_gradient_norm`` is the largest entry of the objective's gradient
+    G (W + 2 lam alpha) at the returned alpha, taken with the floored Gram.
+    The square-loss refit solves a system whose shift holds GRAM_JITTER
+    besides 2 lam, and at wide bandwidths takes G_UU as a pivoted-Cholesky
+    factor's L L^T, while the gradient is the plain objective's on the true
+    kernel.  So the refit's norm reads those two departures, not its
+    rounding: on the bundled spec at 500/1000 (seed 1, 1x median,
+    lam = 1e-3) it is 2.7e-8, and with GRAM_JITTER at 0 it is 9.8e-15 on the
+    dense path and 2.9e-12 on the factor path.  The refit records
+    ``converged`` True whatever it reads.
 
     For double-hinge the gradient norm is taken at the midpoint subgradient
     and certifies nothing; ``duality_gap`` is what decided ``converged``:
@@ -327,12 +348,33 @@ def _pooled_product(G_L: np.ndarray, kernel: KernelSpec, unlabeled: np.ndarray,
                     R: np.ndarray) -> np.ndarray:
     """G @ R for the pooled Gram G given by its labeled rows G_L, with its
     unlabeled block G_UU taken tile by tile from the points ``unlabeled``:
-    G_L @ R, then G_LU^T R_L + G_UU R_U, G_UU R_U by ``kernel.gram_product``,
-    so no n_u x n_u array is made.  Those tiles are unfloored, which moves
-    the product by at most KERNEL_FLOOR ||R_U||_1 a row."""
+    G_L @ R, then G_LU^T R_L + G_UU R_U, G_UU R_U by the kernel's floored
+    tile product, so no n_u x n_u array is made.  Its tiles are clamped and
+    floored as ``gram``'s, so the product reads the floored Gram the dense
+    solve used, and at narrow bandwidths multiplies no subnormal entry."""
     n_l = G_L.shape[0]
     return np.concatenate([G_L @ R, G_L[:, n_l:].T @ R[:n_l]
-                           + gram_product(kernel, unlabeled, unlabeled, R[n_l:])])
+                           + _tiled_product(kernel, unlabeled, unlabeled, R[n_l:], floored=True)])
+
+
+def _factor_tolerance(n_u: int, n_train: int, lam: float) -> float:
+    """The ``kernel.pivoted_cholesky`` tolerance under which a square-loss
+    solve on n_train of n_u unlabeled rows at weight lam may take G_UU as
+    L L^T.
+
+    The residual G_UU - L L^T is positive semidefinite with no diagonal
+    entry above the tolerance t, so its spectral norm is at most n_u t.  The
+    solve's operator diag(m) G_UU diag(m) / (2 n_train) then moves by at
+    most n_u t / (2 n_train), and its system's smallest eigenvalue is at
+    least the shift s = 2 lam + GRAM_JITTER, so the solution moves by at
+    most n_u t / (2 n_train s) relative.  t is chosen to make that
+    FACTOR_SOLUTION_TOLERANCE: 3.2e-13 for the default grid's folds at
+    500/1000 (n_train = 800, lam = 1e-3), and 4e-13 for a refit at
+    lam = 1e-3.  Building L rounds each entry of L L^T by about (P + 1) u
+    more, for P pivots and unit roundoff u: 1.2e-14 at P = 104.
+    """
+    shift = 2.0 * lam + GRAM_JITTER
+    return FACTOR_SOLUTION_TOLERANCE * 2.0 * n_train * shift / n_u
 
 
 def _scaled_unlabeled_system(unlabeled_block, n_u: int, shift: float) -> np.ndarray:
@@ -351,6 +393,7 @@ def _square_loss_alpha(
     num_known_classes: int,
     theta: float,
     lam: float,
+    factor: np.ndarray | None = None,
 ) -> np.ndarray:
     """Exact stationary point of the square-loss objective at weight lam.
 
@@ -369,6 +412,15 @@ def _square_loss_alpha(
     number, taken from a second G_UU built on that path alone, since the
     failed factorization has overwritten the first.  theta and lam are
     checked by the caller.
+
+    Given a pivoted-Cholesky ``factor`` L (n_u x k) of G_UU, the solve
+    takes G_UU as L L^T and builds no n_u x n_u array: by the Woodbury
+    identity x = (r - L C^-1 L^T r) / s, with C = L^T L + 2 n_u s I, which
+    is k x k and factored in place by Cholesky.  C's eigenvalues lie in
+    [2 n_u s, 2 n_u s + ||L||^2], so it is well conditioned where s is not
+    tiny.  The solution moves from the dense one by at most
+    n_u t / (2 n_u s) relative for the factor's tolerance t
+    (``_factor_tolerance``).
     """
     n_l = G_L.shape[0]
     n_u = G_L.shape[1] - n_l
@@ -380,17 +432,25 @@ def _square_loss_alpha(
     if not np.all(np.isfinite(rhs)):
         raise ValueError("square-loss right-hand side is not finite")
 
+    if factor is not None:
+        C = factor.T @ factor
+        C.flat[::C.shape[0] + 1] += 2.0 * n_u * shift
+        # C is exactly symmetric (numpy computes L^T L as one symmetric
+        # product), so its transpose is C in the Fortran order LAPACK needs
+        small = cho_factor(C.T, lower=True, overwrite_a=True, check_finite=False)
+        alpha[n_l:] = (rhs - factor @ cho_solve(small, factor.T @ rhs, check_finite=False)) / shift
+        return alpha
     M = _scaled_unlabeled_system(unlabeled_block, n_u, shift)
     try:
         # M is exactly symmetric, so its transpose is M itself in the
         # Fortran order LAPACK factors in place
-        factor = cho_factor(M.T, lower=True, overwrite_a=True, check_finite=False)
+        cholesky = cho_factor(M.T, lower=True, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         cond = np.linalg.cond(_scaled_unlabeled_system(unlabeled_block, n_u, shift))
         raise np.linalg.LinAlgError(
             f"square-loss system not positive definite (condition estimate {cond:.3e})"
         ) from exc
-    alpha[n_l:] = cho_solve(factor, rhs, check_finite=False)
+    alpha[n_l:] = cho_solve(cholesky, rhs, check_finite=False)
     return alpha
 
 
@@ -401,8 +461,52 @@ def _located(exc: np.linalg.LinAlgError, **where) -> np.linalg.LinAlgError:
     return exc
 
 
+def _dense_product(A: np.ndarray):
+    """The Lanczos product ``product(v, out)``, out = v @ A, of a dense
+    symmetric n x n array A: one BLAS call per kernel.TILE_ROWS-column
+    tile, shared out by ``kernel._each_tile`` over the calling thread and
+    the process's tile pool, whose threads every step reuses.  The tiles'
+    views are made in the calling thread, so a worker only multiplies.  The
+    calls do not depend on the CPU count, so neither does the result.  At
+    p = 15 and n = 1000 (the bundled spec at 500/1000, 5 folds, 2 known
+    classes) the tiles' product equals the one-call v @ A bit for bit.  A
+    step streams all of A: 8 MB at n = 1000."""
+    n = A.shape[0]
+    workers = _worker_count(n)
+
+    def product(v, out):
+        # A is symmetric, so v @ A holds the rows of (A @ v.T).T
+        tiles = [(A[:, start:start + TILE_ROWS], out[:, start:start + TILE_ROWS])
+                 for start in range(0, n, TILE_ROWS)]
+
+        def work(worker, start, stop):
+            block, dest = tiles[start // TILE_ROWS]
+            np.matmul(v, block, out=dest)
+
+        _each_tile(n, workers, work)
+    return product
+
+
+def _factor_product(L: np.ndarray):
+    """The Lanczos product of A = L L^T for an n x k factor L, as two BLAS
+    calls in the calling thread, (v L) L^T: 4 p n k flops, against 2 p n^2
+    for the dense block."""
+    def product(v, out):
+        np.matmul(v @ L, L.T, out=out)
+    return product
+
+
+def _sparse_product(S):
+    """The Lanczos product of a symmetric scipy CSR matrix S: S @ v^T,
+    transposed into out.  scipy sums each row in its stored column order,
+    in the calling thread."""
+    def product(v, out):
+        np.copyto(out, (S @ v.T).T)
+    return product
+
+
 def _shifted_lanczos(
-    A: np.ndarray,
+    product,
     starts: np.ndarray,
     shifts: np.ndarray,
     masks: np.ndarray,
@@ -414,18 +518,15 @@ def _shifted_lanczos(
     ``starts`` holds one right-hand side per row, (p, n); row r's operator
     is A_r = scales[r] diag(masks[r]) A diag(masks[r]) for a symmetric A and
     a 0/1 mask that covers its start vector, so several systems can share
-    one A.  The first result is (p, n, len(shifts)) and is zero outside each
-    row's mask.  Each start vector runs its own Lanczos recurrence with full
+    one A.  A is given by its product: ``product(v, out)`` writes v @ A for
+    a (p, n) block v into the (p, n) buffer ``out`` allocated here, and may
+    be ``_dense_product``, ``_factor_product`` or ``_sparse_product``.  The
+    first result is (p, n, len(shifts)) and is zero outside each row's
+    mask.  Each start vector runs its own Lanczos recurrence with full
     reorthogonalization; the p recurrences advance in lockstep, so a step
-    costs one (p, n) x (n, n) product.  That product is one BLAS call per
-    kernel.TILE_ROWS-column tile, into a (p, n) buffer allocated here, with
-    the tiles shared out by ``kernel._each_tile`` over the calling thread
-    and the process's tile pool, whose threads every step reuses; the calls
-    do not depend on the CPU count, so neither does the result.  At p = 15
-    and n = 1000 (the bundled spec at 500/1000, 5 folds, 2 known classes)
-    the tiles' product equals the one-call v @ A bit for bit.  The weights,
-    the dot products, the reorthogonalization and the pivots run in the
-    calling thread.  After m steps the solution for shift
+    costs one product.  The weights, the dot products, the
+    reorthogonalization and the pivots run in the calling thread.  After m
+    steps the solution for shift
     s is ||b|| Q_m (T_m + s I)^{-1} e_1, whose residual norm is
     ||b|| beta_m |e_m^T (T_m + s I)^{-1} e_1|.  T_m + s I is factored as
     L D L^T one step at a time, so that last entry costs O(p x shifts) per
@@ -460,20 +561,9 @@ def _shifted_lanczos(
     pivots, firsts, betas = [], [], []
     beta = np.zeros(p)
     w = np.empty((p, n))
-    # A is symmetric, so v @ A holds the rows of (A @ v.T).T.  The tiles'
-    # views are made here, so a worker only multiplies
-    tiles = [(A[:, start:start + TILE_ROWS], w[:, start:start + TILE_ROWS])
-             for start in range(0, n, TILE_ROWS)]
-    v = None  # this step's basis vectors, read by every worker
-
-    def product(worker, start, stop):
-        block, out = tiles[start // TILE_ROWS]
-        np.matmul(v, block, out=out)
-
-    workers = _worker_count(n)
     for m in range(max_steps):
         v = Q[:, m]
-        _each_tile(n, workers, product)
+        product(v, w)
         np.take(w, off, out=kept[m])
         w *= weights
         a = np.einsum("pn,pn->p", v, w)
@@ -541,11 +631,16 @@ def _square_loss_fold_scores(
     theta: float,
     folds,
     lams,
+    operator=None,
 ) -> list[np.ndarray]:
     """Validation scores of every square-loss training fold at every weight.
 
     ``block(rows, cols)`` builds the Gram of two point sets with ``gram``;
-    it is asked for the pooled Gram's blocks G_LL, G_LU and G_UU alone.
+    it is asked for the pooled Gram's blocks G_LL, G_LU and, when no
+    ``operator`` is given, G_UU.  ``operator`` is the Krylov product of a
+    form of G_UU (see ``_shifted_lanczos``): ``_factor_product`` of a
+    pivoted-Cholesky factor, or ``_sparse_product`` of ``kernel.sparse_gram``;
+    None takes ``_dense_product`` of the G_UU that ``block`` builds.
     ``folds`` holds (train_L, train_U, val_L) row indices, train_U counted
     within the unlabeled block.  A fold's unlabeled validation rows are the
     unlabeled rows outside train_U.  Let m_f be the 0/1 mask of fold f's
@@ -569,10 +664,12 @@ def _square_loss_fold_scores(
     G_LU[val_L] @ [x0, xk] per fold and the rows of G_LL B_L,f.
 
     Each block is built, used and dropped here, one at a time, so the run
-    holds G_UU and its Krylov basis and no labeled block: G_LL gives every
-    fold's G_LL B_L,f rows, G_LU gives r1, G_UU serves the run, and G_LU is
-    built again for the labeled validation rows.  Each entry is held once,
-    but G_LU's n_l x n_u entries are computed twice.  Every block comes
+    holds its operator and its Krylov basis and no labeled block: G_LL gives
+    every fold's G_LL B_L,f rows, G_LU gives r1, G_UU (if built) serves the
+    run, and G_LU is built again for the labeled validation rows.  Each
+    entry is held once, but G_LU's n_l x n_u entries are computed twice.
+    The unlabeled validation rows' scores come from the operator's products,
+    so from L L^T or the sparse block where the run took one.  Every block comes
     from ``gram``, so its entries lie in [0, 1] and are not scanned.  Every
     fold holds out at least one row.  Entry f of the result is fold f's
     (len(val_L) + n_u - len(train_U), len(lams), K+1) scores: its labeled
@@ -607,9 +704,11 @@ def _square_loss_fold_scores(
     for f, (_, train_U, _) in enumerate(folds):
         starts[f * width + 1:(f + 1) * width] *= r1[f * K:(f + 1) * K] / (4.0 * len(train_U))
     try:
-        # G_UU is referenced by the run alone, so it is freed when the run returns
-        x, kept = _shifted_lanczos(block(unlabeled_points, unlabeled_points), starts, shifts,
-                                   masks, scales)
+        # a G_UU built here is referenced by its product alone, so it is
+        # freed when the run returns
+        x, kept = _shifted_lanczos(
+            _dense_product(block(unlabeled_points, unlabeled_points)) if operator is None
+            else operator, starts, shifts, masks, scales)
     except np.linalg.LinAlgError as exc:
         exc.fold = exc.row // width
         raise
@@ -647,20 +746,27 @@ def fit_square_closed_form(
 ) -> DualModel:
     """Solve the square-loss problem exactly via its normal equations.
 
-    The solve reads two Gram blocks, the labeled rows G_L and the unlabeled
-    block G_UU, which it builds after G_L and factors in place (see
-    ``_square_loss_alpha``), so the refit holds at most G_L and one
-    n_u x n_u array.  The gradient certificate's two products G @ R are
-    ``_pooled_product``: they read G_L and evaluate G_UU again, unfloored,
-    one tile per worker at a time, after the factor is dropped.
+    The solve reads the labeled rows G_L and the unlabeled block G_UU (see
+    ``_square_loss_alpha``).  It first tries a pivoted-Cholesky factor of
+    G_UU under ``rank_cap`` at ``_factor_tolerance``; at wide bandwidths
+    one exists, and the solve goes through it with a k x k Cholesky and
+    builds no G_UU.  Otherwise it builds G_UU after G_L and factors it in
+    place, so the refit holds at most G_L and one n_u x n_u array.  The
+    gradient certificate's two products G @ R are ``_pooled_product``:
+    they read G_L and evaluate the floored G_UU again, one tile per worker
+    at a time, after the factor is dropped, so the certificate reads the
+    true kernel on both paths (see ``FitRecord``).
     """
     check_theta(theta)  # before the Gram is built
     check_lambda(lam)
     support = pooled_points(labeled, unlabeled)
     n_l, n_u = len(labeled), len(unlabeled)
     G_L = gram(kernel, support[:n_l], support)
+    factor = pivoted_cholesky(kernel, support[n_l:], rank_cap(n_u),
+                              _factor_tolerance(n_u, n_u, lam))
     alpha = _square_loss_alpha(G_L, lambda: gram(kernel, support[n_l:], support[n_l:]),
-                               labeled.y, labeled.num_known_classes, theta, lam)
+                               labeled.y, labeled.num_known_classes, theta, lam,
+                               None if factor is None else factor[0])
 
     def product(R):
         return _pooled_product(G_L, kernel, support[n_l:], R)
@@ -855,11 +961,12 @@ class LowRankExpansion:
 def rank_cap(n_support: int) -> int:
     """The most pivots ``certified_labels`` spends on a model of n_support
     points: n_support / 8, above which the low-rank product saves too little
-    to pay for the factorization.
+    to pay for the factorization.  Cross-validation and the refit cap their
+    factor of the n_u unlabeled points at rank_cap(n_u) too.
 
     An abandoned factorization costs about n x cap^2 / 2 flops at most, and
-    one without progress usually ends at a third of the cap
-    (``kernel.PIVOT_PROGRESS``), so giving up costs a small share of the
+    one without progress usually ends at a third of the cap (see
+    ``kernel.pivoted_cholesky``), so giving up costs a small share of the
     dense scores of at least n queries, which follow it.
     """
     return n_support // 8

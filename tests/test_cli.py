@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from eulac.modelsel import HyperGrid
 from conftest import two_cluster_spec
 
 FAST_GRID = ["--sigma-mult", "1.0", "--lambda", "0.01", "--folds", "2"]
+TEN_D_SPEC = Path(__file__).resolve().parents[1] / "specs" / "five_known_ten_d.txt"
 
 
 @pytest.fixture()
@@ -501,6 +503,65 @@ def test_traced_names_run_only_in_the_main_thread(spec_file, tmp_path, monkeypat
     assert main(["eval", "--model", str(tmp_path / "square" / "model.json"),
                  "--test", str(data / "test.libsvm"), "--out", str(tmp_path / "eval.json")]) == 0
     assert sorted(calls) == sorted((module.__name__, name) for module, name in TRACED_NAMES)
+
+
+class TestTenDimensionalSpec:
+    """The second bundled spec: five known classes and a novel one in ten
+    dimensions, at 100/400 with 600 test rows and the default grid."""
+
+    @pytest.fixture(scope="class")
+    def data(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("ten_d") / "data"
+        assert main(["gen", "--spec", str(TEN_D_SPEC), "--out", str(out), "--seed", "1",
+                     "--n-labeled", "100", "--n-unlabeled", "400", "--n-test", "600"]) == 0
+        return out
+
+    @pytest.fixture(scope="class")
+    def runs(self, data, tmp_path_factory):
+        # fit and eval on one worker and on four: 400 unlabeled rows make
+        # two column tiles in each dense Lanczos product, 500 pooled rows
+        # two row tiles in each Gram
+        root = tmp_path_factory.mktemp("ten_d_runs")
+        outs = []
+        with pytest.MonkeyPatch.context() as patch:
+            for cpus in (1, 4):
+                patch.setattr(eulac.kernel, "_usable_cpus", lambda: cpus)
+                out = root / f"cpus_{cpus}"
+                assert main(["fit", "--labeled", str(data / "labeled.libsvm"),
+                             "--unlabeled", str(data / "unlabeled.csv"), "--out", str(out)]) == 0
+                assert main(["eval", "--model", str(out / "model.json"),
+                             "--test", str(data / "test.libsvm"),
+                             "--out", str(out / "eval.json")]) == 0
+                outs.append(out)
+        return outs
+
+    def test_artifacts_same_on_any_cpu_count(self, runs):
+        for name in ("model.json", "cv_report.json", "theta.json", "eval.json"):
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+
+    def test_theta_in_range(self, runs):
+        theta = json.loads((runs[0] / "theta.json").read_text())["theta_hat"]
+        assert 0.0 < theta <= 1.0
+
+    def test_certified_labels_equal_dense_labels(self, data, runs):
+        model = eulac.solver.DualModel.load(runs[0] / "model.json")
+        X = load_libsvm(data / "test.libsvm", nc_label=0, num_known_classes=5).X
+        assert len(X) >= len(model.support_points)  # the certified path is tried
+        dense = eulac.solver.predict_labels(eulac.solver.predict_scores(model, X))
+        np.testing.assert_array_equal(model.predict(X), dense)
+
+    def test_median_bandwidth_takes_the_dense_operator(self, data):
+        # no pivoted-Cholesky factor under rank_cap exists in ten dimensions
+        # at 1x median, so cross-validation's run falls back to the dense
+        # block there
+        labeled = load_libsvm(data / "labeled.libsvm")
+        unlabeled = load_features_csv(data / "unlabeled.csv").X
+        spec = eulac.kernel.KernelSpec(
+            eulac.kernel.median_heuristic(np.vstack([labeled.X, unlabeled])))
+        tolerance = eulac.solver._factor_tolerance(len(unlabeled), len(unlabeled) * 4 // 5, 1e-3)
+        assert eulac.modelsel._unlabeled_operator(spec, unlabeled, tolerance) == ("dense", None)
+        assert eulac.kernel.pivoted_cholesky(spec, unlabeled, len(unlabeled) // 2,
+                                             tolerance) is None
 
 
 class TestThetaAndCv:

@@ -15,10 +15,12 @@ from eulac.kernel import (
     PIVOT_TOLERANCE,
     TILE_ROWS,
     KernelSpec,
+    _tiled_product,
     gram,
     gram_product,
     median_heuristic,
     pivoted_cholesky,
+    sparse_gram,
 )
 
 from conftest import small_train_data
@@ -458,10 +460,78 @@ class TestPivotedCholesky:
 
     def test_gives_up_at_a_third_without_progress(self, points, monkeypatch):
         # at sigma 1 these points need 142 pivots; after 47 the largest
-        # residual is still above PIVOT_PROGRESS, so a budget of 142 ends there
+        # residual is still above PIVOT_TOLERANCE ** (1/3), so a budget of
+        # 142 ends there
         spec = KernelSpec(1.0)
         rank = len(self._full(spec, points)[1])
         assert rank == 142
         columns = self._count_columns(monkeypatch)
         assert pivoted_cholesky(spec, points, rank) is None
         assert len(columns) == rank // 3
+
+    def test_tighter_tolerance_extends_the_same_pivots(self, points):
+        # the pivot order does not depend on the tolerance: a tighter one
+        # only goes on, and meets its own bound at the stop
+        spec = KernelSpec(3.0)
+        L, pivots = self._full(spec, points)
+        tight, tight_pivots = pivoted_cholesky(spec, points, 3 * len(points), 1e-13)
+        assert len(tight_pivots) > len(pivots)
+        np.testing.assert_array_equal(tight_pivots[:len(pivots)], pivots)
+        np.testing.assert_array_equal(tight[:, :len(pivots)], L)
+        residual = 1.0 - np.einsum("ij,ij->i", tight, tight)
+        assert residual.max() <= 1e-13 + 1e-14
+
+
+class TestSparseGram:
+    """The unlabeled block as a CSR matrix of gram's nonzero entries."""
+
+    @staticmethod
+    def _points(d):
+        # a cluster, duplicated points, and points far from every other
+        rng = np.random.default_rng(d)
+        X = rng.normal(size=(300, d))
+        X[40:46] = X[3]
+        X[100:103] = 1e3 * np.arange(1, 4)[:, None] * np.ones(d)
+        return X
+
+    @pytest.mark.parametrize("d", [1, 2, 10])
+    def test_equals_floored_gram_bit_for_bit(self, d):
+        X = self._points(d)
+        median = median_heuristic(X)
+        shares = []
+        for mult in (0.01, 0.05, 0.2, 1.0):
+            spec = KernelSpec(mult * median)
+            G = gram(spec, X, X)
+            S = sparse_gram(spec, X, len(X) ** 2)
+            # every entry gram keeps is stored with its bits, and no other
+            assert S.nnz == np.count_nonzero(G)
+            np.testing.assert_array_equal(S.toarray(), G)
+            assert S.has_sorted_indices
+            shares.append(S.nnz / len(X) ** 2)
+        # from nearly diagonal to dense
+        assert shares[0] < 0.1 and shares[-1] > 0.5
+
+    def test_none_above_max_entries(self):
+        X = self._points(2)
+        spec = KernelSpec(0.05 * median_heuristic(X))
+        nonzero = np.count_nonzero(gram(spec, X, X))
+        assert sparse_gram(spec, X, nonzero - 1) is None
+        assert sparse_gram(spec, X, nonzero).nnz == nonzero
+
+
+class TestFlooredProduct:
+    def test_reads_the_floored_gram(self):
+        # columns about 14 sigma from every row have entries near e^-100,
+        # below KERNEL_FLOOR: the floored product zeroes them, as gram does,
+        # and the unfloored one keeps them
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(600, 2)) * 0.1
+        spec = KernelSpec(1.0)
+        far = X + [14.1, 0.0]
+        coef = rng.normal(size=(len(X), 2))
+        assert not np.any(_tiled_product(spec, X, far, coef, floored=True))
+        assert np.all(gram_product(spec, X, far, coef) != 0.0)
+        # and elsewhere it is gram's product
+        near = X[::-1] + [0.3, 0.0]
+        np.testing.assert_allclose(_tiled_product(spec, X, near, coef, floored=True),
+                                   gram(spec, X, near) @ coef, rtol=1e-13)

@@ -1,14 +1,16 @@
 import dataclasses
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import eulac.kernel
 import eulac.solver
-from eulac.data import LabeledDataset, UnlabeledDataset, kfold_indices, sample_synthetic
+from eulac.data import (LabeledDataset, UnlabeledDataset, kfold_indices, parse_synthetic_spec,
+                        sample_synthetic)
 from eulac.evalbench import ConfusionMatrix, macro_f1
-from eulac.kernel import KernelSpec, gram
+from eulac.kernel import KernelSpec, gram, median_heuristic
 from eulac.modelsel import HyperGrid, cross_validate, fit_with_selection
 from eulac.risk import lac_risk_from_scores
 from eulac.solver import fit_square_closed_form, objective
@@ -16,6 +18,7 @@ from eulac.solver import fit_square_closed_form, objective
 from conftest import two_cluster_spec
 
 THETA = 0.7
+BUNDLED_SPEC = Path(__file__).resolve().parents[1] / "specs" / "two_known_one_new_2d.txt"
 
 
 def _data(seed=0, n_l=60, n_u=120, n_t=200):
@@ -118,18 +121,29 @@ class TestCrossValidate:
 
     def test_one_krylov_run_per_bandwidth(self, monkeypatch):
         # cross-validation factors nothing and gathers no fold block: one
-        # shifted-Lanczos run on the unlabeled block serves every fold and
-        # lambda of a bandwidth; only the refit factors
-        factors, runs, grams, refit_grams = [0], [], [], []
+        # shifted-Lanczos run on one form of the unlabeled block serves every
+        # fold and lambda of a bandwidth; only the refit factors.  At 200
+        # unlabeled rows 0.01x median takes the sparse block, 1x the dense
+        # one and 10x a pivoted-Cholesky factor
+        factors, runs, grams, refit_grams, forms = [], [], [], [], []
         factor = eulac.solver.cho_factor
         lanczos = eulac.solver._shifted_lanczos
+        choose = eulac.modelsel._unlabeled_operator
         build, refit_build = eulac.modelsel.gram, eulac.solver.gram
+        L, U, _ = _data(seed=1, n_u=200)
+        n_l, n_u = len(L), len(U)
 
         def counting_factor(a, **kwargs):
-            # the refit factors the G_UU block it built, its latest build, in
-            # place: no copy by the solve and none by scipy's wrapper
-            factors[0] += 1
-            assert a.base is refit_grams[-1] and a.shape == (len(U), len(U))
+            # the refit factors in place, with no copy by the solve and none
+            # by scipy's wrapper, either the G_UU block it built, its latest
+            # build, or, through a factor L of k <= rank_cap(n_u) columns, the
+            # k x k system L^T L + 2 n_u s I, having built no G_UU
+            factors.append(a.shape)
+            if a.shape == (n_u, n_u):
+                assert a.base is refit_grams[-1]
+            else:
+                assert a.shape[0] == a.shape[1] <= eulac.solver.rank_cap(n_u)
+                assert refit_grams[-1].shape == (n_l, n_l + n_u)
             assert a.flags.f_contiguous and kwargs["overwrite_a"] is True
             result = factor(a, **kwargs)
             assert np.shares_memory(result[0], a)
@@ -143,29 +157,63 @@ class TestCrossValidate:
             refit_grams.append(refit_build(*args))
             return refit_grams[-1]
 
-        def counting_lanczos(A, starts, shifts, masks, scales):
-            # the run's operator is the G_UU build itself, the last of the
-            # bandwidth's three blocks built so far: G_LL, G_LU, G_UU
-            n_l, n_u = len(L), len(U)
-            assert A is grams[-1] and A.shape == (n_u, n_u)
-            assert [G.shape for G in grams[-3:]] == [(n_l, n_l), (n_l, n_u), (n_u, n_u)]
+        def recording_operator(*args):
+            forms.append(choose(*args))
+            return forms[-1]
+
+        def counting_lanczos(product, starts, shifts, masks, scales):
+            form, chosen = forms[-1]
+            if form == "dense":
+                # the run multiplies by the G_UU build itself, the last of
+                # the bandwidth's three blocks built so far: G_LL, G_LU,
+                # G_UU; a unit vector's product is its row
+                assert chosen is None
+                assert [G.shape for G in grams[-3:]] == [(n_l, n_l), (n_l, n_u), (n_u, n_u)]
+                row = np.empty((1, n_u))
+                product(np.eye(1, n_u, 7), row)
+                assert np.array_equal(row[0], grams[-1][7])
+            else:
+                # the chosen form's product, and no G_UU build
+                assert product is chosen
+                assert [G.shape for G in grams[-2:]] == [(n_l, n_l), (n_l, n_u)]
             runs.append((starts.shape[0], len(shifts)))
-            return lanczos(A, starts, shifts, masks, scales)
+            return lanczos(product, starts, shifts, masks, scales)
 
         monkeypatch.setattr(eulac.solver, "cho_factor", counting_factor)
         monkeypatch.setattr(eulac.solver, "_shifted_lanczos", counting_lanczos)
+        monkeypatch.setattr(eulac.modelsel, "_unlabeled_operator", recording_operator)
         monkeypatch.setattr(eulac.modelsel, "gram", recording_gram)
         monkeypatch.setattr(eulac.solver, "gram", recording_refit_gram)
-        L, U, _ = _data(seed=1)
-        grid = HyperGrid(sigma_multipliers=(0.1, 1.0), lambda_candidates=(1e-2, 0.1, 1.0),
-                         folds=3)
+        grid = HyperGrid(sigma_multipliers=(0.01, 1.0, 10.0),
+                         lambda_candidates=(1e-2, 0.1, 1.0), folds=3)
         cross_validate(L, U, THETA, grid, seed=0)
-        assert factors[0] == 0
+        assert factors == []
+        assert [form for form, _ in forms] == ["sparse", "dense", "factor"]
         # per sigma: 3 folds x (K + 1) start vectors, 3 lambdas; the novel
         # column's solution is minus the sum of the known ones'
-        assert runs == [(3 * (L.num_known_classes + 1), 3)] * 2
+        assert runs == [(3 * (L.num_known_classes + 1), 3)] * 3
         fit_with_selection(L, U, THETA, grid, seed=0)
-        assert factors[0] == 1
+        assert len(factors) == 1
+        # each refit path factors once: the dense block at 1x, the small
+        # system at 10x
+        median = median_heuristic(np.vstack([L.X, U.X]))
+        for mult, dense in ((1.0, True), (10.0, False)):
+            del factors[:]
+            fit_square_closed_form(L, U, KernelSpec(mult * median), THETA, 1e-2)
+            assert len(factors) == 1 and (factors[0] == (n_u, n_u)) == dense
+
+    def test_operator_choice_at_the_default_bandwidths(self, monkeypatch):
+        # the bundled spec at 500/1000 (seed 1) on the default grid: 0.01x
+        # median leaves 1.5 % of G_UU nonzero and 0.1x 59 %, and at 1x and
+        # 10x a factor meets the folds' tolerance with 104 and 20 of
+        # rank_cap's 125 columns
+        spec = dataclasses.replace(parse_synthetic_spec(BUNDLED_SPEC.read_text()), seed=1)
+        L, U, _ = sample_synthetic(spec, 500, 1000, 1)
+        forms, choose = [], eulac.modelsel._unlabeled_operator
+        monkeypatch.setattr(eulac.modelsel, "_unlabeled_operator",
+                            lambda *args: forms.append(choose(*args)) or forms[-1])
+        cross_validate(L, U, THETA, HyperGrid(), seed=0)
+        assert [form for form, _ in forms] == ["sparse", "dense", "factor", "factor"]
 
     @pytest.mark.parametrize("loss", ["square", "logistic"])
     def test_square_loss_builds_no_pooled_gram(self, monkeypatch, loss):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import sys
@@ -28,16 +29,19 @@ from eulac.kernel import (
     median_heuristic,
 )
 from eulac.losses import LOSS_KINDS
-from eulac.modelsel import DEFAULT_LAMBDAS, HyperGrid, cross_validate
+from eulac.modelsel import DEFAULT_LAMBDAS, HyperGrid, _unlabeled_operator, cross_validate
 from eulac.risk import empirical_lac_risk
 import eulac.solver
 from eulac.solver import (
     DUAL_GAP_TOLERANCE,
+    FACTOR_SOLUTION_TOLERANCE,
     GRAM_JITTER,
     DualModel,
     FitOptions,
     FitRecord,
     _column_coefficients,
+    _dense_product,
+    _factor_tolerance,
     _labeled_bracket,
     _shifted_lanczos,
     _square_loss_alpha,
@@ -253,8 +257,9 @@ def _lanczos_alphas(G, y, n_l, lams, theta=THETA):
     n_u = G.shape[0] - n_l
     B = _labeled_bracket(y, 2, theta)
     starts = np.vstack([np.ones(n_u), (G[n_l:, :n_l] @ B[:, :2]).T / (4.0 * n_u)])
-    x, products = _shifted_lanczos(G[n_l:, n_l:], starts, 2.0 * np.asarray(lams) + GRAM_JITTER,
-                                   np.ones((3, n_u)), np.full(3, 1.0 / (2.0 * n_u)))
+    x, products = _shifted_lanczos(_dense_product(G[n_l:, n_l:]), starts,
+                                   2.0 * np.asarray(lams) + GRAM_JITTER, np.ones((3, n_u)),
+                                   np.full(3, 1.0 / (2.0 * n_u)))
     # no row lies off the masks, so no product is kept
     assert [p.shape for p in products] == [(0, len(lams))] * 3
     alphas = []
@@ -360,8 +365,12 @@ class TestSquareLossSystem:
         tiny = np.finfo(float).tiny
         assert not np.any((start_vectors != 0) & (np.abs(start_vectors) < tiny))
 
-    def test_bit_identical_to_unbuffered_solve(self):
-        # every default bandwidth and lambda, each system solved once per lambda
+    def test_bit_identical_to_unbuffered_solve(self, monkeypatch):
+        # every default bandwidth and lambda, each system solved once per
+        # lambda.  The refit's dense path is taken at every bandwidth: at
+        # 10x median a pivoted-Cholesky factor exists, and the refit through
+        # it is checked against this one in test_factor_refit_matches_dense
+        monkeypatch.setattr(eulac.solver, "pivoted_cholesky", lambda *args: None)
         L, U = small_train_data(seed=5, n_l=100, n_u=300)
         n_l, n_u = len(L), len(U)
         support = np.vstack([L.X, U.X])
@@ -482,6 +491,38 @@ class TestFoldLanczos:
                     ref = before[np.ix_(val, sup)] @ alpha
                     assert np.max(np.abs(scores[:, i] - ref)) <= 1e-10 * np.max(np.abs(ref))
 
+    def test_sparse_and_factor_operators_match_per_fold_factorizations(self, pooled):
+        # the forms of G_UU that cross-validation chooses: the sparse block
+        # at 0.01x median and a pivoted-Cholesky factor at 10x, whose error
+        # moves each fold's solution by at most FACTOR_SOLUTION_TOLERANCE
+        # relative (measured: 1.5e-14 and 3.8e-12 against the references)
+        L, support, median, folds = pooled
+        n_l = len(L)
+        unlabeled = support[n_l:]
+        tolerance = _factor_tolerance(len(unlabeled), min(len(f[1]) for f in folds),
+                                      min(DEFAULT_LAMBDAS))
+        forms = []
+        for mult in DEFAULT_SIGMA_MULTIPLIERS:
+            spec = KernelSpec(mult * median)
+            form, operator = _unlabeled_operator(spec, unlabeled, tolerance)
+            forms.append(form)
+            if operator is None:
+                continue
+            G = gram(spec, support, support)
+            fold_scores = _square_loss_fold_scores(*_blocks(G, n_l), L.y, 2, THETA, folds,
+                                                   DEFAULT_LAMBDAS, operator)
+            for (train_L, train_U, val_L), scores in zip(folds, fold_scores):
+                sup = np.concatenate([train_L, n_l + train_U])
+                val_U = np.setdiff1d(np.arange(len(unlabeled)), train_U)
+                val = np.concatenate([val_L, n_l + val_U])
+                for i, lam in enumerate(DEFAULT_LAMBDAS):
+                    alpha = _unbuffered_square_alpha(G[np.ix_(sup, sup)], L.y[train_L], 2,
+                                                     len(train_L), len(train_U), THETA, lam)
+                    ref = G[np.ix_(val, sup)] @ alpha
+                    assert (np.max(np.abs(scores[:, i] - ref))
+                            <= FACTOR_SOLUTION_TOLERANCE * np.max(np.abs(ref)))
+        assert forms == ["sparse", "dense", "dense", "factor"]
+
     def test_failure_names_the_fold(self, pooled, monkeypatch):
         L, support, median, folds = pooled
         # fold 3 keeps one training-unlabeled row, so its recurrences reach
@@ -514,6 +555,69 @@ class TestFoldLanczos:
         assert info.value.fold == 2
 
 
+class TestFactorRefit:
+    """At wide bandwidths the refit solves through a pivoted-Cholesky factor
+    of G_UU, and its certificate reads the floored kernel on both paths."""
+
+    def test_factor_refit_matches_dense(self, monkeypatch):
+        # at 10x median a factor under rank_cap exists; it moves each score
+        # column's unlabeled solution by at most FACTOR_SOLUTION_TOLERANCE
+        # of its norm (measured: at most 9.7e-12), and no G_UU is built
+        L, U = small_train_data(seed=5, n_l=100, n_u=300)
+        n_l, n_u = len(L), len(U)
+        kernel = KernelSpec(10.0 * median_heuristic(np.vstack([L.X, U.X])))
+        shapes, build = [], eulac.solver.gram
+
+        def recording_gram(*args):
+            G = build(*args)
+            shapes.append(G.shape)
+            return G
+
+        monkeypatch.setattr(eulac.solver, "gram", recording_gram)
+        for lam in DEFAULT_LAMBDAS:
+            del shapes[:]
+            factored = fit_square_closed_form(L, U, kernel, THETA, lam)
+            assert shapes == [(n_l, n_l + n_u)]
+            with monkeypatch.context() as patch:
+                patch.setattr(eulac.solver, "pivoted_cholesky", lambda *args: None)
+                dense = fit_square_closed_form(L, U, kernel, THETA, lam)
+            assert shapes[1:] == [(n_l, n_l + n_u), (n_u, n_u)]
+            np.testing.assert_array_equal(factored.alpha[:n_l], dense.alpha[:n_l])
+            gap = np.linalg.norm(factored.alpha - dense.alpha, axis=0)
+            assert np.all(gap <= FACTOR_SOLUTION_TOLERANCE
+                          * np.linalg.norm(dense.alpha[n_l:], axis=0))
+
+    def test_certificate_floor_is_the_jitter(self, monkeypatch):
+        # seed-1 bundled-spec data at 500/1000, 1x median, lambda 1e-3: the
+        # certificate reads about 2.7e-8, because the solve adds GRAM_JITTER
+        # to its shift and the certificate is the plain objective's
+        # gradient.  Without the jitter it reads below 1e-11 on the dense
+        # path (9.8e-15) and on the factor path (2.9e-12)
+        spec = dataclasses.replace(parse_synthetic_spec(BUNDLED_SPEC.read_text()), seed=1)
+        L, U, _ = sample_synthetic(spec, 500, 1000, 1)
+        kernel = KernelSpec(median_heuristic(np.vstack([L.X, U.X])))
+        factors, factor = [], eulac.solver.pivoted_cholesky
+        monkeypatch.setattr(eulac.solver, "pivoted_cholesky",
+                            lambda *args: factors.append(factor(*args)) or factors[-1])
+        jittered = fit_square_closed_form(L, U, kernel, THETA, 1e-3).record
+        assert jittered.final_gradient_norm > 1e-9
+        monkeypatch.setattr(eulac.solver, "GRAM_JITTER", 0.0)
+        assert fit_square_closed_form(L, U, kernel, THETA, 1e-3).record.final_gradient_norm <= 1e-11
+        assert factors[-1] is not None
+        monkeypatch.setattr(eulac.solver, "pivoted_cholesky", lambda *args: None)
+        assert fit_square_closed_form(L, U, kernel, THETA, 1e-3).record.final_gradient_norm <= 1e-11
+
+    def test_certificate_reads_floored_tiles(self, monkeypatch):
+        # both of the certificate's G_UU products clamp and floor their tiles
+        L, U = small_train_data(seed=3, n_l=60, n_u=200)
+        floors, product = [], eulac.solver._tiled_product
+        monkeypatch.setattr(eulac.solver, "_tiled_product",
+                            lambda *args, floored: floors.append(floored) or product(
+                                *args, floored=floored))
+        fit_square_closed_form(L, U, _narrow_kernel(L, U), THETA, 1e-2)
+        assert floors == [True, True]
+
+
 class TestSquareLossMemory:
     """The square-loss solves hold one n_u x n_u array at a time, with no
     n_l-row block beside cross-validation's Krylov run and no scaled copy
@@ -539,18 +643,21 @@ class TestSquareLossMemory:
             builds.append((G.shape, weakref.ref(G)))
             return G
 
-        def checking_lanczos(A, starts, shifts, masks, scales):
-            # G_LL and G_LU are gone; the operator is the G_UU build
+        def checking_lanczos(product, starts, shifts, masks, scales):
+            # G_LL and G_LU are gone; the operator multiplies by the G_UU
+            # build, which is still held: a unit vector's product is its row
             assert [shape for shape, _ in builds] == [(len(L), len(L)), (len(L), n_u),
                                                       (n_u, n_u)]
             assert [ref() is None for _, ref in builds] == [True, True, False]
-            assert builds[-1][1]() is A
+            row = np.empty((1, n_u))
+            product(np.eye(1, n_u, 7), row)
+            assert np.array_equal(row[0], builds[-1][1]()[7])
             # the basis Q, (p, steps, n_u), and the products kept off the
             # masks, (steps, off-mask rows); no run here outgrows 64 steps
             caps = masks.sum(axis=1)
             steps = min(int(caps.max()), 64)
             bases.append(8 * steps * (starts.size + int((n_u - caps).sum())))
-            return lanczos(A, starts, shifts, masks, scales)
+            return lanczos(product, starts, shifts, masks, scales)
 
         monkeypatch.setattr(eulac.modelsel, "gram", recording_gram)
         monkeypatch.setattr(eulac.solver, "_shifted_lanczos", checking_lanczos)
@@ -607,8 +714,8 @@ class TestShiftedLanczos:
         starts = rng.normal(size=(2, n))
         shifts = np.array([1e-4, 1e-2])
         monkeypatch.setattr(_CountingProducts, "products", 0)
-        x, _ = _shifted_lanczos(A.view(_CountingProducts), starts, shifts, np.ones((2, n)),
-                                np.ones(2))
+        x, _ = _shifted_lanczos(_dense_product(A.view(_CountingProducts)), starts, shifts,
+                                np.ones((2, n)), np.ones(2))
         assert _CountingProducts.products > 128
         for r in range(2):
             for j, shift in enumerate(shifts):
@@ -642,7 +749,8 @@ class TestShiftedLanczos:
                 monkeypatch.setattr(eulac.kernel, "_usable_cpus", lambda: cpus)
                 tiles = (n + TILE_ROWS // 2) // TILE_ROWS
                 assert eulac.kernel._worker_count(n) == min(cpus, tiles)
-                results.append(_shifted_lanczos(A, starts, shifts, masks, scales))
+                results.append(_shifted_lanczos(_dense_product(A), starts, shifts, masks,
+                                                scales))
         finally:
             sys.setswitchinterval(interval)
         # the solutions and the products kept off the masks
@@ -670,7 +778,8 @@ class TestShiftedLanczos:
         masks[0, ::5] = masks[1, 1::7] = masks[2, :40] = 0.0
         starts = masks * rng.normal(size=(4, n))
         shifts = np.array([1e-4, 1e-2, 1.0])
-        x, products = _shifted_lanczos(A, starts, shifts, masks, np.array([1.0, 0.5, 2.0, 1.0]))
+        x, products = _shifted_lanczos(_dense_product(A), starts, shifts, masks,
+                                       np.array([1.0, 0.5, 2.0, 1.0]))
         assert [p.shape for p in products] == [(50, 3), (36, 3), (40, 3), (0, 3)]
         for r in range(3):
             dense = (A @ x[r])[masks[r] == 0.0]
@@ -684,8 +793,8 @@ class TestShiftedLanczos:
         with pytest.raises(np.linalg.LinAlgError,
                            match=r"not positive definite \(Lanczos pivot -5\.000e-01 at step 1\)"
                            ) as info:
-            _shifted_lanczos(-np.eye(n), starts, np.array([0.5]), np.ones((2, n)),
-                             np.array([-1.0, 1.0]))
+            _shifted_lanczos(_dense_product(-np.eye(n)), starts, np.array([0.5]),
+                             np.ones((2, n)), np.array([-1.0, 1.0]))
         assert info.value.row == 1
 
     def test_infinite_weight_rejected(self, instance):
