@@ -223,8 +223,8 @@ def _tiled_product(spec: KernelSpec, rows, cols, coef, floored: bool) -> np.ndar
     """``gram_product``, or with ``floored`` the product with ``gram``'s
     floored K: each tile is clamped and floored as ``gram`` does, with one
     boolean mask per worker allocated here, so no tile holds a subnormal
-    entry.  The refit's gradient certificate reads this one, the matrix its
-    solve used."""
+    entry.  The refit's gradient certificate reads this one, the true
+    floored kernel, on every form of G_UU but the sparse block."""
     r, c = _point_pair(_as_points(rows), cols)
     coef = np.asarray(coef, dtype=float)
     out = np.empty((r.shape[0], coef.shape[1]))

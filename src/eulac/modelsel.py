@@ -14,32 +14,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledDataset, UnlabeledDataset, json_text, kfold_indices, pooled_points
-from .kernel import (DEFAULT_SIGMA_MULTIPLIERS, KernelSpec, gram, median_heuristic,
-                     pivoted_cholesky, sparse_gram)
+from .kernel import DEFAULT_SIGMA_MULTIPLIERS, KernelSpec, gram, median_heuristic
 from .losses import SQUARE, canonical_loss_kind
 from .risk import lac_risk_from_scores
 from .solver import (
     DualModel,
     FitOptions,
-    _factor_product,
-    _factor_tolerance,
     _first_order_alpha,
-    _sparse_product,
     _square_loss_fold_scores,
+    _unlabeled_operator,
     check_lambda,
     fit_first_order,
     fit_square_closed_form,
-    rank_cap,
 )
 
 DEFAULT_LAMBDAS = (1e-3, 1e-2, 1e-1, 1.0, 10.0)
-# The largest share of G_UU's n_u^2 entries that may be nonzero for the
-# Krylov run to take it sparse.  With 15 start vectors (500/1000, 5 folds,
-# K = 2) on 2 CPUs, one CSR product at 10.9 % nonzero took 0.66 ms at
-# n_u = 1000 and 10.5 ms at n_u = 4000, against 1.17 and 19.6 ms for the
-# dense tiles; the two met near 17 %.  On the bundled spec at 500/1000
-# (seed 1) 1.5 % of the block is nonzero at 0.01x median and 59 % at 0.1x.
-SPARSE_SHARE = 0.1
 
 
 @dataclass(frozen=True)
@@ -122,29 +111,12 @@ def _select(cells: list[CvCell]) -> CvCell:
     return sorted(cells, key=lambda c: (c.mean_risk, -c.lam, -c.sigma))[0]
 
 
-def _fit_failure(mult: float, lams, fold: int, exc: Exception) -> RuntimeError:
-    """Name the failed cell; one square-loss run serves, and names, every lambda."""
-    lam_text = "/".join(str(lam) for lam in lams)
-    return RuntimeError(f"fit failed at sigma_multiplier={mult}, lambda={lam_text}, fold={fold}: "
-                        f"{type(exc).__name__}: {exc}")
-
-
-def _unlabeled_operator(spec: KernelSpec, points: np.ndarray, tolerance: float):
-    """The cheapest form of the unlabeled block G_UU for one bandwidth's
-    Krylov run, as (form, product): ("sparse", ``_sparse_product``) when at
-    most SPARSE_SHARE of its entries are nonzero (``kernel.sparse_gram``,
-    whose entries equal ``gram``'s), else ("factor", ``_factor_product``)
-    when a pivoted-Cholesky factor under ``rank_cap`` meets ``tolerance``,
-    else ("dense", None): the run builds G_UU itself.  Each choice reads
-    the points alone, so the form does not depend on the CPU count."""
-    n = len(points)
-    block = sparse_gram(spec, points, SPARSE_SHARE * n * n)
-    if block is not None:
-        return "sparse", _sparse_product(block)
-    factor = pivoted_cholesky(spec, points, rank_cap(n), tolerance)
-    if factor is not None:
-        return "factor", _factor_product(factor[0])
-    return "dense", None
+def _fit_failure(mult: float, lams, fold: int | None, exc: Exception) -> RuntimeError:
+    """Name the failed cell and the failed cross-validation fold, or, with
+    no fold, the refit; one square-loss run serves, and names, every lambda."""
+    cell = f"sigma_multiplier={mult}, lambda={'/'.join(str(lam) for lam in lams)}"
+    where = "refit" if fold is None else f"fold={fold}"
+    return RuntimeError(f"fit failed at {cell}, {where}: {type(exc).__name__}: {exc}")
 
 
 def cross_validate(
@@ -161,11 +133,10 @@ def cross_validate(
     the pooled data; pass ``median`` when it is already known.  Square loss
     solves every fold and lambda of a sigma from one shifted-Lanczos run on
     the unlabeled block G_UU, gathering no fold block.  The run takes the
-    cheapest form of G_UU whose error keeps every fold's solution within
-    FACTOR_SOLUTION_TOLERANCE relative (``_unlabeled_operator``): the sparse
-    floored block at narrow bandwidths, a pivoted-Cholesky factor L at wide
-    ones, at the tolerance ``_factor_tolerance`` derives from the smallest
-    training fold and lambda, and the dense block otherwise.  On the bundled
+    form of G_UU that ``solver._unlabeled_operator`` chooses for the
+    smallest training fold and lambda, the sparse block, a pivoted-Cholesky
+    factor or the dense block (see there), which the refit chooses again
+    for all rows.  On the bundled
     spec at 500/1000 the default grid's 0.01x, 0.1x, 1x and 10x take the
     sparse, dense, factor and factor forms.  The run returns
     each fold's validation scores at every lambda, read from the products
@@ -200,9 +171,8 @@ def cross_validate(
         G = fold_scores = operator = None
         if square:
             # the run builds and drops its blocks one at a time
-            _, operator = _unlabeled_operator(
-                spec, pooled[n_l:],
-                _factor_tolerance(len(unlabeled), min(len(f[1]) for f in folds), min(lams)))
+            _, operator = _unlabeled_operator(spec, pooled[n_l:],
+                                              min(len(f[1]) for f in folds), min(lams))
             try:
                 fold_scores = _square_loss_fold_scores(
                     lambda rows, cols: gram(spec, rows, cols), pooled[:n_l], pooled[n_l:],
@@ -257,14 +227,18 @@ def fit_with_selection(
     median: float | None = None,
 ) -> tuple[DualModel, CvReport]:
     """Cross-validate, then refit on all data at the selected cell.  The
-    square-loss refit factors its bandwidth's G_UU anew at its own
-    tolerance (``fit_square_closed_form``): about 2 ms at 500/1000."""
+    square-loss refit chooses its form of G_UU anew for all n_u rows at the
+    selected lambda (``fit_square_closed_form``).  A failed refit raises
+    RuntimeError naming the selected sigma multiplier and lambda."""
     report = cross_validate(labeled, unlabeled, theta, grid, seed, median)
     kernel = KernelSpec(report.selected.sigma)
     lam = report.selected.lam
-    if grid.loss_kind == SQUARE:
-        model = fit_square_closed_form(labeled, unlabeled, kernel, theta, lam)
-    else:
-        model = fit_first_order(labeled, unlabeled, kernel, theta,
-                                FitOptions(lam=lam), grid.loss_kind)
+    try:
+        if grid.loss_kind == SQUARE:
+            model = fit_square_closed_form(labeled, unlabeled, kernel, theta, lam)
+        else:
+            model = fit_first_order(labeled, unlabeled, kernel, theta,
+                                    FitOptions(lam=lam), grid.loss_kind)
+    except Exception as exc:
+        raise _fit_failure(report.selected.sigma_multiplier, (lam,), None, exc) from exc
     return model, report

@@ -2,23 +2,25 @@
 
 Scorers are kernel expansions over the combined labeled + unlabeled support
 (one dual-coefficient column per known class plus one for the novel class).
-The square loss admits an exact linear-system solution: one Cholesky
-factorization for a single weight, or one shifted-Lanczos run on the
-unlabeled block G_UU that serves every fold and weight of a
-cross-validation bandwidth.  Both read the labeled bracket: the labeled
-risk term is linear in the scores, so its gradient is one constant for
-every loss.  Hence for every loss the labeled rows of alpha are the closed
-form -bracket / (2 lambda), and the K+1 score columns decouple into problems
-over the unlabeled rows.  So the square-loss solves build blocks of the
-pooled Gram with ``kernel.gram``, whose entries below
-``kernel.KERNEL_FLOOR`` are zeroed: G_UU and the labeled rows G_L =
-[G_LL, G_LU], built one after the other so that beside G_UU they hold at
-most G_L (the refit) and no labeled block at all (cross-validation's run).
-Where a cheaper form of G_UU keeps the solution within
-FACTOR_SOLUTION_TOLERANCE, they take it instead and build no G_UU: a
-pivoted-Cholesky factor at wide bandwidths (the run and the refit), the
-sparse floored block at narrow ones (the run).  The first-order solves
-take the pooled Gram.  Other losses solve
+The square loss admits an exact linear-system solution.  Its solves read
+the labeled bracket: the labeled risk term is linear in the scores, so its
+gradient is one constant for every loss.  Hence for every loss the labeled
+rows of alpha are the closed form -bracket / (2 lambda), and the K+1 score
+columns decouple into problems over the unlabeled rows, a system in the
+unlabeled block G_UU of the pooled Gram.  ``_unlabeled_operator`` alone
+chooses the form of G_UU a square-loss solve takes, from the points: the
+sparse floored block at narrow bandwidths, a pivoted-Cholesky factor at
+wide ones where it keeps the solution within FACTOR_SOLUTION_TOLERANCE,
+and the dense block otherwise.  On the sparse and factor forms one
+shifted-Lanczos run solves the system: for cross-validation a run per
+bandwidth serves every fold and weight, and the refit makes one run of its
+own.  On the dense form cross-validation's run multiplies by the G_UU
+block, and the refit factors that block once by Cholesky.  The blocks come
+from ``kernel.gram``, whose entries below ``kernel.KERNEL_FLOOR`` are
+zeroed: G_UU and the labeled rows G_L = [G_LL, G_LU], built one after the
+other so that beside G_UU they hold at most G_L (the refit) and no labeled
+block at all (cross-validation's run).  The first-order solves take the
+pooled Gram.  Other losses solve
 each column with scipy's limited-memory quasi-Newton method (L-BFGS-B):
 a smooth loss on its exact objective and gradient up to a gradient tolerance,
 double-hinge on its box-constrained dual up to a duality-gap tolerance.
@@ -47,6 +49,7 @@ from .kernel import (
     gram,
     gram_product,
     pivoted_cholesky,
+    sparse_gram,
 )
 from .losses import (
     DOUBLE_HINGE,
@@ -71,6 +74,13 @@ KRYLOV_TOLERANCE = 1e-13
 # (``_factor_tolerance``), the order of the Lanczos run's own error (2.5e-11
 # at lambda = 1e-3)
 FACTOR_SOLUTION_TOLERANCE = 1e-10
+# The largest share of G_UU's n_u^2 entries that may be nonzero for a
+# square-loss solve to take it sparse.  With 15 start vectors (500/1000, 5
+# folds, K = 2) on 2 CPUs, one CSR product at 10.9 % nonzero took 0.66 ms at
+# n_u = 1000 and 10.5 ms at n_u = 4000, against 1.17 and 19.6 ms for the
+# dense tiles; the two met near 17 %.  On the bundled spec at 500/1000
+# (seed 1) 1.5 % of the block is nonzero at 0.01x median and 59 % at 0.1x.
+SPARSE_SHARE = 0.1
 # A double-hinge score column counts as converged once the duality gap of
 # its box dual is at most this fraction of the column objective.  On the
 # bundled spec at 500/1000 (seed 1, CV fold 0, lambda <= 1e-2) the columns'
@@ -144,12 +154,12 @@ class FitRecord:
     G (W + 2 lam alpha) at the returned alpha, taken with the floored Gram.
     The square-loss refit solves a system whose shift holds GRAM_JITTER
     besides 2 lam, and at wide bandwidths takes G_UU as a pivoted-Cholesky
-    factor's L L^T, while the gradient is the plain objective's on the true
-    kernel.  So the refit's norm reads those two departures, not its
-    rounding: on the bundled spec at 500/1000 (seed 1, 1x median,
-    lam = 1e-3) it is 2.7e-8, and with GRAM_JITTER at 0 it is 9.8e-15 on the
-    dense path and 2.9e-12 on the factor path.  The refit records
-    ``converged`` True whatever it reads.
+    factor's L L^T, solved by a Krylov run to KRYLOV_TOLERANCE, while the
+    gradient is the plain objective's on the true kernel.  So the refit's
+    norm reads those departures, not its rounding: on the bundled spec at
+    500/1000 (seed 1, 1x median, lam = 1e-3) it is 2.7e-8, and with
+    GRAM_JITTER at 0 it is 9.8e-15 on the dense path and 5.3e-14 on the
+    factor path.  The refit records ``converged`` True whatever it reads.
 
     For double-hinge the gradient norm is taken at the midpoint subgradient
     and certifies nothing; ``duality_gap`` is what decided ``converged``:
@@ -344,17 +354,15 @@ def _gradient_arrays(a, scores, product, y, n_l, n_u, theta, lam, loss_kind) -> 
     return product(W + 2.0 * lam * a)
 
 
-def _pooled_product(G_L: np.ndarray, kernel: KernelSpec, unlabeled: np.ndarray,
-                    R: np.ndarray) -> np.ndarray:
-    """G @ R for the pooled Gram G given by its labeled rows G_L, with its
-    unlabeled block G_UU taken tile by tile from the points ``unlabeled``:
-    G_L @ R, then G_LU^T R_L + G_UU R_U, G_UU R_U by the kernel's floored
-    tile product, so no n_u x n_u array is made.  Its tiles are clamped and
-    floored as ``gram``'s, so the product reads the floored Gram the dense
-    solve used, and at narrow bandwidths multiplies no subnormal entry."""
+def _pooled_product(G_L: np.ndarray, unlabeled_product, R: np.ndarray) -> np.ndarray:
+    """G @ R for the pooled Gram G given by its labeled rows G_L and by
+    ``unlabeled_product``, the Lanczos product (see ``_shifted_lanczos``) of
+    its unlabeled block G_UU: G_L @ R, then G_LU^T R_L + G_UU R_U, G_UU R_U
+    being the transpose of R_U^T G_UU, since G_UU is symmetric."""
     n_l = G_L.shape[0]
-    return np.concatenate([G_L @ R, G_L[:, n_l:].T @ R[:n_l]
-                           + _tiled_product(kernel, unlabeled, unlabeled, R[n_l:], floored=True)])
+    unlabeled = np.empty((R.shape[1], R.shape[0] - n_l))
+    unlabeled_product(R[n_l:].T, unlabeled)
+    return np.concatenate([G_L @ R, G_L[:, n_l:].T @ R[:n_l] + unlabeled.T])
 
 
 def _factor_tolerance(n_u: int, n_train: int, lam: float) -> float:
@@ -386,16 +394,10 @@ def _scaled_unlabeled_system(unlabeled_block, n_u: int, shift: float) -> np.ndar
     return M
 
 
-def _square_loss_alpha(
-    G_L: np.ndarray,
-    unlabeled_block,
-    labels: np.ndarray,
-    num_known_classes: int,
-    theta: float,
-    lam: float,
-    factor: np.ndarray | None = None,
-) -> np.ndarray:
-    """Exact stationary point of the square-loss objective at weight lam.
+def _square_loss_alpha(G_L: np.ndarray, unlabeled_block, labels: np.ndarray,
+                       num_known_classes: int, theta: float, lam: float) -> np.ndarray:
+    """Exact stationary point of the square-loss objective at weight lam,
+    on the dense form of G_UU.
 
     G_L is the training Gram's n_l labeled rows, labeled columns first, and
     ``unlabeled_block()`` builds its unlabeled block G_UU; both come from
@@ -412,34 +414,16 @@ def _square_loss_alpha(
     number, taken from a second G_UU built on that path alone, since the
     failed factorization has overwritten the first.  theta and lam are
     checked by the caller.
-
-    Given a pivoted-Cholesky ``factor`` L (n_u x k) of G_UU, the solve
-    takes G_UU as L L^T and builds no n_u x n_u array: by the Woodbury
-    identity x = (r - L C^-1 L^T r) / s, with C = L^T L + 2 n_u s I, which
-    is k x k and factored in place by Cholesky.  C's eigenvalues lie in
-    [2 n_u s, 2 n_u s + ||L||^2], so it is well conditioned where s is not
-    tiny.  The solution moves from the dense one by at most
-    n_u t / (2 n_u s) relative for the factor's tolerance t
-    (``_factor_tolerance``).
     """
-    n_l = G_L.shape[0]
+    n_l, K = G_L.shape[0], num_known_classes
     n_u = G_L.shape[1] - n_l
     shift = 2.0 * lam + GRAM_JITTER
-    K = num_known_classes
     alpha = np.empty((n_l + n_u, K + 1))
     alpha[:n_l] = -_labeled_bracket(labels, K, theta) / (2.0 * lam)
     rhs = -_unlabeled_bracket(n_u, K) - (G_L[:, n_l:].T @ alpha[:n_l]) / (2.0 * n_u)
     if not np.all(np.isfinite(rhs)):
         raise ValueError("square-loss right-hand side is not finite")
 
-    if factor is not None:
-        C = factor.T @ factor
-        C.flat[::C.shape[0] + 1] += 2.0 * n_u * shift
-        # C is exactly symmetric (numpy computes L^T L as one symmetric
-        # product), so its transpose is C in the Fortran order LAPACK needs
-        small = cho_factor(C.T, lower=True, overwrite_a=True, check_finite=False)
-        alpha[n_l:] = (rhs - factor @ cho_solve(small, factor.T @ rhs, check_finite=False)) / shift
-        return alpha
     M = _scaled_unlabeled_system(unlabeled_block, n_u, shift)
     try:
         # M is exactly symmetric, so its transpose is M itself in the
@@ -452,6 +436,33 @@ def _square_loss_alpha(
         ) from exc
     alpha[n_l:] = cho_solve(cholesky, rhs, check_finite=False)
     return alpha
+
+
+def _square_loss_krylov_alpha(G_L: np.ndarray, product, labels: np.ndarray,
+                              num_known_classes: int, theta: float, lam: float) -> np.ndarray:
+    """``_square_loss_alpha``'s stationary point, solved by one
+    shifted-Lanczos run on the form of G_UU whose product is ``product``
+    (``_unlabeled_operator``), as cross-validation solves a fold that trains
+    on every row.
+
+    The run starts from the ones vector and the K known columns of
+    r1 = G_UL B_L / (4 n_u), with all-ones masks, scale 1 / (2 n_u) and the
+    one shift s = 2 lam + GRAM_JITTER; it builds no n_u x n_u array.  Its
+    solutions x0 and x_k give alpha as cross-validation's closed form does:
+    the labeled rows -B_L / (2 lam), known column k x_k / lam - x0 / (2 n_u),
+    and the novel column x0 / (2 n_u) - sum_k x_k / lam, since B_L's novel
+    column is minus the sum of its known ones.  A failed run raises
+    ``_shifted_lanczos``'s LinAlgError.
+    """
+    n_l, K = G_L.shape[0], num_known_classes
+    n_u = G_L.shape[1] - n_l
+    B = _labeled_bracket(labels, K, theta)
+    starts = np.vstack([np.ones(n_u), (B[:, :K].T @ G_L[:, n_l:]) / (4.0 * n_u)])
+    x, _ = _shifted_lanczos(product, starts, np.array([2.0 * lam + GRAM_JITTER]),
+                            np.ones((K + 1, n_u)), np.full(K + 1, 1.0 / (2.0 * n_u)))
+    x0, known = x[0, :, 0, None] / (2.0 * n_u), x[1:, :, 0].T / lam
+    return np.concatenate([-B / (2.0 * lam),
+                           np.hstack([known - x0, x0 - known.sum(axis=1, keepdims=True)])])
 
 
 def _located(exc: np.linalg.LinAlgError, **where) -> np.linalg.LinAlgError:
@@ -487,6 +498,16 @@ def _dense_product(A: np.ndarray):
     return product
 
 
+def _floored_tile_product(kernel: KernelSpec, points: np.ndarray):
+    """The Lanczos product of the Gram of ``points`` by the kernel's tile
+    product, so no n x n array is made.  Its tiles are clamped and floored
+    as ``gram``'s, so the product reads the floored Gram that the dense
+    solve builds, and at narrow bandwidths multiplies no subnormal entry."""
+    def product(v, out):
+        np.copyto(out, _tiled_product(kernel, points, points, v.T, floored=True).T)
+    return product
+
+
 def _factor_product(L: np.ndarray):
     """The Lanczos product of A = L L^T for an n x k factor L, as two BLAS
     calls in the calling thread, (v L) L^T: 4 p n k flops, against 2 p n^2
@@ -503,6 +524,27 @@ def _sparse_product(S):
     def product(v, out):
         np.copyto(out, (S @ v.T).T)
     return product
+
+
+def _unlabeled_operator(spec: KernelSpec, points: np.ndarray, n_train: int, lam: float):
+    """The form of the unlabeled block G_UU of the n_u ``points`` that a
+    square-loss solve takes, as (form, product): ("sparse",
+    ``_sparse_product``) when at most SPARSE_SHARE of its entries are
+    nonzero (``kernel.sparse_gram``, whose entries equal ``gram``'s), else
+    ("factor", ``_factor_product``) when a pivoted-Cholesky factor under
+    ``rank_cap`` meets ``_factor_tolerance`` for solves on at least n_train
+    of the rows at weights of at least lam, else ("dense", None): the solve
+    builds G_UU itself.  Cross-validation and the refit both choose here.
+    Each choice reads the points alone, so the form does not depend on the
+    CPU count."""
+    n = len(points)
+    block = sparse_gram(spec, points, SPARSE_SHARE * n * n)
+    if block is not None:
+        return "sparse", _sparse_product(block)
+    factor = pivoted_cholesky(spec, points, rank_cap(n), _factor_tolerance(n, n_train, lam))
+    if factor is not None:
+        return "factor", _factor_product(factor[0])
+    return "dense", None
 
 
 def _shifted_lanczos(
@@ -746,30 +788,31 @@ def fit_square_closed_form(
 ) -> DualModel:
     """Solve the square-loss problem exactly via its normal equations.
 
-    The solve reads the labeled rows G_L and the unlabeled block G_UU (see
-    ``_square_loss_alpha``).  It first tries a pivoted-Cholesky factor of
-    G_UU under ``rank_cap`` at ``_factor_tolerance``; at wide bandwidths
-    one exists, and the solve goes through it with a k x k Cholesky and
-    builds no G_UU.  Otherwise it builds G_UU after G_L and factors it in
-    place, so the refit holds at most G_L and one n_u x n_u array.  The
-    gradient certificate's two products G @ R are ``_pooled_product``:
-    they read G_L and evaluate the floored G_UU again, one tile per worker
-    at a time, after the factor is dropped, so the certificate reads the
-    true kernel on both paths (see ``FitRecord``).
+    The solve builds the labeled rows G_L and takes the form of G_UU that
+    ``_unlabeled_operator`` chooses for n_u training rows at weight lam.
+    On the sparse or the factor form it makes one shifted-Lanczos run
+    (``_square_loss_krylov_alpha``) and builds no G_UU.  On the dense form
+    it builds G_UU after G_L and factors it in place by Cholesky
+    (``_square_loss_alpha``), so the refit holds at most G_L and one
+    n_u x n_u array.  The gradient certificate's two products G @ R are
+    ``_pooled_product``s that read G_L and the floored G_UU: the sparse
+    block where the solve took it, whose entries are ``gram``'s, else
+    ``_floored_tile_product``, one tile per worker at a time.  So the
+    certificate reads the true kernel on every form (see ``FitRecord``).
     """
     check_theta(theta)  # before the Gram is built
     check_lambda(lam)
     support = pooled_points(labeled, unlabeled)
     n_l, n_u = len(labeled), len(unlabeled)
     G_L = gram(kernel, support[:n_l], support)
-    factor = pivoted_cholesky(kernel, support[n_l:], rank_cap(n_u),
-                              _factor_tolerance(n_u, n_u, lam))
-    alpha = _square_loss_alpha(G_L, lambda: gram(kernel, support[n_l:], support[n_l:]),
-                               labeled.y, labeled.num_known_classes, theta, lam,
-                               None if factor is None else factor[0])
+    form, operator = _unlabeled_operator(kernel, support[n_l:], n_u, lam)
+    solve, uu_form = ((_square_loss_krylov_alpha, operator) if operator is not None else
+                      (_square_loss_alpha, lambda: gram(kernel, support[n_l:], support[n_l:])))
+    alpha = solve(G_L, uu_form, labeled.y, labeled.num_known_classes, theta, lam)
+    uu_product = operator if form == "sparse" else _floored_tile_product(kernel, support[n_l:])
 
     def product(R):
-        return _pooled_product(G_L, kernel, support[n_l:], R)
+        return _pooled_product(G_L, uu_product, R)
 
     # the bracket is solved exactly, so the gradient G @ residual is ~0
     grad = _gradient_arrays(alpha, product(alpha), product, labeled.y, n_l, n_u, theta, lam,

@@ -558,8 +558,9 @@ class TestTenDimensionalSpec:
         unlabeled = load_features_csv(data / "unlabeled.csv").X
         spec = eulac.kernel.KernelSpec(
             eulac.kernel.median_heuristic(np.vstack([labeled.X, unlabeled])))
-        tolerance = eulac.solver._factor_tolerance(len(unlabeled), len(unlabeled) * 4 // 5, 1e-3)
-        assert eulac.modelsel._unlabeled_operator(spec, unlabeled, tolerance) == ("dense", None)
+        n_train = len(unlabeled) * 4 // 5
+        assert eulac.solver._unlabeled_operator(spec, unlabeled, n_train, 1e-3) == ("dense", None)
+        tolerance = eulac.solver._factor_tolerance(len(unlabeled), n_train, 1e-3)
         assert eulac.kernel.pivoted_cholesky(spec, unlabeled, len(unlabeled) // 2,
                                              tolerance) is None
 
@@ -748,6 +749,51 @@ class TestThetaAndCv:
         assert rc == 1
         assert "LinAlgError" in capsys.readouterr().err
         assert not (tmp_path / "cv" / "cv_report.json").exists()
+
+    @pytest.mark.parametrize("mult, loss", [("1.0", "square"), ("10.0", "square"),
+                                            ("1.0", "logistic")])
+    def test_refit_failure_names_its_cell_and_exits_one(self, spec_file, tmp_path, monkeypatch,
+                                                        capsys, mult, loss):
+        # the refit's solve fails after cross-validation has passed: on the
+        # dense form its Cholesky factorization, on the factor form its
+        # Krylov run, for logistic its first-order solve
+        forms, choose = [], eulac.solver._unlabeled_operator
+        # the refit reads this name; cross-validation reads its own import
+        monkeypatch.setattr(eulac.solver, "_unlabeled_operator",
+                            lambda *args: forms.append(choose(*args)) or forms[-1])
+        if loss == "logistic":
+            def failing(*args):
+                raise FloatingPointError("overflow in exp")
+            # the refit reads this name; cross-validation reads its own import
+            monkeypatch.setattr(eulac.solver, "_first_order_alpha", failing)
+            cause = "FloatingPointError: overflow in exp"
+        elif mult == "1.0":
+            def failing(*args, **kwargs):
+                raise np.linalg.LinAlgError("2-th leading minor not positive definite")
+            monkeypatch.setattr(eulac.solver, "cho_factor", failing)
+            cause = "LinAlgError: square-loss system not positive definite (condition estimate "
+        else:
+            lanczos = eulac.solver._shifted_lanczos
+
+            def failing(product, starts, shifts, masks, scales):
+                if masks.all():  # the refit's run alone trains on every row
+                    raise np.linalg.LinAlgError("shifted Lanczos stopped at its cap")
+                return lanczos(product, starts, shifts, masks, scales)
+            monkeypatch.setattr(eulac.solver, "_shifted_lanczos", failing)
+            cause = "LinAlgError: shifted Lanczos stopped at its cap"
+        data = _gen(spec_file, tmp_path / "data")
+        capsys.readouterr()
+        rc = main(["fit", "--labeled", str(data / "labeled.libsvm"),
+                   "--unlabeled", str(data / "unlabeled.csv"), "--out", str(tmp_path / "fit"),
+                   "--theta", "0.7", "--loss", loss, "--sigma-mult", mult, "--lambda", "0.01",
+                   "--folds", "2"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: fit failed at sigma_multiplier={mult}, lambda=0.01, "
+                              f"refit: {cause}") and err.count("\n") == 1
+        assert [form for form, _ in forms] == ([] if loss == "logistic" else
+                                               ["dense"] if mult == "1.0" else ["factor"])
+        assert not (tmp_path / "fit" / "model.json").exists()
 
     @pytest.mark.parametrize("command", ["fit", "cv", "theta"])
     def test_theta_guard_hits_warn(self, spec_file, tmp_path, monkeypatch, capsys, command):

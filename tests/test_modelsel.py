@@ -122,28 +122,25 @@ class TestCrossValidate:
     def test_one_krylov_run_per_bandwidth(self, monkeypatch):
         # cross-validation factors nothing and gathers no fold block: one
         # shifted-Lanczos run on one form of the unlabeled block serves every
-        # fold and lambda of a bandwidth; only the refit factors.  At 200
-        # unlabeled rows 0.01x median takes the sparse block, 1x the dense
-        # one and 10x a pivoted-Cholesky factor
+        # fold and lambda of a bandwidth.  At 200 unlabeled rows 0.01x median
+        # takes the sparse block, 1x the dense one and 10x a
+        # pivoted-Cholesky factor.  The refit chooses its form again: on the
+        # dense one it factors its own G_UU build once, on the others it
+        # makes one Krylov run of its own and builds no G_UU
         factors, runs, grams, refit_grams, forms = [], [], [], [], []
         factor = eulac.solver.cho_factor
         lanczos = eulac.solver._shifted_lanczos
-        choose = eulac.modelsel._unlabeled_operator
+        choose = eulac.solver._unlabeled_operator
         build, refit_build = eulac.modelsel.gram, eulac.solver.gram
         L, U, _ = _data(seed=1, n_u=200)
         n_l, n_u = len(L), len(U)
+        K = L.num_known_classes
 
         def counting_factor(a, **kwargs):
             # the refit factors in place, with no copy by the solve and none
-            # by scipy's wrapper, either the G_UU block it built, its latest
-            # build, or, through a factor L of k <= rank_cap(n_u) columns, the
-            # k x k system L^T L + 2 n_u s I, having built no G_UU
+            # by scipy's wrapper, the G_UU block it built, its latest build
             factors.append(a.shape)
-            if a.shape == (n_u, n_u):
-                assert a.base is refit_grams[-1]
-            else:
-                assert a.shape[0] == a.shape[1] <= eulac.solver.rank_cap(n_u)
-                assert refit_grams[-1].shape == (n_l, n_l + n_u)
+            assert a.shape == (n_u, n_u) and a.base is refit_grams[-1]
             assert a.flags.f_contiguous and kwargs["overwrite_a"] is True
             result = factor(a, **kwargs)
             assert np.shares_memory(result[0], a)
@@ -163,7 +160,13 @@ class TestCrossValidate:
 
         def counting_lanczos(product, starts, shifts, masks, scales):
             form, chosen = forms[-1]
-            if form == "dense":
+            if masks.all():
+                # the refit's run: every row trains, from the ones vector
+                # and the K known columns, at its one lambda, on the chosen
+                # form's product and with no G_UU build
+                assert form != "dense" and product is chosen
+                assert [G.shape for G in refit_grams[-1:]] == [(n_l, n_l + n_u)]
+            elif form == "dense":
                 # the run multiplies by the G_UU build itself, the last of
                 # the bandwidth's three blocks built so far: G_LL, G_LU,
                 # G_UU; a unit vector's product is its row
@@ -182,6 +185,7 @@ class TestCrossValidate:
         monkeypatch.setattr(eulac.solver, "cho_factor", counting_factor)
         monkeypatch.setattr(eulac.solver, "_shifted_lanczos", counting_lanczos)
         monkeypatch.setattr(eulac.modelsel, "_unlabeled_operator", recording_operator)
+        monkeypatch.setattr(eulac.solver, "_unlabeled_operator", recording_operator)
         monkeypatch.setattr(eulac.modelsel, "gram", recording_gram)
         monkeypatch.setattr(eulac.solver, "gram", recording_refit_gram)
         grid = HyperGrid(sigma_multipliers=(0.01, 1.0, 10.0),
@@ -191,16 +195,22 @@ class TestCrossValidate:
         assert [form for form, _ in forms] == ["sparse", "dense", "factor"]
         # per sigma: 3 folds x (K + 1) start vectors, 3 lambdas; the novel
         # column's solution is minus the sum of the known ones'
-        assert runs == [(3 * (L.num_known_classes + 1), 3)] * 3
-        fit_with_selection(L, U, THETA, grid, seed=0)
-        assert len(factors) == 1
-        # each refit path factors once: the dense block at 1x, the small
-        # system at 10x
+        assert runs == [(3 * (K + 1), 3)] * 3
+        # the selected cell is 1x, whose refit takes the dense form
+        model, report = fit_with_selection(L, U, THETA, grid, seed=0)
+        assert report.selected.sigma_multiplier == 1.0 and forms[-1][0] == "dense"
+        assert factors == [(n_u, n_u)] and len(runs) == 6
         median = median_heuristic(np.vstack([L.X, U.X]))
-        for mult, dense in ((1.0, True), (10.0, False)):
-            del factors[:]
+        for mult, form in ((1.0, "dense"), (10.0, "factor")):
+            del factors[:], runs[:], refit_grams[:]
             fit_square_closed_form(L, U, KernelSpec(mult * median), THETA, 1e-2)
-            assert len(factors) == 1 and (factors[0] == (n_u, n_u)) == dense
+            assert forms[-1][0] == form
+            if form == "dense":
+                assert factors == [(n_u, n_u)] and runs == []
+                assert [G.shape for G in refit_grams] == [(n_l, n_l + n_u), (n_u, n_u)]
+            else:
+                assert factors == [] and runs == [(K + 1, 1)]
+                assert [G.shape for G in refit_grams] == [(n_l, n_l + n_u)]
 
     def test_operator_choice_at_the_default_bandwidths(self, monkeypatch):
         # the bundled spec at 500/1000 (seed 1) on the default grid: 0.01x

@@ -29,7 +29,7 @@ from eulac.kernel import (
     median_heuristic,
 )
 from eulac.losses import LOSS_KINDS
-from eulac.modelsel import DEFAULT_LAMBDAS, HyperGrid, _unlabeled_operator, cross_validate
+from eulac.modelsel import DEFAULT_LAMBDAS, HyperGrid, cross_validate
 from eulac.risk import empirical_lac_risk
 import eulac.solver
 from eulac.solver import (
@@ -41,11 +41,13 @@ from eulac.solver import (
     FitRecord,
     _column_coefficients,
     _dense_product,
-    _factor_tolerance,
+    _floored_tile_product,
     _labeled_bracket,
+    _pooled_product,
     _shifted_lanczos,
     _square_loss_alpha,
     _square_loss_fold_scores,
+    _unlabeled_operator,
     certified_labels,
     fit_first_order,
     fit_square_closed_form,
@@ -326,11 +328,16 @@ class TestSquareLossSystem:
             assert np.max(np.abs(alpha - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_floored_block_has_no_subnormals(self, narrow, monkeypatch):
+        # the refit takes the sparse form here, whose entries are gram's;
+        # without it, the dense refit's block is floored too
         L, U, G = narrow
         n_l, n_u = len(L), len(U)
         tiny = np.finfo(float).tiny
         raw = G[n_l:, n_l:] / (2.0 * n_u)
         assert np.any((raw > 0) & (raw < tiny))
+        spec = _narrow_kernel(L, U)
+        sparse = eulac.kernel.sparse_gram(spec, U.X, len(U) ** 2)
+        assert sparse.data.min() >= KERNEL_FLOOR
         solved = []
         solve = eulac.solver._square_loss_alpha
 
@@ -342,7 +349,10 @@ class TestSquareLossSystem:
             return solve(G_L, recording_block, *args)
 
         monkeypatch.setattr(eulac.solver, "_square_loss_alpha", recording_solve)
-        fit_square_closed_form(L, U, _narrow_kernel(L, U), THETA, 1e-2)
+        fit_square_closed_form(L, U, spec, THETA, 1e-2)
+        assert solved == []
+        monkeypatch.setattr(eulac.solver, "sparse_gram", lambda *args: None)
+        fit_square_closed_form(L, U, spec, THETA, 1e-2)
         refit_block, = solved
         A = refit_block / (2.0 * n_u)
         assert not np.any((A != 0) & (np.abs(A) < tiny))
@@ -368,8 +378,10 @@ class TestSquareLossSystem:
     def test_bit_identical_to_unbuffered_solve(self, monkeypatch):
         # every default bandwidth and lambda, each system solved once per
         # lambda.  The refit's dense path is taken at every bandwidth: at
-        # 10x median a pivoted-Cholesky factor exists, and the refit through
-        # it is checked against this one in test_factor_refit_matches_dense
+        # 0.01x median the sparse block serves and at 10x a pivoted-Cholesky
+        # factor, and the refit through them is checked against this one in
+        # TestSparseRefit and TestFactorRefit
+        monkeypatch.setattr(eulac.solver, "sparse_gram", lambda *args: None)
         monkeypatch.setattr(eulac.solver, "pivoted_cholesky", lambda *args: None)
         L, U = small_train_data(seed=5, n_l=100, n_u=300)
         n_l, n_u = len(L), len(U)
@@ -499,12 +511,11 @@ class TestFoldLanczos:
         L, support, median, folds = pooled
         n_l = len(L)
         unlabeled = support[n_l:]
-        tolerance = _factor_tolerance(len(unlabeled), min(len(f[1]) for f in folds),
-                                      min(DEFAULT_LAMBDAS))
         forms = []
         for mult in DEFAULT_SIGMA_MULTIPLIERS:
             spec = KernelSpec(mult * median)
-            form, operator = _unlabeled_operator(spec, unlabeled, tolerance)
+            form, operator = _unlabeled_operator(spec, unlabeled, min(len(f[1]) for f in folds),
+                                                 min(DEFAULT_LAMBDAS))
             forms.append(form)
             if operator is None:
                 continue
@@ -556,13 +567,14 @@ class TestFoldLanczos:
 
 
 class TestFactorRefit:
-    """At wide bandwidths the refit solves through a pivoted-Cholesky factor
-    of G_UU, and its certificate reads the floored kernel on both paths."""
+    """At wide bandwidths the refit solves by one shifted-Lanczos run on a
+    pivoted-Cholesky factor of G_UU, and its certificate reads the floored
+    kernel on every path."""
 
     def test_factor_refit_matches_dense(self, monkeypatch):
         # at 10x median a factor under rank_cap exists; it moves each score
         # column's unlabeled solution by at most FACTOR_SOLUTION_TOLERANCE
-        # of its norm (measured: at most 9.7e-12), and no G_UU is built
+        # of its norm (measured: at most 0.104 of it), and no G_UU is built
         L, U = small_train_data(seed=5, n_l=100, n_u=300)
         n_l, n_u = len(L), len(U)
         kernel = KernelSpec(10.0 * median_heuristic(np.vstack([L.X, U.X])))
@@ -592,7 +604,7 @@ class TestFactorRefit:
         # certificate reads about 2.7e-8, because the solve adds GRAM_JITTER
         # to its shift and the certificate is the plain objective's
         # gradient.  Without the jitter it reads below 1e-11 on the dense
-        # path (9.8e-15) and on the factor path (2.9e-12)
+        # path (9.8e-15) and on the factor path's Krylov run (5.3e-14)
         spec = dataclasses.replace(parse_synthetic_spec(BUNDLED_SPEC.read_text()), seed=1)
         L, U, _ = sample_synthetic(spec, 500, 1000, 1)
         kernel = KernelSpec(median_heuristic(np.vstack([L.X, U.X])))
@@ -608,14 +620,79 @@ class TestFactorRefit:
         assert fit_square_closed_form(L, U, kernel, THETA, 1e-3).record.final_gradient_norm <= 1e-11
 
     def test_certificate_reads_floored_tiles(self, monkeypatch):
-        # both of the certificate's G_UU products clamp and floor their tiles
+        # on the dense form both of the certificate's G_UU products clamp
+        # and floor their tiles; on the sparse form they read the sparse
+        # block, whose entries are gram's, and the two products agree
         L, U = small_train_data(seed=3, n_l=60, n_u=200)
+        kernel = _narrow_kernel(L, U)
         floors, product = [], eulac.solver._tiled_product
         monkeypatch.setattr(eulac.solver, "_tiled_product",
                             lambda *args, floored: floors.append(floored) or product(
                                 *args, floored=floored))
-        fit_square_closed_form(L, U, _narrow_kernel(L, U), THETA, 1e-2)
+        fit_square_closed_form(L, U, kernel, THETA, 1e-2)
+        assert floors == []
+        with monkeypatch.context() as patch:
+            patch.setattr(eulac.solver, "sparse_gram", lambda *args: None)
+            fit_square_closed_form(L, U, kernel, THETA, 1e-2)
         assert floors == [True, True]
+        support = np.vstack([L.X, U.X])
+        G_L = gram(kernel, support[:len(L)], support)
+        R = np.random.default_rng(0).normal(size=(len(support), 3))
+        form, sparse = _unlabeled_operator(kernel, U.X, len(U), 1e-2)
+        tiled = _pooled_product(G_L, _floored_tile_product(kernel, U.X), R)
+        assert form == "sparse"
+        np.testing.assert_allclose(_pooled_product(G_L, sparse, R), tiled, rtol=1e-14, atol=0.0)
+
+
+class TestSparseRefit:
+    """At narrow bandwidths the refit solves by one shifted-Lanczos run on
+    the sparse floored block of G_UU and builds no n_u x n_u array."""
+
+    def test_sparse_refit_matches_dense(self, monkeypatch):
+        # at 0.01x median the run reads gram's entries exactly; each score
+        # column's unlabeled solution is within FACTOR_SOLUTION_TOLERANCE of
+        # the Cholesky one's norm (measured: at most 7.1e-4 of it)
+        L, U = small_train_data(seed=5, n_l=100, n_u=300)
+        n_l, n_u = len(L), len(U)
+        kernel = _narrow_kernel(L, U)
+        shapes, build = [], eulac.solver.gram
+        forms, choose = [], eulac.solver._unlabeled_operator
+        monkeypatch.setattr(eulac.solver, "gram",
+                            lambda *args: shapes.append((G := build(*args)).shape) or G)
+        monkeypatch.setattr(eulac.solver, "_unlabeled_operator",
+                            lambda *args: forms.append(choose(*args)) or forms[-1])
+        for lam in DEFAULT_LAMBDAS:
+            del shapes[:], forms[:]
+            sparse = fit_square_closed_form(L, U, kernel, THETA, lam)
+            assert shapes == [(n_l, n_l + n_u)]
+            with monkeypatch.context() as patch:
+                patch.setattr(eulac.solver, "sparse_gram", lambda *args: None)
+                dense = fit_square_closed_form(L, U, kernel, THETA, lam)
+            assert [form for form, _ in forms] == ["sparse", "dense"]
+            assert shapes[1:] == [(n_l, n_l + n_u), (n_u, n_u)]
+            np.testing.assert_array_equal(sparse.alpha[:n_l], dense.alpha[:n_l])
+            gap = np.linalg.norm(sparse.alpha - dense.alpha, axis=0)
+            assert np.all(gap <= FACTOR_SOLUTION_TOLERANCE
+                          * np.linalg.norm(dense.alpha[n_l:], axis=0))
+
+    def test_refit_forms_at_the_default_bandwidths(self, monkeypatch):
+        # the bundled spec at 500/1000 (seed 1), lambda 1e-3: the refit
+        # takes the forms cross-validation takes, and only the dense one,
+        # at 0.1x median, factors by Cholesky
+        spec = dataclasses.replace(parse_synthetic_spec(BUNDLED_SPEC.read_text()), seed=1)
+        L, U, _ = sample_synthetic(spec, 500, 1000, 1)
+        median = median_heuristic(np.vstack([L.X, U.X]))
+        forms, choose = [], eulac.solver._unlabeled_operator
+        factors, factor = [], eulac.solver.cho_factor
+        monkeypatch.setattr(eulac.solver, "_unlabeled_operator",
+                            lambda *args: forms.append(choose(*args)) or forms[-1])
+        monkeypatch.setattr(eulac.solver, "cho_factor",
+                            lambda *args, **kwargs: factors.append(forms[-1][0]) or factor(
+                                *args, **kwargs))
+        for mult in DEFAULT_SIGMA_MULTIPLIERS:
+            fit_square_closed_form(L, U, KernelSpec(mult * median), spec.theta, 1e-3)
+        assert [form for form, _ in forms] == ["sparse", "dense", "factor", "factor"]
+        assert factors == ["dense"]
 
 
 class TestSquareLossMemory:
@@ -672,6 +749,24 @@ class TestSquareLossMemory:
         # G_LU is built again for the labeled validation rows, after the run
         assert [shape for shape, _ in builds][3:] == [(len(L), n_u)]
         assert peak < 8 * n_u**2 + basis + self.SLACK
+
+    def test_sparse_refit_holds_no_unlabeled_block(self):
+        # at 0.01x median the refit holds G_L, the sparse block and its
+        # Krylov basis, and its certificate reads the sparse block, so no
+        # n_u x n_u array is made; a dense G_UU alone is 11.5 MB here
+        L, U = small_train_data(seed=2, n_l=300, n_u=1200)
+        n_l, n_u = len(L), len(U)
+        kernel = _narrow_kernel(L, U)
+        tracemalloc.start()
+        try:
+            fit_square_closed_form(L, U, kernel, THETA, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the basis Q of the run's K + 1 recurrences, (K + 1, 64 steps, n_u)
+        basis = 8 * 3 * 64 * n_u
+        assert 8 * n_l * (n_l + n_u) + basis + self.SLACK < 8 * n_u**2
+        assert peak < 8 * n_l * (n_l + n_u) + basis + self.SLACK
 
     def test_refit_holds_one_unlabeled_block_beside_the_labeled_rows(self):
         # the factor overwrites the G_UU build; the certificate's tiles come
