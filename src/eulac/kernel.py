@@ -38,11 +38,11 @@ GRAM_BLOCK_ROWS = 1024
 # Every Gram that ``gram`` builds has its entries below this floor zeroed;
 # otherwise the solves run on subnormal numbers at small bandwidths: the
 # factorization slows five- to tenfold and the Lanczos products twofold.
-# Zeroing entries below delta moves M = G_UU / (2 n_u) + (2 lambda + jitter) I
-# by at most delta / 2 in spectral norm, and M >= 2 lambda I, so the
-# solution moves by at most delta / (4 lambda) relative: about 2.5e-28 at
-# lambda = 1e-3.  The G_UL alpha_L part of the right-hand side moves by at
-# most delta theta / (2 lambda) relative to its 1 / (2 n_u) constant part.
+# Zeroing entries below delta moves M = G_UU / (2 n_u) + 2 lambda I by at
+# most delta / 2 in spectral norm, and M >= 2 lambda I, so the solution
+# moves by at most delta / (4 lambda) relative: about 2.5e-28 at
+# lambda = 1e-3.  Each entry of the start vectors G_UL B_L / (4 n_u) moves
+# by at most delta theta / (4 n_u), against the ones start vector's 1.
 # A score G alpha_k moves by at most delta ||alpha_k||_1, and a row sum of a
 # Gram over n points, such as theta's kernel means, by at most n delta.
 KERNEL_FLOOR = 1e-30

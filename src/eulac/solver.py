@@ -7,12 +7,16 @@ the labeled bracket: the labeled risk term is linear in the scores, so its
 gradient is one constant for every loss.  Hence for every loss the labeled
 rows of alpha are the closed form -bracket / (2 lambda), and the K+1 score
 columns decouple into problems over the unlabeled rows, a system in the
-unlabeled block G_UU of the pooled Gram.  ``_unlabeled_operator`` alone
-chooses the form of G_UU a square-loss solve takes, from the points: the
-sparse floored block at narrow bandwidths, a pivoted-Cholesky factor at
-wide ones where it keeps the solution within FACTOR_SOLUTION_TOLERANCE,
-and the dense block otherwise.  On the sparse and factor forms one
-shifted-Lanczos run solves the system: for cross-validation a run per
+unlabeled block G_UU of the pooled Gram shifted by exactly 2 lambda.  The
+system is stated once: the refit solves cross-validation's system for a
+fold that trains on every row, from the same start vectors, and both
+assemble their columns by one closed form (``_closed_form_columns``).
+``_unlabeled_operator`` alone chooses the form of G_UU a square-loss
+solve takes, from the points: the sparse floored block at narrow
+bandwidths, a pivoted-Cholesky factor at wide ones where it keeps the
+solution within FACTOR_SOLUTION_TOLERANCE, and the dense block otherwise.
+The form chooses only how the system is solved.  On the sparse and factor
+forms one shifted-Lanczos run solves it: for cross-validation a run per
 bandwidth serves every fold and weight, and the refit makes one run of its
 own.  On the dense form cross-validation's run multiplies by the G_UU
 block, and the refit factors that block once by Cholesky.  The blocks come
@@ -62,7 +66,6 @@ from .losses import (
 )
 from .risk import lac_risk_from_scores
 
-GRAM_JITTER = 1e-10
 # The shifted-Lanczos solve stops once every shift's residual is at most
 # this fraction of its right-hand side's norm.  The unlabeled block has
 # spectral norm <= 1/2 and every shift is >= 2 lambda, so the solution's
@@ -152,14 +155,14 @@ class FitRecord:
 
     ``final_gradient_norm`` is the largest entry of the objective's gradient
     G (W + 2 lam alpha) at the returned alpha, taken with the floored Gram.
-    The square-loss refit solves a system whose shift holds GRAM_JITTER
-    besides 2 lam, and at wide bandwidths takes G_UU as a pivoted-Cholesky
-    factor's L L^T, solved by a Krylov run to KRYLOV_TOLERANCE, while the
-    gradient is the plain objective's on the true kernel.  So the refit's
-    norm reads those departures, not its rounding: on the bundled spec at
-    500/1000 (seed 1, 1x median, lam = 1e-3) it is 2.7e-8, and with
-    GRAM_JITTER at 0 it is 9.8e-15 on the dense path and 5.3e-14 on the
-    factor path.  The refit records ``converged`` True whatever it reads.
+    The square-loss refit solves the objective's own system, shifted by
+    exactly 2 lam, so its norm reads the solve's rounding and, at wide
+    bandwidths, the error of the pivoted-Cholesky factor L L^T it takes for
+    G_UU and of the Krylov run's KRYLOV_TOLERANCE: on the bundled spec at
+    500/1000 (seed 1, lam = 1e-3) it is 4.0e-17 on the dense path (0.1x
+    median) and 5.3e-14 on the factor path (1x).  The refit records
+    ``converged`` when the norm is at most the first-order solves' default
+    ``FitOptions.gradient_tolerance``.
 
     For double-hinge the gradient norm is taken at the midpoint subgradient
     and certifies nothing; ``duality_gap`` is what decided ``converged``:
@@ -327,13 +330,6 @@ def _labeled_bracket(labels: np.ndarray, num_known_classes: int, theta: float) -
     return B
 
 
-def _unlabeled_bracket(n_u: int, num_known_classes: int) -> np.ndarray:
-    """The square loss's constant unlabeled bracket row: +-1 / (2 n_u)."""
-    row = np.full(num_known_classes + 1, 1.0 / (2.0 * n_u))
-    row[num_known_classes] = -row[num_known_classes]
-    return row
-
-
 def _risk_score_gradient(
     scores: np.ndarray, labels: np.ndarray, n_l: int, n_u: int, theta: float, loss_kind: str
 ) -> np.ndarray:
@@ -374,15 +370,14 @@ def _factor_tolerance(n_u: int, n_train: int, lam: float) -> float:
     entry above the tolerance t, so its spectral norm is at most n_u t.  The
     solve's operator diag(m) G_UU diag(m) / (2 n_train) then moves by at
     most n_u t / (2 n_train), and its system's smallest eigenvalue is at
-    least the shift s = 2 lam + GRAM_JITTER, so the solution moves by at
-    most n_u t / (2 n_train s) relative.  t is chosen to make that
+    least the shift s = 2 lam, so the solution moves by at most
+    n_u t / (2 n_train s) relative.  t is chosen to make that
     FACTOR_SOLUTION_TOLERANCE: 3.2e-13 for the default grid's folds at
     500/1000 (n_train = 800, lam = 1e-3), and 4e-13 for a refit at
     lam = 1e-3.  Building L rounds each entry of L L^T by about (P + 1) u
     more, for P pivots and unit roundoff u: 1.2e-14 at P = 104.
     """
-    shift = 2.0 * lam + GRAM_JITTER
-    return FACTOR_SOLUTION_TOLERANCE * 2.0 * n_train * shift / n_u
+    return FACTOR_SOLUTION_TOLERANCE * 2.0 * n_train * (2.0 * lam) / n_u
 
 
 def _scaled_unlabeled_system(unlabeled_block, n_u: int, shift: float) -> np.ndarray:
@@ -392,77 +387,6 @@ def _scaled_unlabeled_system(unlabeled_block, n_u: int, shift: float) -> np.ndar
     M /= 2.0 * n_u
     M.flat[::n_u + 1] += shift
     return M
-
-
-def _square_loss_alpha(G_L: np.ndarray, unlabeled_block, labels: np.ndarray,
-                       num_known_classes: int, theta: float, lam: float) -> np.ndarray:
-    """Exact stationary point of the square-loss objective at weight lam,
-    on the dense form of G_UU.
-
-    G_L is the training Gram's n_l labeled rows, labeled columns first, and
-    ``unlabeled_block()`` builds its unlabeled block G_UU; both come from
-    ``gram``.  The labeled rows of alpha are the bracket's closed form
-    -B_L / (2 lam); the unlabeled rows solve
-    (G_UU / (2 n_u) + s I) x = -B_U - G_LU^T alpha_L / (2 n_u) with
-    s = 2 lam + GRAM_JITTER, by one Cholesky factorization.  The right-hand
-    side is taken from G_L before G_UU is built.  G_UU is then scaled,
-    shifted and factored in place, in the block the call built, and dropped
-    on return, so the solve holds one n_u x n_u array beside G_L.  ``gram``'s
-    entries lie in [0, 1], so the factorization and the solve skip scipy's
-    full-matrix finiteness scans; the right-hand side is checked.  A system
-    that is not positive definite raises LinAlgError naming its condition
-    number, taken from a second G_UU built on that path alone, since the
-    failed factorization has overwritten the first.  theta and lam are
-    checked by the caller.
-    """
-    n_l, K = G_L.shape[0], num_known_classes
-    n_u = G_L.shape[1] - n_l
-    shift = 2.0 * lam + GRAM_JITTER
-    alpha = np.empty((n_l + n_u, K + 1))
-    alpha[:n_l] = -_labeled_bracket(labels, K, theta) / (2.0 * lam)
-    rhs = -_unlabeled_bracket(n_u, K) - (G_L[:, n_l:].T @ alpha[:n_l]) / (2.0 * n_u)
-    if not np.all(np.isfinite(rhs)):
-        raise ValueError("square-loss right-hand side is not finite")
-
-    M = _scaled_unlabeled_system(unlabeled_block, n_u, shift)
-    try:
-        # M is exactly symmetric, so its transpose is M itself in the
-        # Fortran order LAPACK factors in place
-        cholesky = cho_factor(M.T, lower=True, overwrite_a=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        cond = np.linalg.cond(_scaled_unlabeled_system(unlabeled_block, n_u, shift))
-        raise np.linalg.LinAlgError(
-            f"square-loss system not positive definite (condition estimate {cond:.3e})"
-        ) from exc
-    alpha[n_l:] = cho_solve(cholesky, rhs, check_finite=False)
-    return alpha
-
-
-def _square_loss_krylov_alpha(G_L: np.ndarray, product, labels: np.ndarray,
-                              num_known_classes: int, theta: float, lam: float) -> np.ndarray:
-    """``_square_loss_alpha``'s stationary point, solved by one
-    shifted-Lanczos run on the form of G_UU whose product is ``product``
-    (``_unlabeled_operator``), as cross-validation solves a fold that trains
-    on every row.
-
-    The run starts from the ones vector and the K known columns of
-    r1 = G_UL B_L / (4 n_u), with all-ones masks, scale 1 / (2 n_u) and the
-    one shift s = 2 lam + GRAM_JITTER; it builds no n_u x n_u array.  Its
-    solutions x0 and x_k give alpha as cross-validation's closed form does:
-    the labeled rows -B_L / (2 lam), known column k x_k / lam - x0 / (2 n_u),
-    and the novel column x0 / (2 n_u) - sum_k x_k / lam, since B_L's novel
-    column is minus the sum of its known ones.  A failed run raises
-    ``_shifted_lanczos``'s LinAlgError.
-    """
-    n_l, K = G_L.shape[0], num_known_classes
-    n_u = G_L.shape[1] - n_l
-    B = _labeled_bracket(labels, K, theta)
-    starts = np.vstack([np.ones(n_u), (B[:, :K].T @ G_L[:, n_l:]) / (4.0 * n_u)])
-    x, _ = _shifted_lanczos(product, starts, np.array([2.0 * lam + GRAM_JITTER]),
-                            np.ones((K + 1, n_u)), np.full(K + 1, 1.0 / (2.0 * n_u)))
-    x0, known = x[0, :, 0, None] / (2.0 * n_u), x[1:, :, 0].T / lam
-    return np.concatenate([-B / (2.0 * lam),
-                           np.hstack([known - x0, x0 - known.sum(axis=1, keepdims=True)])])
 
 
 def _located(exc: np.linalg.LinAlgError, **where) -> np.linalg.LinAlgError:
@@ -664,6 +588,21 @@ def _shifted_lanczos(
     return x, products
 
 
+def _closed_form_columns(data: np.ndarray, ones: np.ndarray, lams) -> np.ndarray:
+    """The K+1 columns of the square loss's closed form, (K+1, rows, ...),
+    at rows that read the unlabeled solutions through R_U and the labeled
+    coefficients through R_L: R is the Gram's validation rows for a
+    cross-validation fold's scores, and the identity's unlabeled rows,
+    whose R_L is zero, for the refit's alpha.
+    ``data`` holds the K known columns' R_U x_k - R_L B_k / 2, and ``ones``
+    the ones start's share R_U x0 / (2 n_u).  Known column k is
+    data_k / lam - ones and the novel one ones - sum_k data_k / lam, since
+    the bracket's novel column, and so its solution, is minus the sum of the
+    known ones."""
+    known = data / lams
+    return np.concatenate([known - ones, ones[None] - known.sum(axis=0, keepdims=True)])
+
+
 def _square_loss_fold_scores(
     block,
     labeled_points: np.ndarray,
@@ -689,7 +628,7 @@ def _square_loss_fold_scores(
     training-unlabeled rows, n_u,f its count, and B_L,f the labeled bracket
     of its training labels, zero outside them.  The fold's labeled
     coefficients are the closed form -B_L,f / (2 lam), and its unlabeled
-    ones solve (A_f + s I) x = r0 + r1 / lam, with s = 2 lam + GRAM_JITTER,
+    ones solve (A_f + s I) x = r0 + r1 / lam, with s = 2 lam,
     A_f = diag(m_f) G_UU diag(m_f) / (2 n_u,f), r0 = +-m_f / (2 n_u,f) in
     every column and r1 = m_f * G_UL B_L,f / (4 n_u,f), G_UL B_L,f being
     G_LU^T B_L,f.  A Krylov space does not change when its matrix is
@@ -698,6 +637,10 @@ def _square_loss_fold_scores(
     and weight, with no factorization and no gathered block.  B_L,f's novel
     column is minus the sum of its known ones, so r1's is too, and so is,
     the solve being linear, that column's solution and its scores' share.
+
+    The refit (``_square_loss_alpha``) solves this system for one fold
+    whose mask is all ones, and both read their columns from the solutions
+    by ``_closed_form_columns``.
 
     No coefficient is assembled.  A validation row v scores
     G[v, U] x - G[v, L] B_L,f / (2 lam).  At an unlabeled validation row the
@@ -725,7 +668,7 @@ def _square_loss_fold_scores(
     n_l, n_u = len(labeled_points), len(unlabeled_points)
     K = num_known_classes
     lams = np.asarray(lams, dtype=float)
-    shifts = 2.0 * lams + GRAM_JITTER
+    shifts = 2.0 * lams
 
     width = K + 1  # start vectors per fold: m_f, then the K known columns of r1
     masks = np.zeros((len(folds) * width, n_u))
@@ -766,10 +709,9 @@ def _square_loss_fold_scores(
         counts.append(len(val_L) + n_u - len(train_U))
     del G_LU
     solved, bracket = np.concatenate(solved, axis=1), np.concatenate(bracket, axis=1)
-    known = (solved[1:] - bracket[:, :, None] / 2.0) / lams
-    # the start vector m_f's share: x0 times -+1 / (2 n_u,f), its scale
-    x0 = solved[0] * np.repeat(scales[::width], counts)[:, None]
-    columns = np.concatenate([known - x0, x0[None] - known.sum(axis=0, keepdims=True)])
+    # the start vector m_f's share is x0 times its scale 1 / (2 n_u,f)
+    columns = _closed_form_columns(solved[1:] - bracket[:, :, None] / 2.0,
+                                   solved[0] * np.repeat(scales[::width], counts)[:, None], lams)
     firsts = np.cumsum(counts) - counts
     bad = np.argwhere(~np.logical_and.reduceat(np.isfinite(columns).all(axis=0), firsts))
     if len(bad):
@@ -777,6 +719,56 @@ def _square_loss_fold_scores(
         raise _located(np.linalg.LinAlgError(
             f"square-loss solution is not finite at lambda={lams[i]}"), fold=int(f))
     return np.split(columns.transpose(1, 2, 0), firsts[1:])
+
+
+def _square_loss_alpha(G_L: np.ndarray, operator, unlabeled_block, labels: np.ndarray,
+                       num_known_classes: int, theta: float, lam: float) -> np.ndarray:
+    """Exact stationary point of the square-loss objective at weight lam:
+    the system of a cross-validation fold that trains on every row.
+
+    G_L is the training Gram's n_l labeled rows, labeled columns first,
+    from ``gram``.  The start vectors are the ones vector and the K known
+    columns of G_UL B_L / (4 n_u), and the system is
+    (G_UU / (2 n_u) + 2 lam I) x = b.  Its solutions x0 and x_k give alpha
+    by cross-validation's closed form (``_closed_form_columns``): the
+    labeled rows -B_L / (2 lam), known column k x_k / lam - x0 / (2 n_u)
+    and the novel column x0 / (2 n_u) - sum_k x_k / lam.
+
+    Only the solve depends on the form of G_UU.  ``operator`` is its
+    Lanczos product (``_unlabeled_operator``), and one shifted-Lanczos run
+    solves the system with no n_u x n_u array; None is the dense form:
+    ``unlabeled_block()`` then builds G_UU, which is scaled, shifted and
+    factored in place by one Cholesky factorization and solved for the K+1
+    start vectors at once, so the solve holds one n_u x n_u array beside
+    G_L.  ``gram``'s entries lie in [0, 1], so the factorization and the
+    solve skip scipy's finiteness scans.  A dense system that is not
+    positive definite raises LinAlgError naming its condition number,
+    taken from a second G_UU built on that path alone, since the failed
+    factorization has overwritten the first; a failed run raises
+    ``_shifted_lanczos``'s.  theta and lam are checked by the caller.
+    """
+    n_l, K = G_L.shape[0], num_known_classes
+    n_u = G_L.shape[1] - n_l
+    B = _labeled_bracket(labels, K, theta)
+    starts = np.vstack([np.ones(n_u), (B[:, :K].T @ G_L[:, n_l:]) / (4.0 * n_u)])
+    shift = 2.0 * lam
+    if operator is None:
+        M = _scaled_unlabeled_system(unlabeled_block, n_u, shift)
+        try:
+            # M is exactly symmetric, so its transpose is M itself in the
+            # Fortran order LAPACK factors in place
+            cholesky = cho_factor(M.T, lower=True, overwrite_a=True, check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            cond = np.linalg.cond(_scaled_unlabeled_system(unlabeled_block, n_u, shift))
+            raise np.linalg.LinAlgError(
+                f"square-loss system not positive definite (condition estimate {cond:.3e})"
+            ) from exc
+        x = cho_solve(cholesky, starts.T, check_finite=False).T
+    else:
+        x = _shifted_lanczos(operator, starts, np.array([shift]), np.ones_like(starts),
+                             np.full(K + 1, 1.0 / (2.0 * n_u)))[0][:, :, 0]
+    return np.concatenate([-B / (2.0 * lam),
+                           _closed_form_columns(x[1:], x[0] / (2.0 * n_u), lam).T])
 
 
 def fit_square_closed_form(
@@ -788,17 +780,19 @@ def fit_square_closed_form(
 ) -> DualModel:
     """Solve the square-loss problem exactly via its normal equations.
 
-    The solve builds the labeled rows G_L and takes the form of G_UU that
-    ``_unlabeled_operator`` chooses for n_u training rows at weight lam.
-    On the sparse or the factor form it makes one shifted-Lanczos run
-    (``_square_loss_krylov_alpha``) and builds no G_UU.  On the dense form
-    it builds G_UU after G_L and factors it in place by Cholesky
-    (``_square_loss_alpha``), so the refit holds at most G_L and one
-    n_u x n_u array.  The gradient certificate's two products G @ R are
-    ``_pooled_product``s that read G_L and the floored G_UU: the sparse
-    block where the solve took it, whose entries are ``gram``'s, else
-    ``_floored_tile_product``, one tile per worker at a time.  So the
-    certificate reads the true kernel on every form (see ``FitRecord``).
+    The refit builds the labeled rows G_L and solves cross-validation's
+    system for a fold that trains on every row (``_square_loss_alpha``),
+    on the form of G_UU that ``_unlabeled_operator`` chooses for n_u
+    training rows at weight lam.  On the sparse or the factor form one
+    shifted-Lanczos run solves it and no G_UU is built.  On the dense form
+    G_UU is built after G_L and factored in place by Cholesky, so the
+    refit holds at most G_L and one n_u x n_u array.  The gradient
+    certificate's two products G @ R are ``_pooled_product``s that read
+    G_L and the floored G_UU: the sparse block where the solve took it,
+    whose entries are ``gram``'s, else ``_floored_tile_product``, one tile
+    per worker at a time.  So the certificate reads the true kernel on
+    every form (see ``FitRecord``), and ``converged`` is whether it is at
+    most ``FitOptions``' default gradient tolerance.
     """
     check_theta(theta)  # before the Gram is built
     check_lambda(lam)
@@ -806,9 +800,8 @@ def fit_square_closed_form(
     n_l, n_u = len(labeled), len(unlabeled)
     G_L = gram(kernel, support[:n_l], support)
     form, operator = _unlabeled_operator(kernel, support[n_l:], n_u, lam)
-    solve, uu_form = ((_square_loss_krylov_alpha, operator) if operator is not None else
-                      (_square_loss_alpha, lambda: gram(kernel, support[n_l:], support[n_l:])))
-    alpha = solve(G_L, uu_form, labeled.y, labeled.num_known_classes, theta, lam)
+    alpha = _square_loss_alpha(G_L, operator, lambda: gram(kernel, support[n_l:], support[n_l:]),
+                               labeled.y, labeled.num_known_classes, theta, lam)
     uu_product = operator if form == "sparse" else _floored_tile_product(kernel, support[n_l:])
 
     def product(R):
@@ -817,7 +810,8 @@ def fit_square_closed_form(
     # the bracket is solved exactly, so the gradient G @ residual is ~0
     grad = _gradient_arrays(alpha, product(alpha), product, labeled.y, n_l, n_u, theta, lam,
                             SQUARE)
-    record = FitRecord(0, float(np.max(np.abs(grad))), True)
+    norm = float(np.max(np.abs(grad)))
+    record = FitRecord(0, norm, norm <= FitOptions(lam=lam).gradient_tolerance)
     return DualModel(support, alpha, kernel, SQUARE, theta, lam,
                      labeled.num_known_classes, record)
 

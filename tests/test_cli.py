@@ -301,6 +301,30 @@ class TestFit:
         assert main(argv) == 2
         assert "solver did not reach its convergence tolerance" in capsys.readouterr().err
 
+    def test_square_refit_off_its_certificate_warns_exit_two(self, spec_file, tmp_path,
+                                                             monkeypatch, capsys):
+        # the refit's verdict reads its gradient certificate against the
+        # first-order solves' default tolerance, 1e-6: a solution moved by
+        # 1e-3 in one entry reads about 3e-5 and is not converged
+        data = _gen(spec_file, tmp_path / "data", nl=40, nu=50)
+        argv = ["fit", "--labeled", str(data / "labeled.libsvm"),
+                "--unlabeled", str(data / "unlabeled.csv"),
+                "--out", str(tmp_path / "fit"), "--theta", "0.7"] + FAST_GRID
+        assert main(argv) == 0
+        assert json.loads((tmp_path / "fit" / "model.json").read_text())["converged"] is True
+        solve = eulac.solver._square_loss_alpha
+
+        def perturbed(*args):
+            alpha = solve(*args)
+            alpha[-1, 0] += 1e-3
+            return alpha
+
+        monkeypatch.setattr(eulac.solver, "_square_loss_alpha", perturbed)
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert "solver did not reach its convergence tolerance" in capsys.readouterr().err
+        assert json.loads((tmp_path / "fit" / "model.json").read_text())["converged"] is False
+
 
 class TestEval:
     @pytest.fixture()

@@ -35,7 +35,6 @@ import eulac.solver
 from eulac.solver import (
     DUAL_GAP_TOLERANCE,
     FACTOR_SOLUTION_TOLERANCE,
-    GRAM_JITTER,
     DualModel,
     FitOptions,
     FitRecord,
@@ -210,7 +209,9 @@ class TestClosedForm:
 
 
 def _unfloored_square_alpha(G, y, K, n_l, n_u, theta, lam):
-    """The square-loss stationary point from the unfloored Gram, written out."""
+    """The square-loss stationary point from the unfloored Gram, written out
+    as one solve whose right-hand side is -B_U - G_UL alpha_L / (2 n_u),
+    not the refit's start vectors."""
     alpha = np.zeros((n_l + n_u, K + 1))
     rows = np.arange(n_l)
     alpha[rows, y - 1] = theta / (2.0 * lam * n_l)
@@ -218,7 +219,7 @@ def _unfloored_square_alpha(G, y, K, n_l, n_u, theta, lam):
     b_u = np.zeros((n_u, K + 1))
     b_u[:, :K] = 1.0 / (2.0 * n_u)
     b_u[:, K] = -1.0 / (2.0 * n_u)
-    M = G[n_l:, n_l:] / (2.0 * n_u) + (2.0 * lam + GRAM_JITTER) * np.eye(n_u)
+    M = G[n_l:, n_l:] / (2.0 * n_u) + 2.0 * lam * np.eye(n_u)
     rhs = -b_u - G[n_l:, :n_l] @ alpha[:n_l] / (2.0 * n_u)
     alpha[n_l:] = cho_solve(cho_factor(M, lower=True), rhs)
     return alpha
@@ -240,13 +241,14 @@ def _blocks(G, n_l):
 
 
 def _refit_blocks(G, n_l):
-    """The refit solve's labeled rows of a pooled Gram G, and the builder of
-    a fresh copy of its unlabeled block, which the solve factors in place."""
-    return G[:n_l], lambda: G[n_l:, n_l:].copy()
+    """The refit solve's labeled rows of a pooled Gram G, no operator (the
+    dense form), and the builder of a fresh copy of its unlabeled block,
+    which the solve factors in place."""
+    return G[:n_l], None, lambda: G[n_l:, n_l:].copy()
 
 
 def _refit_alpha(G, y, n_l, lam, theta=THETA):
-    """The refit's solve on a floored copy of a full training Gram."""
+    """The refit's dense solve on a floored copy of a full training Gram."""
     return _square_loss_alpha(*_refit_blocks(_floored(G), n_l), y, 2, theta, lam)
 
 
@@ -260,7 +262,7 @@ def _lanczos_alphas(G, y, n_l, lams, theta=THETA):
     B = _labeled_bracket(y, 2, theta)
     starts = np.vstack([np.ones(n_u), (G[n_l:, :n_l] @ B[:, :2]).T / (4.0 * n_u)])
     x, products = _shifted_lanczos(_dense_product(G[n_l:, n_l:]), starts,
-                                   2.0 * np.asarray(lams) + GRAM_JITTER, np.ones((3, n_u)),
+                                   2.0 * np.asarray(lams), np.ones((3, n_u)),
                                    np.full(3, 1.0 / (2.0 * n_u)))
     # no row lies off the masks, so no product is kept
     assert [p.shape for p in products] == [(0, len(lams))] * 3
@@ -281,27 +283,32 @@ def _narrow_kernel(L, U):
 
 
 def _unbuffered_square_alpha(G, y, K, n_l, n_u, theta, lam):
-    """The square-loss solve as written before the shared Fortran-order buffer:
-    a C-order copy of the floored block and scipy's checked factorization.
-    G_UL is read as the labeled rows' transpose, as the solve reads it: below
-    about 1e6 multiply-adds OpenBLAS multiplies a transposed operand with
-    another kernel, which can move last bits (1e-15 relative at 300 x 100)."""
-    B = np.zeros((n_l + n_u, K + 1))
-    rows = np.arange(n_l)
-    B[rows, y - 1] = -theta / n_l
-    B[n_l:, :K] += 1.0 / (2.0 * n_u)
-    B[rows, K] += theta / n_l
-    B[n_l:, K] -= 1.0 / (2.0 * n_u)
+    """The refit's dense solve as written before the shared Fortran-order
+    buffer: a C-order copy of the floored block and scipy's checked
+    factorization, solved for the ones vector and the known columns of
+    G_UL B_L / (4 n_u), with the coefficients written out from the
+    solutions.  G_UL B_L is taken as B_L^T G_LU, as the solve takes it:
+    below about 1e6 multiply-adds OpenBLAS multiplies a transposed operand
+    with another kernel, which can move last bits (1e-15 relative at
+    300 x 100)."""
+    B = np.zeros((n_l, K + 1))
+    B[np.arange(n_l), y - 1] = -theta / n_l
+    B[:, K] = theta / n_l
     G_UU = G[n_l:, n_l:]
     A = G_UU / (2.0 * n_u)
     A[G_UU < KERNEL_FLOOR] = 0.0
 
-    alpha = np.empty(B.shape)
-    alpha[:n_l] = -B[:n_l] / (2.0 * lam)
     M = A.copy()
-    M.flat[::n_u + 1] += 2.0 * lam + GRAM_JITTER
-    rhs = -B[n_l:] - (G[:n_l, n_l:].T @ alpha[:n_l]) / (2.0 * n_u)
-    alpha[n_l:] = cho_solve(cho_factor(M, lower=True), rhs)
+    M.flat[::n_u + 1] += 2.0 * lam
+    starts = np.vstack([np.ones(n_u), (B[:, :K].T @ G[:n_l, n_l:]) / (4.0 * n_u)])
+    x = cho_solve(cho_factor(M, lower=True), starts.T)
+    alpha = np.empty((n_l + n_u, K + 1))
+    alpha[:n_l] = -B / (2.0 * lam)
+    # x0 times minus the unlabeled bracket +-1 / (2 n_u), plus the data
+    # solutions over lam, the novel one minus the sum of the known ones
+    x0, known = x[:, 0] / (2.0 * n_u), x[:, 1:] / lam
+    alpha[n_l:, :K] = known - x0[:, None]
+    alpha[n_l:, K] = x0 - known.sum(axis=1)
     return alpha
 
 
@@ -341,12 +348,12 @@ class TestSquareLossSystem:
         solved = []
         solve = eulac.solver._square_loss_alpha
 
-        def recording_solve(G_L, unlabeled_block, *args):
+        def recording_solve(G_L, operator, unlabeled_block, *args):
             def recording_block():
                 G_UU = unlabeled_block()
                 solved.append(G_UU.copy())
                 return G_UU
-            return solve(G_L, recording_block, *args)
+            return solve(G_L, operator, recording_block, *args)
 
         monkeypatch.setattr(eulac.solver, "_square_loss_alpha", recording_solve)
         fit_square_closed_form(L, U, spec, THETA, 1e-2)
@@ -448,16 +455,16 @@ class TestSquareLossSystem:
         # -n_u / (2 n_u), outweighs the shift 2 LAM
         L, _, _, G = instance
         n_l, n_u = len(L), len(G) - len(L)
-        G_L, unlabeled_block = _refit_blocks(-_floored(G), n_l)
+        G_L, operator, unlabeled_block = _refit_blocks(-_floored(G), n_l)
         builds = []
         with pytest.raises(np.linalg.LinAlgError, match="condition estimate") as info:
-            _square_loss_alpha(G_L, lambda: builds.append(1) or unlabeled_block(), L.y, 2,
-                               THETA, LAM)
+            _square_loss_alpha(G_L, operator, lambda: builds.append(1) or unlabeled_block(),
+                               L.y, 2, THETA, LAM)
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
         # the failed factorization overwrote its block, so the estimate reads
         # a second build of the system, not the factor's remains
         assert len(builds) == 2
-        system = -_floored(G)[n_l:, n_l:] / (2.0 * n_u) + (2.0 * LAM + GRAM_JITTER) * np.eye(n_u)
+        system = -_floored(G)[n_l:, n_l:] / (2.0 * n_u) + 2.0 * LAM * np.eye(n_u)
         assert f"condition estimate {np.linalg.cond(system):.3e})" in str(info.value)
 
 
@@ -599,25 +606,36 @@ class TestFactorRefit:
             assert np.all(gap <= FACTOR_SOLUTION_TOLERANCE
                           * np.linalg.norm(dense.alpha[n_l:], axis=0))
 
-    def test_certificate_floor_is_the_jitter(self, monkeypatch):
-        # seed-1 bundled-spec data at 500/1000, 1x median, lambda 1e-3: the
-        # certificate reads about 2.7e-8, because the solve adds GRAM_JITTER
-        # to its shift and the certificate is the plain objective's
-        # gradient.  Without the jitter it reads below 1e-11 on the dense
-        # path (9.8e-15) and on the factor path's Krylov run (5.3e-14)
+    def test_certificate_reads_the_exact_system(self):
+        # seed-1 bundled-spec data at 500/1000, lambda 1e-3: the solve's
+        # shift is exactly 2 lambda, so the certificate, the plain
+        # objective's gradient, reads the solve's rounding, below 1e-11 on
+        # the dense path at 0.1x median (4.0e-17) and on the factor path's
+        # Krylov run at 1x (5.3e-14); the forms are pinned by
+        # TestSparseRefit.test_refit_forms_at_the_default_bandwidths
         spec = dataclasses.replace(parse_synthetic_spec(BUNDLED_SPEC.read_text()), seed=1)
         L, U, _ = sample_synthetic(spec, 500, 1000, 1)
-        kernel = KernelSpec(median_heuristic(np.vstack([L.X, U.X])))
-        factors, factor = [], eulac.solver.pivoted_cholesky
-        monkeypatch.setattr(eulac.solver, "pivoted_cholesky",
-                            lambda *args: factors.append(factor(*args)) or factors[-1])
-        jittered = fit_square_closed_form(L, U, kernel, THETA, 1e-3).record
-        assert jittered.final_gradient_norm > 1e-9
-        monkeypatch.setattr(eulac.solver, "GRAM_JITTER", 0.0)
-        assert fit_square_closed_form(L, U, kernel, THETA, 1e-3).record.final_gradient_norm <= 1e-11
-        assert factors[-1] is not None
-        monkeypatch.setattr(eulac.solver, "pivoted_cholesky", lambda *args: None)
-        assert fit_square_closed_form(L, U, kernel, THETA, 1e-3).record.final_gradient_norm <= 1e-11
+        median = median_heuristic(np.vstack([L.X, U.X]))
+        for mult in (0.1, 1.0):
+            record = fit_square_closed_form(L, U, KernelSpec(mult * median), THETA, 1e-3).record
+            assert record.final_gradient_norm <= 1e-11
+            assert record.converged
+
+    @pytest.mark.parametrize("lam, bound", [(1e-6, 1e-9), (1e-3, 1e-8)])
+    def test_certificate_on_the_smoke_data(self, lam, bound):
+        # the 150/300 data of `eulac gen` at seed 0, as the CI smoke step
+        # makes it, at every default bandwidth: a shift of 2 lambda plus
+        # 1e-10 read 1.7e-7 to 3.5e-5 at lambda 1e-6 and 2.8e-8 and 3.5e-8
+        # at 1x and 10x at lambda 1e-3 (criterion 4's bound is 1e-8); the
+        # exact shift reads at most 2.9e-11 and 3.6e-14
+        spec = dataclasses.replace(parse_synthetic_spec(BUNDLED_SPEC.read_text()), seed=0)
+        L, U, _ = sample_synthetic(spec, 150, 300, 100)
+        median = median_heuristic(np.vstack([L.X, U.X]))
+        for mult in DEFAULT_SIGMA_MULTIPLIERS:
+            record = fit_square_closed_form(L, U, KernelSpec(mult * median), spec.theta,
+                                            lam).record
+            assert record.final_gradient_norm <= bound
+            assert record.converged
 
     def test_certificate_reads_floored_tiles(self, monkeypatch):
         # on the dense form both of the certificate's G_UU products clamp
@@ -835,7 +853,7 @@ class TestShiftedLanczos:
         starts = masks * np.repeat([[1.0], [0.0]], 3, axis=0)
         starts[1::2] = masks[1::2] * rng.normal(size=(3, n))
         scales = 1.0 / (2.0 * masks.sum(axis=1))
-        shifts = 2.0 * np.array([1e-3, 1e-2, 1e-1]) + GRAM_JITTER
+        shifts = 2.0 * np.array([1e-3, 1e-2, 1e-1])
         results = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
